@@ -22,7 +22,6 @@ __all__ = [
     "number",
     "field",
     "field_sqrt",
-    "gcd_of_fields",
     "parse_field",
     "ZERO",
     "ONE",
@@ -462,31 +461,6 @@ def field_sqrt(x: FieldElem) -> FieldElem:
                     return root
         raise FieldSqrtError("square root of %s does not denest" % x)
     raise FieldSqrtError("no field square root of %s" % x)
-
-
-def gcd_of_fields(xs) -> FieldElem:
-    """Greatest common divisor of a list, used to pull a common factor out
-    of coefficient lists for display.  Defined for elements sharing a single
-    common radicand: gcd of the numerators over lcm of the denominators,
-    times that radical.  Mixed-radicand or multi-term input falls back to 1;
-    zeros are skipped; an empty or all-zero list gives 0."""
-    vals = [x.simplify() for x in xs if not x.is_zero()]
-    if not vals:
-        return ZERO
-    rad = None
-    gn = 0
-    ld = 1
-    for v in vals:
-        if v.den != _SS_ONE or len(v.num.terms) != 1:
-            return ONE
-        ((f, c),) = v.num.terms.items()
-        if rad is None:
-            rad = f
-        elif rad != f:
-            return ONE
-        gn = math.gcd(gn, abs(c.numerator))
-        ld = ld * c.denominator // math.gcd(ld, c.denominator)
-    return FieldElem(SqrtSum.make([(rad, Fraction(gn, ld))]))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)(?:/(\d+))?)?(?:\*?sqrt\((\d+)\))?$")

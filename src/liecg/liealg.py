@@ -4,8 +4,9 @@ Conventions used throughout: the Cartan matrix is A_ji = 2 a^j.a^i / (a^i)^2,
 so its rows are the Dynkin coordinates of the simple roots; weights live in
 the fundamental-weight basis (Dynkin labels); a weight of an irrep with
 highest weight L is L - q.A for a descent vector q of non-negative integers,
-and its level is sum(q).  Roots are stored as coefficient vectors over the
-simple roots.  Everything here is exact integer/rational arithmetic.
+and its level is sum(q).  Roots are coefficient vectors over the simple
+roots, derived from the Cartan matrix.  Everything here is exact
+integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -167,195 +168,36 @@ def root_weights(la: LieAlgebra):
     return (1,) * n
 
 
-# Positive roots of the exceptional algebras, as simple-root coefficients,
-# sorted by height then lexicographically.  Regenerable from the Cartan
-# matrices by root-string closure; the test suite does exactly that.
-_ROOTS_E6 = (
-    (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0),
-    (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
-    (0, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 1), (0, 0, 1, 1, 0, 0),
-    (0, 1, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 1),
-    (0, 0, 1, 1, 1, 0), (0, 1, 1, 0, 0, 1), (0, 1, 1, 1, 0, 0),
-    (1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 0, 1),
-    (0, 1, 1, 1, 1, 0), (1, 1, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0),
-    (0, 1, 1, 1, 1, 1), (0, 1, 2, 1, 0, 1), (1, 1, 1, 1, 0, 1),
-    (1, 1, 1, 1, 1, 0), (0, 1, 2, 1, 1, 1), (1, 1, 1, 1, 1, 1),
-    (1, 1, 2, 1, 0, 1), (0, 1, 2, 2, 1, 1), (1, 1, 2, 1, 1, 1),
-    (1, 2, 2, 1, 0, 1), (1, 1, 2, 2, 1, 1), (1, 2, 2, 1, 1, 1),
-    (1, 2, 2, 2, 1, 1), (1, 2, 3, 2, 1, 1), (1, 2, 3, 2, 1, 2),
-)
-_ROOTS_E7 = (
-    (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0), (0, 0, 0, 1, 1, 0, 0),
-    (0, 0, 1, 0, 0, 0, 1), (0, 0, 1, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0),
-    (1, 1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 0, 0, 1),
-    (0, 0, 1, 1, 1, 0, 0), (0, 1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 0, 0),
-    (1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 0, 1), (0, 0, 1, 1, 1, 1, 0),
-    (0, 1, 1, 1, 0, 0, 1), (0, 1, 1, 1, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1),
-    (1, 1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0, 1),
-    (0, 1, 1, 1, 1, 1, 0), (0, 1, 2, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0, 1),
-    (1, 1, 1, 1, 1, 0, 0), (0, 1, 1, 1, 1, 1, 1), (0, 1, 2, 1, 1, 0, 1),
-    (1, 1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 1, 0), (1, 1, 2, 1, 0, 0, 1),
-    (0, 1, 2, 1, 1, 1, 1), (0, 1, 2, 2, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1),
-    (1, 1, 2, 1, 1, 0, 1), (1, 2, 2, 1, 0, 0, 1), (0, 1, 2, 2, 1, 1, 1),
-    (1, 1, 2, 1, 1, 1, 1), (1, 1, 2, 2, 1, 0, 1), (1, 2, 2, 1, 1, 0, 1),
-    (0, 1, 2, 2, 2, 1, 1), (1, 1, 2, 2, 1, 1, 1), (1, 2, 2, 1, 1, 1, 1),
-    (1, 2, 2, 2, 1, 0, 1), (1, 1, 2, 2, 2, 1, 1), (1, 2, 2, 2, 1, 1, 1),
-    (1, 2, 3, 2, 1, 0, 1), (1, 2, 2, 2, 2, 1, 1), (1, 2, 3, 2, 1, 0, 2),
-    (1, 2, 3, 2, 1, 1, 1), (1, 2, 3, 2, 1, 1, 2), (1, 2, 3, 2, 2, 1, 1),
-    (1, 2, 3, 2, 2, 1, 2), (1, 2, 3, 3, 2, 1, 1), (1, 2, 3, 3, 2, 1, 2),
-    (1, 2, 4, 3, 2, 1, 2), (1, 3, 4, 3, 2, 1, 2), (2, 3, 4, 3, 2, 1, 2),
-)
-_ROOTS_E8 = (
-    (0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 1, 0),
-    (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0),
-    (0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1, 0, 0),
-    (0, 0, 0, 1, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 1),
-    (0, 0, 1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0, 0),
-    (1, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 0),
-    (0, 0, 0, 1, 1, 1, 0, 0), (0, 0, 1, 1, 0, 0, 0, 1),
-    (0, 0, 1, 1, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0, 0, 1),
-    (0, 1, 1, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 0),
-    (0, 0, 0, 1, 1, 1, 1, 0), (0, 0, 1, 1, 1, 0, 0, 1),
-    (0, 0, 1, 1, 1, 1, 0, 0), (0, 1, 1, 1, 0, 0, 0, 1),
-    (0, 1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0, 1),
-    (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 0, 1),
-    (0, 0, 1, 1, 1, 1, 1, 0), (0, 1, 1, 1, 1, 0, 0, 1),
-    (0, 1, 1, 1, 1, 1, 0, 0), (0, 1, 2, 1, 0, 0, 0, 1),
-    (1, 1, 1, 1, 0, 0, 0, 1), (1, 1, 1, 1, 1, 0, 0, 0),
-    (0, 0, 1, 1, 1, 1, 1, 1), (0, 1, 1, 1, 1, 1, 0, 1),
-    (0, 1, 1, 1, 1, 1, 1, 0), (0, 1, 2, 1, 1, 0, 0, 1),
-    (1, 1, 1, 1, 1, 0, 0, 1), (1, 1, 1, 1, 1, 1, 0, 0),
-    (1, 1, 2, 1, 0, 0, 0, 1), (0, 1, 1, 1, 1, 1, 1, 1),
-    (0, 1, 2, 1, 1, 1, 0, 1), (0, 1, 2, 2, 1, 0, 0, 1),
-    (1, 1, 1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1, 0),
-    (1, 1, 2, 1, 1, 0, 0, 1), (1, 2, 2, 1, 0, 0, 0, 1),
-    (0, 1, 2, 1, 1, 1, 1, 1), (0, 1, 2, 2, 1, 1, 0, 1),
-    (1, 1, 1, 1, 1, 1, 1, 1), (1, 1, 2, 1, 1, 1, 0, 1),
-    (1, 1, 2, 2, 1, 0, 0, 1), (1, 2, 2, 1, 1, 0, 0, 1),
-    (0, 1, 2, 2, 1, 1, 1, 1), (0, 1, 2, 2, 2, 1, 0, 1),
-    (1, 1, 2, 1, 1, 1, 1, 1), (1, 1, 2, 2, 1, 1, 0, 1),
-    (1, 2, 2, 1, 1, 1, 0, 1), (1, 2, 2, 2, 1, 0, 0, 1),
-    (0, 1, 2, 2, 2, 1, 1, 1), (1, 1, 2, 2, 1, 1, 1, 1),
-    (1, 1, 2, 2, 2, 1, 0, 1), (1, 2, 2, 1, 1, 1, 1, 1),
-    (1, 2, 2, 2, 1, 1, 0, 1), (1, 2, 3, 2, 1, 0, 0, 1),
-    (0, 1, 2, 2, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1, 1, 1),
-    (1, 2, 2, 2, 1, 1, 1, 1), (1, 2, 2, 2, 2, 1, 0, 1),
-    (1, 2, 3, 2, 1, 0, 0, 2), (1, 2, 3, 2, 1, 1, 0, 1),
-    (1, 1, 2, 2, 2, 2, 1, 1), (1, 2, 2, 2, 2, 1, 1, 1),
-    (1, 2, 3, 2, 1, 1, 0, 2), (1, 2, 3, 2, 1, 1, 1, 1),
-    (1, 2, 3, 2, 2, 1, 0, 1), (1, 2, 2, 2, 2, 2, 1, 1),
-    (1, 2, 3, 2, 1, 1, 1, 2), (1, 2, 3, 2, 2, 1, 0, 2),
-    (1, 2, 3, 2, 2, 1, 1, 1), (1, 2, 3, 3, 2, 1, 0, 1),
-    (1, 2, 3, 2, 2, 1, 1, 2), (1, 2, 3, 2, 2, 2, 1, 1),
-    (1, 2, 3, 3, 2, 1, 0, 2), (1, 2, 3, 3, 2, 1, 1, 1),
-    (1, 2, 3, 2, 2, 2, 1, 2), (1, 2, 3, 3, 2, 1, 1, 2),
-    (1, 2, 3, 3, 2, 2, 1, 1), (1, 2, 4, 3, 2, 1, 0, 2),
-    (1, 2, 3, 3, 2, 2, 1, 2), (1, 2, 3, 3, 3, 2, 1, 1),
-    (1, 2, 4, 3, 2, 1, 1, 2), (1, 3, 4, 3, 2, 1, 0, 2),
-    (1, 2, 3, 3, 3, 2, 1, 2), (1, 2, 4, 3, 2, 2, 1, 2),
-    (1, 3, 4, 3, 2, 1, 1, 2), (2, 3, 4, 3, 2, 1, 0, 2),
-    (1, 2, 4, 3, 3, 2, 1, 2), (1, 3, 4, 3, 2, 2, 1, 2),
-    (2, 3, 4, 3, 2, 1, 1, 2), (1, 2, 4, 4, 3, 2, 1, 2),
-    (1, 3, 4, 3, 3, 2, 1, 2), (2, 3, 4, 3, 2, 2, 1, 2),
-    (1, 3, 4, 4, 3, 2, 1, 2), (2, 3, 4, 3, 3, 2, 1, 2),
-    (1, 3, 5, 4, 3, 2, 1, 2), (2, 3, 4, 4, 3, 2, 1, 2),
-    (1, 3, 5, 4, 3, 2, 1, 3), (2, 3, 5, 4, 3, 2, 1, 2),
-    (2, 3, 5, 4, 3, 2, 1, 3), (2, 4, 5, 4, 3, 2, 1, 2),
-    (2, 4, 5, 4, 3, 2, 1, 3), (2, 4, 6, 4, 3, 2, 1, 3),
-    (2, 4, 6, 5, 3, 2, 1, 3), (2, 4, 6, 5, 4, 2, 1, 3),
-    (2, 4, 6, 5, 4, 3, 1, 3), (2, 4, 6, 5, 4, 3, 2, 3),
-)
-_ROOTS_F4 = (
-    (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0),
-    (0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 0, 0),
-    (0, 1, 1, 1), (0, 2, 1, 0), (1, 1, 1, 0),
-    (0, 2, 1, 1), (1, 1, 1, 1), (1, 2, 1, 0),
-    (0, 2, 2, 1), (1, 2, 1, 1), (2, 2, 1, 0),
-    (1, 2, 2, 1), (2, 2, 1, 1),
-    (1, 3, 2, 1), (2, 2, 2, 1),
-    (2, 3, 2, 1), (2, 4, 2, 1), (2, 4, 3, 1), (2, 4, 3, 2),
-)
-_ROOTS_G2 = ((0, 1), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2))
-
-_EXCEPTIONAL_ROOTS = {
-    "E6": _ROOTS_E6,
-    "E7": _ROOTS_E7,
-    "E8": _ROOTS_E8,
-    "F4": _ROOTS_F4,
-    "G2": _ROOTS_G2,
-}
-
-
-def _interval(n, lo, hi, val=1):
-    # coefficient vector with val on simple roots lo..hi (0-based, inclusive)
-    return tuple(val if lo <= u <= hi else 0 for u in range(n))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def positive_roots(la: LieAlgebra):
-    """All positive roots as simple-root coefficient tuples."""
+    """All positive roots as simple-root coefficient tuples, sorted by
+    height then lexicographically.
+
+    Grown height by height from the simple roots by root-string closure:
+    r + a_i is a root iff q - <r, a_i> > 0, where q is the length of the
+    a_i-string below r (those roots are lower, hence already found) and
+    <r, a_i> = sum_j r_j A_ji is the Dynkin label of r.
+    """
+    A = cartan(la)
     n = la.rank
-    fam = la.family
-    if fam in _EXCEPTIONAL_ROOTS:
-        return _EXCEPTIONAL_ROOTS[fam]
     roots = set()
-    if fam == "A":
-        for j in range(n):
-            for k in range(j, n):
-                roots.add(_interval(n, j, k))
-        expected = n * (n + 1) // 2
-    elif fam == "B":
-        for j in range(n):
-            roots.add(_interval(n, j, n - 1))
-            for k in range(j + 1, n):
-                roots.add(_interval(n, j, k - 1))
-                roots.add(_add(_interval(n, j, k - 1), _interval(n, k, n - 1, 2)))
-        expected = n * n
-    elif fam == "C":
-        for j in range(n):
-            for k in range(j + 1, n):
-                roots.add(_interval(n, j, k - 1))
-        for j in range(n - 1):
-            for k in range(j + 1, n - 1):
-                roots.add(
-                    _add(
-                        _add(_interval(n, j, k - 1), _interval(n, k, n - 2, 2)),
-                        _interval(n, n - 1, n - 1),
-                    )
-                )
-            roots.add(_add(_interval(n, j, n - 2), _interval(n, n - 1, n - 1)))
-            roots.add(_add(_interval(n, j, n - 2, 2), _interval(n, n - 1, n - 1)))
-        roots.add(_interval(n, n - 1, n - 1))
-        expected = n * n
-    else:  # D
-        tail_both = _add(_interval(n, n - 2, n - 2), _interval(n, n - 1, n - 1))
-        for j in range(n - 2):
-            for k in range(j + 1, n - 2):
-                roots.add(_interval(n, j, k - 1))
-                roots.add(
-                    _add(
-                        _add(_interval(n, j, k - 1), _interval(n, k, n - 3, 2)),
-                        tail_both,
-                    )
-                )
-            body = _interval(n, j, n - 3)
-            roots.add(_add(body, tail_both))
-            roots.add(_add(body, _interval(n, n - 2, n - 2)))
-            roots.add(_add(body, _interval(n, n - 1, n - 1)))
-            roots.add(body)
-        roots.add(_interval(n, n - 2, n - 2))
-        roots.add(_interval(n, n - 1, n - 1))
-        expected = n * (n - 1)
-    if len(roots) != expected:
-        raise ConsistencyError(f"{la.name}: {len(roots)} roots, expected {expected}")
+    layer = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    while layer:
+        roots |= layer
+        nxt = set()
+        for r in layer:
+            for i in range(n):
+                q = 0
+                down = list(r)
+                down[i] -= 1
+                while tuple(down) in roots:
+                    q += 1
+                    down[i] -= 1
+                if q - sum(r[j] * A[j][i] for j in range(n)) > 0:
+                    up = list(r)
+                    up[i] += 1
+                    nxt.add(tuple(up))
+        layer = nxt
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "gauss",
     "solve",
     "invert_matrix",
-    "linearly_dependent",
     "gram_orthogonalize",
 ]
 
@@ -219,26 +218,6 @@ def invert_matrix(m: Matrix) -> Matrix:
         cols.append(solve(ech, [rb[i][j] for i in range(n)]))
     # cols[j] is the j-th column of the inverse
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def linearly_dependent(vectors: list) -> bool:
-    """Exact rank test on a list of LabeledVectors."""
-    vecs = list(vectors)
-    if not vecs:
-        return False
-    labels = sorted({l for v in vecs for l in v._d}, key=label_key)
-    if len(labels) < len(vecs):
-        return True
-    idx = {l: j for j, l in enumerate(labels)}
-    rows = []
-    for v in vecs:
-        row = [ZERO] * len(labels)
-        for l, c in v._d.items():
-            row[idx[l]] = c
-        rows.append(row)
-    ech, _ = gauss(rows)
-    rank = sum(1 for row in ech if _pivot_col(row) is not None)
-    return rank < len(vecs)
 
 
 def gram_orthogonalize(scp, ortho: list, rest: list) -> list:

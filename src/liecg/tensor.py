@@ -11,12 +11,16 @@ linearly dependent, in a fixed deterministic order), then repeatedly pick
 the remaining dominant weight with the most levels, solve for a state
 orthogonal to everything already built at that weight, and descend again
 until the dimensions add up.
+
+One sparse elimination, _Reducer, serves both the descent (is a lowered
+state new at its weight?) and prepare (its coordinates on the states that
+are already there), which turns them into the exported lowering tables.
 """
 
 from __future__ import annotations
 
 from .exactnum import ONE, ZERO, field_sqrt
-from .linalg import LabeledVector, NoSolutionError, gauss, label_key, solve
+from .linalg import LabeledVector, gauss, label_key
 from .liealg import (
     ConsistencyError,
     cartan,
@@ -36,7 +40,6 @@ __all__ = [
     "product_scp",
     "basis_product",
     "descend_irrep",
-    "dominant_weights",
     "decompose",
     "check_dims",
     "prepare",
@@ -102,17 +105,26 @@ def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
 
 
 class _Reducer:
-    """Incremental exact rank tracker over sparse coefficient rows."""
+    """Incremental exact rank tracker over sparse coefficient rows.
+
+    Every stored row is a combination of the vectors kept so far, so a
+    dependent vector comes back with its coordinates in terms of them.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows = []  # (pivot label, row dict with row[pivot] == 1)
+        # (pivot label, row dict with row[pivot] == 1,
+        #  {kept index: coefficient} giving the row in terms of kept vectors)
+        self.rows = []
 
-    def add(self, vec: LabeledVector) -> bool:
-        """True and remember the vector if independent of those kept."""
+    def add(self, vec: LabeledVector):
+        """None, and remember the vector as kept vector number len(rows), if
+        it is independent of those kept; else its coordinates {k: c} with
+        vec == sum of c times kept vector k."""
         row = {lab: c for c, lab in vec.terms}
-        for pl, prow in self.rows:
+        coords = {}
+        for pl, prow, pcomb in self.rows:
             c = row.get(pl)
             if c is None or c.is_zero():
                 continue
@@ -122,13 +134,21 @@ class _Reducer:
                     row.pop(l2, None)
                 else:
                     row[l2] = nv
+            for k, ck in pcomb.items():
+                nv = coords.get(k, ZERO) + c * ck
+                if nv.is_zero():
+                    coords.pop(k, None)
+                else:
+                    coords[k] = nv
         row = {l: c for l, c in row.items() if not c.is_zero()}
         if not row:
-            return False
+            return coords
         pl = min(row, key=label_key)
-        pc = row[pl]
-        self.rows.append((pl, {l: c / pc for l, c in row.items()}))
-        return True
+        inv = row[pl].invert()
+        comb = {k: -c * inv for k, c in coords.items()}
+        comb[len(self.rows)] = inv
+        self.rows.append((pl, {l: c * inv for l, c in row.items()}, comb))
+        return None
 
 
 class ProductIrrep:
@@ -189,7 +209,7 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                 red = reducers.get(w2)
                 if red is None:
                     red = reducers[w2] = _Reducer()
-                if red.add(low):
+                if red.add(low) is None:
                     nxt_states.append(low)
                     nxt_weights.append(w2)
                     p.by_weight.setdefault(w2, []).append(low)
@@ -216,16 +236,6 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                 f"{mult.get(w, 0)}"
             )
     return p
-
-
-def dominant_weights(p: ProductIrrep) -> list:
-    """All states of p whose weight is dominant, in listing order."""
-    out = []
-    for states, weights in zip(p.levels, p.weights):
-        for s, w in zip(states, weights):
-            if all(c >= 0 for c in w):
-                out.append(s)
-    return out
 
 
 class Decomposition:
@@ -294,12 +304,14 @@ def _nullspace_vector(rows, m):
     return x
 
 
-def _normalized(v: ProductState, l: Irrep, r: Irrep) -> ProductState:
-    n2 = product_scp(v, v, l, r)
-    nv = v.scaled(ONE / field_sqrt(n2))
+def _normalized(v: ProductState, l: Irrep, r: Irrep):
+    """v at unit norm with a positive leading coefficient, and the factor
+    f = +-1/|v| that it is v scaled by."""
+    f = ONE / field_sqrt(product_scp(v, v, l, r))
+    nv = v.scaled(f)
     if nv.terms[0][0].sign() < 0:
-        nv = -nv
-    return nv
+        nv, f = -nv, -f
+    return nv, f
 
 
 def decompose(d: Decomposition) -> None:
@@ -349,7 +361,7 @@ def decompose(d: Decomposition) -> None:
                 f"no state orthogonal to the built irreps at weight {w}"
             )
         terms = [(c, b.terms[0][1]) for c, b in zip(x, basis) if not c.is_zero()]
-        hw_state = _normalized(LabeledVector(terms), l, r)
+        hw_state = _normalized(LabeledVector(terms), l, r)[0]
         p = ProductIrrep(hw_state)
         descend_irrep(p, l, r)
         take(p)
@@ -401,7 +413,12 @@ def prepare(p: ProductIrrep, l: Irrep, r: Irrep) -> ImportedIrrepData:
 
 
 def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
-    """prepare() plus the label -> normalized ProductState map it labeled."""
+    """prepare() plus the label -> normalized ProductState map it labeled.
+
+    Each lowered state is reduced against the descended states of its
+    target weight, as descend_irrep did, and the coordinates it comes back
+    with are rescaled from the descended to the normalized states.
+    """
     if not p.descended:
         raise ConsistencyError("prepare needs a descended irrep")
     la = l.algebra
@@ -409,51 +426,47 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     n = la.rank
     kets = {}
     state_of = {}
+    descended = {}  # label -> the state descend_irrep kept
+    factor = {}  # label -> f with state_of[label] == f * descended[label]
     labels_at = {}
+    reducers = {}
     lab = 1
-    for states, weights in zip(p.levels, p.weights):
-        buckets = {}
-        for s, w in zip(states, weights):
-            buckets.setdefault(w, []).append(s)
-        for w in sorted(buckets, key=p.descent.get):
-            for deg, s in enumerate(buckets[w], 1):
+    for weights in p.weights:
+        for w in sorted(set(weights), key=p.descent.get):
+            red = reducers[w] = _Reducer()
+            for deg, s in enumerate(p.by_weight[w], 1):
+                red.add(s)
                 kets[lab] = Ket(w, deg)
-                state_of[lab] = _normalized(s, l, r)
+                descended[lab] = s
+                state_of[lab], factor[lab] = _normalized(s, l, r)
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
     lowering = {}
     for a in range(1, lab):
         w = kets[a].dynkin
-        sa = state_of[a]
         for i in range(1, n + 1):
-            low = product_lower(sa, i, l, r)
+            low = product_lower(descended[a], i, l, r)
             if low.is_zero():
                 continue
             w2 = _vsub(w, A[i - 1])
             targets = labels_at.get(w2)
             if not targets:
                 raise ConsistencyError(
-                    f"lowering left the module at weight {w} root {i}"
+                    f"{la.name} irrep {p.hw}: lowering left the module at "
+                    f"weight {w} root {i}"
                 )
-            cols = [state_of[t] for t in targets]
-            pairs = sorted(
-                {pr for v in cols for pr in v.labels()} | set(low.labels()),
-                key=label_key,
-            )
-            mat = [[v.get(pr) for v in cols] for pr in pairs]
-            rhs = [[low.get(pr)] for pr in pairs]
-            ech, rb = gauss(mat, rhs)
-            try:
-                coeffs = solve(ech, [row[0] for row in rb])
-            except NoSolutionError as exc:
+            coords = reducers[w2].add(low)
+            if coords is None:
                 raise ConsistencyError(
-                    f"lowered state at {w} root {i} is outside the module"
-                ) from exc
-            terms = tuple(
-                (c, t) for c, t in zip(coeffs, targets) if not c.is_zero()
+                    f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
+                    "is outside the module"
+                )
+            fa = factor[a]
+            lowering[(i, a)] = tuple(
+                (coords[k] * fa / factor[t], t)
+                for k, t in enumerate(targets)
+                if k in coords
             )
-            if terms:
-                lowering[(i, a)] = terms
     scp = {}
     for w, labs in labels_at.items():
         for ix, a in enumerate(labs):

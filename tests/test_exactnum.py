@@ -15,7 +15,6 @@ from liecg.exactnum import (
     _square_free,
     field,
     field_sqrt,
-    gcd_of_fields,
     number,
     parse_field,
 )
@@ -74,19 +73,6 @@ def test_equality_and_zero_by_canonical_form():
     assert x == y
     assert (x - y).is_zero()
     assert not (x - ONE).is_zero()
-
-
-def test_gcd_of_fields():
-    g = gcd_of_fields([number(3, 2, 2), number(9, 4, 2)])
-    assert g == number(3, 4, 2)
-    assert gcd_of_fields([field(2), field(4), field(6)]) == field(2)
-    assert gcd_of_fields([number(1, 1, 2), number(2, 1, 2)]) == number(1, 1, 2)
-    assert gcd_of_fields([number(1, 1, 2), number(1, 1, 3)]) == ONE
-    assert gcd_of_fields([]) == ZERO
-    assert gcd_of_fields([ZERO, field(4), ZERO]) == field(4)
-    assert gcd_of_fields([field(-2)]) == field(2)
-    mixed = number(1, 1, 2) + number(1, 1, 3)
-    assert gcd_of_fields([mixed, mixed]) == ONE
 
 
 def test_render_mathematica():

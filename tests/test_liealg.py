@@ -47,6 +47,13 @@ EXCEPTIONAL = [
     LieAlgebra("F4", 4),
     LieAlgebra("G2", 2),
 ]
+# past the ranks of ALL_SMALL, where per-family patterns are fully developed
+LARGE = [
+    LieAlgebra("A", 7),
+    LieAlgebra("B", 6),
+    LieAlgebra("C", 5),
+    LieAlgebra("D", 8),
+]
 
 
 def oracle_positive_roots(A):
@@ -125,12 +132,41 @@ def test_cartan_symmetrizable(la):
             assert A[j][i] * w[i] == A[i][j] * w[j]
 
 
-@pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL)
+@pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL + LARGE)
 def test_positive_roots_match_closure_oracle(la):
     got = set(positive_roots(la))
     want = oracle_positive_roots([list(r) for r in cartan(la)])
     assert got == want
     assert len(positive_roots(la)) == len(got)  # no duplicates in the tuple
+
+
+def frozen_root_count(la):
+    """Number of positive roots from the classification tables."""
+    n = la.rank
+    return {
+        "A": n * (n + 1) // 2,
+        "B": n * n,
+        "C": n * n,
+        "D": n * (n - 1),
+        "E6": 36,
+        "E7": 63,
+        "E8": 120,
+        "F4": 24,
+        "G2": 6,
+    }[la.family]
+
+
+@pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL + LARGE)
+def test_positive_root_count_frozen(la):
+    assert len(positive_roots(la)) == frozen_root_count(la)
+
+
+@pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL + LARGE)
+def test_positive_roots_sorted_by_height_then_lex(la):
+    roots = positive_roots(la)
+    keys = [(sum(r), r) for r in roots]
+    assert keys == sorted(keys)
+    assert len(set(roots)) == len(roots)
 
 
 @pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL)

@@ -13,7 +13,6 @@ from liecg.linalg import (
     gram_orthogonalize,
     invert_matrix,
     label_key,
-    linearly_dependent,
     solve,
 )
 
@@ -119,17 +118,6 @@ def test_invert_matrix_roundtrip():
 def test_invert_singular_raises():
     with pytest.raises(SingularMatrixError):
         invert_matrix(F([[1, 2], [2, 4]]))
-
-
-def test_linearly_dependent():
-    v1 = LabeledVector([(field(1), "a"), (number(1, 1, 2), "b")])
-    v2 = LabeledVector([(number(1, 1, 2), "a"), (field(2), "b")])
-    assert linearly_dependent([v1, v2])  # v2 = sqrt(2) * v1
-    v3 = LabeledVector([(field(1), "a"), (field(1), "b")])
-    assert not linearly_dependent([v1, v3])
-    assert linearly_dependent([v1, v3, v1 + v3.scaled(field(5))])
-    assert linearly_dependent([LabeledVector()])
-    assert not linearly_dependent([])
 
 
 def test_gram_orthogonalize_cross_orthogonality():

@@ -17,8 +17,8 @@ from liecg.tensor import (
     check_dims,
     decompose,
     descend_irrep,
-    dominant_weights,
     prepare,
+    prepare_with_states,
     product_lower,
     product_scp,
     product_weight,
@@ -29,6 +29,7 @@ from liecg.tensor import (
 A1 = LieAlgebra("A", 1)
 A2 = LieAlgebra("A", 2)
 B2 = LieAlgebra("B", 2)
+D5 = LieAlgebra("D", 5)
 G2 = LieAlgebra("G2", 2)
 
 
@@ -110,8 +111,6 @@ def test_descend_octet(su3_pair):
     assert p.dim == 8
     assert [len(lev) for lev in p.levels] == [1, 2, 2, 2, 1]
     assert sorted(len(v) for v in p.by_weight.values()) == [1] * 6 + [2]
-    dom = dominant_weights(p)
-    assert len(dom) == 3  # (1,1) and the two states at (0,0)
 
 
 def test_descend_rejects_non_highest_weight(su3_pair):
@@ -320,6 +319,43 @@ def test_prepare_requires_descended(su3_pair):
     l, r = su3_pair
     with pytest.raises(ConsistencyError):
         prepare(ProductIrrep(unit((1, 1))), l, r)
+
+
+@pytest.mark.parametrize(
+    "la, left, right",
+    [
+        (A2, (1, 1), (1, 1)),  # two octets, degenerate zero weight
+        (G2, (1, 0), (1, 0)),
+        (D5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),  # SO(10) 16 x 16bar
+    ],
+)
+def test_prepared_lowering_reproduces_product_states(la, left, right):
+    # E_-i applied to each normalized product state must equal the sum the
+    # lowering table gives, term by term; a missing entry means zero
+    l, r = new_generic_irrep(la, left), new_generic_irrep(la, right)
+    d = Decomposition(l, r)
+    decompose(d)
+    for p in d.found:
+        data, state_of = prepare_with_states(p, l, r)
+        assert set(state_of) == set(data.kets)
+        for a, sa in state_of.items():
+            for i in range(1, la.rank + 1):
+                want = LabeledVector()
+                for c, t in data.lowering.get((i, a), ()):
+                    want = want + state_of[t].scaled(c)
+                assert product_lower(sa, i, l, r) == want, (p.hw, a, i)
+
+
+def test_prepare_error_names_algebra_and_irrep(su3_pair):
+    l, r = su3_pair
+    p = descend_irrep(ProductIrrep(unit((1, 1))), l, r)
+    p.levels.pop()
+    for w in p.weights.pop():
+        p.by_weight.pop(w, None)
+    with pytest.raises(ConsistencyError, match="lowering left the module") as exc:
+        prepare(p, l, r)
+    msg = str(exc.value)
+    assert "SU(3)" in msg and "(1, 1)" in msg
 
 
 def test_prepared_g2_adjoint_consistency():
