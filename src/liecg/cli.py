@@ -40,6 +40,9 @@ from . import multitensor as mt
 
 FORMATS = ("plain", "tex", "mathematica", "json")
 
+# largest irrep dimension a listing or a --decompose factor may have
+MAX_DIM = 10**6
+
 
 class UsageError(Exception):
     """Bad flags or arguments; reported with the usage line, exit 1."""
@@ -231,6 +234,18 @@ def _algebra_from_args(args):
         raise UsageError(str(e))
 
 
+def _checked_rep(la, token):
+    """parse_rep, refusing irreps above MAX_DIM before anything is built."""
+    hw = parse_rep(token, la.rank)
+    dim = weyl_dim(la, hw)
+    if dim > MAX_DIM:
+        raise UsageError(
+            f"{la.name} irrep {_tup(hw)} has dimension {dim}, "
+            f"above the limit of {MAX_DIM}"
+        )
+    return hw
+
+
 def _load_import(path):
     try:
         with open(path) as fh:
@@ -244,7 +259,7 @@ def _factor_irrep(la, token):
     if token.startswith("@"):
         data = _load_import(token[1:])
         return new_imported_irrep(la, data)
-    hw = parse_rep(token, la.rank)
+    hw = _checked_rep(la, token)
     try:
         return new_generic_irrep(la, hw)
     except UnsupportedIrrepError as e:
@@ -254,7 +269,7 @@ def _factor_irrep(la, token):
 # ----------------------------------------------------------------- modes
 
 def run_weights(la, rep, fmt):
-    hw = parse_rep(rep, la.rank)
+    hw = _checked_rep(la, rep)
     if fmt == "json":
         print(weights_to_json(la, hw))
     else:

@@ -319,7 +319,13 @@ def _descent_cached(la, hw):
 
 
 def freudenthal(la: LieAlgebra, hw):
-    """Weights with multiplicities, in the complete_descent order."""
+    """Weights with multiplicities, in the complete_descent order.
+
+    Freudenthal's recursion runs only at dominant weights.  Multiplicities
+    are constant on Weyl orbits, so a weight lam with a label lam_i < 0
+    takes the multiplicity of its simple reflection s_i lam = lam - lam_i a_i,
+    which lies -lam_i levels higher and is therefore already known.
+    """
     return list(_freudenthal_cached(la, _check_hw(la, hw)))
 
 
@@ -338,7 +344,10 @@ def _freudenthal_cached(la, hw):
     out = []
     for rec in recs:
         lam = rec.dynkin
-        if rec.level == 0:
+        i = next((i for i in range(n) if lam[i] < 0), None)
+        if i is not None:
+            m = mult[tuple(lam[j] - lam[i] * A[i][j] for j in range(n))]
+        elif rec.level == 0:
             m = 1
         else:
             q = rec.descent
@@ -356,10 +365,15 @@ def _freudenthal_cached(la, hw):
                     )
                     mu = tuple(mu[j] + s[j] for j in range(n))
             if lhs <= 0:
-                raise ConsistencyError(f"non-positive Freudenthal factor at {lam}")
+                raise ConsistencyError(
+                    f"{la.name} irrep {hw}: non-positive Freudenthal factor "
+                    f"at {lam}"
+                )
             m, remainder = divmod(rhs, lhs)
             if remainder:
-                raise ConsistencyError(f"non-integral multiplicity at {lam}")
+                raise ConsistencyError(
+                    f"{la.name} irrep {hw}: non-integral multiplicity at {lam}"
+                )
         mult[lam] = m
         out.append(replace(rec, degeneracy=m))
     return tuple(out)

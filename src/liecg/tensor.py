@@ -107,24 +107,27 @@ def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
 class _Reducer:
     """Incremental exact rank tracker over sparse coefficient rows.
 
-    Every stored row is a combination of the vectors kept so far, so a
-    dependent vector comes back with its coordinates in terms of them.
+    Built with track=True, it also keeps every stored row as a combination
+    of the vectors kept so far, so a dependent vector comes back with its
+    coordinates in terms of them.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "combs")
 
-    def __init__(self):
-        # (pivot label, row dict with row[pivot] == 1,
-        #  {kept index: coefficient} giving the row in terms of kept vectors)
-        self.rows = []
+    def __init__(self, track=False):
+        self.rows = []  # (pivot label, row dict with row[pivot] == 1)
+        # parallel to rows when tracking: {kept index: coefficient} giving
+        # the row in terms of kept vectors
+        self.combs = [] if track else None
 
     def add(self, vec: LabeledVector):
         """None, and remember the vector as kept vector number len(rows), if
         it is independent of those kept; else its coordinates {k: c} with
-        vec == sum of c times kept vector k."""
+        vec == sum of c times kept vector k (left empty unless tracking)."""
         row = {lab: c for c, lab in vec.terms}
+        combs = self.combs
         coords = {}
-        for pl, prow, pcomb in self.rows:
+        for k, (pl, prow) in enumerate(self.rows):
             c = row.get(pl)
             if c is None or c.is_zero():
                 continue
@@ -134,20 +137,23 @@ class _Reducer:
                     row.pop(l2, None)
                 else:
                     row[l2] = nv
-            for k, ck in pcomb.items():
-                nv = coords.get(k, ZERO) + c * ck
-                if nv.is_zero():
-                    coords.pop(k, None)
-                else:
-                    coords[k] = nv
+            if combs is not None:
+                for kk, ck in combs[k].items():
+                    nv = coords.get(kk, ZERO) + c * ck
+                    if nv.is_zero():
+                        coords.pop(kk, None)
+                    else:
+                        coords[kk] = nv
         row = {l: c for l, c in row.items() if not c.is_zero()}
         if not row:
             return coords
         pl = min(row, key=label_key)
         inv = row[pl].invert()
-        comb = {k: -c * inv for k, c in coords.items()}
-        comb[len(self.rows)] = inv
-        self.rows.append((pl, {l: c * inv for l, c in row.items()}, comb))
+        if combs is not None:
+            comb = {k: -c * inv for k, c in coords.items()}
+            comb[len(self.rows)] = inv
+            combs.append(comb)
+        self.rows.append((pl, {l: c * inv for l, c in row.items()}))
         return None
 
 
@@ -232,8 +238,8 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     for w, states in p.by_weight.items():
         if len(states) != mult.get(w, 0):
             raise ConsistencyError(
-                f"weight {w} holds {len(states)} states, multiplicity is "
-                f"{mult.get(w, 0)}"
+                f"{la.name} irrep {hw}: weight {w} holds {len(states)} "
+                f"states, multiplicity is {mult.get(w, 0)}"
             )
     return p
 
@@ -419,9 +425,9 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     target weight, as descend_irrep did, and the coordinates it comes back
     with are rescaled from the descended to the normalized states.
     """
-    if not p.descended:
-        raise ConsistencyError("prepare needs a descended irrep")
     la = l.algebra
+    if not p.descended:
+        raise ConsistencyError(f"{la.name}: prepare needs a descended irrep")
     A = cartan(la)
     n = la.rank
     kets = {}
@@ -433,7 +439,7 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     lab = 1
     for weights in p.weights:
         for w in sorted(set(weights), key=p.descent.get):
-            red = reducers[w] = _Reducer()
+            red = reducers[w] = _Reducer(track=True)
             for deg, s in enumerate(p.by_weight[w], 1):
                 red.add(s)
                 kets[lab] = Ket(w, deg)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -96,6 +97,16 @@ def test_usage_errors(capsys):
         assert "usage:" in err
 
 
+def test_huge_irrep_fails_fast(capsys):
+    # Weyl dimension about 1.3e36: refused before any weight is built
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "-e8", "-rep", "11111111")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == ""
+    assert "1329227995784915872903807060280344576" in err
+    assert str(cli.MAX_DIM) in err and "usage:" in err
+
+
 # ------------------------------------------------------------- decompose
 
 def test_decompose_result_block(capsys):
@@ -184,6 +195,12 @@ def test_import_missing_file(capsys, tmp_path):
 def test_degenerate_factor_cites_import_workflow(capsys):
     rc, _, err = run(capsys, "-su", "3", "--decompose", "22x10")
     assert rc == 1 and "@FILE" in err
+
+
+def test_huge_factor_fails_fast(capsys):
+    rc, out, err = run(capsys, "-su", "3", "--decompose", "10x200,200")
+    assert rc == 1 and out == ""
+    assert "SU(3) irrep (200,200) has dimension 8120601" in err
 
 
 def test_imported_factor_in_decompose(capsys, tmp_path):

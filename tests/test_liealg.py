@@ -2,6 +2,7 @@
 root-string-closure oracle, an independent matrix inverse, and frozen
 reference listings."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,104 @@ def test_freudenthal_degenerate_cases():
     assert [r.degeneracy for r in freudenthal(a1, (2,))] == [1, 1, 1]
     # the 27 of E6 is minuscule: every multiplicity 1
     assert all(r.degeneracy == 1 for r in freudenthal(LieAlgebra("E6", 6), (1, 0, 0, 0, 0, 0)))
+
+
+def oracle_freudenthal(la, hw):
+    """Multiplicities by Freudenthal's sum over all positive roots at every
+    weight, with no use of Weyl symmetry.  The roots come from
+    oracle_positive_roots; only the weight list and its order are the
+    package's (complete_descent)."""
+    recs = complete_descent(la, hw)
+    A = cartan(la)
+    n = la.rank
+    w = root_weights(la)
+    roots = sorted(oracle_positive_roots(A))
+    shifts = [
+        tuple(sum(r[i] * A[i][j] for i in range(n)) for j in range(n)) for r in roots
+    ]
+    mult = {}
+    out = []
+    for rec in recs:
+        lam = rec.dynkin
+        if rec.level == 0:
+            m = 1
+        else:
+            q = rec.descent
+            lhs = 0
+            for j in range(n):
+                if q[j]:
+                    lhs += q[j] * w[j] * (hw[j] + lam[j] + 2)
+            rhs = 0
+            for r, s in zip(roots, shifts):
+                mu = tuple(lam[j] + s[j] for j in range(n))
+                while mu in mult:
+                    rhs += mult[mu] * 2 * sum(
+                        r[j] * w[j] * mu[j] for j in range(n) if r[j]
+                    )
+                    mu = tuple(mu[j] + s[j] for j in range(n))
+            assert lhs > 0
+            m, remainder = divmod(rhs, lhs)
+            assert remainder == 0
+        mult[lam] = m
+        out.append(replace(rec, degeneracy=m))
+    return out
+
+
+def _oracle_sweep(la, max_dim):
+    """Fundamentals, their doubles, pairs of 1s and rho, up to max_dim."""
+    n = la.rank
+    hws = {(1,) * n}
+    for i in range(n):
+        hws.add(tuple(int(i == j) for j in range(n)))
+        for k in range(i, n):
+            hws.add(tuple((i == j) + (k == j) for j in range(n)))
+    return sorted(hw for hw in hws if weyl_dim(la, hw) <= max_dim)
+
+
+@pytest.mark.parametrize(
+    "la,max_dim",
+    [(la, 5000) for la in ALL_SMALL]
+    + [(la, 1000) for la in LARGE + EXCEPTIONAL[:2]]
+    + [(LieAlgebra("E8", 8), 500)],
+)
+def test_freudenthal_matches_all_weights_oracle(la, max_dim):
+    hws = _oracle_sweep(la, max_dim)
+    assert hws
+    for hw in hws:
+        assert freudenthal(la, hw) == oracle_freudenthal(la, hw), hw
+
+
+# dominant weights of E8 irreps -> multiplicity, Dynkin labels as digits
+E8_DOMINANT = {
+    "00000010": {"00000010": 1, "00000000": 8},  # 248
+    "10000000": {"10000000": 1, "00000010": 7, "00000000": 35},  # 3875
+    "00000020": {  # 27000
+        "00000020": 1,
+        "00000100": 1,
+        "10000000": 6,
+        "00000010": 29,
+        "00000000": 120,
+    },
+    "00000100": {  # 30380
+        "00000100": 1,
+        "10000000": 7,
+        "00000010": 35,
+        "00000000": 140,
+    },
+}
+
+
+@pytest.mark.parametrize("hw", sorted(E8_DOMINANT))
+def test_e8_dominant_multiplicities_frozen(hw):
+    e8 = LieAlgebra("E8", 8)
+    recs = freudenthal(e8, tuple(int(c) for c in hw))
+    got = {
+        "".join(map(str, r.dynkin)): r.degeneracy
+        for r in recs
+        if min(r.dynkin) >= 0
+    }
+    assert got == E8_DOMINANT[hw]
+    assert sum(r.degeneracy for r in recs) == weyl_dim(e8, recs[0].dynkin)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Tensor products and Clebsch-Gordan decomposition, checked against
 hand-worked SU(2)/SU(3) products and structural invariants."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from liecg import tensor
 from liecg.exactnum import ONE, ZERO, field, field_sqrt
-from liecg.liealg import ConsistencyError, LieAlgebra, weyl_dim
+from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from liecg.linalg import LabeledVector, NoSolutionError, gauss, solve, label_key
 from liecg.irrep import new_generic_irrep, new_imported_irrep
 from liecg.tensor import (
@@ -354,6 +356,31 @@ def test_prepare_error_names_algebra_and_irrep(su3_pair):
         p.by_weight.pop(w, None)
     with pytest.raises(ConsistencyError, match="lowering left the module") as exc:
         prepare(p, l, r)
+    msg = str(exc.value)
+    assert "SU(3)" in msg and "(1, 1)" in msg
+
+
+def test_prepare_undescended_names_algebra(su3_pair):
+    l, r = su3_pair
+    with pytest.raises(ConsistencyError, match="needs a descended irrep") as exc:
+        prepare(ProductIrrep(unit((1, 1))), l, r)
+    assert "SU(3)" in str(exc.value)
+
+
+def test_descent_multiplicity_error_names_algebra_and_irrep(su3_pair, monkeypatch):
+    # move one state of the octet's zero weight to its highest weight: the
+    # total still matches the Weyl dimension, two weights do not
+    def shifted(la, hw):
+        moved = {(1, 1): 2, (0, 0): 1}
+        return [
+            replace(rec, degeneracy=moved.get(rec.dynkin, rec.degeneracy))
+            for rec in freudenthal(la, hw)
+        ]
+
+    monkeypatch.setattr(tensor, "freudenthal", shifted)
+    l, r = su3_pair
+    with pytest.raises(ConsistencyError, match="multiplicity is") as exc:
+        descend_irrep(ProductIrrep(unit((1, 1))), l, r)
     msg = str(exc.value)
     assert "SU(3)" in msg and "(1, 1)" in msg
 
