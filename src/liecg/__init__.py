@@ -1,144 +1,18 @@
 """Exact weight systems and Clebsch-Gordan decompositions for the simple
 Lie algebras A-G."""
 
-from .exactnum import (
-    ONE,
-    ZERO,
-    FieldElem,
-    FieldSqrtError,
-    SqrtSum,
-    field,
-    field_sqrt,
-    number,
-    parse_field,
-)
-from .liealg import (
-    ConsistencyError,
-    LieAlgebra,
-    WeightRecord,
-    adjoint_hw,
-    cartan,
-    complete_descent,
-    freudenthal,
-    highest_root,
-    level_vector,
-    lowest_root_label,
-    positive_roots,
-    root_weights,
-    weyl_dim,
-)
+from . import exactnum, irrep, liealg, multitensor, tensor
+from .exactnum import *  # noqa: F401,F403
+from .liealg import *  # noqa: F401,F403
 from .linalg import LabeledVector
-from .irrep import (
-    ImportedIrrepData,
-    InvalidImportError,
-    Irrep,
-    Ket,
-    UnsupportedIrrepError,
-    lower,
-    new_generic_irrep,
-    new_imported_irrep,
-    scalar_product,
-    scp_zero_weights,
-)
-from .tensor import (
-    Decomposition,
-    DecompositionError,
-    ProductIrrep,
-    basis_product,
-    check_dims,
-    decompose,
-    descend_irrep,
-    prepare,
-    prepare_with_states,
-    product_lower,
-    product_scp,
-    product_weight,
-    render_states,
-    result,
-)
-from .multitensor import (
-    TensorNode,
-    chbasis,
-    chbasis_list,
-    comm,
-    e_lower,
-    expand,
-    filter_factor,
-    is_sym,
-    otimes,
-    scalar_products,
-    scale,
-    scp,
-    tensor_coeff,
-    tree_leaves,
-    tree_str,
-    untree,
-    wrap,
-)
+from .irrep import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
+from .multitensor import *  # noqa: F401,F403
 
+# every module's public API, plus the vector type of linalg (its dense
+# elimination stays internal)
 __all__ = [
-    "ONE",
-    "ZERO",
-    "FieldElem",
-    "FieldSqrtError",
-    "SqrtSum",
-    "field",
-    "field_sqrt",
-    "number",
-    "parse_field",
-    "ConsistencyError",
-    "LieAlgebra",
-    "WeightRecord",
-    "adjoint_hw",
-    "cartan",
-    "complete_descent",
-    "freudenthal",
-    "highest_root",
-    "level_vector",
-    "lowest_root_label",
-    "positive_roots",
-    "root_weights",
-    "weyl_dim",
-    "LabeledVector",
-    "ImportedIrrepData",
-    "InvalidImportError",
-    "Irrep",
-    "Ket",
-    "UnsupportedIrrepError",
-    "lower",
-    "new_generic_irrep",
-    "new_imported_irrep",
-    "scalar_product",
-    "scp_zero_weights",
-    "Decomposition",
-    "DecompositionError",
-    "ProductIrrep",
-    "basis_product",
-    "check_dims",
-    "decompose",
-    "descend_irrep",
-    "prepare",
-    "prepare_with_states",
-    "product_lower",
-    "product_scp",
-    "product_weight",
-    "render_states",
-    "result",
-    "TensorNode",
-    "chbasis",
-    "chbasis_list",
-    "comm",
-    "e_lower",
-    "expand",
-    "filter_factor",
-    "is_sym",
-    "otimes",
-    "scalar_products",
-    "scale",
-    "scp",
-    "tensor_coeff",
-    "tree_leaves",
-    "tree_str",
-    "untree",
-    "wrap",
-]
+    name
+    for mod in (exactnum, liealg, irrep, tensor, multitensor)
+    for name in mod.__all__
+] + ["LabeledVector"]

@@ -254,11 +254,21 @@ def _load_import(path):
         raise UsageError(f"cannot read {path}: {e.strerror}")
 
 
+def _import_factor(la, path):
+    """An imported irrep that can enter a product: its tables must have a
+    rational form, which a hand-edited file may have lost."""
+    r = new_imported_irrep(la, _load_import(path))
+    try:
+        r.rational_form()
+    except InvalidImportError as e:
+        raise InvalidImportError(f"{path}: {e}") from e
+    return r
+
+
 def _factor_irrep(la, token):
     """One side of --decompose: Dynkin labels or @FILE with imported data."""
     if token.startswith("@"):
-        data = _load_import(token[1:])
-        return new_imported_irrep(la, data)
+        return _import_factor(la, token[1:])
     hw = _checked_rep(la, token)
     try:
         return new_generic_irrep(la, hw)
@@ -412,7 +422,7 @@ class _Script:
     def v_import(self, toks):
         la = self._need_algebra()
         name, path = toks
-        self.irreps[name] = new_imported_irrep(la, _load_import(path))
+        self.irreps[name] = _import_factor(la, path)
 
     def v_wrap(self, toks):
         name, rname = toks

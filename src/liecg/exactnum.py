@@ -405,6 +405,18 @@ ZERO = FieldElem(_SS_ZERO)
 ONE = FieldElem(_SS_ONE)
 
 
+# single_radical serves the rational forms of irrep and tensor; it stays
+# out of __all__ and so out of the package namespace
+
+def single_radical(x: FieldElem):
+    """(q, f) with x == q*sqrt(f), q a nonzero Fraction and f square-free,
+    or None when x is zero or needs more than one radical."""
+    if x.den.terms != _SS_ONE.terms or len(x.num.terms) != 1:
+        return None
+    ((f, q),) = x.num.terms.items()
+    return q, f
+
+
 def number(a: int, b: int, n: int) -> FieldElem:
     """The element (a/b)*sqrt(n); the workhorse constructor."""
     return FieldElem(SqrtSum.make([(n, Fraction(a, b))]))

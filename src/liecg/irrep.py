@@ -11,6 +11,12 @@ block they can be irrational (sqrt(A_ab A_ba)/2 for adjoint zero states).
 Only non-degenerate irreps and the adjoint can be built from scratch; any
 other irrep has to be imported from tensor-product data (the tensor module's
 `prepare` emits it, `new_imported_irrep` consumes it).
+
+Every irrep built or prepared here has a rational form (Kostant's Z-form):
+each label a carries a square-free class r_a such that in the rescaled
+basis u_a = sqrt(r_a) e_a all lowering entries and all scalar products are
+rational.  `Irrep.rational_form` derives it once, on first use, by pushing
+the classes down the lowering table from the highest weight.
 """
 
 from __future__ import annotations
@@ -18,8 +24,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactnum import ONE, ZERO, FieldElem, field, field_sqrt, parse_field
+from .exactnum import (
+    ONE,
+    ZERO,
+    FieldElem,
+    field,
+    field_sqrt,
+    parse_field,
+    single_radical,
+    _square_free,
+)
 from .linalg import LabeledVector, invert_matrix
 from .liealg import (
     ConsistencyError,
@@ -94,6 +110,7 @@ class Irrep:
         }
         self._gram = {}
         self._gram_inv = {}
+        self._rational = None
 
     def __repr__(self):
         return f"Irrep({self.algebra.name}, {self.hw}, dim={self.dim}, {self.origin})"
@@ -121,6 +138,13 @@ class Irrep:
                     if not s.is_zero():
                         acc = acc + cu * cv * s
         return acc
+
+    def rational_form(self) -> "RationalForm":
+        """The irrep in the rescaled basis u_a = sqrt(r_a) e_a, derived on
+        first use; InvalidImportError if the tables have no such form."""
+        if self._rational is None:
+            self._rational = _derive_rational_form(self)
+        return self._rational
 
     def gram(self, weight):
         """Gram matrix of the weight block, rows/cols in label order."""
@@ -183,6 +207,83 @@ class Irrep:
 
 
 _EMPTY = LabeledVector()
+
+
+class RationalForm(NamedTuple):
+    """Lowering table and Gram matrix of an irrep over Q, in the basis
+    u_a = sqrt(r_a) e_a.
+
+    r: label -> square-free class r_a (r_1 == 1);
+    lower[i]: label -> ((target, q), ...) with E_-i u_a = sum q u_target;
+    gram: label -> ((b, g), ...) over a's weight block, <u_a|u_b> = g,
+    the diagonal entry (a, r_a) included.
+    """
+
+    r: dict
+    lower: list
+    gram: dict
+
+
+def _rational(q):
+    # ints keep the hot loops in integer arithmetic wherever they can
+    return q.numerator if q.denominator == 1 else q
+
+
+def _derive_rational_form(irr: Irrep) -> RationalForm:
+    """Propagate the classes from state 1 through the lowering table: an
+    entry q*sqrt(f) from a to t gives r_t = squarefree(f*r_a) and the
+    rational entry q*sqrt(f*r_a/r_t)."""
+    n = irr.algebra.rank
+    r = {1: 1}
+    lower = [None] + [{} for _ in range(n)]
+    queue = [1]
+    for a in queue:  # breadth first: a has its class when it is reached
+        for i in range(1, n + 1):
+            terms = irr.lower(i, a).terms
+            if not terms:
+                continue
+            row = []
+            for c, t in terms:
+                term = single_radical(c)
+                if term is None:
+                    raise InvalidImportError(
+                        f"no rational form: lowering state {a} by root {i} "
+                        f"gives state {t} the coefficient {c.plain()}, "
+                        "which is not a single radical"
+                    )
+                q, f = term
+                s, cls = _square_free(f * r[a])
+                got = r.get(t)
+                if got is None:
+                    r[t] = cls
+                    queue.append(t)
+                elif got != cls:
+                    raise InvalidImportError(
+                        f"no rational form: lowering state {a} by root {i} "
+                        f"gives state {t} the radical class {cls}, "
+                        f"another path gave it {got}"
+                    )
+                row.append((t, _rational(q * s)))
+            lower[i][a] = tuple(row)
+    missing = [lab for lab in irr.kets if lab not in r]
+    if missing:
+        raise InvalidImportError(
+            f"no rational form: state {min(missing)} is not reached by "
+            "lowering from state 1"
+        )
+    gram = {a: [(a, r[a])] for a in irr.kets}
+    for (a, b), v in irr._scp.items():
+        q, f = single_radical(v) or (0, 0)
+        s, cls = _square_free(f * r[a] * r[b])
+        if cls != 1:
+            raise InvalidImportError(
+                f"no rational form: the scalar product {v.plain()} of states "
+                f"{a} and {b} is not rational in the rescaled basis"
+            )
+        g = _rational(q * s)
+        gram[a].append((b, g))
+        gram[b].append((a, g))
+    return RationalForm(r, lower, {a: tuple(g) for a, g in gram.items()})
 
 
 def _assign_labels(records):

@@ -12,15 +12,38 @@ the remaining dominant weight with the most levels, solve for a state
 orthogonal to everything already built at that weight, and descend again
 until the dimensions add up.
 
-One sparse elimination, _Reducer, serves both the descent (is a lowered
-state new at its weight?) and prepare (its coordinates on the states that
-are already there), which turns them into the exported lowering tables.
+All of this runs over the rationals.  Each factor has a rational form
+(Irrep.rational_form): in the basis u_a = sqrt(r_a) e_a, with r_a the
+square-free class of label a, its lowering entries and its Gram matrix are
+rational.  A product irrep keeps its states as rational vectors
+{(a, b): q} over u_a x u_b, and the whole irrep shares one scale rho: the
+found highest-weight vector y has rational norm N = <y|y>, and rho is
+1/sqrt(N).  Radicals appear only where a FieldElem state is read: the
+coefficient of (a, b) is rho * q * sqrt(r_a * r_b).  hw_state, levels and
+by_weight are such views, converted on access; prepare converts its tables
+and hands out its normalized states the same way.  The public
+product_lower and product_scp split a FieldElem state into one rational
+vector per radical class and run the same rational lowering and scalar
+product.
+
+Positive rescaling keeps pivots and signs, so the rational search picks
+the same highest-weight states, with the same phases, as a search over the
+field would.
+
+One sparse elimination, _Reducer, serves the descent (is a lowered state
+new at its weight?), the highest-weight search (its rows are the Gram
+images of the states already built, its null vector the new state) and
+prepare (the coordinates of a lowered state on the states already there).
 """
 
 from __future__ import annotations
 
-from .exactnum import ONE, ZERO, field_sqrt
-from .linalg import LabeledVector, gauss, label_key
+from collections.abc import Mapping, Sequence
+from fractions import Fraction
+from math import gcd
+
+from .exactnum import FieldElem, SqrtSum, _square_free
+from .linalg import LabeledVector
 from .liealg import (
     ConsistencyError,
     cartan,
@@ -31,7 +54,6 @@ from .liealg import (
 from .irrep import ImportedIrrepData, Irrep, Ket
 
 __all__ = [
-    "ProductState",
     "ProductIrrep",
     "Decomposition",
     "DecompositionError",
@@ -64,12 +86,9 @@ def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def product_weight(s: ProductState, l: Irrep, r: Irrep):
-    """Common weight of all ket pairs of s (they must agree)."""
-    if s.is_zero():
-        raise ConsistencyError("the zero vector carries no weight")
+def _pairs_weight(pairs, l: Irrep, r: Irrep):
     w = None
-    for _, (a, b) in s.terms:
+    for a, b in pairs:
         ww = _vadd(l.weight_of[a], r.weight_of[b])
         if w is None:
             w = ww
@@ -78,34 +97,156 @@ def product_weight(s: ProductState, l: Irrep, r: Irrep):
     return w
 
 
+def product_weight(s: ProductState, l: Irrep, r: Irrep):
+    """Common weight of all ket pairs of s (they must agree)."""
+    if s.is_zero():
+        raise ConsistencyError("the zero vector carries no weight")
+    return _pairs_weight(s.labels(), l, r)
+
+
+# ------------------------------------------------------------ rational core
+# A rational vector is a dict {(a, b): q} with nonzero int or Fraction q
+# over the rescaled basis u_a x u_b of the two factors' rational forms.
+
+def _lower(v, low_l, low_r):
+    """E_-i acting as E x 1 + 1 x E; low_l, low_r are the factors' rational
+    lowering tables of root i."""
+    out = {}
+    for (a, b), c in v.items():
+        for t, q in low_l.get(a, ()):
+            k = (t, b)
+            x = out.get(k, 0) + c * q
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        for t, q in low_r.get(b, ()):
+            k = (a, t)
+            x = out.get(k, 0) + c * q
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
+
+
+def _gram_apply(v, gram_l, gram_r):
+    """G v for the product Gram matrix G = G_l x G_r."""
+    out = {}
+    for (a, b), c in v.items():
+        for a2, g in gram_l[a]:
+            cg = c * g
+            for b2, h in gram_r[b]:
+                k = (a2, b2)
+                out[k] = out.get(k, 0) + cg * h
+    return {k: x for k, x in out.items() if x}
+
+
+def _scp(v, w, gram_l, gram_r):
+    """<v|w> of two rational vectors."""
+    acc = 0
+    for (a, b), c in v.items():
+        for a2, g in gram_l[a]:
+            cg = c * g
+            for b2, h in gram_r[b]:
+                x = w.get((a2, b2))
+                if x:
+                    acc += cg * h * x
+    return acc
+
+
+def _sqrt(x):
+    """(f, k) with sqrt(x) == k*sqrt(f), for a rational x > 0."""
+    x = Fraction(x)
+    s, f = _square_free(x.numerator * x.denominator)
+    return f, Fraction(s, x.denominator)
+
+
+def _times_sqrt(q, x) -> FieldElem:
+    """q*sqrt(x) for rationals q != 0 and x > 0."""
+    f, k = _sqrt(x)
+    return FieldElem(SqrtSum({f: k * q}))
+
+
+def _to_field(parts, cls_l, cls_r) -> ProductState:
+    """The FieldElem product state sum of k*sqrt(f)*v over the (f, k, v) in
+    parts, each v a rational vector; cls_l, cls_r are the factors' classes."""
+    items = {}
+    for f, k, v in parts:
+        for (a, b), q in v.items():
+            items.setdefault((a, b), []).append((f * cls_l[a] * cls_r[b], k * q))
+    return LabeledVector(
+        (FieldElem(SqrtSum.make(it)), lab) for lab, it in items.items()
+    )
+
+
+def _split(s: ProductState, cls_l, cls_r):
+    """{f: (v, m)} with s == sum of sqrt(f)/m * v, each v an integer vector
+    and m > 0."""
+    parts = {}
+    for c, (a, b) in s.terms:
+        if not c.den.is_rational():
+            c = c.rationalize()
+        rab = cls_l[a] * cls_r[b]
+        for f, q in c.num.terms.items():
+            # q*sqrt(f) e_a x e_b = q/rab * sqrt(f*rab) u_a x u_b
+            t, g = _square_free(f * rab)
+            parts.setdefault(g, []).append(
+                ((a, b), q.numerator * t, q.denominator * rab)
+            )
+    out = {}
+    for g, items in parts.items():
+        m = 1
+        for _, _, den in items:
+            m = m * den // gcd(m, den)
+        out[g] = ({lab: num * (m // den) for lab, num, den in items}, m)
+    return out
+
+
 def product_lower(s: ProductState, root: int, l: Irrep, r: Irrep) -> ProductState:
     """E_-root acting as E x 1 + 1 x E."""
-    terms = []
-    for c, (a, b) in s.terms:
-        for cl, t in l.lower(root, a).terms:
-            terms.append((c * cl, (t, b)))
-        for cr, t in r.lower(root, b).terms:
-            terms.append((c * cr, (a, t)))
-    return LabeledVector(terms)
+    if not 1 <= root <= l.algebra.rank:
+        raise ValueError(f"root index must lie in 1..{l.algebra.rank}")
+    fl, fr = l.rational_form(), r.rational_form()
+    low_l, low_r = fl.lower[root], fr.lower[root]
+    parts = [
+        (f, Fraction(1, m), _lower(v, low_l, low_r))
+        for f, (v, m) in _split(s, fl.r, fr.r).items()
+    ]
+    return _to_field(parts, fl.r, fr.r)
 
 
 def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
     """<s1|s2> built from the factor scalar products."""
-    acc = ZERO
-    for c1, (a1, b1) in s1.terms:
-        for c2, (a2, b2) in s2.terms:
-            pa = l.scalar_product(a1, a2)
-            if pa.is_zero():
-                continue
-            pb = r.scalar_product(b1, b2)
-            if pb.is_zero():
-                continue
-            acc = acc + c1 * c2 * pa * pb
-    return acc
+    fl, fr = l.rational_form(), r.rational_form()
+    p2 = _split(s2, fl.r, fr.r).items()
+    return FieldElem(SqrtSum.make(
+        (f * g, Fraction(_scp(v, w, fl.gram, fr.gram)) / (m * k))
+        for f, (v, m) in _split(s1, fl.r, fr.r).items()
+        for g, (w, k) in p2
+    ))
+
+
+def _integral(vec):
+    """(row, m): the primitive integer vector row == m * vec, m > 0."""
+    den, ints = 1, True
+    for c in vec.values():
+        if type(c) is not int:
+            ints = False
+            den = den * c.denominator // gcd(den, c.denominator)
+    if ints:
+        row = dict(vec)
+    else:
+        row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        row = {k: c // g for k, c in row.items()}
+    return row, Fraction(den, g)
 
 
 class _Reducer:
-    """Incremental exact rank tracker over sparse coefficient rows.
+    """Incremental exact rank tracker over rational vectors, eliminating
+    fraction-free on primitive integer rows.
 
     Built with track=True, it also keeps every stored row as a combination
     of the vectors kept so far, so a dependent vector comes back with its
@@ -115,64 +256,167 @@ class _Reducer:
     __slots__ = ("rows", "combs")
 
     def __init__(self, track=False):
-        self.rows = []  # (pivot label, row dict with row[pivot] == 1)
+        self.rows = []  # (pivot label, primitive integer row), pivot == min
         # parallel to rows when tracking: {kept index: coefficient} giving
         # the row in terms of kept vectors
         self.combs = [] if track else None
 
-    def add(self, vec: LabeledVector):
+    def add(self, vec):
         """None, and remember the vector as kept vector number len(rows), if
         it is independent of those kept; else its coordinates {k: c} with
         vec == sum of c times kept vector k (left empty unless tracking)."""
-        row = {lab: c for c, lab in vec.terms}
+        row, alpha = _integral(vec)
         combs = self.combs
-        coords = {}
+        beta = {}  # row == alpha * vec + sum of beta[k] times kept vector k
         for k, (pl, prow) in enumerate(self.rows):
             c = row.get(pl)
-            if c is None or c.is_zero():
+            if not c:
                 continue
+            p = prow[pl]
+            g = gcd(c, p)
+            a, b = p // g, c // g
+            if a != 1:
+                for lab in row:
+                    row[lab] *= a
             for l2, c2 in prow.items():
-                nv = row.get(l2, ZERO) - c * c2
-                if nv.is_zero():
-                    row.pop(l2, None)
-                else:
+                nv = row.get(l2, 0) - b * c2
+                if nv:
                     row[l2] = nv
+                else:
+                    del row[l2]
             if combs is not None:
-                for kk, ck in combs[k].items():
-                    nv = coords.get(kk, ZERO) + c * ck
-                    if nv.is_zero():
-                        coords.pop(kk, None)
+                alpha *= a
+                beta = {kk: a * x for kk, x in beta.items()}
+                for kk, x in combs[k].items():
+                    nv = beta.get(kk, 0) - b * x
+                    if nv:
+                        beta[kk] = nv
                     else:
-                        coords[kk] = nv
-        row = {l: c for l, c in row.items() if not c.is_zero()}
+                        del beta[kk]
         if not row:
-            return coords
-        pl = min(row, key=label_key)
-        inv = row[pl].invert()
+            return {k: -x / alpha for k, x in beta.items()}
+        g = gcd(*row.values())
+        if g != 1:
+            row = {lab: c // g for lab, c in row.items()}
         if combs is not None:
-            comb = {k: -c * inv for k, c in coords.items()}
-            comb[len(self.rows)] = inv
+            comb = {k: x / g for k, x in beta.items()}
+            comb[len(self.rows)] = alpha / g
             combs.append(comb)
-        self.rows.append((pl, {l: c * inv for l, c in row.items()}))
+        self.rows.append((min(row), row))
         return None
+
+    def null_vector(self, labels):
+        """The vector x with row.x == 0 for every stored row whose first
+        free label in labels is 1 and whose other free labels are 0, or None
+        when every label is a pivot."""
+        pivots = {pl for pl, _ in self.rows}
+        free = next((lab for lab in labels if lab not in pivots), None)
+        if free is None:
+            return None
+        x = {free: 1}
+        # every row lives on labels >= its pivot: solve from the last pivot
+        for pl, prow in sorted(self.rows, key=lambda pr: pr[0], reverse=True):
+            acc = 0
+            for l2, c2 in prow.items():
+                if l2 != pl and l2 in x:
+                    acc += c2 * x[l2]
+            if acc:
+                x[pl] = Fraction(-acc) / prow[pl]
+        return x
+
+
+class _States(Sequence):
+    """Read-only FieldElem view of rational vectors, converted on access."""
+
+    __slots__ = ("_vecs", "_convert")
+
+    def __init__(self, vecs, convert):
+        self._vecs = vecs
+        self._convert = convert
+
+    def __len__(self):
+        return len(self._vecs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._convert(v) for v in self._vecs[i]]
+        return self._convert(self._vecs[i])
+
+
+class _StateMap(Mapping):
+    """Read-only label -> FieldElem state view, converted on access."""
+
+    __slots__ = ("_keys", "_convert")
+
+    def __init__(self, keys, convert):
+        self._keys = keys
+        self._convert = convert
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._convert(key)
 
 
 class ProductIrrep:
     """An irrep living inside a tensor product: its highest-weight product
-    state and, once descended, all states grouped by level."""
+    state and, once descended, all states grouped by level.
+
+    The states are kept as rational vectors v; hw_state, levels and
+    by_weight show them as the FieldElem product states rho*v, with one
+    radical rho = k*sqrt(f) for the whole irrep.
+    """
 
     def __init__(self, hw_state: ProductState):
-        self.hw_state = hw_state
-        self.levels = [[hw_state]]
+        self._hw_state = hw_state  # as given, read until descended
+        self._hw_vec = None  # rational highest-weight vector
+        self._scale = None  # (f, k): rho = k*sqrt(f)
+        self._levels = None  # rational vectors by level, once descended
+        self._by_weight = None  # weight -> rational vectors
+        self._classes = None  # the factors' square-free classes
         self.hw = None  # set by descend_irrep
         self.weights = None  # weights parallel to levels
-        self.by_weight = None  # weight -> states in construction order
         self.descent = None  # weight -> root-coordinate drop from hw
         self.dim = 1
+
+    @classmethod
+    def _from_vector(cls, vec, scale):
+        p = cls(None)
+        p._hw_vec, p._scale = vec, scale
+        return p
 
     @property
     def descended(self):
         return self.hw is not None
+
+    def _state(self, v) -> ProductState:
+        return _to_field([(*self._scale, v)], *self._classes)
+
+    @property
+    def hw_state(self) -> ProductState:
+        if self._levels is None:
+            return self._hw_state
+        return self._state(self._hw_vec)
+
+    @property
+    def levels(self):
+        """States level by level, in construction order."""
+        if self._levels is None:
+            return [[self._hw_state]]
+        return [_States(lev, self._state) for lev in self._levels]
+
+    @property
+    def by_weight(self):
+        """weight -> states in construction order, once descended."""
+        if self._by_weight is None:
+            return None
+        return {w: _States(vs, self._state) for w, vs in self._by_weight.items()}
 
     def __repr__(self):
         if self.descended:
@@ -191,51 +435,67 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     la = l.algebra
     A = cartan(la)
     n = la.rank
-    hw = product_weight(p.hw_state, l, r)
+    fl, fr = l.rational_form(), r.rational_form()
+    if p._hw_vec is None:
+        product_weight(p._hw_state, l, r)  # refuses zero and mixed states
+        parts = _split(p._hw_state, fl.r, fr.r)
+        if len(parts) != 1:
+            raise ConsistencyError(
+                f"{la.name}: the highest-weight state is not one radical "
+                "times a rational vector"
+            )
+        ((f, (p._hw_vec, m)),) = parts.items()
+        p._scale = (f, Fraction(1, m))
+    top = p._hw_vec
+    hw = _pairs_weight(top, l, r)
     target = weyl_dim(la, hw)
     mult = {rec.dynkin: rec.degeneracy for rec in freudenthal(la, hw)}
-    p.hw = hw
-    p.levels = [[p.hw_state]]
+    lows = [(fl.lower[i], fr.lower[i], A[i - 1]) for i in range(1, n + 1)]
+    levels = [[top]]
     p.weights = [[hw]]
-    p.by_weight = {hw: [p.hw_state]}
-    p.descent = {hw: (0,) * n}
+    by_weight = {hw: [top]}
+    descent = {hw: (0,) * n}
     reducers = {hw: _Reducer()}
-    reducers[hw].add(p.hw_state)
+    reducers[hw].add(top)
     count = 1
-    cur_states, cur_weights = p.levels[0], p.weights[0]
+    cur_states, cur_weights = levels[0], p.weights[0]
     while True:
         nxt_states, nxt_weights = [], []
         for s, w in zip(cur_states, cur_weights):
-            dsc = p.descent[w]
-            for i in range(1, n + 1):
-                low = product_lower(s, i, l, r)
-                if low.is_zero():
+            dsc = descent[w]
+            for i, (low_l, low_r, row) in enumerate(lows):
+                low = _lower(s, low_l, low_r)
+                if not low:
                     continue
-                w2 = _vsub(w, A[i - 1])
+                w2 = _vsub(w, row)
                 red = reducers.get(w2)
                 if red is None:
                     red = reducers[w2] = _Reducer()
                 if red.add(low) is None:
                     nxt_states.append(low)
                     nxt_weights.append(w2)
-                    p.by_weight.setdefault(w2, []).append(low)
-                    if w2 not in p.descent:
-                        p.descent[w2] = tuple(
-                            q + (1 if k == i - 1 else 0) for k, q in enumerate(dsc)
+                    by_weight.setdefault(w2, []).append(low)
+                    if w2 not in descent:
+                        descent[w2] = tuple(
+                            q + (1 if k == i else 0) for k, q in enumerate(dsc)
                         )
         if not nxt_states:
             break
-        p.levels.append(nxt_states)
+        levels.append(nxt_states)
         p.weights.append(nxt_weights)
         count += len(nxt_states)
         cur_states, cur_weights = nxt_states, nxt_weights
+    p.hw = hw
     p.dim = count
+    p.descent = descent
+    p._levels, p._by_weight = levels, by_weight
+    p._classes = (fl.r, fr.r)
     if count != target:
         raise ConsistencyError(
             f"descent of {la.name} {hw} produced {count} states, "
             f"Weyl dimension is {target}"
         )
-    for w, states in p.by_weight.items():
+    for w, states in by_weight.items():
         if len(states) != mult.get(w, 0):
             raise ConsistencyError(
                 f"{la.name} irrep {hw}: weight {w} holds {len(states)} "
@@ -264,66 +524,27 @@ class Decomposition:
         )
 
 
+def _basis_pairs(d: Decomposition, w) -> list:
+    pairs = []
+    for wa, la_labels in d.left.labels_by_weight.items():
+        rb_labels = d.right.labels_by_weight.get(_vsub(w, wa))
+        if rb_labels:
+            pairs.extend((a, b) for a in la_labels for b in rb_labels)
+    pairs.sort()
+    return pairs
+
+
 def basis_product(d: Decomposition, w) -> list:
     """All ket pairs of summed weight w, each as a singleton state,
     ordered by (left label, right label)."""
-    pairs = []
-    for wa, la_labels in d.left.labels_by_weight.items():
-        wb = _vsub(w, wa)
-        rb_labels = d.right.labels_by_weight.get(wb)
-        if rb_labels:
-            for a in la_labels:
-                for b in rb_labels:
-                    pairs.append((a, b))
-    pairs.sort()
-    return [LabeledVector.unit(pr) for pr in pairs]
-
-
-def _nullspace_vector(rows, m):
-    """One exact nonzero solution of the homogeneous system rows.x = 0;
-    the first free variable is set to 1, remaining free ones to 0."""
-    if not rows:
-        x = [ZERO] * m
-        x[0] = ONE
-        return x
-    ech, _ = gauss(rows)
-    pivots = []
-    for row in ech:
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
-    j0 = next((j for j in range(m) if j not in pivot_set), None)
-    if j0 is None:
-        return None
-    x = [ZERO] * m
-    x[j0] = ONE
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
-        acc = ZERO
-        row = ech[i]
-        for j in range(p + 1, m):
-            if not row[j].is_zero() and not x[j].is_zero():
-                acc = acc + row[j] * x[j]
-        x[p] = -acc / row[p]
-    return x
-
-
-def _normalized(v: ProductState, l: Irrep, r: Irrep):
-    """v at unit norm with a positive leading coefficient, and the factor
-    f = +-1/|v| that it is v scaled by."""
-    f = ONE / field_sqrt(product_scp(v, v, l, r))
-    nv = v.scaled(f)
-    if nv.terms[0][0].sign() < 0:
-        nv, f = -nv, -f
-    return nv, f
+    return [LabeledVector.unit(pr) for pr in _basis_pairs(d, w)]
 
 
 def decompose(d: Decomposition) -> None:
     """Split the product into irreps (fills d.found, d.multiplicities)."""
     l, r = d.left, d.right
     la = l.algebra
+    fl, fr = l.rational_form(), r.rational_form()
     d.found = []
     d.multiplicities = {}
     # multiplicity of each dominant weight in the full product
@@ -338,11 +559,11 @@ def decompose(d: Decomposition) -> None:
     def take(p):
         d.found.append(p)
         d.multiplicities[p.hw] = d.multiplicities.get(p.hw, 0) + 1
-        for w, states in p.by_weight.items():
+        for w, states in p._by_weight.items():
             if all(c >= 0 for c in w):
                 used[w] = used.get(w, 0) + len(states)
 
-    first = ProductIrrep(LabeledVector.unit((1, 1)))
+    first = ProductIrrep._from_vector({(1, 1): 1}, (1, Fraction(1)))
     descend_irrep(first, l, r)
     take(first)
     R = level_vector(la)
@@ -355,20 +576,21 @@ def decompose(d: Decomposition) -> None:
         if not cands:
             break
         w = max(cands, key=levels_key)
-        basis = basis_product(d, w)
-        m = len(basis)
-        prev = []
+        # one orthogonality row per state already built at w: its Gram image
+        red = _Reducer()
         for p in d.found:
-            prev.extend(p.by_weight.get(w, ()))
-        rows = [[product_scp(b, s, l, r) for b in basis] for s in prev]
-        x = _nullspace_vector(rows, m)
+            for v in p._by_weight.get(w, ()):
+                red.add(_gram_apply(v, fl.gram, fr.gram))
+        x = red.null_vector(_basis_pairs(d, w))
         if x is None:
             raise DecompositionError(
                 f"no state orthogonal to the built irreps at weight {w}"
             )
-        terms = [(c, b.terms[0][1]) for c, b in zip(x, basis) if not c.is_zero()]
-        hw_state = _normalized(LabeledVector(terms), l, r)[0]
-        p = ProductIrrep(hw_state)
+        y = _integral(x)[0]
+        if y[min(y)] < 0:
+            y = {k: -c for k, c in y.items()}
+        norm = _scp(y, y, fl.gram, fr.gram)
+        p = ProductIrrep._from_vector(y, _sqrt(Fraction(1) / norm))
         descend_irrep(p, l, r)
         take(p)
     if not check_dims(d):
@@ -423,36 +645,41 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
 
     Each lowered state is reduced against the descended states of its
     target weight, as descend_irrep did, and the coordinates it comes back
-    with are rescaled from the descended to the normalized states.
+    with are rescaled from the descended to the normalized states: the
+    normalized state of label a is sign_a * v_a / sqrt(N_a), N_a = <v_a|v_a>
+    and sign_a the sign of the leading coefficient of v_a.  The map converts
+    each state on access.
     """
     la = l.algebra
     if not p.descended:
         raise ConsistencyError(f"{la.name}: prepare needs a descended irrep")
     A = cartan(la)
     n = la.rank
+    fl, fr = l.rational_form(), r.rational_form()
     kets = {}
-    state_of = {}
-    descended = {}  # label -> the state descend_irrep kept
-    factor = {}  # label -> f with state_of[label] == f * descended[label]
+    vec = {}  # label -> the rational vector descend_irrep kept
+    norm = {}  # label -> N_a
+    sign = {}  # label -> sign_a
     labels_at = {}
     reducers = {}
     lab = 1
     for weights in p.weights:
         for w in sorted(set(weights), key=p.descent.get):
             red = reducers[w] = _Reducer(track=True)
-            for deg, s in enumerate(p.by_weight[w], 1):
-                red.add(s)
+            for deg, v in enumerate(p._by_weight[w], 1):
+                red.add(v)
                 kets[lab] = Ket(w, deg)
-                descended[lab] = s
-                state_of[lab], factor[lab] = _normalized(s, l, r)
+                vec[lab] = v
+                norm[lab] = Fraction(_scp(v, v, fl.gram, fr.gram))
+                sign[lab] = 1 if v[min(v)] > 0 else -1
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
     lowering = {}
     for a in range(1, lab):
         w = kets[a].dynkin
         for i in range(1, n + 1):
-            low = product_lower(descended[a], i, l, r)
-            if low.is_zero():
+            low = _lower(vec[a], fl.lower[i], fr.lower[i])
+            if not low:
                 continue
             w2 = _vsub(w, A[i - 1])
             targets = labels_at.get(w2)
@@ -467,9 +694,10 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            fa = factor[a]
+            # E v_a = sum c_k v_k, so the normalized entry is
+            # c_k * sign_a * sign_k * sqrt(N_k / N_a)
             lowering[(i, a)] = tuple(
-                (coords[k] * fa / factor[t], t)
+                (_times_sqrt(coords[k] * sign[a] * sign[t], norm[t] / norm[a]), t)
                 for k, t in enumerate(targets)
                 if k in coords
             )
@@ -477,11 +705,18 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     for w, labs in labels_at.items():
         for ix, a in enumerate(labs):
             for b in labs[ix + 1:]:
-                v = product_scp(state_of[a], state_of[b], l, r)
-                if not v.is_zero():
-                    scp[(a, b)] = v
+                g = _scp(vec[a], vec[b], fl.gram, fr.gram)
+                if g:
+                    scp[(a, b)] = _times_sqrt(
+                        g * sign[a] * sign[b], 1 / (norm[a] * norm[b])
+                    )
+
+    def normalized(a):
+        f, k = _sqrt(1 / norm[a])
+        return _to_field([(f, k * sign[a], vec[a])], fl.r, fr.r)
+
     data = ImportedIrrepData(algebra=la, kets=kets, lowering=lowering, scp=scp)
-    return data, state_of
+    return data, _StateMap(vec, normalized)
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:

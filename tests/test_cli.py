@@ -1,6 +1,7 @@
 """Command-line behavior: transcripts, exit codes, dumps, scripts."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -211,6 +212,27 @@ def test_imported_factor_in_decompose(capsys, tmp_path):
     assert rc == 0
     assert "SU(3): (1,1,)8 x (1,0,)3 = " in out
     assert "Dimensions match." in out
+
+
+ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
+
+
+def test_factor_without_rational_form_is_refused(capsys):
+    # a valid octet file whose zero-weight block was rotated by hand out of
+    # the rational form: it imports, but cannot enter a product
+    rc, out, _ = run(capsys, "-su", "3", "--import", ROTATED)
+    assert rc == 0 and out.rstrip().endswith("OK")
+    rc, out, err = run(capsys, "-su", "3", "--decompose", f"@{ROTATED} x 10")
+    assert rc == 1 and out == ""
+    assert "su3_octet_rotated.json: no rational form" in err
+    assert "lowering state 3 by root 2 gives state 4" in err
+
+
+def test_script_import_without_rational_form_is_refused(capsys, tmp_path):
+    script = tmp_path / "rot.lie"
+    script.write_text(f"algebra su 3\nimport r8 {ROTATED}\n")
+    rc, _, err = run(capsys, "--script", str(script))
+    assert rc == 1 and "rot.lie:2" in err and "no rational form" in err
 
 
 def test_states_json_roundtrip():

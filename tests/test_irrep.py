@@ -1,12 +1,21 @@
 """Irrep construction: su(2) ladder oracle, adjoint tables, the
 lowering/raising sum rule, and import round-trips."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from liecg.exactnum import ONE, ZERO, field, field_sqrt, number
-from liecg.liealg import ConsistencyError, LieAlgebra
+from liecg.exactnum import ONE, ZERO, _square_free, field, field_sqrt, number
+from liecg.liealg import (
+    ConsistencyError,
+    LieAlgebra,
+    adjoint_hw,
+    freudenthal,
+    weyl_dim,
+)
+from liecg.linalg import LabeledVector
+from liecg.tensor import Decomposition, decompose, prepare
 from liecg.irrep import (
     ImportedIrrepData,
     InvalidImportError,
@@ -306,3 +315,106 @@ def test_nondeg_gram_is_identity():
     for w, labs in r.labels_by_weight.items():
         assert len(labs) == 1
         assert r.gram(w) == [[ONE]]
+
+
+# -------------------------------------------------------- rational form
+
+def _buildable_fundamentals_and_adjoints():
+    # every fundamental that can be built from scratch, and the adjoint, of
+    # dimension <= 4000; the adjoint is a fundamental in 8 of the algebras
+    algebras = [
+        LieAlgebra("A", 1), A2, LieAlgebra("A", 4), B2, B3, C3,
+        LieAlgebra("C", 4), D4, LieAlgebra("D", 5), E6, LieAlgebra("E7", 7),
+        LieAlgebra("E8", 8), F4, G2,
+    ]
+    cases = []
+    for la in algebras:
+        n = la.rank
+        hws = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        if adjoint_hw(la) not in hws:
+            hws.append(adjoint_hw(la))
+        for hw in hws:
+            if weyl_dim(la, hw) > 4000:
+                continue
+            if hw == adjoint_hw(la) or all(
+                rec.degeneracy == 1 for rec in freudenthal(la, hw)
+            ):
+                cases.append((la, hw))
+    return cases
+
+
+GENERIC_CASES = _buildable_fundamentals_and_adjoints()
+
+
+def _check_rational_form(r):
+    """The derived form reproduces the FieldElem tables: E_-i e_a has the
+    entry q*sqrt(r_t/r_a) at t, and <e_a|e_b> is g/sqrt(r_a*r_b)."""
+    rf = r.rational_form()
+    assert rf.r[1] == 1
+    assert set(rf.r) == set(r.kets)
+    root = {a: field_sqrt(field(c)) for a, c in rf.r.items()}
+    for c in rf.r.values():
+        assert c >= 1 and _square_free(c)[0] == 1
+    for i in range(1, r.algebra.rank + 1):
+        for a in r.kets:
+            row = rf.lower[i].get(a, ())
+            assert all(isinstance(q, (int, Fraction)) and q for _, q in row)
+            got = LabeledVector(
+                (field(q) * root[t] / root[a], t) for t, q in row
+            )
+            assert got == r.lower(i, a), (i, a)
+    for a in r.kets:
+        block = r.labels_by_weight[r.weight_of[a]]
+        want = {
+            b: r.scalar_product(a, b) * root[a] * root[b]
+            for b in block
+            if not r.scalar_product(a, b).is_zero()
+        }
+        got = dict(rf.gram[a])
+        assert all(isinstance(g, (int, Fraction)) for g in got.values())
+        assert {b: field(g) for b, g in got.items()} == want, a
+
+
+def test_generic_case_count():
+    assert len(GENERIC_CASES) == 38  # 32 fundamentals and 14 adjoints
+
+
+@pytest.mark.parametrize(
+    "la,hw", GENERIC_CASES, ids=[f"{la.name}-{hw}" for la, hw in GENERIC_CASES]
+)
+def test_generic_irreps_have_rational_form(la, hw):
+    _check_rational_form(new_generic_irrep(la, hw))
+
+
+PREPARED_PRODUCTS = [
+    (G2, (0, 1), (0, 1)),  # 14 x 14
+    (B2, (0, 2), (0, 2)),  # SO(5) 10 x 10
+    (A3, (1, 0, 1), (1, 0, 1)),  # SU(4) 15 x 15
+    (C3, (2, 0, 0), (1, 0, 0)),  # SP(6) 21 x 6
+    (LieAlgebra("D", 5), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),  # 16 x 16bar
+]
+
+
+def test_prepared_irreps_have_rational_form():
+    count = 0
+    for la, left, right in PREPARED_PRODUCTS:
+        l, r = new_generic_irrep(la, left), new_generic_irrep(la, right)
+        d = Decomposition(l, r)
+        decompose(d)
+        for p in d.found:
+            _check_rational_form(new_imported_irrep(la, prepare(p, l, r)))
+            count += 1
+    assert count == 24
+
+
+ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
+
+
+def test_rotated_block_has_no_rational_form():
+    # the octet with its zero-weight block rotated by an irrational angle:
+    # valid tables, but no basis of single radicals
+    r = new_imported_irrep(A2, ImportedIrrepData.from_json(open(ROTATED).read()))
+    r.check_consistency()
+    with pytest.raises(InvalidImportError, match="no rational form") as exc:
+        r.rational_form()
+    assert "state 3 by root 2" in str(exc.value)

@@ -1,0 +1,34 @@
+"""The package namespace: the names `from liecg import *` exports."""
+
+import liecg
+
+# the exported set when __all__ was still a hand-kept list
+EXPORTED = {
+    "ConsistencyError", "Decomposition", "DecompositionError", "FieldElem",
+    "FieldSqrtError", "ImportedIrrepData", "InvalidImportError", "Irrep",
+    "Ket", "LabeledVector", "LieAlgebra", "ONE", "ProductIrrep", "SqrtSum",
+    "TensorNode", "UnsupportedIrrepError", "WeightRecord", "ZERO",
+    "adjoint_hw", "basis_product", "cartan", "chbasis", "chbasis_list",
+    "check_dims", "comm", "complete_descent", "decompose", "descend_irrep",
+    "e_lower", "expand", "field", "field_sqrt", "filter_factor",
+    "freudenthal", "highest_root", "is_sym", "level_vector", "lower",
+    "lowest_root_label", "new_generic_irrep", "new_imported_irrep", "number",
+    "otimes", "parse_field", "positive_roots", "prepare",
+    "prepare_with_states", "product_lower", "product_scp", "product_weight",
+    "render_states", "result", "root_weights", "scalar_product",
+    "scalar_products", "scale", "scp", "scp_zero_weights", "tensor_coeff",
+    "tree_leaves", "tree_str", "untree", "weyl_dim", "wrap",
+}
+
+
+def test_exported_names_frozen():
+    assert len(liecg.__all__) == len(set(liecg.__all__))
+    assert set(liecg.__all__) == EXPORTED
+
+
+def test_exported_names_resolve():
+    ns = {}
+    exec("from liecg import *", ns)
+    assert EXPORTED <= set(ns)
+    for name in EXPORTED:
+        assert ns[name] is getattr(liecg, name)

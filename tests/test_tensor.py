@@ -8,7 +8,13 @@ import pytest
 
 from liecg import tensor
 from liecg.exactnum import ONE, ZERO, field, field_sqrt
-from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
+from liecg.liealg import (
+    ConsistencyError,
+    LieAlgebra,
+    freudenthal,
+    level_vector,
+    weyl_dim,
+)
 from liecg.linalg import LabeledVector, NoSolutionError, gauss, solve, label_key
 from liecg.irrep import new_generic_irrep, new_imported_irrep
 from liecg.tensor import (
@@ -69,6 +75,13 @@ def test_product_lower_leibniz(su3_pair):
     bottom = unit((3, 3))
     assert product_lower(bottom, 1, l, r).is_zero()
     assert product_lower(bottom, 2, l, r).is_zero()
+
+
+def test_product_lower_refuses_bad_root(su3_pair):
+    l, r = su3_pair
+    for root in (0, 3):
+        with pytest.raises(ValueError, match="root index"):
+            product_lower(unit((1, 1)), root, l, r)
 
 
 def test_product_scp_cross_terms(su3_pair):
@@ -409,3 +422,84 @@ def test_render_singlet(su3_pair):
     assert "Sqrt[3]/3" in m
     t = render_states(d.found[1], l, r, fmt="tex")
     assert "\\sqrt{3}" in t
+
+
+# --------------------------------------------- orthogonality, completeness
+
+def _su3_27():
+    oc = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(oc, oc)
+    decompose(d)
+    return new_imported_irrep(A2, prepare(d.found[0], oc, oc))
+
+
+@pytest.mark.parametrize(
+    "case", ["su3-27x27", "g2-7x7", "so10-16x16bar"],
+)
+def test_states_orthogonal_and_complete_per_weight(case):
+    # through the public product_scp: states of different irreps are
+    # orthogonal, and at every weight the found states span the product
+    # weight space (Gram rank == number of basis pairs)
+    if case == "su3-27x27":
+        l = r = _su3_27()
+    elif case == "g2-7x7":
+        l = r = new_generic_irrep(G2, (1, 0))
+    else:
+        l = new_generic_irrep(D5, (0, 0, 0, 1, 0))
+        r = new_generic_irrep(D5, (0, 0, 0, 0, 1))
+    d = Decomposition(l, r)
+    decompose(d)
+    at = {}  # weight -> [(irrep index, state)]
+    for k, p in enumerate(d.found):
+        for w, states in p.by_weight.items():
+            at.setdefault(w, []).extend((k, s) for s in states)
+    assert sorted(at) == sorted(
+        {tuple(x + y for x, y in zip(wa, wb))
+         for wa in l.labels_by_weight for wb in r.labels_by_weight}
+    )
+    for w, entries in at.items():
+        m = len(entries)
+        gram = [[None] * m for _ in range(m)]
+        for i, (k1, s1) in enumerate(entries):
+            for j in range(i, m):
+                k2, s2 = entries[j]
+                v = product_scp(s1, s2, l, r)
+                if k1 != k2:
+                    assert v == ZERO, (w, k1, k2)
+                gram[i][j] = gram[j][i] = v
+        ech, _ = gauss(gram)
+        rank = sum(1 for row in ech if any(not v.is_zero() for v in row))
+        assert rank == len(basis_product(d, w)) == len(entries), w
+
+
+@pytest.mark.parametrize("case", ["e6-27x27bar", "su3-27x8"])
+def test_decompose_runs_without_field_arithmetic(case, monkeypatch):
+    from liecg.exactnum import FieldElem
+
+    if case == "e6-27x27bar":
+        E6 = LieAlgebra("E6", 6)
+        l = new_generic_irrep(E6, (1, 0, 0, 0, 0, 0))
+        r = new_generic_irrep(E6, (0, 0, 0, 0, 1, 0))
+        want = [((1, 0, 0, 0, 1, 0), 650), ((0, 0, 0, 0, 0, 1), 78),
+                ((0, 0, 0, 0, 0, 0), 1)]
+    else:
+        l, r = _su3_27(), new_generic_irrep(A2, (1, 1))
+        want = [((3, 3), 64), ((4, 1), 35), ((1, 4), 35), ((2, 2), 27),
+                ((2, 2), 27), ((3, 0), 10), ((0, 3), 10), ((1, 1), 8)]
+
+    def boom(self, other):
+        raise AssertionError("FieldElem arithmetic inside decompose")
+
+    # liealg inverts the Cartan matrix over the field once per algebra and
+    # caches it; that is neither descent nor search
+    level_vector(l.algebra)
+    monkeypatch.setattr(FieldElem, "__mul__", boom)
+    monkeypatch.setattr(FieldElem, "__add__", boom)
+    d = Decomposition(l, r)
+    decompose(d)
+    monkeypatch.undo()
+    assert [(p.hw, p.dim) for p in d.found] == want
+    # the guard is live: a FieldElem sum outside decompose would have raised
+    with pytest.raises(AssertionError):
+        monkeypatch.setattr(FieldElem, "__add__", boom)
+        ONE + ONE
