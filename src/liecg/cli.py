@@ -24,7 +24,6 @@ from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
-    UnsupportedIrrepError,
     new_generic_irrep,
     new_imported_irrep,
 )
@@ -269,11 +268,7 @@ def _factor_irrep(la, token):
     """One side of --decompose: Dynkin labels or @FILE with imported data."""
     if token.startswith("@"):
         return _import_factor(la, token[1:])
-    hw = _checked_rep(la, token)
-    try:
-        return new_generic_irrep(la, hw)
-    except UnsupportedIrrepError as e:
-        raise UsageError(f"{e} (export with --dump, then pass it as @FILE)")
+    return new_generic_irrep(la, _checked_rep(la, token))
 
 
 # ----------------------------------------------------------------- modes
@@ -417,7 +412,7 @@ class _Script:
     def v_irrep(self, toks):
         la = self._need_algebra()
         name, labels = toks
-        self.irreps[name] = new_generic_irrep(la, parse_rep(labels, la.rank))
+        self.irreps[name] = new_generic_irrep(la, _checked_rep(la, labels))
 
     def v_import(self, toks):
         la = self._need_algebra()
@@ -530,8 +525,7 @@ class _Script:
         except ScriptError:
             raise
         except (ValueError, TypeError, UsageError, InvalidImportError,
-                UnsupportedIrrepError, SingularMatrixError,
-                FieldSqrtError) as e:
+                SingularMatrixError, FieldSqrtError) as e:
             msg = str(e) or f"bad arguments for {verb!r}"
             raise ScriptError(path, lineno, f"{verb}: {msg}")
 

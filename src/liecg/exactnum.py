@@ -405,8 +405,8 @@ ZERO = FieldElem(_SS_ZERO)
 ONE = FieldElem(_SS_ONE)
 
 
-# single_radical serves the rational forms of irrep and tensor; it stays
-# out of __all__ and so out of the package namespace
+# single_radical, _sqrt and _times_sqrt serve the rational forms of irrep
+# and tensor; they stay out of __all__ and so out of the package namespace
 
 def single_radical(x: FieldElem):
     """(q, f) with x == q*sqrt(f), q a nonzero Fraction and f square-free,
@@ -415,6 +415,19 @@ def single_radical(x: FieldElem):
         return None
     ((f, q),) = x.num.terms.items()
     return q, f
+
+
+def _sqrt(x):
+    """(f, k) with sqrt(x) == k*sqrt(f), for a rational x > 0."""
+    x = Fraction(x)
+    s, f = _square_free(x.numerator * x.denominator)
+    return f, Fraction(s, x.denominator)
+
+
+def _times_sqrt(q, x) -> FieldElem:
+    """q*sqrt(x) for rationals q != 0 and x > 0."""
+    f, k = _sqrt(x)
+    return FieldElem(SqrtSum({f: k * q}))
 
 
 def number(a: int, b: int, n: int) -> FieldElem:

@@ -2,14 +2,18 @@
 
 Basis states are labeled 1..dim in listing order: level ascending, descent
 vector ascending within a level, degeneracy index ascending within a weight.
-Lowering operators E_-i carry phase +1 throughout; their normalizations come
-from the su(2) string recursion |N|^2(w) = w_i + |N|^2(w + a^i), so they are
-square roots of rationals for generically built irreps.  Scalar products are
-1 on the diagonal and 0 across different weights; inside a degenerate weight
-block they can be irrational (sqrt(A_ab A_ba)/2 for adjoint zero states).
 
-Only non-degenerate irreps and the adjoint can be built from scratch; any
-other irrep has to be imported from tensor-product data (the tensor module's
+`new_generic_irrep` builds any irrep from scratch with the contravariant
+(Shapovalov) form on the lowering monomials F_i ... F_j |hw>, over Q: at
+each weight it keeps the first monomials that are independent under the
+form, and normalizes them to unit length at the end.  Lowering entries and
+scalar products are therefore square roots of rationals.  Scalar products
+are 1 on the diagonal and 0 across different weights; inside a degenerate
+weight block they need not vanish (sqrt(A_ab A_ba)/2 for the adjoint zero
+states).  In multiplicity-free irreps and in the adjoint every lowering
+entry is positive; in other irreps some can be negative.
+
+Irreps can also be imported from tensor-product data (the tensor module's
 `prepare` emits it, `new_imported_irrep` consumes it).
 
 Every irrep built or prepared here has a rational form (Kostant's Z-form):
@@ -31,37 +35,24 @@ from .exactnum import (
     ZERO,
     FieldElem,
     field,
-    field_sqrt,
     parse_field,
     single_radical,
     _square_free,
+    _times_sqrt,
 )
-from .linalg import LabeledVector, invert_matrix
-from .liealg import (
-    ConsistencyError,
-    LieAlgebra,
-    adjoint_hw,
-    cartan,
-    freudenthal,
-    weyl_dim,
-)
+from .linalg import LabeledVector, _Reducer, invert_matrix
+from .liealg import ConsistencyError, LieAlgebra, cartan, freudenthal, weyl_dim
 
 __all__ = [
     "Ket",
     "Irrep",
     "ImportedIrrepData",
-    "UnsupportedIrrepError",
     "InvalidImportError",
     "new_generic_irrep",
     "new_imported_irrep",
     "lower",
     "scalar_product",
-    "scp_zero_weights",
 ]
-
-
-class UnsupportedIrrepError(ValueError):
-    """Degenerate non-adjoint irreps cannot be built generically."""
 
 
 class InvalidImportError(ValueError):
@@ -286,150 +277,94 @@ def _derive_rational_form(irr: Irrep) -> RationalForm:
     return RationalForm(r, lower, {a: tuple(g) for a, g in gram.items()})
 
 
-def _assign_labels(records):
-    # label -> Ket in listing order; records come level/descent sorted
-    kets = {}
-    lab = 1
-    for rec in records:
-        for d in range(1, rec.degeneracy + 1):
-            kets[lab] = Ket(rec.dynkin, d)
-            lab += 1
-    return kets
-
-
-def _build_nondeg(la, hw, records):
-    A = cartan(la)
-    n = la.rank
-    kets = _assign_labels(records)
-    label_at = {k.dynkin: lab for lab, k in kets.items()}
-    weights = set(label_at)
-    memo = {}
-
-    def n2(w, i):
-        # squared normalization for lowering weight w by root i
-        val = memo.get((w, i))
-        if val is None:
-            up = _vadd(w, A[i - 1])
-            val = w[i - 1] + (n2(up, i) if up in weights else 0)
-            memo[(w, i)] = val
-        return val
-
-    lowering = {}
-    for lab, ket in kets.items():
-        w = ket.dynkin
-        for i in range(1, n + 1):
-            t = _vsub(w, A[i - 1])
-            if t in weights:
-                c2 = n2(w, i)
-                if c2 < 0:
-                    raise ConsistencyError(f"negative |N|^2 at {w}, root {i}")
-                if c2:
-                    lowering[(i, lab)] = LabeledVector(
-                        [(field_sqrt(field(c2)), label_at[t])]
-                    )
-    return Irrep(la, hw, kets, lowering, {}, "generic")
-
-
-def _build_adjoint(la, records):
-    from .liealg import positive_roots
-
-    A = cartan(la)
-    n = la.rank
-    hw = adjoint_hw(la)
-    kets = _assign_labels(records)
-    zero = (0,) * n
-    # nonzero-weight states correspond to roots; store coefficient vectors
-    coeff_of = {}
-    for r in positive_roots(la):
-        dyn = tuple(sum(r[i] * A[i][j] for i in range(n)) for j in range(n))
-        coeff_of[dyn] = r
-        coeff_of[tuple(-x for x in dyn)] = tuple(-x for x in r)
-    rootset = set(coeff_of.values())
-    dyn_of = {v: k for k, v in coeff_of.items()}
-    label_at = {}
-    zero_label = {}
-    for lab, ket in kets.items():
-        if ket.dynkin == zero:
-            zero_label[ket.deg_index] = lab  # |0_i> in simple-root order
-        else:
-            label_at[coeff_of[ket.dynkin]] = lab
-
-    def unit(i):
-        return tuple(1 if j == i - 1 else 0 for j in range(n))
-
-    memo = {}
-
-    def n2(v, i):
-        # string recursion on root vectors; crossing the zero weight
-        # contributes the full flux 2 from |0_i>
-        val = memo.get((v, i))
-        if val is None:
-            up = _vadd(v, unit(i))
-            if up == zero:
-                prev = 2
-            elif up in rootset:
-                prev = n2(up, i)
-            else:
-                prev = 0
-            val = dyn_of[v][i - 1] + prev
-            memo[(v, i)] = val
-        return val
-
-    sqrt2 = field_sqrt(field(2))
-    lowering = {}
-    for v, lab in label_at.items():
-        for i in range(1, n + 1):
-            t = _vsub(v, unit(i))
-            if t == zero:
-                lowering[(i, lab)] = LabeledVector([(sqrt2, zero_label[i])])
-            elif t in rootset:
-                c2 = n2(v, i)
-                if c2 < 0:
-                    raise ConsistencyError(f"negative |N|^2 at root {v}, {i}")
-                if c2:
-                    lowering[(i, lab)] = LabeledVector(
-                        [(field_sqrt(field(c2)), label_at[t])]
-                    )
-    for a in range(1, n + 1):
-        src = zero_label[a]
-        for i in range(1, n + 1):
-            c2 = Fraction(A[a - 1][i - 1] * A[i - 1][a - 1], 2)
-            if c2:
-                target = label_at[tuple(-x for x in unit(i))]
-                lowering[(i, src)] = LabeledVector(
-                    [(field_sqrt(field(c2)), target)]
-                )
-    scp = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            val = scp_zero_weights(la, a, b)
-            if not val.is_zero():
-                scp[(zero_label[a], zero_label[b])] = val
-    return Irrep(la, hw, kets, lowering, scp, "generic")
+def _nonzero(vec):
+    return {k: q for k, q in vec.items() if q}
 
 
 def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
-    """Construct a non-degenerate irrep or the adjoint from scratch."""
-    records = freudenthal(la, hw)
+    """Construct the irrep of highest weight hw from scratch.
+
+    The states are monomials F_i a in the lowering operators, found weight
+    by weight in listing order.  At weight nu the candidates are F_i a for
+    every state a at nu + alpha_i, in (parent label, root) order.  Over Q,
+    in this unnormalized basis:
+
+    - a candidate's raisings follow from [E_k, F_i] = delta_ki H_i as
+      E_k F_i a = F_i E_k a + delta_ki (wt a)_i a, read from the tables one
+      level up;
+    - its Gram row holds <F_k c, F_i a> = <c, E_k F_i a> for every
+      candidate F_k c;
+    - a row independent of those kept makes the candidate the next state of
+      nu; a dependent row gives the candidate's lowering coordinates.
+
+    The kept count at each weight must be Freudenthal's multiplicity.  Unit
+    normalization happens only at the end.
+    """
     hw = tuple(hw)
-    if hw == adjoint_hw(la):
-        return _build_adjoint(la, records)
-    if all(r.degeneracy == 1 for r in records):
-        return _build_nondeg(la, hw, records)
-    raise UnsupportedIrrepError(
-        f"{la.name} {hw} has degenerate weights and is not the adjoint; "
-        "build it inside a tensor product and import the prepared data"
-    )
-
-
-def scp_zero_weights(la: LieAlgebra, a: int, b: int) -> FieldElem:
-    """Scalar product of the adjoint zero-weight states |0_a> and |0_b>."""
-    if not (1 <= a <= la.rank and 1 <= b <= la.rank):
-        raise ValueError(f"zero-state indices must lie in 1..{la.rank}")
-    if a == b:
-        return ONE
     A = cartan(la)
-    return field_sqrt(field(Fraction(A[a - 1][b - 1] * A[b - 1][a - 1], 4)))
+    records = freudenthal(la, hw)
+    kets = {1: Ket(hw, 1)}
+    at = {hw: [1]}  # weight -> its states in kept order
+    up = {1: {}}  # state -> {k: E_k state as {label: q}}
+    low = {}  # (i, state) -> F_i state as {label: q}
+    gram = {1: {1: 1}}  # state -> {b: <state|b>} over its weight block
+    for rec in records[1:]:
+        nu = rec.dynkin
+        cands = sorted(
+            (a, i) for i, row in enumerate(A, 1) for a in at.get(_vadd(nu, row), ())
+        )
+        red = _Reducer(track=True)
+        kept = []  # (state, its candidate, its Gram row)
+        for a, i in cands:
+            raised = {}  # k -> E_k F_i a = F_i E_k a + delta_ki (wt a)_i a
+            for k in range(1, len(A) + 1):
+                acc = {a: kets[a].dynkin[i - 1]} if k == i else {}
+                for b, q in up[a].get(k, {}).items():
+                    for t, p in low.get((i, b), {}).items():
+                        acc[t] = acc.get(t, 0) + q * p
+                acc = _nonzero(acc)
+                if acc:
+                    raised[k] = acc
+            row = {}
+            for k, v in raised.items():
+                for b, q in v.items():
+                    for c, g in gram[b].items():
+                        row[(c, k)] = row.get((c, k), 0) + q * g
+            row = _nonzero(row)
+            if not row:
+                continue
+            coords = red.add(row)
+            if coords is None:
+                t = len(kets) + 1
+                kets[t] = Ket(nu, len(kept) + 1)
+                kept.append((t, (a, i), row))
+                up[t] = raised
+                low[(i, a)] = {t: 1}
+            else:
+                low[(i, a)] = {kept[k][0]: q for k, q in coords.items()}
+        if len(kept) != rec.degeneracy:
+            raise ConsistencyError(
+                f"{la.name} irrep {hw}: weight {nu} holds {len(kept)} "
+                f"states, multiplicity is {rec.degeneracy}"
+            )
+        at[nu] = [t for t, _, _ in kept]
+        for t, cand, _ in kept:
+            gram[t] = _nonzero({t2: row2.get(cand, 0) for t2, _, row2 in kept})
+    # unit vectors e_a = a / sqrt(G_aa)
+    norm = {a: Fraction(g[a]) for a, g in gram.items()}
+    lowering = {
+        (i, a): LabeledVector(
+            (_times_sqrt(q, norm[t] / norm[a]), t) for t, q in v.items()
+        )
+        for (i, a), v in low.items()
+    }
+    scp = {
+        (a, b): _times_sqrt(g, 1 / (norm[a] * norm[b]))
+        for a, row in gram.items()
+        for b, g in row.items()
+        if a < b
+    }
+    return Irrep(la, hw, kets, lowering, scp, "generic")
 
 
 def lower(r: Irrep, root: int, state: int) -> LabeledVector:

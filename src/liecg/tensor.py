@@ -30,10 +30,11 @@ Positive rescaling keeps pivots and signs, so the rational search picks
 the same highest-weight states, with the same phases, as a search over the
 field would.
 
-One sparse elimination, _Reducer, serves the descent (is a lowered state
-new at its weight?), the highest-weight search (its rows are the Gram
-images of the states already built, its null vector the new state) and
-prepare (the coordinates of a lowered state on the states already there).
+One sparse elimination, linalg's _Reducer (the irrep builder's too),
+serves the descent (is a lowered state new at its weight?), the
+highest-weight search (its rows are the Gram images of the states already
+built, its null vector the new state) and prepare (the coordinates of a
+lowered state on the states already there).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import FieldElem, SqrtSum, _square_free
-from .linalg import LabeledVector
+from .exactnum import FieldElem, SqrtSum, _sqrt, _square_free, _times_sqrt
+from .linalg import LabeledVector, _integral, _Reducer
 from .liealg import (
     ConsistencyError,
     cartan,
@@ -155,19 +156,6 @@ def _scp(v, w, gram_l, gram_r):
     return acc
 
 
-def _sqrt(x):
-    """(f, k) with sqrt(x) == k*sqrt(f), for a rational x > 0."""
-    x = Fraction(x)
-    s, f = _square_free(x.numerator * x.denominator)
-    return f, Fraction(s, x.denominator)
-
-
-def _times_sqrt(q, x) -> FieldElem:
-    """q*sqrt(x) for rationals q != 0 and x > 0."""
-    f, k = _sqrt(x)
-    return FieldElem(SqrtSum({f: k * q}))
-
-
 def _to_field(parts, cls_l, cls_r) -> ProductState:
     """The FieldElem product state sum of k*sqrt(f)*v over the (f, k, v) in
     parts, each v a rational vector; cls_l, cls_r are the factors' classes."""
@@ -225,104 +213,6 @@ def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
         for f, (v, m) in _split(s1, fl.r, fr.r).items()
         for g, (w, k) in p2
     ))
-
-
-def _integral(vec):
-    """(row, m): the primitive integer vector row == m * vec, m > 0."""
-    den, ints = 1, True
-    for c in vec.values():
-        if type(c) is not int:
-            ints = False
-            den = den * c.denominator // gcd(den, c.denominator)
-    if ints:
-        row = dict(vec)
-    else:
-        row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
-    g = gcd(*row.values())
-    if g != 1:
-        row = {k: c // g for k, c in row.items()}
-    return row, Fraction(den, g)
-
-
-class _Reducer:
-    """Incremental exact rank tracker over rational vectors, eliminating
-    fraction-free on primitive integer rows.
-
-    Built with track=True, it also keeps every stored row as a combination
-    of the vectors kept so far, so a dependent vector comes back with its
-    coordinates in terms of them.
-    """
-
-    __slots__ = ("rows", "combs")
-
-    def __init__(self, track=False):
-        self.rows = []  # (pivot label, primitive integer row), pivot == min
-        # parallel to rows when tracking: {kept index: coefficient} giving
-        # the row in terms of kept vectors
-        self.combs = [] if track else None
-
-    def add(self, vec):
-        """None, and remember the vector as kept vector number len(rows), if
-        it is independent of those kept; else its coordinates {k: c} with
-        vec == sum of c times kept vector k (left empty unless tracking)."""
-        row, alpha = _integral(vec)
-        combs = self.combs
-        beta = {}  # row == alpha * vec + sum of beta[k] times kept vector k
-        for k, (pl, prow) in enumerate(self.rows):
-            c = row.get(pl)
-            if not c:
-                continue
-            p = prow[pl]
-            g = gcd(c, p)
-            a, b = p // g, c // g
-            if a != 1:
-                for lab in row:
-                    row[lab] *= a
-            for l2, c2 in prow.items():
-                nv = row.get(l2, 0) - b * c2
-                if nv:
-                    row[l2] = nv
-                else:
-                    del row[l2]
-            if combs is not None:
-                alpha *= a
-                beta = {kk: a * x for kk, x in beta.items()}
-                for kk, x in combs[k].items():
-                    nv = beta.get(kk, 0) - b * x
-                    if nv:
-                        beta[kk] = nv
-                    else:
-                        del beta[kk]
-        if not row:
-            return {k: -x / alpha for k, x in beta.items()}
-        g = gcd(*row.values())
-        if g != 1:
-            row = {lab: c // g for lab, c in row.items()}
-        if combs is not None:
-            comb = {k: x / g for k, x in beta.items()}
-            comb[len(self.rows)] = alpha / g
-            combs.append(comb)
-        self.rows.append((min(row), row))
-        return None
-
-    def null_vector(self, labels):
-        """The vector x with row.x == 0 for every stored row whose first
-        free label in labels is 1 and whose other free labels are 0, or None
-        when every label is a pivot."""
-        pivots = {pl for pl, _ in self.rows}
-        free = next((lab for lab in labels if lab not in pivots), None)
-        if free is None:
-            return None
-        x = {free: 1}
-        # every row lives on labels >= its pivot: solve from the last pivot
-        for pl, prow in sorted(self.rows, key=lambda pr: pr[0], reverse=True):
-            acc = 0
-            for l2, c2 in prow.items():
-                if l2 != pl and l2 in x:
-                    acc += c2 * x[l2]
-            if acc:
-                x[pl] = Fraction(-acc) / prow[pl]
-        return x
 
 
 class _States(Sequence):

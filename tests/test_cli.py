@@ -193,9 +193,18 @@ def test_import_missing_file(capsys, tmp_path):
     assert rc == 1 and "cannot read" in err
 
 
-def test_degenerate_factor_cites_import_workflow(capsys):
-    rc, _, err = run(capsys, "-su", "3", "--decompose", "22x10")
-    assert rc == 1 and "@FILE" in err
+def test_degenerate_factor_decomposes(capsys):
+    # the 27 of SU(3) is built from scratch, no dump and re-import needed
+    rc, out, err = run(capsys, "-su", "3", "--decompose", "22x10")
+    assert rc == 0 and err == ""
+    assert out.splitlines() == [
+        "Dimensions match.",
+        "Clebsch-Gordan decomposition successfully done!",
+        "SU(3): (2,2,)27 x (1,0,)3 = ",
+        "(3,2,)42",
+        "(1,3,)24",
+        "(2,1,)15",
+    ]
 
 
 def test_huge_factor_fails_fast(capsys):
@@ -344,6 +353,17 @@ def test_script_otimes_out_of_range(capsys, tmp_path):
     path.write_text("algebra a 2\nirrep r 10\nwrap t r\notimes s t t 9\n")
     rc, _, err = run(capsys, "--script", str(path))
     assert rc == 1 and "otimes" in err and "out of range" in err
+
+
+def test_script_huge_irrep_fails_fast(capsys, tmp_path):
+    path = tmp_path / "s.lie"
+    path.write_text("algebra e8\nirrep r 11111111\n")
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "--script", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == "" and f"{path}:2" in err
+    assert "1329227995784915872903807060280344576" in err
+    assert str(cli.MAX_DIM) in err
 
 
 def test_script_needs_algebra_first(capsys, tmp_path):

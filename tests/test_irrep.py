@@ -1,7 +1,8 @@
-"""Irrep construction: su(2) ladder oracle, adjoint tables, the
-lowering/raising sum rule, and import round-trips."""
+"""Irrep construction: su(2) ladder oracle, adjoint tables, degenerate
+irreps, the lowering/raising sum rule, and import round-trips."""
 
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,17 +16,15 @@ from liecg.liealg import (
     weyl_dim,
 )
 from liecg.linalg import LabeledVector
-from liecg.tensor import Decomposition, decompose, prepare
+from liecg.tensor import Decomposition, decompose, prepare, result
 from liecg.irrep import (
     ImportedIrrepData,
     InvalidImportError,
     Ket,
-    UnsupportedIrrepError,
     lower,
     new_generic_irrep,
     new_imported_irrep,
     scalar_product,
-    scp_zero_weights,
 )
 
 A1 = LieAlgebra("A", 1)
@@ -116,16 +115,21 @@ def test_octet_gram_inverse_of_zero_block():
 # ------------------------------------------------- zero-weight products
 
 def test_scp_zero_weights_values():
-    assert scp_zero_weights(A2, 1, 2) == field((1, 2))
-    assert scp_zero_weights(G2, 1, 2) == number(1, 2, 3)
-    assert scp_zero_weights(B2, 1, 2) == number(1, 2, 2)
-    assert scp_zero_weights(F4, 2, 3) == number(1, 2, 2)
-    assert scp_zero_weights(F4, 1, 3) == ZERO
-    assert scp_zero_weights(F4, 1, 1) == ONE
-    with pytest.raises(ValueError):
-        scp_zero_weights(A2, 0, 1)
-    with pytest.raises(ValueError):
-        scp_zero_weights(A2, 1, 3)
+    # <0_a|0_b> of the adjoint zero states F_a|alpha_a>, read off the built
+    # adjoint; these are sqrt(A_ab A_ba)/2
+    cases = [
+        (A2, 1, 2, field((1, 2))),
+        (G2, 1, 2, number(1, 2, 3)),
+        (B2, 1, 2, number(1, 2, 2)),
+        (F4, 2, 3, number(1, 2, 2)),
+        (F4, 1, 3, ZERO),
+        (F4, 1, 1, ONE),
+    ]
+    for la, a, b, want in cases:
+        r = new_generic_irrep(la, adjoint_hw(la))
+        zero = (0,) * la.rank
+        za, zb = r.label_of[(zero, a)], r.label_of[(zero, b)]
+        assert r.scalar_product(za, zb) == want, (la.name, a, b)
 
 
 def test_g2_adjoint_scp_stored():
@@ -179,14 +183,52 @@ def test_sum_rule_detects_corruption():
 
 # ------------------------------------------------------- gating errors
 
-def test_degenerate_non_adjoint_is_refused():
-    with pytest.raises(UnsupportedIrrepError):
+DEGENERATE_CASES = [
+    (A2, (2, 2)),  # 27, zero weight thrice degenerate
+    (A2, (2, 1)),  # 15
+    (G2, (2, 0)),  # 27
+    (F4, (1, 0, 0, 0)),  # 26, doubly degenerate zero weight
+    (B3, (1, 0, 1)),  # SO(7) 48
+]
+
+
+@pytest.mark.parametrize(
+    "la,hw", DEGENERATE_CASES, ids=[f"{la.name}-{hw}" for la, hw in DEGENERATE_CASES]
+)
+def test_degenerate_irrep_is_built(la, hw):
+    r = new_generic_irrep(la, hw)
+    assert r.dim == weyl_dim(la, hw)
+    assert max(len(labs) for labs in r.labels_by_weight.values()) > 1
+    r.check_consistency()
+    r2 = roundtrip(r)
+    r2.check_consistency()
+    assert ImportedIrrepData.from_irrep(r2).to_json() == (
+        ImportedIrrepData.from_irrep(r).to_json()
+    )
+    d = Decomposition(r, r)
+    decompose(d)
+    assert result(d).startswith("Dimensions match.\n")
+
+
+def test_moved_multiplicity_is_caught(monkeypatch):
+    # the kept count at each weight is the rank of the contravariant form,
+    # an independent check of Freudenthal's multiplicities
+    import liecg.irrep as irrep_mod
+
+    def moved(la, hw):
+        # one state of the 27 moved from weight (0, 0) to weight (1, 1):
+        # same dimension, wrong multiplicities
+        shift = {(0, 0): -1, (1, 1): 1}
+        return [
+            replace(rec, degeneracy=rec.degeneracy + shift.get(rec.dynkin, 0))
+            for rec in freudenthal(la, hw)
+        ]
+
+    monkeypatch.setattr(irrep_mod, "freudenthal", moved)
+    with pytest.raises(ConsistencyError) as exc:
         new_generic_irrep(A2, (2, 2))
-    with pytest.raises(UnsupportedIrrepError):
-        new_generic_irrep(A2, (2, 1))
-    # the 26 of F4 has a doubly degenerate zero weight
-    with pytest.raises(UnsupportedIrrepError):
-        new_generic_irrep(F4, (1, 0, 0, 0))
+    msg = str(exc.value)
+    assert "SU(3) irrep (2, 2)" in msg and "weight (1, 1)" in msg
 
 
 def test_wrapper_argument_checks():

@@ -2,12 +2,14 @@
 
 import liecg
 
-# the exported set when __all__ was still a hand-kept list
+# the exported set when __all__ was still a hand-kept list, less
+# UnsupportedIrrepError and scp_zero_weights, which left with the
+# refusal of degenerate irreps and the hand-derived adjoint builder
 EXPORTED = {
     "ConsistencyError", "Decomposition", "DecompositionError", "FieldElem",
     "FieldSqrtError", "ImportedIrrepData", "InvalidImportError", "Irrep",
     "Ket", "LabeledVector", "LieAlgebra", "ONE", "ProductIrrep", "SqrtSum",
-    "TensorNode", "UnsupportedIrrepError", "WeightRecord", "ZERO",
+    "TensorNode", "WeightRecord", "ZERO",
     "adjoint_hw", "basis_product", "cartan", "chbasis", "chbasis_list",
     "check_dims", "comm", "complete_descent", "decompose", "descend_irrep",
     "e_lower", "expand", "field", "field_sqrt", "filter_factor",
@@ -16,7 +18,7 @@ EXPORTED = {
     "otimes", "parse_field", "positive_roots", "prepare",
     "prepare_with_states", "product_lower", "product_scp", "product_weight",
     "render_states", "result", "root_weights", "scalar_product",
-    "scalar_products", "scale", "scp", "scp_zero_weights", "tensor_coeff",
+    "scalar_products", "scale", "scp", "tensor_coeff",
     "tree_leaves", "tree_str", "untree", "weyl_dim", "wrap",
 }
 
