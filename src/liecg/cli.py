@@ -245,19 +245,17 @@ def _checked_rep(la, token):
     return hw
 
 
-def _load_import(path):
+def _import_irrep(la, path):
+    """The irrep in an exported file, for --import, @FILE and the script
+    verb alike.  Its tables must have a rational form, which a hand-edited
+    file may have lost; every error names the file."""
     try:
         with open(path) as fh:
-            return ImportedIrrepData.from_json(fh.read())
+            text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}")
-
-
-def _import_factor(la, path):
-    """An imported irrep that can enter a product: its tables must have a
-    rational form, which a hand-edited file may have lost."""
-    r = new_imported_irrep(la, _load_import(path))
     try:
+        r = new_imported_irrep(la, ImportedIrrepData.from_json(text))
         r.rational_form()
     except InvalidImportError as e:
         raise InvalidImportError(f"{path}: {e}") from e
@@ -267,7 +265,7 @@ def _import_factor(la, path):
 def _factor_irrep(la, token):
     """One side of --decompose: Dynkin labels or @FILE with imported data."""
     if token.startswith("@"):
-        return _import_factor(la, token[1:])
+        return _import_irrep(la, token[1:])
     return new_generic_irrep(la, _checked_rep(la, token))
 
 
@@ -283,12 +281,11 @@ def run_weights(la, rep, fmt):
 
 
 def run_import(la, path):
-    data = _load_import(path)
-    r = new_imported_irrep(la, data)
+    r = _import_irrep(la, path)
     try:
         r.check_consistency()
     except ConsistencyError as e:
-        # the file is well-formed but its tables violate the master identity
+        # the file is well-formed but its tables violate the sum rule
         raise UsageError(f"{path}: {e}")
     print(_hdr("Import file", path))
     print(weight_listing(la, r.hw))
@@ -417,7 +414,7 @@ class _Script:
     def v_import(self, toks):
         la = self._need_algebra()
         name, path = toks
-        self.irreps[name] = _import_factor(la, path)
+        self.irreps[name] = _import_irrep(la, path)
 
     def v_wrap(self, toks):
         name, rname = toks

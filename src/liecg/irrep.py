@@ -20,7 +20,9 @@ Every irrep built or prepared here has a rational form (Kostant's Z-form):
 each label a carries a square-free class r_a such that in the rescaled
 basis u_a = sqrt(r_a) e_a all lowering entries and all scalar products are
 rational.  `Irrep.rational_form` derives it once, on first use, by pushing
-the classes down the lowering table from the highest weight.
+the classes down the lowering table from the highest weight.  The
+consistency sweep `Irrep.check_consistency` runs on it, so an imported file
+without one is refused there as well as in a product.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .exactnum import (
     ONE,
     ZERO,
     FieldElem,
-    field,
     parse_field,
     single_radical,
     _square_free,
     _times_sqrt,
 )
-from .linalg import LabeledVector, _Reducer, invert_matrix
+from .linalg import LabeledVector, _Reducer
 from .liealg import ConsistencyError, LieAlgebra, cartan, freudenthal, weyl_dim
 
 __all__ = [
@@ -99,8 +100,6 @@ class Irrep:
         self.label_of = {
             (k.dynkin, k.deg_index): lab for lab, k in kets.items()
         }
-        self._gram = {}
-        self._gram_inv = {}
         self._rational = None
 
     def __repr__(self):
@@ -137,64 +136,64 @@ class Irrep:
             self._rational = _derive_rational_form(self)
         return self._rational
 
-    def gram(self, weight):
-        """Gram matrix of the weight block, rows/cols in label order."""
-        got = self._gram.get(weight)
-        if got is None:
-            labs = self.labels_by_weight[weight]
-            got = [[self.scalar_product(a, b) for b in labs] for a in labs]
-            self._gram[weight] = got
-        return got
-
-    def gram_inverse(self, weight):
-        got = self._gram_inv.get(weight)
-        if got is None:
-            got = invert_matrix(self.gram(weight))
-            self._gram_inv[weight] = got
-        return got
-
     def check_consistency(self, labels=None, roots=None):
-        """Verify the lowering/raising sum rule on the given states.
+        """Verify the string sum rule on the given states (all by default).
 
-        For each state a of weight w and each simple root i, the contraction
-        of E_-i|a> with itself must equal w_i plus the Gram-inverse
-        contraction of the couplings from the weight above.  Raises
-        ConsistencyError on the first violation.
+        For a state a of weight w and a simple root i,
+        |F_i a|^2 = w_i <a|a> + u.G^-1.u, where G is the Gram matrix of the
+        weight block at w + alpha_i and u_g = <F_i g|a> for each state g
+        there.  The sweep runs on the rational form, where every quantity
+        is rational.  G^-1.u comes from a tracking _Reducer holding the rows
+        of G: G is symmetric, so the coordinates of u in terms of its rows
+        are G^-1.u.  Raises ConsistencyError on the first violation or on a
+        singular block, InvalidImportError if the tables have no rational
+        form.
         """
-        A = cartan(self.algebra)
-        n = self.algebra.rank
+        rf = self.rational_form()
+        la = self.algebra
+        A = cartan(la)
+        blocks = {}  # weight -> (its states, _Reducer over their Gram rows)
         for a in labels if labels is not None else self.kets:
             w = self.weight_of[a]
-            for i in roots if roots is not None else range(1, n + 1):
-                row = A[i - 1]
-                v = self.lower(i, a)
-                lhs = self.vector_scp(v, v)
-                rhs = field(w[i - 1])
-                ups = self.labels_by_weight.get(_vadd(w, row), ())
-                if ups:
-                    u = []
-                    for g in ups:
-                        s = ZERO
-                        for c, lab in self.lower(i, g).terms:
-                            p = self.scalar_product(lab, a)
-                            if not p.is_zero():
-                                s = s + c * p
-                        u.append(s)
-                    G = self.gram_inverse(_vadd(w, row))
-                    m = len(ups)
-                    acc = ZERO
-                    for x in range(m):
-                        if u[x].is_zero():
-                            continue
-                        for y in range(m):
-                            if not u[y].is_zero():
-                                acc = acc + u[x] * G[x][y] * u[y]
-                    rhs = rhs + acc
+            ga = dict(rf.gram[a])
+            for i in roots if roots is not None else range(1, la.rank + 1):
+                low = rf.lower[i]
+                down = dict(low.get(a, ()))
+                lhs = sum(q * g * down.get(b, 0)
+                          for t, q in down.items() for b, g in rf.gram[t])
+                rhs = w[i - 1] * rf.r[a]
+                up = _vadd(w, A[i - 1])
+                if up in self.labels_by_weight:
+                    if up not in blocks:
+                        blocks[up] = self._gram_block(rf, up)
+                    ups, red = blocks[up]
+                    u = _nonzero({
+                        k: sum(q * ga.get(t, 0) for t, q in low.get(g, ()))
+                        for k, g in enumerate(ups)
+                    })
+                    if u:
+                        rhs += sum(u.get(k, 0) * c for k, c in red.add(u).items())
                 if lhs != rhs:
+                    ra = rf.r[a]  # both sides read in the unit basis
                     raise ConsistencyError(
-                        f"string sum rule fails at state {a}, root {i}: "
-                        f"{lhs.plain()} != {rhs.plain()}"
+                        f"{la.name} irrep {self.hw}: string sum rule fails at "
+                        f"state {a} of weight {w}, root {i}: "
+                        f"{Fraction(lhs) / ra} != {Fraction(rhs) / ra}"
                     )
+
+    def _gram_block(self, rf, weight):
+        """The states of a weight block and a tracking _Reducer holding
+        their Gram rows, each row indexed by position in the block."""
+        ups = self.labels_by_weight[weight]
+        pos = {g: k for k, g in enumerate(ups)}
+        red = _Reducer(track=True)
+        for g in ups:
+            if red.add({pos[b]: x for b, x in rf.gram[g]}) is not None:
+                raise ConsistencyError(
+                    f"{self.algebra.name} irrep {self.hw}: the Gram matrix "
+                    f"of weight {weight} is singular"
+                )
+        return ups, red
 
 
 _EMPTY = LabeledVector()
@@ -476,10 +475,15 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
     if len(hw) != la.rank:
         raise InvalidImportError(f"weights must have {la.rank} components")
     try:
-        records = freudenthal(la, hw)
+        want_dim = weyl_dim(la, hw)
     except ValueError as exc:
         raise InvalidImportError(f"state 1 is not a highest weight: {exc}") from exc
-    want = {rec.dynkin: rec.degeneracy for rec in records}
+    # before freudenthal, which runs over every weight of the claimed irrep
+    if dim != want_dim:
+        raise InvalidImportError(
+            f"{dim} kets, but the {la.name} irrep {hw} has dimension {want_dim}"
+        )
+    want = {rec.dynkin: rec.degeneracy for rec in freudenthal(la, hw)}
     got = {}
     for ket in data.kets.values():
         got[ket.dynkin] = got.get(ket.dynkin, 0) + 1
@@ -491,8 +495,6 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
         )
         if degs != list(range(1, m + 1)):
             raise InvalidImportError(f"degeneracy indices at {w} not 1..{m}")
-    if dim != weyl_dim(la, hw):
-        raise InvalidImportError("dimension mismatch")
     A = cartan(la)
     lowering = {}
     for (root, state), terms in data.lowering.items():

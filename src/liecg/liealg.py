@@ -5,8 +5,9 @@ so its rows are the Dynkin coordinates of the simple roots; weights live in
 the fundamental-weight basis (Dynkin labels); a weight of an irrep with
 highest weight L is L - q.A for a descent vector q of non-negative integers,
 and its level is sum(q).  Roots are coefficient vectors over the simple
-roots, derived from the Cartan matrix.  Everything here is exact
-integer/rational arithmetic.
+roots, derived from the Cartan matrix.  Everything here is integer
+arithmetic (a Fraction only inside the Weyl dimension product); the module
+depends on no other part of the package.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-
-from .exactnum import field
-from .linalg import invert_matrix
 
 __all__ = [
     "ConsistencyError",
@@ -246,18 +244,25 @@ def adjoint_hw(la: LieAlgebra):
 
 @lru_cache(maxsize=None)
 def level_vector(la: LieAlgebra):
-    """R with R.L = level of the lowest weight of the irrep L, for every L."""
+    """R with R.L = level of the lowest weight of the irrep L, for every L.
+
+    R.L = <L, 2 rho^v> and 2 rho^v is the sum of the positive coroots, so
+    R_i sums the coefficient of the simple coroot a_i^v in each a^v.  For
+    a = sum k_j a_j with Dynkin labels d that coefficient is
+    2 k_i w_i / sum_j k_j d_j w_j, w the squared root lengths.
+    """
     A = cartan(la)
+    w = root_weights(la)
     n = la.rank
-    inv = invert_matrix([[field(A[i][j]) for j in range(n)] for i in range(n)])
-    R = []
-    for i in range(n):
-        s = Fraction(0)
-        for j in range(n):
-            s += 2 * inv[i][j].rational_value()
-        if s.denominator != 1 or s <= 0:
-            raise ConsistencyError(f"{la.name}: bad level vector entry {s}")
-        R.append(int(s))
+    R = [0] * n
+    for r in positive_roots(la):
+        norm2 = sum(r[j] * w[j] * sum(r[k] * A[k][j] for k in range(n))
+                    for j in range(n))
+        for i in range(n):
+            c, rem = divmod(2 * r[i] * w[i], norm2)
+            if rem:
+                raise ConsistencyError(f"{la.name}: non-integral coroot {r}")
+            R[i] += c
     return tuple(R)
 
 

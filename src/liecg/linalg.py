@@ -1,13 +1,14 @@
-"""Sparse labeled vectors and exact dense linear algebra over the field.
+"""Sparse labeled vectors and exact linear algebra.
 
 Vectors are sparse linear combinations of opaque labels (ints, label pairs,
 nested tuples); zero coefficients are dropped and terms are kept sorted by a
-total order on labels so that all listings are deterministic.  Matrices are
-dense lists of FieldElem rows; elimination uses exact division, so ranks and
-solution spaces are exact.
+total order on labels so that all listings are deterministic.
 
 _Reducer is the incremental elimination over the rationals that the irrep
-builder and the tensor-product descent, search and prepare share.
+builder, the consistency sweep and the tensor-product descent, search and
+prepare share.  Over the field there is only `invert_matrix`, for the basis
+changes that scripts write with radical coefficients, and
+`gram_orthogonalize`, which completes such a basis.
 """
 
 from __future__ import annotations
@@ -19,18 +20,11 @@ from .exactnum import ONE, ZERO, FieldElem
 
 __all__ = [
     "LabeledVector",
-    "NoSolutionError",
     "SingularMatrixError",
     "label_key",
-    "gauss",
-    "solve",
     "invert_matrix",
     "gram_orthogonalize",
 ]
-
-
-class NoSolutionError(ValueError):
-    """The linear system is inconsistent."""
 
 
 class SingularMatrixError(ValueError):
@@ -244,87 +238,25 @@ class _Reducer:
 Matrix = list  # list[list[FieldElem]]
 
 
-def gauss(m: Matrix, rhs: Matrix | None = None):
-    """Row-echelon form by exact elimination, first non-zero pivot per
-    column; the same row operations are applied to rhs.  Returns the pair
-    (echelon, transformed rhs)."""
-    rows = [list(r) for r in m]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rb = [list(r) for r in rhs] if rhs is not None else [[] for _ in range(nr)]
-    r = 0
-    for col in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            rb[r], rb[piv] = rb[piv], rb[r]
-        prow, prb = rows[r], rb[r]
-        pval = prow[col]
-        for k in range(r + 1, nr):
-            kval = rows[k][col]
-            if kval.is_zero():
-                continue
-            f = kval / pval
-            krow = rows[k]
-            for j in range(col, nc):
-                if not prow[j].is_zero():
-                    krow[j] = krow[j] - f * prow[j]
-            krb = rb[k]
-            for j in range(len(krb)):
-                if not prb[j].is_zero():
-                    krb[j] = krb[j] - f * prb[j]
-        r += 1
-        if r == nr:
-            break
-    return rows, rb
-
-
-def _pivot_col(row) -> int | None:
-    for j, v in enumerate(row):
-        if not v.is_zero():
-            return j
-    return None
-
-
-def solve(echelon: Matrix, rhs_col: list) -> list:
-    """Back-substitute an echelon system (as returned by gauss); free
-    variables are set to zero.  Raises NoSolutionError when inconsistent."""
-    nr = len(echelon)
-    nc = len(echelon[0]) if nr else 0
-    x = [ZERO] * nc
-    for i in range(nr - 1, -1, -1):
-        p = _pivot_col(echelon[i])
-        if p is None:
-            if not rhs_col[i].is_zero():
-                raise NoSolutionError("inconsistent system")
-            continue
-        acc = rhs_col[i]
-        row = echelon[i]
-        for j in range(p + 1, nc):
-            if not row[j].is_zero() and not x[j].is_zero():
-                acc = acc - row[j] * x[j]
-        x[p] = acc / row[p]
-    return x
-
-
 def invert_matrix(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when rank-deficient."""
+    """Exact inverse by Gauss-Jordan elimination on [m | 1], first non-zero
+    pivot per column; raises SingularMatrixError when rank-deficient."""
     n = len(m)
-    ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    ech, rb = gauss(m, ident)
-    if any(_pivot_col(row) != i for i, row in enumerate(ech)):
-        raise SingularMatrixError("matrix is singular")
-    cols = []
-    for j in range(n):
-        cols.append(solve(ech, [rb[i][j] for i in range(n)]))
-    # cols[j] is the j-th column of the inverse
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    rows = [list(r) + [ONE if i == j else ZERO for j in range(n)]
+            for i, r in enumerate(m)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = rows[col][col].invert()
+        prow = rows[col] = [x * inv for x in rows[col]]
+        for k in range(n):
+            f = rows[k][col]
+            if k != col and not f.is_zero():
+                rows[k] = [x if p.is_zero() else x - f * p
+                           for x, p in zip(rows[k], prow)]
+    return [row[n:] for row in rows]
 
 
 def gram_orthogonalize(scp, ortho: list, rest: list) -> list:

@@ -188,6 +188,43 @@ def test_import_rejects_corrupt_tables(capsys, tmp_path):
     assert rc == 1 and "bad.json" in err
 
 
+def test_import_sum_rule_error_names_irrep_state_and_root(capsys, tmp_path):
+    # the octet's zero-weight states 4 and 5 overlap by 1/2; claiming 1
+    # breaks the sum rule at state 4 first
+    d = tmp_path / "out"
+    run(capsys, "-su", "3", "--decompose", "10x01", "--dump", str(d))
+    doc = json.loads((d / "irrep_1.json").read_text())
+    assert doc["scp"] == [[4, 5, "1/2"]]
+    doc["scp"] = [[4, 5, "1"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
+    assert rc == 1 and out == ""
+    assert (
+        f"lie: error: {bad}: SU(3) irrep (1, 1): string sum rule fails at "
+        "state 4 of weight (0, 0), root 1: 1/2 != 2\n"
+    ) in err
+
+
+def test_import_huge_claimed_irrep_fails_fast(capsys, tmp_path):
+    # one ket claiming the E8 irrep 11111111: refused on its dimension,
+    # before the weights of that irrep are enumerated
+    doc = {
+        "format": "liecg-irrep-v1",
+        "algebra": {"family": "E8", "rank": 8},
+        "kets": [[1, [1] * 8, 1]],
+        "lowering": [],
+        "scp": [],
+    }
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "-e8", "--import", str(f))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1 and out == ""
+    assert f"{f}: 1 kets, but the E8 irrep (1, 1, 1, 1, 1, 1, 1, 1) has " in err
+
+
 def test_import_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "-su", "3", "--import", str(tmp_path / "no.json"))
     assert rc == 1 and "cannot read" in err
@@ -227,14 +264,13 @@ ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.jso
 
 
 def test_factor_without_rational_form_is_refused(capsys):
-    # a valid octet file whose zero-weight block was rotated by hand out of
-    # the rational form: it imports, but cannot enter a product
-    rc, out, _ = run(capsys, "-su", "3", "--import", ROTATED)
-    assert rc == 0 and out.rstrip().endswith("OK")
-    rc, out, err = run(capsys, "-su", "3", "--decompose", f"@{ROTATED} x 10")
-    assert rc == 1 and out == ""
-    assert "su3_octet_rotated.json: no rational form" in err
-    assert "lowering state 3 by root 2 gives state 4" in err
+    # an octet file whose zero-weight block was rotated by hand out of the
+    # rational form: the consistency sweep and products both refuse it
+    for argv in (["--import", ROTATED], ["--decompose", f"@{ROTATED} x 10"]):
+        rc, out, err = run(capsys, "-su", "3", *argv)
+        assert rc == 1 and out == ""
+        assert "su3_octet_rotated.json: no rational form" in err
+        assert "lowering state 3 by root 2 gives state 4" in err
 
 
 def test_script_import_without_rational_form_is_refused(capsys, tmp_path):

@@ -104,14 +104,6 @@ def test_su3_octet_full_table():
     assert r.scalar_product(3, 4) == ZERO  # different weights
 
 
-def test_octet_gram_inverse_of_zero_block():
-    r = new_generic_irrep(A2, (1, 1))
-    G = r.gram_inverse((0, 0))
-    third = Fraction(4, 3)
-    assert G[0][0] == field(third) and G[1][1] == field(third)
-    assert G[0][1] == field(-Fraction(2, 3)) and G[1][0] == G[0][1]
-
-
 # ------------------------------------------------- zero-weight products
 
 def test_scp_zero_weights_values():
@@ -179,6 +171,49 @@ def test_sum_rule_detects_corruption():
     r._lowering[(1, 4)] = r._lowering[(1, 4)].scaled(field(2))
     with pytest.raises(ConsistencyError):
         r.check_consistency()
+
+
+def test_sum_rule_error_names_where():
+    r = new_generic_irrep(A2, (1, 1))
+    r._scp[(4, 5)] = ONE
+    with pytest.raises(ConsistencyError) as exc:
+        r.check_consistency()
+    assert str(exc.value) == (
+        "SU(3) irrep (1, 1): string sum rule fails at state 4 of weight "
+        "(0, 0), root 2: 1/2 != 2"
+    )
+    # below the zero-weight block, whose Gram matrix is now singular
+    with pytest.raises(ConsistencyError) as exc:
+        r.check_consistency(labels=[6])
+    assert str(exc.value) == (
+        "SU(3) irrep (1, 1): the Gram matrix of weight (0, 0) is singular"
+    )
+
+
+def test_sweep_runs_without_field_arithmetic(monkeypatch):
+    from liecg.exactnum import FieldElem
+
+    l = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(l, l)
+    decompose(d)
+    irreps = [
+        new_imported_irrep(A2, prepare(d.found[0], l, l)),  # the 27
+        new_generic_irrep(F4, (1, 0, 0, 0)),
+    ]
+
+    def boom(self, other):
+        raise AssertionError("FieldElem arithmetic inside the sweep")
+
+    for op in ("__mul__", "__add__", "__sub__", "__truediv__"):
+        monkeypatch.setattr(FieldElem, op, boom)
+    for r in irreps:
+        r.check_consistency()  # the rational form is derived here too
+    monkeypatch.undo()
+    assert [r.dim for r in irreps] == [27, 26]
+    # the guard is live: a FieldElem sum in the sweep would have raised
+    with pytest.raises(AssertionError):
+        monkeypatch.setattr(FieldElem, "__add__", boom)
+        ONE + ONE
 
 
 # ------------------------------------------------------- gating errors
@@ -356,7 +391,7 @@ def test_nondeg_gram_is_identity():
     r = new_generic_irrep(A2, (3, 0))
     for w, labs in r.labels_by_weight.items():
         assert len(labs) == 1
-        assert r.gram(w) == [[ONE]]
+        assert [[r.scalar_product(a, b) for b in labs] for a in labs] == [[ONE]]
 
 
 # -------------------------------------------------------- rational form
@@ -454,9 +489,13 @@ ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.jso
 
 def test_rotated_block_has_no_rational_form():
     # the octet with its zero-weight block rotated by an irrational angle:
-    # valid tables, but no basis of single radicals
+    # valid tables (tests/test_consistency_oracle.py checks them with the
+    # field sweep), but no basis of single radicals, so the sweep refuses
+    # the file
     r = new_imported_irrep(A2, ImportedIrrepData.from_json(open(ROTATED).read()))
-    r.check_consistency()
+    with pytest.raises(InvalidImportError, match="no rational form") as exc:
+        r.check_consistency()
+    assert "state 3 by root 2" in str(exc.value)
     with pytest.raises(InvalidImportError, match="no rational form") as exc:
         r.rational_form()
     assert "state 3 by root 2" in str(exc.value)

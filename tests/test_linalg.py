@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from liecg.exactnum import ONE, ZERO, field, number
 from liecg.linalg import (
     LabeledVector,
-    NoSolutionError,
     SingularMatrixError,
-    gauss,
     gram_orthogonalize,
     invert_matrix,
     label_key,
-    solve,
 )
 
 
@@ -50,7 +47,7 @@ def test_map_labels_merges():
     assert w.terms == [(field(3), 7)]
 
 
-# ---------------------------------------------------------------- gauss/solve
+# ---------------------------------------------------------------- inverse
 
 def cramer2(a, b, c, d, e, f):
     # oracle for [[a,b],[c,d]] x = [e,f]
@@ -58,10 +55,24 @@ def cramer2(a, b, c, d, e, f):
     return ((e * d - b * f) / det, (a * f - e * c) / det)
 
 
+def mat_vec(m, v):
+    out = []
+    for row in m:
+        acc = ZERO
+        for mij, vj in zip(row, v):
+            acc = acc + mij * vj
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b):
+    cols = [mat_vec(a, [row[j] for row in b]) for j in range(len(b[0]))]
+    return [list(row) for row in zip(*cols)]
+
+
 def test_solve_2x2_against_cramer():
     a, b, c, d, e, f = 2, 3, 1, -4, 7, 2
-    ech, rb = gauss(F([[a, b], [c, d]]), [[field(e)], [field(f)]])
-    x = solve(ech, [r[0] for r in rb])
+    x = mat_vec(invert_matrix(F([[a, b], [c, d]])), Fv([e, f]))
     ex = cramer2(*map(Fraction, (a, b, c, d, e, f)))
     assert x == Fv(ex)
 
@@ -72,27 +83,9 @@ def test_solve_3x3_radical_entries():
         [field(1), number(1, 1, 3), field(1)],
         [ZERO, field(2), number(1, 1, 2)],
     ]
-    rhs = [[field(1)], [ZERO], [field(3)]]
-    ech, rb = gauss(m, rhs)
-    x = solve(ech, [r[0] for r in rb])
-    for row, b in zip(m, rhs):
-        acc = ZERO
-        for mij, xj in zip(row, x):
-            acc = acc + mij * xj
-        assert acc == b[0]
-
-
-def test_solve_underdetermined_sets_free_vars_zero():
-    # x + y = 1 with one equation: y free -> 0, x = 1
-    ech, rb = gauss(F([[1, 1]]), [[field(1)]])
-    x = solve(ech, [r[0] for r in rb])
-    assert x == Fv([1, 0])
-
-
-def test_solve_inconsistent_raises():
-    ech, rb = gauss(F([[1, 1], [2, 2]]), [[field(1)], [field(3)]])
-    with pytest.raises(NoSolutionError):
-        solve(ech, [r[0] for r in rb])
+    b = [field(1), ZERO, field(3)]
+    x = mat_vec(invert_matrix(m), b)
+    assert mat_vec(m, x) == b
 
 
 def test_invert_matrix_roundtrip():
@@ -164,38 +157,38 @@ def test_gram_orthogonalize_radical_form():
 
 # ---------------------------------------------------------------- property
 
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
-                min_size=3, max_size=3),
-       st.lists(st.integers(-6, 6), min_size=3, max_size=3))
-def test_solve_satisfies_system_when_solvable(m, b):
-    fm = F(m)
-    fb = [[field(x)] for x in b]
-    ech, rb = gauss(fm, fb)
-    try:
-        x = solve(ech, [r[0] for r in rb])
-    except NoSolutionError:
-        # oracle: rank check over Fractions confirms inconsistency
-        import itertools
+def fraction_rank(rows):
+    # oracle: plain elimination over Fractions
+    rows = [list(map(Fraction, r)) for r in rows]
+    rk, n = 0, len(rows[0])
+    for col in range(n):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        for i in range(rk + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / rows[rk][col]
+                rows[i] = [a - f * p for a, p in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
 
-        def rank(rows):
-            rows = [list(map(Fraction, r)) for r in rows]
-            rk, n = 0, len(rows[0])
-            for col in range(n):
-                piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-                if piv is None:
-                    continue
-                rows[rk], rows[piv] = rows[piv], rows[rk]
-                for i in range(rk + 1, len(rows)):
-                    if rows[i][col]:
-                        f = rows[i][col] / rows[rk][col]
-                        rows[i] = [a - f * p for a, p in zip(rows[i], rows[rk])]
-                rk += 1
-            return rk
-        aug = [row + [bi] for row, bi in zip(m, b)]
-        assert rank(aug) > rank(m)
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+           st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+           min_size=n, max_size=n)),
+       st.sampled_from([1, 2, 3]))
+def test_invert_matrix_inverse_or_singular_by_rank(m, radicand):
+    # an integer matrix times sqrt(radicand): the inverse exactly when the
+    # rank over Q is full, SingularMatrixError otherwise
+    n = len(m)
+    s = number(1, 1, radicand)
+    fm = [[field(x) * s for x in row] for row in m]
+    if fraction_rank(m) < n:
+        with pytest.raises(SingularMatrixError):
+            invert_matrix(fm)
         return
-    for row, bi in zip(fm, fb):
-        acc = ZERO
-        for mij, xj in zip(row, x):
-            acc = acc + mij * xj
-        assert acc == bi[0]
+    inv = invert_matrix(fm)
+    ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert mat_mul(fm, inv) == ident
+    assert mat_mul(inv, fm) == ident
