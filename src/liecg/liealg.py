@@ -6,15 +6,26 @@ the fundamental-weight basis (Dynkin labels); a weight of an irrep with
 highest weight L is L - q.A for a descent vector q of non-negative integers,
 and its level is sum(q).  Roots are coefficient vectors over the simple
 roots, derived from the Cartan matrix.  Everything here is integer
-arithmetic (a Fraction only inside the Weyl dimension product); the module
-depends on no other part of the package.
+arithmetic; the module depends on no other part of the package.
+
+The weight system is walked on packed keys.  The descent vector q of a
+weight is packed into one non-negative int, sum_i q_i Q_i with
+Q_i = 2^(B (n-1-i)), so q_0 sits in the top field and integer order is the
+lexicographic order of descent vectors.  A step down by a_i adds Q_i, the
+weight lam + r of a positive root r has the key k - r.Q, and the simple
+reflection s_i lam has the key k + lam_i Q_i.  Every descent coordinate is
+at most top = level_vector.L, the level of the lowest weight, and B is
+chosen with 2^(B-1) > top + max(theta), theta the highest root: a key k
+minus the key of a positive root r is then the key of lam + r when no
+field borrows, and no weight's key when one does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from operator import mul, sub
 
 __all__ = [
     "ConsistencyError",
@@ -272,55 +283,10 @@ def complete_descent(la: LieAlgebra, hw):
     Within a level the weights are sorted by descent vector (ascending
     lexicographically); this fixes the listing order everywhere else.
     """
-    return list(_descent_cached(la, _check_hw(la, hw)))
-
-
-@lru_cache(maxsize=None)
-def _descent_cached(la, hw):
-    A = cartan(la)
-    n = la.rank
-    rows = [tuple(r) for r in A]
-    found = {hw: (0,) * n}  # dynkin -> descent vector
-    levels = [[hw]]
-    current = [hw]
-    while current:
-        nxt = []
-        for lam in current:
-            q = found[lam]
-            for i in range(n):
-                row = rows[i]
-                # p = length of the raising string above lam in direction i;
-                # everything above is at a lower level, hence already found
-                p = 0
-                up = tuple(lam[j] + row[j] for j in range(n))
-                while up in found:
-                    p += 1
-                    up = tuple(up[j] + row[j] for j in range(n))
-                if p + lam[i] >= 1:
-                    child = tuple(lam[j] - row[j] for j in range(n))
-                    if child not in found:
-                        cq = list(q)
-                        cq[i] += 1
-                        found[child] = tuple(cq)
-                        nxt.append(child)
-        if nxt:
-            levels.append(nxt)
-        current = nxt
-    coeffs = _lowest_root_coeffs(la)
-    records = []
-    for lev, lams in enumerate(levels):
-        lams.sort(key=found.__getitem__)
-        for lam in lams:
-            records.append(
-                WeightRecord(
-                    level=lev,
-                    descent=found[lam],
-                    dynkin=lam,
-                    degeneracy=0,
-                    lowest_root_label=sum(c * x for c, x in zip(coeffs, lam)),
-                )
-            )
-    return tuple(records)
+    return [
+        WeightRecord(r.level, r.descent, r.dynkin, 0, r.lowest_root_label)
+        for r in _freudenthal_cached(la, _check_hw(la, hw))
+    ]
 
 
 def freudenthal(la: LieAlgebra, hw):
@@ -334,54 +300,106 @@ def freudenthal(la: LieAlgebra, hw):
     return list(_freudenthal_cached(la, _check_hw(la, hw)))
 
 
+def _descend(A, hw, Q):
+    """Keys of all weights, level by level and sorted within each level,
+    and the Dynkin labels of each key.
+
+    The key of lam - a_i is the key of lam plus Q_i.  The raising-string
+    length is memoized as p_i(lam) = p_i(lam + a_i) + 1, or 0 when
+    lam + a_i is no weight; lam - a_i is a weight iff p_i + lam_i >= 1.
+    """
+    n = len(hw)
+    dynkin = {0: hw}
+    levels = []
+    current = [0]
+    above = {}  # key -> raising-string lengths, on the level above
+    while current:
+        current.sort()
+        levels.append(current)
+        strings = {}
+        nxt = []
+        for k in current:
+            lam = dynkin[k]
+            ps = []
+            for i in range(n):
+                up = above.get(k - Q[i])
+                p = up[i] + 1 if up is not None else 0
+                ps.append(p)
+                if p + lam[i] >= 1:
+                    child = k + Q[i]
+                    if child not in dynkin:
+                        dynkin[child] = tuple(map(sub, lam, A[i]))
+                        nxt.append(child)
+            strings[k] = ps
+        above = strings
+        current = nxt
+    return levels, dynkin
+
+
 @lru_cache(maxsize=None)
 def _freudenthal_cached(la, hw):
-    recs = _descent_cached(la, hw)
     A = cartan(la)
     n = la.rank
     w = root_weights(la)
-    roots = positive_roots(la)
-    # Dynkin coordinates of each positive root
-    shifts = [
-        tuple(sum(r[i] * A[i][j] for i in range(n)) for j in range(n)) for r in roots
-    ]
+    # B-bit fields, q_0 on top (see the module docstring for the width)
+    top = sum(map(mul, level_vector(la), hw))
+    B = (top + max(highest_root(la))).bit_length() + 1
+    shifts = [B * (n - 1 - i) for i in range(n)]
+    Q = [1 << s for s in shifts]
+    mask = (1 << B) - 1
+    levels, dynkin = _descend(A, hw, Q)
+
+    # per positive root r: its key, r_j w_j, and 2(r, r) that steps 2(mu, r)
+    rkeys = []
+    for r in positive_roots(la):
+        rw = tuple(map(mul, r, w))
+        rdyn = [sum(r[i] * A[i][j] for i in range(n)) for j in range(n)]
+        rkeys.append((sum(map(mul, r, Q)), rw, 2 * sum(map(mul, rw, rdyn))))
+    coeffs = _lowest_root_coeffs(la)
     mult = {}
-    out = []
-    for rec in recs:
-        lam = rec.dynkin
-        i = next((i for i in range(n) if lam[i] < 0), None)
-        if i is not None:
-            m = mult[tuple(lam[j] - lam[i] * A[i][j] for j in range(n))]
-        elif rec.level == 0:
-            m = 1
-        else:
-            q = rec.descent
-            lhs = 0
-            for j in range(n):
-                if q[j]:
-                    lhs += q[j] * w[j] * (hw[j] + lam[j] + 2)
-            rhs = 0
-            for r, s in zip(roots, shifts):
-                mu = tuple(lam[j] + s[j] for j in range(n))
-                while mu in mult:
-                    # contribution 2*(mu, root) in Dynkin terms
-                    rhs += mult[mu] * 2 * sum(
-                        r[j] * w[j] * mu[j] for j in range(n) if r[j]
-                    )
-                    mu = tuple(mu[j] + s[j] for j in range(n))
-            if lhs <= 0:
-                raise ConsistencyError(
-                    f"{la.name} irrep {hw}: non-positive Freudenthal factor "
-                    f"at {lam}"
-                )
-            m, remainder = divmod(rhs, lhs)
-            if remainder:
-                raise ConsistencyError(
-                    f"{la.name} irrep {hw}: non-integral multiplicity at {lam}"
-                )
-        mult[lam] = m
-        out.append(replace(rec, degeneracy=m))
-    return tuple(out)
+    records = []
+    for lev, keys in enumerate(levels):
+        for k in keys:
+            lam = dynkin[k]
+            q = tuple([(k >> s) & mask for s in shifts])
+            for i, x in enumerate(lam):
+                if x < 0:
+                    m = mult[k + x * Q[i]]  # the key of s_i lam
+                    break
+            else:
+                m = 1 if lev == 0 else _dominant_mult(la, hw, lam, q, k, rkeys, mult)
+            mult[k] = m
+            records.append(WeightRecord(lev, q, lam, m, sum(map(mul, coeffs, lam))))
+    return tuple(records)
+
+
+def _dominant_mult(la, hw, lam, q, k, rkeys, mult):
+    """Freudenthal's sum at the dominant weight lam (descent q, key k) over
+    the weights mu = lam + t r above it, whose multiplicities mult holds."""
+    w = root_weights(la)
+    lhs = 0
+    for j, qj in enumerate(q):
+        if qj:
+            lhs += qj * w[j] * (hw[j] + lam[j] + 2)
+    rhs = 0
+    for off, rw, step in rkeys:
+        mu = k - off
+        if mu in mult:
+            c = 2 * sum(map(mul, rw, lam)) + step  # 2(mu, r) at mu = lam + r
+            while mu in mult:
+                rhs += mult[mu] * c
+                mu -= off
+                c += step
+    if lhs <= 0:
+        raise ConsistencyError(
+            f"{la.name} irrep {hw}: non-positive Freudenthal factor at {lam}"
+        )
+    m, remainder = divmod(rhs, lhs)
+    if remainder:
+        raise ConsistencyError(
+            f"{la.name} irrep {hw}: non-integral multiplicity at {lam}"
+        )
+    return m
 
 
 def weyl_dim(la: LieAlgebra, hw) -> int:
@@ -389,7 +407,8 @@ def weyl_dim(la: LieAlgebra, hw) -> int:
     hw = _check_hw(la, hw)
     w = root_weights(la)
     n = la.rank
-    dim = Fraction(1)
+    numer = 1
+    denom = 1
     for r in positive_roots(la):
         num = 0
         den = 0
@@ -398,7 +417,12 @@ def weyl_dim(la: LieAlgebra, hw) -> int:
                 kw = r[j] * w[j]
                 num += hw[j] * kw
                 den += kw
-        dim *= Fraction(num, den) + 1
-    if dim.denominator != 1:
-        raise ConsistencyError(f"non-integral Weyl dimension {dim} for {hw}")
-    return int(dim)
+        numer *= num + den
+        denom *= den
+    dim, rem = divmod(numer, denom)
+    if rem:
+        g = gcd(numer, denom)
+        raise ConsistencyError(
+            f"non-integral Weyl dimension {numer // g}/{denom // g} for {hw}"
+        )
+    return dim

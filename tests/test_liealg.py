@@ -1,9 +1,13 @@
 """Root data and weight machinery, checked against an independent
-root-string-closure oracle, an independent matrix inverse, and frozen
+root-string-closure oracle, an independent matrix inverse, a weight-set
+oracle built from that inverse and the Weyl reflections, and frozen
 reference listings."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -327,7 +331,7 @@ def oracle_freudenthal(la, hw):
     """Multiplicities by Freudenthal's sum over all positive roots at every
     weight, with no use of Weyl symmetry.  The roots come from
     oracle_positive_roots; only the weight list and its order are the
-    package's (complete_descent)."""
+    package's (complete_descent, itself checked by oracle_weight_set)."""
     recs = complete_descent(la, hw)
     A = cartan(la)
     n = la.rank
@@ -578,6 +582,106 @@ def test_property_freudenthal_sum_and_levels(data):
     R = level_vector(la)
     assert recs[-1].level == sum(r * h for r, h in zip(R, hw))
     assert recs[0].dynkin == hw and recs[0].degeneracy == 1
+
+
+# the nine families at small ranks, where irreps of dimension <= 2000 abound
+ORACLE_ALGEBRAS = (
+    [LieAlgebra("A", n) for n in (1, 2, 3, 5)]
+    + [LieAlgebra("B", n) for n in (2, 3, 4)]
+    + [LieAlgebra("C", n) for n in (2, 3, 4)]
+    + [LieAlgebra("D", n) for n in (3, 4, 5)]
+    + EXCEPTIONAL
+)
+
+
+@lru_cache(maxsize=None)
+def _irreps_up_to(la, max_dim):
+    """Every highest weight of dimension <= max_dim.  The Weyl dimension
+    grows with each label, so the set is grown from 0 one label at a time."""
+    zero = (0,) * la.rank
+    found = {zero}
+    todo = [zero]
+    while todo:
+        hw = todo.pop()
+        for i in range(la.rank):
+            up = hw[:i] + (hw[i] + 1,) + hw[i + 1:]
+            if up not in found and weyl_dim(la, up) <= max_dim:
+                found.add(up)
+                todo.append(up)
+    return sorted(found)
+
+
+def oracle_weight_set(la, hw):
+    """{(dynkin, descent)} of all weights, with no string walk.
+
+    A dominant mu is a weight iff hw - mu is a non-negative integer
+    combination of the simple roots, i.e. q = (hw - mu).A^-1 is; every
+    weight is a Weyl image of a dominant one.  The dominant mu are searched
+    in the box that (mu, mu) <= (hw, hw) gives, since the Gram matrix of
+    the fundamental weights, (w_i, w_j) ~ (A^-1)_ji |a_i|^2, is positive.
+    """
+    A = cartan(la)
+    n = la.rank
+    inv = oracle_inverse([list(r) for r in A])
+    den = 1
+    for row in inv:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    inv = [[int(x * den) for x in row] for row in inv]
+    r2 = root_weights(la)
+    gram = [[inv[j][i] * r2[i] for j in range(n)] for i in range(n)]
+
+    def norm(mu):
+        return sum(mu[i] * gram[i][j] * mu[j] for i in range(n) for j in range(n))
+
+    def descent(mu):
+        d = [h - m for h, m in zip(hw, mu)]
+        q = []
+        for j in range(n):
+            x, rem = divmod(sum(d[i] * inv[i][j] for i in range(n)), den)
+            if rem or x < 0:
+                return None
+            q.append(x)
+        return tuple(q)
+
+    bound = norm(hw)
+    box = []
+    for i in range(n):
+        m = 0
+        while (m + 1) ** 2 * gram[i][i] <= bound:
+            m += 1
+        box.append(range(m + 1))
+    weights = {mu for mu in product(*box) if descent(mu) is not None}
+    todo = list(weights)
+    while todo:
+        mu = todo.pop()
+        for i in range(n):
+            if mu[i]:
+                nu = tuple(x - mu[i] * a for x, a in zip(mu, A[i]))
+                if nu not in weights:
+                    weights.add(nu)
+                    todo.append(nu)
+    return {(mu, descent(mu)) for mu in weights}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_descent_matches_weight_set_oracle(data):
+    la = data.draw(st.sampled_from(ORACLE_ALGEBRAS))
+    hw = data.draw(st.sampled_from(_irreps_up_to(la, 2000)))
+    recs = complete_descent(la, hw)
+    want = oracle_weight_set(la, hw)
+    assert {(r.dynkin, r.descent) for r in recs} == want
+    assert [(r.level, r.descent) for r in recs] == sorted(
+        (sum(q), q) for _, q in want
+    )
+
+
+def test_weight_set_oracle_counts():
+    # weights, not states: the 27 of SU(3) has 19, the 248 of E8 241
+    assert len(oracle_weight_set(LieAlgebra("A", 2), (2, 2))) == 19
+    assert len(oracle_weight_set(LieAlgebra("E8", 8), adjoint_hw(LieAlgebra("E8", 8)))) == 241
+    assert len(oracle_weight_set(LieAlgebra("G2", 2), (1, 0))) == 7
 
 
 def test_highest_root_heights():
