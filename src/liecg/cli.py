@@ -361,6 +361,8 @@ def _parse_coeff(tok):
         return parse_field(tok)
     except ValueError:
         raise ValueError(f"cannot read coefficient {tok!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {tok!r} divides by zero")
 
 
 class _Script:
@@ -464,6 +466,8 @@ class _Script:
         (name,) = toks
         r, v = self._get(self.vectors, name, "vector")
         nu = field_sqrt(mt.scp(r, v, v))
+        if nu.is_zero():
+            raise ValueError(f"vector {name!r} has norm 0")
         self.vectors[name] = (r, v.scaled(nu.invert()))
 
     def v_basis(self, toks):

@@ -10,13 +10,38 @@ decomposition) with the expansion of each of its states over such trees.
 Expansions are computed on demand and memoized per node, since a fully
 eager 4-fold expansion can be very large.
 
+Expansions are kept over Q.  Every factor has a rational form
+(Irrep.rational_form): in the basis u_l = sqrt(r_l) e_l, r_l the
+square-free class of leaf l, its tables are rational; a tree L stands for
+u_L, the product of its leaves' u_l.  A node keeps its state s rescaled
+as x_s = sqrt(rho_s) e_s, with
+
+    x_s = sum over h of sqrt(h)/D * sum over L of W_h[L] u_L
+
+for h square-free, W_h a dict {tree: int} and D > 0 an int: the pair
+(D, {h: W_h}).  A wrapped factor has rho_s = r_s, so x_s = u_s is one
+leaf.  otimes reads each state of the irrep it selects as sign*v/sqrt(N)
+from prepare, v a rational vector over the children's u_a x u_b, and keeps
+rho_s = N, so x_s = sign*v with every child state entering as
+u_a = sqrt(r_a/rho_a) x_a: it multiplies only integers, one radical per
+child state, and classes multiply through gcd, as in SqrtSum.  filter,
+chbasis and scale keep their child's rho.  Radicals enter only with the
+script literals of scale and chbasis, each folded in per class, and leave
+only in expand (which untree and tensor_coeff read; is_sym compares the
+integers): the coefficient of e_L in e_s is
+W_h[L]/D * sqrt(h * prod r_l / rho_s).
+
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
-directions introduced by chbasis_list, e.g. a vev direction -1.
+directions introduced by chbasis_list, e.g. a vev direction -1; they have
+class 1, as has any label that is not a state of its factor.
 """
 
 from __future__ import annotations
 
-from .exactnum import FieldElem, ZERO
+from fractions import Fraction
+from math import gcd, lcm
+
+from .exactnum import FieldElem, SqrtSum, _sqrt
 from .linalg import LabeledVector, invert_matrix
 from .irrep import Irrep, new_imported_irrep
 from .tensor import Decomposition, decompose, prepare_with_states
@@ -63,28 +88,94 @@ def _graft(shape, it):
     return next(it)
 
 
-class TensorNode:
-    """An irrep together with the expansion of its states over label trees."""
+def _mul_class(f1, f2):
+    """(f, m) with sqrt(f1)*sqrt(f2) == m*sqrt(f), for square-free f1, f2."""
+    g = gcd(f1, f2)
+    return (f1 // g) * (f2 // g), g
 
-    def __init__(self, irrep: Irrep, fn, factors, shape):
+
+def _literal(c: FieldElem):
+    """{f: q} with c == sum of q*sqrt(f), its denominator rationalized."""
+    return c.rationalize().num.terms
+
+
+def _reduced(den, parts):
+    """(den, parts) with zero entries and empty classes dropped and the
+    common divisor of den and every entry divided out."""
+    out = {}
+    for h, w in parts.items():
+        w = {tr: x for tr, x in w.items() if x}
+        if w:
+            out[h] = w
+    g = gcd(den, *(x for w in out.values() for x in w.values()))
+    if g != 1:
+        den //= g
+        out = {h: {tr: x // g for tr, x in w.items()} for h, w in out.items()}
+    return den, out
+
+
+class TensorNode:
+    """An irrep together with the expansion of its states over label trees.
+
+    fn(state) gives the rational expansion (D, {h: W_h}) of x_state =
+    sqrt(rho(state)) e_state (module docstring); it is memoized, expand
+    converts it to FieldElem coefficients on every call."""
+
+    def __init__(self, irrep: Irrep, fn, factors, shape, rho):
         self.irrep = irrep
         self.factors = factors  # factor Irreps in leaf order
         self.shape = shape  # nested tuple, leaves are None placeholders
         self._fn = fn
+        self._rho = rho
         self._memo = {}
+        self._u_memo = {}
 
     @property
     def nfactors(self) -> int:
         return len(self.factors)
 
-    def expand(self, state: int) -> LabeledVector:
-        if state not in self.irrep.kets:
-            raise ValueError(f"no state labeled {state}")
+    def _rational(self, state: int):
         got = self._memo.get(state)
         if got is None:
-            got = self._fn(state)
-            self._memo[state] = got
+            got = self._memo[state] = self._fn(state)
         return got
+
+    def _u(self, state: int):
+        """(c, f, parts): u_state = sqrt(r_state) e_state is c*sqrt(f)
+        times the sum over h of sqrt(h) * sum of W_h[L] u_L."""
+        got = self._u_memo.get(state)
+        if got is None:
+            den, parts = self._rational(state)
+            r = self.irrep.rational_form().r[state]
+            f, k = _sqrt(Fraction(r) / self._rho(state))
+            got = self._u_memo[state] = k / den, f, parts
+        return got
+
+    def _field_parts(self, state: int):
+        """(q, {tree: {f: n}}) with e_state == q times the sum over trees L
+        of sum n*sqrt(f) e_L; q > 0."""
+        if state not in self.irrep.kets:
+            raise ValueError(f"no state labeled {state}")
+        den, parts = self._rational(state)
+        f0, k = _sqrt(1 / Fraction(self._rho(state)))
+        classes = [fac.rational_form().r for fac in self.factors]
+        out = {}
+        for h, w in parts.items():
+            h, m0 = _mul_class(h, f0)
+            for tr, x in w.items():
+                f, m = h, m0
+                for r, leaf in zip(classes, tree_leaves(tr)):
+                    f, g = _mul_class(f, r.get(leaf, 1))
+                    m *= g
+                out.setdefault(tr, {})[f] = x * m
+        return k / den, out
+
+    def expand(self, state: int) -> LabeledVector:
+        q, parts = self._field_parts(state)
+        return LabeledVector._raw({
+            tr: FieldElem(SqrtSum({f: n * q for f, n in t.items()}))
+            for tr, t in parts.items()
+        })
 
     def __repr__(self):
         return f"TensorNode({self.irrep!r}, {self.nfactors} factors)"
@@ -92,7 +183,8 @@ class TensorNode:
 
 def wrap(r: Irrep) -> TensorNode:
     """A single-factor node: each ket expands to its own leaf."""
-    return TensorNode(r, LabeledVector.unit, [r], None)
+    return TensorNode(r, lambda s: (1, {1: {s: 1}}), [r], None,
+                      lambda s: r.rational_form().r[s])
 
 
 def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
@@ -108,14 +200,40 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
     imp = new_imported_irrep(a.irrep.algebra, data)
 
     def fn(s):
-        terms = []
-        for c, (al, bl) in states[s].terms:
-            for ca, ta in a.expand(al).terms:
-                for cb, tb in b.expand(bl).terms:
-                    terms.append((c * ca * cb, (ta, tb)))
-        return LabeledVector(terms)
+        # x_s = sign * sum of v_ab u_a x u_b, and u_a = ca*sqrt(fa) * ...
+        v, sign, _ = states.rational[s]
+        pairs = []
+        for (al, bl), q in v.items():
+            ca, fa, pa = a._u(al)
+            cb, fb, pb = b._u(bl)
+            pairs.append((q * sign * ca * cb, fa, fb, pa, pb))
+        den = lcm(*(c.denominator for c, *_ in pairs))
+        out = {}
+        classes = {}
+        for c, fa, fb, pa, pb in pairs:
+            n = c.numerator * (den // c.denominator)
+            for h1, wa in pa.items():
+                for h2, wb in pb.items():
+                    hm = classes.get((fa, fb, h1, h2))
+                    if hm is None:
+                        h, m1 = _mul_class(fa, fb)
+                        h, m2 = _mul_class(h, h1)
+                        h, m3 = _mul_class(h, h2)
+                        hm = classes[fa, fb, h1, h2] = h, m1 * m2 * m3
+                    h, m = hm
+                    acc = out.get(h)
+                    if acc is None:
+                        acc = out[h] = {}
+                    nm = n * m
+                    for ta, xa in wa.items():
+                        x = nm * xa
+                        for tb, xb in wb.items():
+                            key = (ta, tb)
+                            acc[key] = acc.get(key, 0) + x * xb
+        return _reduced(den, out)
 
-    return TensorNode(imp, fn, a.factors + b.factors, (a.shape, b.shape))
+    return TensorNode(imp, fn, a.factors + b.factors, (a.shape, b.shape),
+                      lambda s: states.rational[s][2])
 
 
 def expand(t: TensorNode, state: int) -> LabeledVector:
@@ -142,19 +260,31 @@ def _check_factor(t: TensorNode, factor: int):
     return factor - 1
 
 
+def _termwise(t: TensorNode, den: int, image) -> TensorNode:
+    """t with every term x*sqrt(h) u_L of a state replaced by the sum of
+    x*n*sqrt(h*f)/den u_L2 over the (L2, f, n) in image(L)."""
+
+    def fn(s):
+        d, parts = t._rational(s)
+        out = {}
+        for h, w in parts.items():
+            for tr, x in w.items():
+                for tr2, f, n in image(tr):
+                    h2, m = _mul_class(h, f)
+                    acc = out.setdefault(h2, {})
+                    acc[tr2] = acc.get(tr2, 0) + x * n * m
+        return _reduced(d * den, out)
+
+    return TensorNode(t.irrep, fn, t.factors, t.shape, t._rho)
+
+
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     """Keep only terms whose leaf at the factor position is in keep.
     No renormalization is applied."""
     idx = _check_factor(t, factor)
     keep_set = set(keep)
-
-    def fn(s):
-        return LabeledVector(
-            (c, tr) for c, tr in t.expand(s).terms
-            if tree_leaves(tr)[idx] in keep_set
-        )
-
-    return TensorNode(t.irrep, fn, t.factors, t.shape)
+    return _termwise(t, 1, lambda tr: [(tr, 1, 1)]
+                     if tree_leaves(tr)[idx] in keep_set else ())
 
 
 def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
@@ -162,25 +292,37 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
     of (old label, LabeledVector over new labels).  Encountering a leaf
     missing from trafo is an error."""
     idx = _check_factor(t, factor)
-    tmap = dict(trafo)
+    # e_old = sum c e_new, so u_old = sum c*sqrt(r_old/r_new) u_new: per
+    # old label the (new label, class, coefficient) terms of that sum, all
+    # coefficients over the common denominator den
+    cls = t.factors[idx].rational_form().r
+    rows = {}
+    for old, vec in trafo:
+        r_old = cls.get(old, 1)
+        row = rows[old] = []
+        for c, new in vec.terms:
+            r_new = cls.get(new, 1)
+            for f, q in _literal(c).items():
+                f, m1 = _mul_class(f, r_old)
+                f, m2 = _mul_class(f, r_new)
+                row.append((new, f, q * m1 * m2 / r_new))
+    den = lcm(*(q.denominator for row in rows.values() for _, _, q in row))
+    tmap = {old: [(new, f, int(q * den)) for new, f, q in row]
+            for old, row in rows.items()}
 
-    def fn(s):
-        terms = []
-        for c, tr in t.expand(s).terms:
-            leaves = tree_leaves(tr)
-            sub = tmap.get(leaves[idx])
-            if sub is None:
-                raise ValueError(
-                    f"label {leaves[idx]} at factor {factor} has no image "
-                    "in the basis transformation"
-                )
-            for c2, new_lab in sub.terms:
-                leaves2 = list(leaves)
-                leaves2[idx] = new_lab
-                terms.append((c * c2, _graft(tr, iter(leaves2))))
-        return LabeledVector(terms)
+    def image(tr):
+        leaves = tree_leaves(tr)
+        sub = tmap.get(leaves[idx])
+        if sub is None:
+            raise ValueError(
+                f"label {leaves[idx]} at factor {factor} has no image "
+                "in the basis transformation"
+            )
+        for new, f, n in sub:
+            leaves[idx] = new
+            yield _graft(tr, iter(leaves)), f, n
 
-    return TensorNode(t.irrep, fn, t.factors, t.shape)
+    return _termwise(t, den, image)
 
 
 def chbasis_list(basis, offset: int):
@@ -228,16 +370,18 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
         )
     verdict = 0
     for lab in t.irrep.kets:
-        e = t.expand(lab)
-        if e.is_zero():
+        # the coefficients of e_L up to one positive factor
+        _, e = t._field_parts(lab)
+        if not e:
             continue
-        swapped = LabeledVector(
-            (c, _graft(tr, iter(_swapped_leaves(tr, i1, i2))))
-            for c, tr in e.terms
-        )
+        swapped = {
+            _graft(tr, iter(_swapped_leaves(tr, i1, i2))): c
+            for tr, c in e.items()
+        }
         if swapped == e:
             v = 1
-        elif swapped == -e:
+        elif swapped == {tr: {f: -n for f, n in c.items()}
+                         for tr, c in e.items()}:
             v = -1
         else:
             return 0
@@ -255,9 +399,10 @@ def _swapped_leaves(tr, i1, i2):
 
 
 def scale(t: TensorNode, c: FieldElem) -> TensorNode:
-    return TensorNode(
-        t.irrep, lambda s: t.expand(s).scaled(c), t.factors, t.shape
-    )
+    lit = _literal(c)
+    den = lcm(*(q.denominator for q in lit.values()))
+    ints = [(f, int(q * den)) for f, q in lit.items()]
+    return _termwise(t, den, lambda tr: [(tr, f, n) for f, n in ints])
 
 
 def tensor_coeff(t: TensorNode, state: int, leaves) -> FieldElem:

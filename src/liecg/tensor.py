@@ -234,24 +234,26 @@ class _States(Sequence):
 
 
 class _StateMap(Mapping):
-    """Read-only label -> FieldElem state view, converted on access."""
+    """Read-only label -> normalized FieldElem state view, converted on
+    access.  rational[a] is the (v_a, sign_a, N_a) the state of label a is
+    read from: it equals sign_a * v_a / sqrt(N_a), v_a a rational vector."""
 
-    __slots__ = ("_keys", "_convert")
+    __slots__ = ("rational", "_convert")
 
-    def __init__(self, keys, convert):
-        self._keys = keys
+    def __init__(self, rational, convert):
+        self.rational = rational
         self._convert = convert
 
     def __len__(self):
-        return len(self._keys)
+        return len(self.rational)
 
     def __iter__(self):
-        return iter(self._keys)
+        return iter(self.rational)
 
     def __getitem__(self, key):
-        if key not in self._keys:
+        if key not in self.rational:
             raise KeyError(key)
-        return self._convert(key)
+        return self._convert(*self.rational[key])
 
 
 class ProductIrrep:
@@ -538,7 +540,7 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     with are rescaled from the descended to the normalized states: the
     normalized state of label a is sign_a * v_a / sqrt(N_a), N_a = <v_a|v_a>
     and sign_a the sign of the leading coefficient of v_a.  The map converts
-    each state on access.
+    each state on access; its `rational` dict holds (v_a, sign_a, N_a).
     """
     la = l.algebra
     if not p.descended:
@@ -601,12 +603,13 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                         g * sign[a] * sign[b], 1 / (norm[a] * norm[b])
                     )
 
-    def normalized(a):
-        f, k = _sqrt(1 / norm[a])
-        return _to_field([(f, k * sign[a], vec[a])], fl.r, fr.r)
+    def normalized(v, sgn, nrm):
+        f, k = _sqrt(1 / nrm)
+        return _to_field([(f, k * sgn, v)], fl.r, fr.r)
 
     data = ImportedIrrepData(algebra=la, kets=kets, lowering=lowering, scp=scp)
-    return data, _StateMap(vec, normalized)
+    rational = {a: (vec[a], sign[a], norm[a]) for a in vec}
+    return data, _StateMap(rational, normalized)
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:

@@ -1,5 +1,6 @@
 """Command-line behavior: transcripts, exit codes, dumps, scripts."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,9 @@ import pytest
 
 from liecg import cli
 from liecg.liealg import LieAlgebra
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 SU3_OCTET_LISTING = """\
 Lie algebra   :   SU(3)
@@ -377,6 +381,39 @@ def test_su4_script_pipeline(capsys, tmp_path):
     )
 
 
+# SU(3) 8 x 8 x 8 x 8 down to the 125, the largest print of the benchmark
+OCTET4_SCRIPT = """\
+algebra a 2
+irrep r8 11
+wrap t8 r8
+otimes a t8 t8 1
+otimes b a t8 1
+otimes c b t8 1
+print c
+"""
+OCTET4_CHARS = 385433
+OCTET4_SHA256 = "1fe2e8e3367be0cd926d0743c1a84030084734e60b16a78648f00bba47f15528"
+
+
+@pytest.mark.parametrize("hashseed", ["0", "2718"])
+def test_octet4_print_golden(tmp_path, hashseed):
+    # a fresh interpreter per string-hash seed, so that an expansion whose
+    # listing leaned on dict or set order would show
+    path = tmp_path / "octet4.lie"
+    path.write_text(OCTET4_SCRIPT)
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecg", "--script", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath),
+        timeout=600,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout) == OCTET4_CHARS
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == OCTET4_SHA256
+
+
 def test_script_unknown_verb(capsys, tmp_path):
     path = tmp_path / "s.lie"
     path.write_text("algebra a 2\nirrep r 10\nwrap t r\nfrobnicate t\n")
@@ -400,6 +437,27 @@ def test_script_huge_irrep_fails_fast(capsys, tmp_path):
     assert rc == 1 and out == "" and f"{path}:2" in err
     assert "1329227995784915872903807060280344576" in err
     assert str(cli.MAX_DIM) in err
+
+
+def test_script_normalize_zero_vector(capsys, tmp_path):
+    path = tmp_path / "s.lie"
+    path.write_text("algebra a 2\nirrep r8 11\nvector v r8 1:0\nnormalize v\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert f"{path}:4: normalize: vector 'v' has norm 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "(1)/(0)"])
+def test_script_coefficient_divides_by_zero(capsys, tmp_path, coeff):
+    path = tmp_path / "s.lie"
+    path.write_text(
+        f"algebra a 2\nirrep r 10\nwrap t r\nscale s t {coeff}\nprint s\n"
+    )
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert f"{path}:4: scale: coefficient '{coeff}' divides by zero" in err
+    assert "Traceback" not in err
 
 
 def test_script_needs_algebra_first(capsys, tmp_path):

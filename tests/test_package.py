@@ -1,6 +1,14 @@
-"""The package namespace: the names `from liecg import *` exports."""
+"""The package namespace: the names `from liecg import *` exports, and
+the test dependencies CI installs."""
+
+import re
+from pathlib import Path
+
+import pytest
 
 import liecg
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the exported set when __all__ was still a hand-kept list, less
 # UnsupportedIrrepError and scp_zero_weights, which left with the
@@ -34,3 +42,13 @@ def test_exported_names_resolve():
     assert EXPORTED <= set(ns)
     for name in EXPORTED:
         assert ns[name] is getattr(liecg, name)
+
+
+def test_ci_installs_the_test_extra():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    installs = re.findall(r"pip install (.+)$", workflow, re.M)
+    assert len(installs) == 1
+    assert set(installs[0].split()) == set(extra)
