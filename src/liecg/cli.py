@@ -256,7 +256,6 @@ def _import_irrep(la, path):
         raise UsageError(f"cannot read {path}: {e.strerror}")
     try:
         r = new_imported_irrep(la, ImportedIrrepData.from_json(text))
-        r.rational_form()
     except InvalidImportError as e:
         raise InvalidImportError(f"{path}: {e}") from e
     return r

@@ -405,8 +405,8 @@ ZERO = FieldElem(_SS_ZERO)
 ONE = FieldElem(_SS_ONE)
 
 
-# single_radical, _sqrt and _times_sqrt serve the rational forms of irrep
-# and tensor; they stay out of __all__ and so out of the package namespace
+# single_radical, _sqrt and _times_sqrt serve the rational forms; they stay
+# out of __all__ and so out of the package namespace
 
 def single_radical(x: FieldElem):
     """(q, f) with x == q*sqrt(f), q a nonzero Fraction and f square-free,
@@ -424,10 +424,11 @@ def _sqrt(x):
     return f, Fraction(s, x.denominator)
 
 
-def _times_sqrt(q, x) -> FieldElem:
-    """q*sqrt(x) for rationals q != 0 and x > 0."""
-    f, k = _sqrt(x)
-    return FieldElem(SqrtSum({f: k * q}))
+def _times_sqrt(q, n, d) -> FieldElem:
+    """q*sqrt(n/d) for a rational q != 0 and square-free n, d > 0: with
+    g = gcd(n, d), it is q/(d/g) * sqrt((n/g)*(d/g)), a square-free root."""
+    g = math.gcd(n, d)
+    return FieldElem(SqrtSum({(n // g) * (d // g): Fraction(q, d // g)}))
 
 
 def number(a: int, b: int, n: int) -> FieldElem:

@@ -3,26 +3,27 @@
 Basis states are labeled 1..dim in listing order: level ascending, descent
 vector ascending within a level, degeneracy index ascending within a weight.
 
+An irrep holds its rational form (Kostant's Z-form): each label a carries a
+square-free class r_a such that in the rescaled basis u_a = sqrt(r_a) e_a
+all lowering entries and all scalar products are rational.  The unit-basis
+FieldElem tables, `Irrep.lower` and `Irrep.scalar_product`, are views of
+it.  Scalar products are 1 on the diagonal and 0 across different weights;
+inside a degenerate weight block they need not vanish (sqrt(A_ab A_ba)/2
+for the adjoint zero states).  In multiplicity-free irreps and in the
+adjoint every lowering entry is positive; in other irreps some can be
+negative.
+
 `new_generic_irrep` builds any irrep from scratch with the contravariant
 (Shapovalov) form on the lowering monomials F_i ... F_j |hw>, over Q: at
 each weight it keeps the first monomials that are independent under the
-form, and normalizes them to unit length at the end.  Lowering entries and
-scalar products are therefore square roots of rationals.  Scalar products
-are 1 on the diagonal and 0 across different weights; inside a degenerate
-weight block they need not vanish (sqrt(A_ab A_ba)/2 for the adjoint zero
-states).  In multiplicity-free irreps and in the adjoint every lowering
-entry is positive; in other irreps some can be negative.
+form.  A kept monomial a of norm k_a^2 r_a is k_a u_a, so the form comes
+straight from its tables, as it does in the tensor module's
+`prepare_with_states` for an irrep found in a product.
 
-Irreps can also be imported from tensor-product data (the tensor module's
-`prepare` emits it, `new_imported_irrep` consumes it).
-
-Every irrep built or prepared here has a rational form (Kostant's Z-form):
-each label a carries a square-free class r_a such that in the rescaled
-basis u_a = sqrt(r_a) e_a all lowering entries and all scalar products are
-rational.  `Irrep.rational_form` derives it once, on first use, by pushing
-the classes down the lowering table from the highest weight.  The
-consistency sweep `Irrep.check_consistency` runs on it, so an imported file
-without one is refused there as well as in a product.
+`ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
+files: `from_irrep` renders them from the form, `new_imported_irrep`
+derives the form back by pushing the classes down the lowering table from
+the highest weight, and refuses a file that has none.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .exactnum import (
     FieldElem,
     parse_field,
     single_radical,
+    _sqrt,
     _square_free,
     _times_sqrt,
 )
@@ -82,13 +84,12 @@ class Irrep:
     Not built directly: use `new_generic_irrep` or `new_imported_irrep`.
     """
 
-    def __init__(self, algebra, hw, kets, lowering, scp, origin):
+    def __init__(self, algebra, hw, kets, form, origin):
         self.algebra = algebra
         self.hw = tuple(hw)
         self.kets = kets  # label -> Ket
         self.origin = origin
-        self._lowering = lowering  # (root, label) -> LabeledVector
-        self._scp = scp  # (a, b) with a < b, same weight -> FieldElem
+        self._form = form  # RationalForm
         self.dim = len(kets)
         self.weight_of = {lab: k.dynkin for lab, k in kets.items()}
         by_w = {}
@@ -100,22 +101,23 @@ class Irrep:
         self.label_of = {
             (k.dynkin, k.deg_index): lab for lab, k in kets.items()
         }
-        self._rational = None
 
     def __repr__(self):
         return f"Irrep({self.algebra.name}, {self.hw}, dim={self.dim}, {self.origin})"
 
     def lower(self, root, state):
         """E_-root applied to a basis state, as a vector over basis labels."""
-        return self._lowering.get((root, state), _EMPTY)
+        return LabeledVector._raw(
+            {t: c for c, t in _unit_row(self._form, root, state)}
+        )
 
     def scalar_product(self, a, b):
         if a == b:
             return ONE
-        if self.weight_of[a] != self.weight_of[b]:
-            return ZERO
-        key = (a, b) if a < b else (b, a)
-        return self._scp.get(key, ZERO)
+        g = dict(self._form.gram[a]).get(b)  # its weight block only
+        r = self._form.r
+        # g/sqrt(r_a*r_b) == (g/r_a)*sqrt(r_a/r_b)
+        return ZERO if g is None else _times_sqrt(Fraction(g, r[a]), r[a], r[b])
 
     def vector_scp(self, u, v):
         """Scalar product of two linear combinations of basis states."""
@@ -130,11 +132,8 @@ class Irrep:
         return acc
 
     def rational_form(self) -> "RationalForm":
-        """The irrep in the rescaled basis u_a = sqrt(r_a) e_a, derived on
-        first use; InvalidImportError if the tables have no such form."""
-        if self._rational is None:
-            self._rational = _derive_rational_form(self)
-        return self._rational
+        """The irrep in the rescaled basis u_a = sqrt(r_a) e_a."""
+        return self._form
 
     def check_consistency(self, labels=None, roots=None):
         """Verify the string sum rule on the given states (all by default).
@@ -146,10 +145,9 @@ class Irrep:
         is rational.  G^-1.u comes from a tracking _Reducer holding the rows
         of G: G is symmetric, so the coordinates of u in terms of its rows
         are G^-1.u.  Raises ConsistencyError on the first violation or on a
-        singular block, InvalidImportError if the tables have no rational
-        form.
+        singular block.
         """
-        rf = self.rational_form()
+        rf = self._form
         la = self.algebra
         A = cartan(la)
         blocks = {}  # weight -> (its states, _Reducer over their Gram rows)
@@ -196,21 +194,19 @@ class Irrep:
         return ups, red
 
 
-_EMPTY = LabeledVector()
-
-
 class RationalForm(NamedTuple):
     """Lowering table and Gram matrix of an irrep over Q, in the basis
     u_a = sqrt(r_a) e_a.
 
     r: label -> square-free class r_a (r_1 == 1);
-    lower[i]: label -> ((target, q), ...) with E_-i u_a = sum q u_target;
+    lower[i], for each root i in 1..rank: label -> ((target, q), ...) with
+    E_-i u_a = sum q u_target;
     gram: label -> ((b, g), ...) over a's weight block, <u_a|u_b> = g,
     the diagonal entry (a, r_a) included.
     """
 
     r: dict
-    lower: list
+    lower: dict
     gram: dict
 
 
@@ -219,21 +215,31 @@ def _rational(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def _derive_rational_form(irr: Irrep) -> RationalForm:
-    """Propagate the classes from state 1 through the lowering table: an
-    entry q*sqrt(f) from a to t gives r_t = squarefree(f*r_a) and the
-    rational entry q*sqrt(f*r_a/r_t)."""
-    n = irr.algebra.rank
+def _unit_row(rf, i, a):
+    """E_-i e_a in the unit basis, as (coefficient, target) pairs in label
+    order: an entry q from a to t reads q*sqrt(r_t/r_a)."""
+    r = rf.r
+    return tuple(
+        (_times_sqrt(q, r[t], r[a]), t)
+        for t, q in rf.lower.get(i, {}).get(a, ())
+    )
+
+
+def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
+    """The rational form of unit-basis tables, (root, a) -> LabeledVector
+    and (a, b) -> nonzero FieldElem for a < b.  The classes propagate from
+    state 1 through the lowering table: an entry q*sqrt(f) from a to t gives
+    r_t = squarefree(f*r_a) and the rational entry q*sqrt(f*r_a/r_t)."""
     r = {1: 1}
-    lower = [None] + [{} for _ in range(n)]
+    lower = {i: {} for i in range(1, rank + 1)}
     queue = [1]
     for a in queue:  # breadth first: a has its class when it is reached
-        for i in range(1, n + 1):
-            terms = irr.lower(i, a).terms
-            if not terms:
+        for i in range(1, rank + 1):
+            vec = lowering.get((i, a))
+            if vec is None:
                 continue
             row = []
-            for c, t in terms:
+            for c, t in vec.terms:
                 term = single_radical(c)
                 if term is None:
                     raise InvalidImportError(
@@ -255,14 +261,14 @@ def _derive_rational_form(irr: Irrep) -> RationalForm:
                     )
                 row.append((t, _rational(q * s)))
             lower[i][a] = tuple(row)
-    missing = [lab for lab in irr.kets if lab not in r]
+    missing = [lab for lab in kets if lab not in r]
     if missing:
         raise InvalidImportError(
             f"no rational form: state {min(missing)} is not reached by "
             "lowering from state 1"
         )
-    gram = {a: [(a, r[a])] for a in irr.kets}
-    for (a, b), v in irr._scp.items():
+    gram = {a: [(a, r[a])] for a in kets}
+    for (a, b), v in scp.items():
         q, f = single_radical(v) or (0, 0)
         s, cls = _square_free(f * r[a] * r[b])
         if cls != 1:
@@ -274,6 +280,29 @@ def _derive_rational_form(irr: Irrep) -> RationalForm:
         gram[a].append((b, g))
         gram[b].append((a, g))
     return RationalForm(r, lower, {a: tuple(g) for a, g in gram.items()})
+
+
+def _scaled_form(rank, low, gram):
+    """The rational form of states with lowering table low, (root, a) ->
+    {target: q}, and Gram rows gram, a -> {b: g} over a's weight block.
+    State 1 has norm 1 and state a norm k_a^2 r_a, so u_a = a/k_a: an entry
+    q from a to t becomes q*k_t/k_a, a Gram entry g/(k_a*k_b).  Rows are in
+    label order, each Gram row with its diagonal first."""
+    r, k = {}, {}
+    for a, row in gram.items():
+        r[a], k[a] = _sqrt(row[a])
+    lower = {i: {} for i in range(1, rank + 1)}
+    for (i, a), v in low.items():
+        lower[i][a] = tuple(
+            (t, _rational(q * k[t] / k[a])) for t, q in sorted(v.items())
+        )
+    return RationalForm(r, lower, {
+        a: ((a, r[a]),) + tuple(
+            (b, _rational(g / (k[a] * k[b])))
+            for b, g in sorted(row.items()) if b != a
+        )
+        for a, row in gram.items()
+    })
 
 
 def _nonzero(vec):
@@ -296,8 +325,8 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
     - a row independent of those kept makes the candidate the next state of
       nu; a dependent row gives the candidate's lowering coordinates.
 
-    The kept count at each weight must be Freudenthal's multiplicity.  Unit
-    normalization happens only at the end.
+    The kept count at each weight must be Freudenthal's multiplicity.  The
+    rational form is read off these tables at the end.
     """
     hw = tuple(hw)
     A = cartan(la)
@@ -349,21 +378,7 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
         at[nu] = [t for t, _, _ in kept]
         for t, cand, _ in kept:
             gram[t] = _nonzero({t2: row2.get(cand, 0) for t2, _, row2 in kept})
-    # unit vectors e_a = a / sqrt(G_aa)
-    norm = {a: Fraction(g[a]) for a, g in gram.items()}
-    lowering = {
-        (i, a): LabeledVector(
-            (_times_sqrt(q, norm[t] / norm[a]), t) for t, q in v.items()
-        )
-        for (i, a), v in low.items()
-    }
-    scp = {
-        (a, b): _times_sqrt(g, 1 / (norm[a] * norm[b]))
-        for a, row in gram.items()
-        for b, g in row.items()
-        if a < b
-    }
-    return Irrep(la, hw, kets, lowering, scp, "generic")
+    return Irrep(la, hw, kets, _scaled_form(la.rank, low, gram), "generic")
 
 
 def lower(r: Irrep, root: int, state: int) -> LabeledVector:
@@ -383,7 +398,8 @@ def scalar_product(r: Irrep, a: int, b: int) -> FieldElem:
 @dataclass
 class ImportedIrrepData:
     """Everything needed to rebuild an irrep found inside a tensor product:
-    the labeled kets, the lowering table, and the scalar products.
+    the labeled kets, the lowering table, and the scalar products, in the
+    unit basis.
 
     Serializes to a stable JSON document; coefficients are rendered with
     FieldElem.plain() and parsed back exactly.
@@ -398,12 +414,21 @@ class ImportedIrrepData:
 
     @classmethod
     def from_irrep(cls, r: Irrep) -> "ImportedIrrepData":
-        """Snapshot an existing irrep's tables (handy for dumping)."""
+        """An irrep's unit-basis tables, rendered from its rational form."""
+        rf = r.rational_form()
         return cls(
             algebra=r.algebra,
             kets=dict(r.kets),
-            lowering={k: tuple(v.terms) for k, v in r._lowering.items()},
-            scp=dict(r._scp),
+            lowering={
+                (i, a): _unit_row(rf, i, a)
+                for i, rows in rf.lower.items() for a in rows
+            },
+            scp={
+                (a, b): r.scalar_product(a, b)
+                for a, row in rf.gram.items()
+                for b, _ in row
+                if a < b
+            },
         )
 
     def to_json_dict(self):
@@ -429,6 +454,8 @@ class ImportedIrrepData:
 
     @classmethod
     def from_json_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise InvalidImportError("malformed irrep data: not a JSON object")
         try:
             if doc.get("format") != cls.FORMAT:
                 raise InvalidImportError(f"unknown format {doc.get('format')!r}")
@@ -440,10 +467,10 @@ class ImportedIrrepData:
             lowering = {}
             for state, root, terms in doc["lowering"]:
                 lowering[(int(root), int(state))] = tuple(
-                    (parse_field(c), int(t)) for c, t in terms
+                    (_coefficient(c), int(t)) for c, t in terms
                 )
             scp = {
-                (int(a), int(b)): parse_field(v) for a, b, v in doc["scp"]
+                (int(a), int(b)): _coefficient(v) for a, b, v in doc["scp"]
             }
         except InvalidImportError:
             raise
@@ -458,6 +485,15 @@ class ImportedIrrepData:
         except json.JSONDecodeError as exc:
             raise InvalidImportError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+def _coefficient(text):
+    if not isinstance(text, str):
+        raise InvalidImportError(f"coefficient {text!r} is not a string")
+    try:
+        return parse_field(text)
+    except ZeroDivisionError:
+        raise InvalidImportError(f"coefficient {text!r} divides by zero") from None
 
 
 def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
@@ -525,4 +561,5 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
             raise InvalidImportError(f"asymmetric scalar product at {key}")
         if not v.is_zero():
             scp[key] = v
-    return Irrep(la, hw, dict(data.kets), lowering, scp, "imported")
+    form = _derive_rational_form(la.rank, data.kets, lowering, scp)
+    return Irrep(la, hw, dict(data.kets), form, "imported")

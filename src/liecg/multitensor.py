@@ -10,7 +10,7 @@ decomposition) with the expansion of each of its states over such trees.
 Expansions are computed on demand and memoized per node, since a fully
 eager 4-fold expansion can be very large.
 
-Expansions are kept over Q.  Every factor has a rational form
+Expansions are kept over Q.  Every irrep holds its rational form
 (Irrep.rational_form): in the basis u_l = sqrt(r_l) e_l, r_l the
 square-free class of leaf l, its tables are rational; a tree L stands for
 u_L, the product of its leaves' u_l.  A node keeps its state s rescaled
@@ -20,15 +20,16 @@ as x_s = sqrt(rho_s) e_s, with
 
 for h square-free, W_h a dict {tree: int} and D > 0 an int: the pair
 (D, {h: W_h}).  A wrapped factor has rho_s = r_s, so x_s = u_s is one
-leaf.  otimes reads each state of the irrep it selects as sign*v/sqrt(N)
-from prepare, v a rational vector over the children's u_a x u_b, and keeps
-rho_s = N, so x_s = sign*v with every child state entering as
-u_a = sqrt(r_a/rho_a) x_a: it multiplies only integers, one radical per
-child state, and classes multiply through gcd, as in SqrtSum.  filter,
-chbasis and scale keep their child's rho.  Radicals enter only with the
-script literals of scale and chbasis, each folded in per class, and leave
-only in expand (which untree and tensor_coeff read; is_sym compares the
-integers): the coefficient of e_L in e_s is
+leaf.  otimes takes the irrep it selects, form and all, from
+prepare_with_states, which also gives each state as sign*v/sqrt(N), v a
+rational vector over the children's u_a x u_b.  It keeps rho_s = N, so
+x_s = sign*v with every child state entering as u_a = sqrt(r_a/rho_a) x_a:
+it multiplies only integers, one radical per child state, and classes
+multiply through gcd, as in SqrtSum.  filter, chbasis and scale keep their
+child's rho.  Radicals enter only with the script literals of scale and
+chbasis, each folded in per class, and leave only in expand (which untree
+and tensor_coeff read; is_sym compares the integers): the coefficient of
+e_L in e_s is
 W_h[L]/D * sqrt(h * prod r_l / rho_s).
 
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
@@ -43,7 +44,7 @@ from math import gcd, lcm
 
 from .exactnum import FieldElem, SqrtSum, _sqrt
 from .linalg import LabeledVector, invert_matrix
-from .irrep import Irrep, new_imported_irrep
+from .irrep import Irrep
 from .tensor import Decomposition, decompose, prepare_with_states
 
 __all__ = [
@@ -196,12 +197,11 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
         raise ValueError(
             f"irrep index {k} out of range: the product has {len(d.found)} irreps"
         )
-    data, states = prepare_with_states(d.found[k - 1], a.irrep, b.irrep)
-    imp = new_imported_irrep(a.irrep.algebra, data)
+    irrep, states = prepare_with_states(d.found[k - 1], a.irrep, b.irrep)
 
     def fn(s):
         # x_s = sign * sum of v_ab u_a x u_b, and u_a = ca*sqrt(fa) * ...
-        v, sign, _ = states.rational[s]
+        v, sign, _ = states[s]
         pairs = []
         for (al, bl), q in v.items():
             ca, fa, pa = a._u(al)
@@ -232,8 +232,8 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
                             acc[key] = acc.get(key, 0) + x * xb
         return _reduced(den, out)
 
-    return TensorNode(imp, fn, a.factors + b.factors, (a.shape, b.shape),
-                      lambda s: states.rational[s][2])
+    return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape),
+                      lambda s: states[s][2])
 
 
 def expand(t: TensorNode, state: int) -> LabeledVector:

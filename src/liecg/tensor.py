@@ -12,7 +12,7 @@ the remaining dominant weight with the most levels, solve for a state
 orthogonal to everything already built at that weight, and descend again
 until the dimensions add up.
 
-All of this runs over the rationals.  Each factor has a rational form
+All of this runs over the rationals.  Each factor holds its rational form
 (Irrep.rational_form): in the basis u_a = sqrt(r_a) e_a, with r_a the
 square-free class of label a, its lowering entries and its Gram matrix are
 rational.  A product irrep keeps its states as rational vectors
@@ -20,11 +20,11 @@ rational.  A product irrep keeps its states as rational vectors
 found highest-weight vector y has rational norm N = <y|y>, and rho is
 1/sqrt(N).  Radicals appear only where a FieldElem state is read: the
 coefficient of (a, b) is rho * q * sqrt(r_a * r_b).  hw_state, levels and
-by_weight are such views, converted on access; prepare converts its tables
-and hands out its normalized states the same way.  The public
-product_lower and product_scp split a FieldElem state into one rational
-vector per radical class and run the same rational lowering and scalar
-product.
+by_weight are such views, converted on access.  prepare_with_states hands
+out the found irrep as an Irrep holding its own rational form, with no
+radical; prepare renders its file tables.  The public product_lower and
+product_scp split a FieldElem state into one rational vector per radical
+class and run the same rational lowering and scalar product.
 
 Positive rescaling keeps pivots and signs, so the rational search picks
 the same highest-weight states, with the same phases, as a search over the
@@ -39,11 +39,11 @@ lowered state on the states already there).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import FieldElem, SqrtSum, _sqrt, _square_free, _times_sqrt
+from .exactnum import FieldElem, SqrtSum, _sqrt, _square_free
 from .linalg import LabeledVector, _integral, _Reducer
 from .liealg import (
     ConsistencyError,
@@ -52,7 +52,7 @@ from .liealg import (
     level_vector,
     weyl_dim,
 )
-from .irrep import ImportedIrrepData, Irrep, Ket
+from .irrep import ImportedIrrepData, Irrep, Ket, _scaled_form
 
 __all__ = [
     "ProductIrrep",
@@ -231,29 +231,6 @@ class _States(Sequence):
         if isinstance(i, slice):
             return [self._convert(v) for v in self._vecs[i]]
         return self._convert(self._vecs[i])
-
-
-class _StateMap(Mapping):
-    """Read-only label -> normalized FieldElem state view, converted on
-    access.  rational[a] is the (v_a, sign_a, N_a) the state of label a is
-    read from: it equals sign_a * v_a / sqrt(N_a), v_a a rational vector."""
-
-    __slots__ = ("rational", "_convert")
-
-    def __init__(self, rational, convert):
-        self.rational = rational
-        self._convert = convert
-
-    def __len__(self):
-        return len(self.rational)
-
-    def __iter__(self):
-        return iter(self.rational)
-
-    def __getitem__(self, key):
-        if key not in self.rational:
-            raise KeyError(key)
-        return self._convert(*self.rational[key])
 
 
 class ProductIrrep:
@@ -521,26 +498,22 @@ def result(d: Decomposition) -> str:
 
 
 def prepare(p: ProductIrrep, l: Irrep, r: Irrep) -> ImportedIrrepData:
-    """Read off labeled, unit-normalized lowering and scalar-product tables
-    for a descended product irrep, ready for new_imported_irrep.
+    """The unit-basis tables of prepare_with_states' irrep, ready to dump."""
+    return ImportedIrrepData.from_irrep(prepare_with_states(p, l, r)[0])
+
+
+def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
+    """The descended product irrep p as an Irrep of its own, and the map
+    label a -> (v_a, sign_a, N_a): its unit state is sign_a*v_a/sqrt(N_a),
+    v_a the rational vector descend_irrep kept, N_a = <v_a|v_a> and sign_a
+    the sign of the leading coefficient of v_a.
 
     States are labeled level by level; inside a level the weight buckets
     are ordered by descent vector ascending (the generic listing order) and
     states keep their construction order, which defines their degeneracy
-    indices.
-    """
-    return prepare_with_states(p, l, r)[0]
-
-
-def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
-    """prepare() plus the label -> normalized ProductState map it labeled.
-
-    Each lowered state is reduced against the descended states of its
-    target weight, as descend_irrep did, and the coordinates it comes back
-    with are rescaled from the descended to the normalized states: the
-    normalized state of label a is sign_a * v_a / sqrt(N_a), N_a = <v_a|v_a>
-    and sign_a the sign of the leading coefficient of v_a.  The map converts
-    each state on access; its `rational` dict holds (v_a, sign_a, N_a).
+    indices.  Each lowered state is reduced against the descended states of
+    its target weight, as descend_irrep did; its coordinates and the Gram
+    entries of the signed states over N_1 give the rational form.
     """
     la = l.algebra
     if not p.descended:
@@ -549,9 +522,7 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     n = la.rank
     fl, fr = l.rational_form(), r.rational_form()
     kets = {}
-    vec = {}  # label -> the rational vector descend_irrep kept
-    norm = {}  # label -> N_a
-    sign = {}  # label -> sign_a
+    states = {}  # label -> (v_a, sign_a, N_a)
     labels_at = {}
     reducers = {}
     lab = 1
@@ -561,16 +532,15 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
             for deg, v in enumerate(p._by_weight[w], 1):
                 red.add(v)
                 kets[lab] = Ket(w, deg)
-                vec[lab] = v
-                norm[lab] = Fraction(_scp(v, v, fl.gram, fr.gram))
-                sign[lab] = 1 if v[min(v)] > 0 else -1
+                sign = 1 if v[min(v)] > 0 else -1
+                states[lab] = (v, sign, Fraction(_scp(v, v, fl.gram, fr.gram)))
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
     lowering = {}
-    for a in range(1, lab):
+    for a, (v, sign, _) in states.items():
         w = kets[a].dynkin
         for i in range(1, n + 1):
-            low = _lower(vec[a], fl.lower[i], fr.lower[i])
+            low = _lower(v, fl.lower[i], fr.lower[i])
             if not low:
                 continue
             w2 = _vsub(w, A[i - 1])
@@ -586,30 +556,22 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            # E v_a = sum c_k v_k, so the normalized entry is
-            # c_k * sign_a * sign_k * sqrt(N_k / N_a)
-            lowering[(i, a)] = tuple(
-                (_times_sqrt(coords[k] * sign[a] * sign[t], norm[t] / norm[a]), t)
-                for k, t in enumerate(targets)
-                if k in coords
-            )
-    scp = {}
-    for w, labs in labels_at.items():
+            # E v_a = sum c_k v_k, so the signed states have c_k*sign_a*sign_k
+            lowering[(i, a)] = {
+                targets[k]: c * sign * states[targets[k]][1]
+                for k, c in coords.items()
+            }
+    n1 = states[1][2]
+    gram = {a: {a: na / n1} for a, (_, _, na) in states.items()}
+    for labs in labels_at.values():
         for ix, a in enumerate(labs):
+            va, sa, _ = states[a]
             for b in labs[ix + 1:]:
-                g = _scp(vec[a], vec[b], fl.gram, fr.gram)
+                vb, sb, _ = states[b]
+                g = _scp(va, vb, fl.gram, fr.gram)
                 if g:
-                    scp[(a, b)] = _times_sqrt(
-                        g * sign[a] * sign[b], 1 / (norm[a] * norm[b])
-                    )
-
-    def normalized(v, sgn, nrm):
-        f, k = _sqrt(1 / nrm)
-        return _to_field([(f, k * sgn, v)], fl.r, fr.r)
-
-    data = ImportedIrrepData(algebra=la, kets=kets, lowering=lowering, scp=scp)
-    rational = {a: (vec[a], sign[a], norm[a]) for a in vec}
-    return data, _StateMap(rational, normalized)
+                    gram[a][b] = gram[b][a] = sa * sb * g / n1
+    return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:

@@ -284,6 +284,101 @@ def test_script_import_without_rational_form_is_refused(capsys, tmp_path):
     assert rc == 1 and "rot.lie:2" in err and "no rational form" in err
 
 
+# sha256 of every irrep_K.json of three dumps, K = 1, 2, ...; the G2 one has
+# sqrt(3) classes, the last one an imported factor (the first dump's 27)
+DUMP_GOLDENS = {
+    "su3-8-8": ("11x11", [
+        "ac086551d6ddf274c06741124317461fbebab7c83367ea39c8565edaeaa48826",
+        "3694750427c34042fba69661a229104c0a8ea07a8b124f2ff00e59baac364cce",
+        "2f309eef9df423de32415e93d3a279b717a65769da9852b110c337c1ab6c8b30",
+        "e078d21dcdceb1a3d2d6c07311740bb0b5e2508a7d84e4216f3dccfbed7c3740",
+        "7d61817022982524cff97f7fb9d30a8b2d68a65b9334f65ac9781d3f22fe0d5e",
+        "50d38b16a427c08796745c13ead2deab3b01699559ad5f33c9930b6ae31e6936",
+    ]),
+    "g2-14-14": ("01x01", [
+        "23beb477a8fa95d2cecb37bbdb982527faf1710d977985291239d799e464ccf8",
+        "375aa9e1d659e318b7abca0289d9eafbc7a2a77f4fcba2e39f00c603722730e7",
+        "5fc14d1b09d5f5eae07ca6b267e2e3813646f6eeaa2f8b73033ded63c41724ee",
+        "d464846739ce7c61b97377b476a00dc40b57a4e857c1c6f65ca9130d492afd52",
+        "d33b7d00e93934c37d89cc1a415481704c74d92ded1327b8dee8c3ad1a7396a0",
+    ]),
+    "su3-27-8": ("@su3-8-8/irrep_1.json x 11", [
+        "b395a2ff5170e04334a635af105ba7d7000e841035758d288caef0dfc1d79950",
+        "e9c14436f07dd1badbe34eaa5d8656066e10382f08eecb72fbf036406967a936",
+        "730bbf596784737a913ee515d462a6412d3f18eeda98b067a57e4246183e2507",
+        "246a7358b4fdafb3f0be9bda52ba1b70900a7ef5a1f3e556c2ca4cfc6847848a",
+        "6e6d97783b3ddf9c9468f7502ccee8e43c00394fdab4c3c82ff601c5982ab85c",
+        "3694750427c34042fba69661a229104c0a8ea07a8b124f2ff00e59baac364cce",
+        "4130a6dd1da1111a1a373efbe255310ead7fc2004427c9847a71a772dc2b66ae",
+        "c5f814b21aa71d1e6c2f1e27c0b2f706508eb13b2d423f480fc311247d04282b",
+    ]),
+}
+
+
+def test_dump_goldens(capsys, tmp_path, monkeypatch):
+    # relative names without an 'x', at which --decompose splits
+    monkeypatch.chdir(tmp_path)
+    for name, (spec, want) in DUMP_GOLDENS.items():
+        algebra = ["-g2"] if name.startswith("g2") else ["-su", "3"]
+        rc, _, err = run(capsys, *algebra, "--decompose", spec, "--dump", name)
+        assert rc == 0 and err == ""
+        got = [
+            hashlib.sha256((tmp_path / name / f"irrep_{k}.json").read_bytes())
+            .hexdigest()
+            for k in range(1, len(want) + 1)
+        ]
+        assert got == want, name
+        assert not (tmp_path / name / f"irrep_{len(want) + 1}.json").exists()
+
+
+def _bad_import_files(tmp_path):
+    """name -> path of a file that from_json_dict must refuse: a top level
+    that is not an object, and zero denominators or a coefficient that is
+    not a string in lowering and scp."""
+    d = tmp_path / "out"
+    assert cli.main(["-su", "3", "--decompose", "10x01", "--dump", str(d)]) == 0
+    good = json.loads((d / "irrep_1.json").read_text())
+    docs = {"list": []}
+    for name, coeff in [("zero", "(1)/(0)"), ("cancel", "(1)/(1-1)"),
+                        ("number", 1)]:
+        doc = json.loads(json.dumps(good))
+        doc["lowering"][0][2][0][0] = coeff
+        docs[f"lowering-{name}"] = doc
+        doc = json.loads(json.dumps(good))
+        doc["scp"][0][2] = coeff
+        docs[f"scp-{name}"] = doc
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("how", ["import", "factor", "script"])
+def test_malformed_import_file_exits_1(capsys, tmp_path, monkeypatch, how):
+    # relative names: --decompose splits its argument at every 'x'
+    paths = {k: p.name for k, p in _bad_import_files(tmp_path).items()}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert len(paths) == 7
+    for name, path in paths.items():
+        if how == "import":
+            argv = ["-su", "3", "--import", path]
+        elif how == "factor":
+            argv = ["-su", "3", "--decompose", f"@{path} x 10"]
+        else:
+            script = tmp_path / "imp.lie"
+            script.write_text(f"algebra su 3\nimport r {path}\n")
+            argv = ["--script", str(script)]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "", (name, err)
+        assert path in err and "Traceback" not in err, name
+        if how == "script":
+            assert "imp.lie:2" in err
+        want = {"list": "not a JSON object", "number": "is not a string"}
+        assert want.get(name.split("-")[-1], "divides by zero") in err, err
+
+
 def test_states_json_roundtrip():
     from liecg.irrep import new_generic_irrep
     from liecg.tensor import Decomposition, decompose

@@ -4,10 +4,11 @@ replaced.
 `Irrep.check_consistency` runs the string sum rule on the rational form,
 eliminating with the shared `_Reducer`.  The sweep it replaced worked in the
 unit basis with `FieldElem` Gram matrices inverted by dense Gaussian
-elimination.  That sweep and its elimination are kept here as they were
-(the methods on a wrapper that reads the irrep's public tables), sharing no
-linear algebra with the new path.  Both must give the same verdict on every
-prepared irrep and on seeded mutations of dumped tables.
+elimination.  That sweep and its elimination are kept here as they were,
+reading the FieldElem tables of the dumped data the way the old
+`new_imported_irrep` read them, and sharing no code with the rational path.
+Both must give the same verdict on every prepared irrep and on seeded
+mutations of dumped tables.
 """
 
 import os
@@ -18,6 +19,7 @@ from functools import lru_cache
 import pytest
 
 from liecg.exactnum import ONE, ZERO, field
+from liecg.linalg import LabeledVector
 from liecg.irrep import (
     ImportedIrrepData,
     InvalidImportError,
@@ -128,15 +130,50 @@ def invert_matrix(m):
 # ------------------------------------------------------ the field sweep
 
 class FieldSweep:
-    """The old `Irrep` methods, reading the wrapped irrep's tables."""
+    """The old `Irrep` tables and methods, over an ImportedIrrepData."""
 
-    def __init__(self, irrep):
-        self._irrep = irrep
+    def __init__(self, data):
+        self.algebra = data.algebra
+        self.kets = data.kets
+        self.weight_of = {lab: k.dynkin for lab, k in data.kets.items()}
+        by_w = {}
+        for lab in sorted(data.kets):
+            by_w.setdefault(data.kets[lab].dynkin, []).append(lab)
+        for labs in by_w.values():
+            labs.sort(key=lambda l: data.kets[l].deg_index)
+        self.labels_by_weight = {w: tuple(labs) for w, labs in by_w.items()}
+        self._lowering = {}
+        for key, terms in data.lowering.items():
+            vec = LabeledVector(terms)
+            if not vec.is_zero():
+                self._lowering[key] = vec
+        self._scp = {}
+        for (a, b), v in data.scp.items():
+            if a != b and not v.is_zero():
+                self._scp[(a, b) if a < b else (b, a)] = v
         self._gram = {}
         self._gram_inv = {}
 
-    def __getattr__(self, name):
-        return getattr(self._irrep, name)
+    def lower(self, root, state):
+        return self._lowering.get((root, state), LabeledVector())
+
+    def scalar_product(self, a, b):
+        if a == b:
+            return ONE
+        if self.weight_of[a] != self.weight_of[b]:
+            return ZERO
+        return self._scp.get((a, b) if a < b else (b, a), ZERO)
+
+    def vector_scp(self, u, v):
+        acc = ZERO
+        for cu, lu in u.terms:
+            wu = self.weight_of[lu]
+            for cv, lv in v.terms:
+                if self.weight_of[lv] == wu:
+                    s = self.scalar_product(lu, lv)
+                    if not s.is_zero():
+                        acc = acc + cu * cv * s
+        return acc
 
     def gram(self, weight):
         """Gram matrix of the weight block, rows/cols in label order."""
@@ -200,17 +237,17 @@ class FieldSweep:
 
 # ------------------------------------------------------------- verdicts
 
-def field_verdict(irrep):
+def field_verdict(data):
     try:
-        FieldSweep(irrep).check_consistency()
+        FieldSweep(data).check_consistency()
     except (ConsistencyError, SingularMatrixError):
         return False
     return True
 
 
-def rational_verdict(irrep):
+def rational_verdict(data):
     try:
-        irrep.check_consistency()
+        new_imported_irrep(data.algebra, data).check_consistency()
     except ConsistencyError:
         return False
     return True
@@ -249,8 +286,8 @@ def dumps(case):
 def test_sweeps_accept_every_prepared_irrep(case):
     la = PRODUCTS[case][0]
     for hw, data in dumps(case):
-        irrep = new_imported_irrep(la, data)
-        assert field_verdict(irrep) and rational_verdict(irrep), hw
+        assert data.algebra == la
+        assert field_verdict(data) and rational_verdict(data), hw
 
 
 def _mutated(data, rng):
@@ -292,8 +329,9 @@ def test_sweeps_agree_on_mutations(case, hw, seed):
     verdicts = []
     for _ in range(40):
         mutant = _mutated(data, rng)
-        got = field_verdict(new_imported_irrep(la, mutant))
-        assert rational_verdict(new_imported_irrep(la, mutant)) == got
+        assert mutant.algebra == la
+        got = field_verdict(mutant)
+        assert rational_verdict(mutant) == got
         verdicts.append(got)
     # the mutations are seen: most are refused (a sign flip can pass, as
     # the sum rule does not see every phase)
@@ -307,12 +345,11 @@ def test_zero_block_overlap_of_one():
     (key,) = data.scp
     scp = {key: ONE}
     bad = ImportedIrrepData(data.algebra, dict(data.kets), dict(data.lowering), scp)
-    irrep = new_imported_irrep(A2, bad)
-    assert not field_verdict(irrep) and not rational_verdict(irrep)
+    assert not field_verdict(bad) and not rational_verdict(bad)
     with pytest.raises(SingularMatrixError):
-        FieldSweep(irrep).check_consistency(labels=[6])
+        FieldSweep(bad).check_consistency(labels=[6])
     with pytest.raises(ConsistencyError, match=r"weight \(0, 0\) is singular"):
-        irrep.check_consistency(labels=[6])
+        new_imported_irrep(A2, bad).check_consistency(labels=[6])
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
@@ -320,9 +357,8 @@ ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.jso
 
 def test_rotated_file_is_the_one_difference():
     # valid tables with no rational form: the field sweep accepts them, the
-    # rational sweep refuses the file as it refuses it for products
-    text = open(ROTATED).read()
-    irrep = new_imported_irrep(A2, ImportedIrrepData.from_json(text))
-    assert field_verdict(irrep)
+    # import refuses the file, which the rational sweep needs
+    data = ImportedIrrepData.from_json(open(ROTATED).read())
+    assert field_verdict(data)
     with pytest.raises(InvalidImportError, match="state 3 by root 2"):
-        irrep.check_consistency()
+        new_imported_irrep(A2, data)

@@ -15,8 +15,13 @@ from liecg.liealg import (
     freudenthal,
     weyl_dim,
 )
-from liecg.linalg import LabeledVector
-from liecg.tensor import Decomposition, decompose, prepare, result
+from liecg.tensor import (
+    Decomposition,
+    decompose,
+    prepare,
+    prepare_with_states,
+    result,
+)
 from liecg.irrep import (
     ImportedIrrepData,
     InvalidImportError,
@@ -159,23 +164,33 @@ def test_f4_adjoint_dim():
 
 @pytest.mark.parametrize("la,hw", CONSISTENCY_CASES)
 def test_lowering_coefficients_positive(la, hw):
-    # all phases are +1, so every stored coefficient is positive
+    # all phases are +1, so every lowering coefficient is positive
     r = new_generic_irrep(la, hw)
-    for vec in r._lowering.values():
-        for c, _ in vec.terms:
-            assert c.sign() == 1
+    for a in r.kets:
+        for i in range(1, la.rank + 1):
+            for c, _ in r.lower(i, a).terms:
+                assert c.sign() == 1
+
+
+def _corrupted(data, lowering=None, scp=None):
+    """The irrep of data with entries of its tables replaced."""
+    return new_imported_irrep(data.algebra, ImportedIrrepData(
+        data.algebra, dict(data.kets),
+        {**data.lowering, **(lowering or {})}, {**data.scp, **(scp or {})},
+    ))
 
 
 def test_sum_rule_detects_corruption():
-    r = new_generic_irrep(A2, (1, 1))
-    r._lowering[(1, 4)] = r._lowering[(1, 4)].scaled(field(2))
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
+    terms = tuple((c * field(2), t) for c, t in data.lowering[(1, 4)])
+    r = _corrupted(data, lowering={(1, 4): terms})
     with pytest.raises(ConsistencyError):
         r.check_consistency()
 
 
 def test_sum_rule_error_names_where():
-    r = new_generic_irrep(A2, (1, 1))
-    r._scp[(4, 5)] = ONE
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
+    r = _corrupted(data, scp={(4, 5): ONE})
     with pytest.raises(ConsistencyError) as exc:
         r.check_consistency()
     assert str(exc.value) == (
@@ -270,6 +285,8 @@ def test_wrapper_argument_checks():
     r = new_generic_irrep(A2, (1, 0))
     assert lower(r, 1, 1).terms == [(ONE, 2)]
     assert scalar_product(r, 2, 2) == ONE
+    # the method itself reads a root outside 1..rank as a zero operator
+    assert all(r.lower(i, 1).is_zero() for i in (-1, 0, 3))
     with pytest.raises(ValueError):
         lower(r, 0, 1)
     with pytest.raises(ValueError):
@@ -424,32 +441,28 @@ GENERIC_CASES = _buildable_fundamentals_and_adjoints()
 
 
 def _check_rational_form(r):
-    """The derived form reproduces the FieldElem tables: E_-i e_a has the
-    entry q*sqrt(r_t/r_a) at t, and <e_a|e_b> is g/sqrt(r_a*r_b)."""
+    """The form the irrep holds is over Q with square-free classes, and it
+    equals the form new_imported_irrep derives from its dumped file: the
+    same classes, the same lowering rows in the same order, the same Gram
+    rows."""
     rf = r.rational_form()
     assert rf.r[1] == 1
     assert set(rf.r) == set(r.kets)
-    root = {a: field_sqrt(field(c)) for a, c in rf.r.items()}
     for c in rf.r.values():
         assert c >= 1 and _square_free(c)[0] == 1
     for i in range(1, r.algebra.rank + 1):
-        for a in r.kets:
-            row = rf.lower[i].get(a, ())
+        for row in rf.lower[i].values():
             assert all(isinstance(q, (int, Fraction)) and q for _, q in row)
-            got = LabeledVector(
-                (field(q) * root[t] / root[a], t) for t, q in row
-            )
-            assert got == r.lower(i, a), (i, a)
-    for a in r.kets:
-        block = r.labels_by_weight[r.weight_of[a]]
-        want = {
-            b: r.scalar_product(a, b) * root[a] * root[b]
-            for b in block
-            if not r.scalar_product(a, b).is_zero()
-        }
-        got = dict(rf.gram[a])
-        assert all(isinstance(g, (int, Fraction)) for g in got.values())
-        assert {b: field(g) for b, g in got.items()} == want, a
+    for row in rf.gram.values():
+        assert all(isinstance(g, (int, Fraction)) and g for _, g in row)
+    text = ImportedIrrepData.from_irrep(r).to_json()
+    back = new_imported_irrep(r.algebra, ImportedIrrepData.from_json(text))
+    want = back.rational_form()
+    assert rf.r == want.r
+    assert rf.lower == want.lower
+    assert {a: dict(row) for a, row in rf.gram.items()} == {
+        a: dict(row) for a, row in want.gram.items()
+    }
 
 
 def test_generic_case_count():
@@ -479,9 +492,24 @@ def test_prepared_irreps_have_rational_form():
         d = Decomposition(l, r)
         decompose(d)
         for p in d.found:
-            _check_rational_form(new_imported_irrep(la, prepare(p, l, r)))
+            _check_rational_form(prepare_with_states(p, l, r)[0])
             count += 1
     assert count == 24
+
+
+def test_imported_factor_products_have_rational_form():
+    # SU(3) @27 x 8: the 27 enters from its file
+    r8 = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(r8, r8)
+    decompose(d)
+    text = prepare(d.found[0], r8, r8).to_json()
+    r27 = new_imported_irrep(A2, ImportedIrrepData.from_json(text))
+    assert r27.hw == (2, 2)
+    d = Decomposition(r27, r8)
+    decompose(d)
+    assert len(d.found) == 8
+    for p in d.found:
+        _check_rational_form(prepare_with_states(p, r27, r8)[0])
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
@@ -490,12 +518,9 @@ ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.jso
 def test_rotated_block_has_no_rational_form():
     # the octet with its zero-weight block rotated by an irrational angle:
     # valid tables (tests/test_consistency_oracle.py checks them with the
-    # field sweep), but no basis of single radicals, so the sweep refuses
+    # field sweep), but no basis of single radicals, so the import refuses
     # the file
-    r = new_imported_irrep(A2, ImportedIrrepData.from_json(open(ROTATED).read()))
+    data = ImportedIrrepData.from_json(open(ROTATED).read())
     with pytest.raises(InvalidImportError, match="no rational form") as exc:
-        r.check_consistency()
-    assert "state 3 by root 2" in str(exc.value)
-    with pytest.raises(InvalidImportError, match="no rational form") as exc:
-        r.rational_form()
+        new_imported_irrep(A2, data)
     assert "state 3 by root 2" in str(exc.value)

@@ -4,11 +4,12 @@ replaced.
 `wrap`, `otimes`, `filter_factor`, `chbasis`, `scale`, `is_sym` and
 `tensor_coeff` are kept here as they were, expanding every state over label
 trees in FieldElem arithmetic and sharing no code with the rational
-expansion of `liecg.multitensor` (both read the same `prepare_with_states`).
-The same pipelines are built with both; every state must expand to the same
-terms in the same order, with the same rendering unless a script literal
-had a denominator of more than one radical, and is_sym and tensor_coeff
-must agree.
+expansion of `liecg.multitensor`.  Both take the irrep of an `otimes` from
+`prepare_with_states`; the oracle rebuilds each of its unit states from the
+descended product states.  The same pipelines are built with both; every
+state must expand to the same terms in the same order, with the same
+rendering unless a script literal had a denominator of more than one
+radical, and is_sym and tensor_coeff must agree.
 """
 
 from types import SimpleNamespace
@@ -16,11 +17,17 @@ from types import SimpleNamespace
 import pytest
 
 import liecg.multitensor as mt
-from liecg.exactnum import FieldElem, field, number, parse_field
+from liecg.exactnum import FieldElem, field, field_sqrt, number, parse_field
 from liecg.irrep import Irrep, new_generic_irrep, new_imported_irrep
 from liecg.linalg import LabeledVector, gram_orthogonalize
 from liecg.liealg import LieAlgebra
-from liecg.tensor import Decomposition, decompose, prepare, prepare_with_states
+from liecg.tensor import (
+    Decomposition,
+    decompose,
+    prepare,
+    prepare_with_states,
+    product_scp,
+)
 
 A2 = LieAlgebra("A", 2)
 A3 = LieAlgebra("A", 3)
@@ -82,12 +89,18 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
         raise ValueError(
             f"irrep index {k} out of range: the product has {len(d.found)} irreps"
         )
-    data, states = prepare_with_states(d.found[k - 1], a.irrep, b.irrep)
-    imp = new_imported_irrep(a.irrep.algebra, data)
+    p = d.found[k - 1]
+    imp = prepare_with_states(p, a.irrep, b.irrep)[0]
 
     def fn(s):
+        # the unit state of label s: the descended state of its weight and
+        # degeneracy index, normalized, with its leading coefficient positive
+        ket = imp.kets[s]
+        v = p.by_weight[ket.dynkin][ket.deg_index - 1]
+        sign = field(v.terms[0][0].sign())
+        v = v.scaled(sign / field_sqrt(product_scp(v, v, a.irrep, b.irrep)))
         terms = []
-        for c, (al, bl) in states[s].terms:
+        for c, (al, bl) in v.terms:
             for ca, ta in a.expand(al).terms:
                 for cb, tb in b.expand(bl).terms:
                     terms.append((c * ca * cb, (ta, tb)))

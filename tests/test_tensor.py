@@ -351,6 +351,16 @@ def test_prepare_requires_descended(su3_pair):
         prepare(ProductIrrep(unit((1, 1))), l, r)
 
 
+def normalized_state(p, irrep, a, l, r):
+    """The unit product state of label a: the descended state of its weight
+    and degeneracy index, normalized, with its leading coefficient
+    positive."""
+    ket = irrep.kets[a]
+    s = p.by_weight[ket.dynkin][ket.deg_index - 1]
+    sign = field(s.terms[0][0].sign())
+    return s.scaled(sign / field_sqrt(product_scp(s, s, l, r)))
+
+
 @pytest.mark.parametrize(
     "la, left, right",
     [
@@ -366,12 +376,13 @@ def test_prepared_lowering_reproduces_product_states(la, left, right):
     d = Decomposition(l, r)
     decompose(d)
     for p in d.found:
-        data, state_of = prepare_with_states(p, l, r)
-        assert set(state_of) == set(data.kets)
+        irrep, states = prepare_with_states(p, l, r)
+        assert set(states) == set(irrep.kets)
+        state_of = {a: normalized_state(p, irrep, a, l, r) for a in irrep.kets}
         for a, sa in state_of.items():
             for i in range(1, la.rank + 1):
                 want = LabeledVector()
-                for c, t in data.lowering.get((i, a), ()):
+                for c, t in irrep.lower(i, a).terms:
                     want = want + state_of[t].scaled(c)
                 assert product_lower(sa, i, l, r) == want, (p.hw, a, i)
 
