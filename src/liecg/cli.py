@@ -358,8 +358,8 @@ def _dump_singlet(d, l, r, fmt, path):
 def _parse_coeff(tok):
     try:
         return parse_field(tok)
-    except ValueError:
-        raise ValueError(f"cannot read coefficient {tok!r}")
+    except ValueError as e:
+        raise ValueError(f"cannot read coefficient {tok!r}: {e}")
     except ZeroDivisionError:
         raise ValueError(f"coefficient {tok!r} divides by zero")
 

@@ -1,11 +1,14 @@
 """Exact arithmetic in the field generated by square roots of integers.
 
-Elements are quotients of rational linear combinations of square roots of
-non-negative integers, e.g. (3 - 2*sqrt(6)) / (1 + sqrt(2)).  The numerator
-and denominator are kept in a canonical form: every radicand is square-free,
-the rational part is the radicand-1 term, and zero coefficients are dropped.
-Because square roots of distinct square-free integers are linearly
-independent over the rationals, the canonical form of a sum is empty exactly
+Elements are rational linear combinations of square roots of non-negative
+integers, e.g. 3 - 2*sqrt(6) + 1/2*sqrt(10), with no denominator: the
+inverse of such a sum is again one (multiply by conjugates until the
+divisor is rational), so division rationalizes and a quotient literal
+(a)/(b) is read as a/b.  Sums are kept in a canonical form: every radicand
+is square-free, the rational part is the radicand-1 term, and zero
+coefficients are dropped.  Because square roots of distinct square-free
+integers are linearly independent over the rationals, two elements are
+equal exactly when their canonical forms are, and the form is empty exactly
 when the value is zero, which makes equality and sign tests decidable.
 """
 
@@ -32,6 +35,10 @@ class FieldSqrtError(ArithmeticError):
     """Square root of the given value does not lie in the field."""
 
 
+# the largest radicand parse_field reads: factoring it takes at most about
+# 5*10**5 trial divisions, so bad input fails fast instead of hanging
+MAX_RADICAND = 10**18
+
 _square_free_cache: dict[int, tuple[int, int]] = {0: (1, 0), 1: (1, 1)}
 
 
@@ -42,7 +49,7 @@ def _square_free(n: int) -> tuple[int, int]:
     except KeyError:
         pass
     s, f, m, d = 1, 1, n, 2
-    while d * d <= m:
+    while d * d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -52,7 +59,12 @@ def _square_free(n: int) -> tuple[int, int]:
                 f *= d
             s *= d ** (e // 2)
         d += 1 if d == 2 else 2
-    f *= m
+    # m has no prime factor below d and m < d**3: it is 1, p, p*q or p*p
+    r = math.isqrt(m)
+    if r * r == m:
+        s *= r
+    else:
+        f *= m
     _square_free_cache[n] = (s, f)
     return (s, f)
 
@@ -226,46 +238,29 @@ _SS_ONE = SqrtSum({1: Fraction(1)})
 
 
 class FieldElem:
-    """Quotient of two SqrtSum values.
+    """An element of the field: one canonical SqrtSum.
 
-    A single-term denominator is rationalized away on construction, so in
-    canonical elements the denominator is 1 unless it genuinely needs more
-    than one radical term.
+    Every element is a rational linear combination of square roots, so
+    there is no denominator to carry: invert clears the radicals of a
+    divisor by conjugation, and a value has exactly one representation.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num",)
 
-    def __init__(self, num: SqrtSum, den: SqrtSum = _SS_ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if len(den.terms) == 1 and den.terms != _SS_ONE.terms:
-            ((f, c),) = den.terms.items()
-            # 1/(c*sqrt(f)) = sqrt(f)/(c*f)
-            num = num * SqrtSum({f: Fraction(1, 1) / (c * f)})
-            den = _SS_ONE
+    # the denominator of every element, a constant; the benchmark's
+    # coefficient probe still reads it
+    den = _SS_ONE
+
+    def __init__(self, num: SqrtSum):
         self.num = num
-        self.den = den
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, c) -> "FieldElem":
-        return cls(SqrtSum.rational(c))
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_rational(self) -> bool:
-        return self.num.is_rational() and self.den.is_rational()
-
-    def rational_value(self) -> Fraction:
-        return self.num.rational_value() / self.den.rational_value()
-
     def sign(self) -> int:
-        s = self.num.sign()
-        return s * self.den.sign() if s else 0
+        return self.num.sign()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -273,48 +268,27 @@ class FieldElem:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        if self.den is other.den or self.den == other.den:
-            if self.den == _SS_ONE:
-                return FieldElem(self.num + other.num)
-            return FieldElem(self.num + other.num, self.den)
-        return FieldElem(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        return FieldElem(self.num + other.num)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.num, self.den)
+        return FieldElem(-self.num)
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        if self.den == _SS_ONE and other.den == _SS_ONE:
-            return FieldElem(self.num * other.num)
-        return FieldElem(self.num * other.num, self.den * other.den)
+        return FieldElem(self.num * other.num)
 
     def invert(self) -> "FieldElem":
+        """1/self as a sum of radicals: multiply 1/den by conjugates, each
+        clearing one prime from the radicands of den, until den is rational."""
         if self.num.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return FieldElem(self.den, self.num)
-
-    def __truediv__(self, other: "FieldElem") -> "FieldElem":
-        return self * other.invert()
-
-    def simplify(self) -> "FieldElem":
-        """Return the canonical form (idempotent).
-
-        Construction already keeps numerator and denominator canonical and
-        absorbs single-term denominators; a rational multi-term quotient is
-        additionally reduced here.
-        """
-        if self.den == _SS_ONE:
-            return self
-        if self.den.is_rational():
-            return FieldElem(self.num.scaled(1 / self.den.rational_value()))
-        return FieldElem(self.num, self.den)
-
-    def rationalize(self) -> "FieldElem":
-        """Clear all radicals from the denominator by repeated conjugation."""
-        num, den = self.num, self.den
+        if len(self.num.terms) == 1:
+            ((f, c),) = self.num.terms.items()
+            # 1/(c*sqrt(f)) = sqrt(f)/(c*f)
+            return FieldElem(SqrtSum({f: 1 / (c * f)}))
+        num, den = _SS_ONE, self.num
         while not den.is_rational():
             f0 = min(f for f in den.terms if f > 1)
             p = 2
@@ -329,27 +303,25 @@ class FieldElem:
             conj = a - b * SqrtSum({p: Fraction(1)})
             num = num * conj
             den = den * conj
-        return FieldElem(num, den).simplify()
+        return FieldElem(num.scaled(1 / den.rational_value()))
+
+    def __truediv__(self, other: "FieldElem") -> "FieldElem":
+        return self * other.invert()
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num
 
     def __hash__(self) -> int:
-        r = self.rationalize() if not self.den.is_rational() else self.simplify()
-        return hash((r.num, r.den))
+        return hash(self.num)
 
     # -- rendering -----------------------------------------------------
 
     def plain(self) -> str:
-        if self.den == _SS_ONE:
-            return self.num.plain()
-        return "(%s)/(%s)" % (self.num.plain(), self.den.plain())
+        return self.num.plain()
 
     def render(self, fmt: str = "plain") -> str:
         if fmt == "plain":
@@ -361,22 +333,17 @@ class FieldElem:
         raise ValueError("unknown format %r" % (fmt,))
 
     def _render_terms(self, term_fn) -> str:
-        def render_sum(ss: SqrtSum) -> str:
-            if ss.is_zero():
-                return "0"
-            parts = []
-            for f in sorted(ss.terms):
-                c = ss.terms[f]
-                body = term_fn(abs(c), f)
-                if not parts:
-                    parts.append(("-" if c < 0 else "") + body)
-                else:
-                    parts.append((" - " if c < 0 else " + ") + body)
-            return "".join(parts)
-
-        if self.den == _SS_ONE:
-            return render_sum(self.num)
-        return "(%s)/(%s)" % (render_sum(self.num), render_sum(self.den))
+        if self.num.is_zero():
+            return "0"
+        parts = []
+        for f in sorted(self.num.terms):
+            c = self.num.terms[f]
+            body = term_fn(abs(c), f)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append((" - " if c < 0 else " + ") + body)
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return self.plain()
@@ -411,7 +378,7 @@ ONE = FieldElem(_SS_ONE)
 def single_radical(x: FieldElem):
     """(q, f) with x == q*sqrt(f), q a nonzero Fraction and f square-free,
     or None when x is zero or needs more than one radical."""
-    if x.den.terms != _SS_ONE.terms or len(x.num.terms) != 1:
+    if len(x.num.terms) != 1:
         return None
     ((f, q),) = x.num.terms.items()
     return q, f
@@ -462,9 +429,6 @@ def field_sqrt(x: FieldElem) -> FieldElem:
         return ZERO
     if sgn < 0:
         raise FieldSqrtError("square root of negative value %s" % x)
-    x = x.simplify()
-    if not x.den.is_rational():
-        x = x.rationalize()
     terms = x.num.terms
     if len(terms) == 1:
         ((f, c),) = terms.items()
@@ -512,19 +476,23 @@ def _parse_sum(s: str) -> SqrtSum:
         a = int(m.group(1)) if m.group(1) else 1
         b = int(m.group(2)) if m.group(2) else 1
         f = int(m.group(3)) if m.group(3) else 1
+        if f > MAX_RADICAND:
+            raise ValueError("radicand %d exceeds %d" % (f, MAX_RADICAND))
         items.append((f, Fraction(sign * a, b)))
         i = j
     return SqrtSum.make(items)
 
 
 def parse_field(s: str) -> FieldElem:
-    """Parse the plain rendering back into an element."""
+    """Parse the plain rendering back into an element; the quotient form
+    (a)/(b) is read too, and rationalized."""
     s = s.replace(" ", "")
     if not s:
         raise ValueError("empty number")
     m = re.match(r"^\((.*)\)/\((.*)\)$", s)
     if m:
-        return FieldElem(_parse_sum(m.group(1)), _parse_sum(m.group(2)))
+        num, den = (FieldElem(_parse_sum(g)) for g in m.groups())
+        return num / den
     if s == "0":
         return ZERO
     return FieldElem(_parse_sum(s))

@@ -461,16 +461,21 @@ class ImportedIrrepData:
                 raise InvalidImportError(f"unknown format {doc.get('format')!r}")
             alg = LieAlgebra(doc["algebra"]["family"], doc["algebra"]["rank"])
             kets = {
-                int(lab): Ket(tuple(int(x) for x in dyn), int(deg))
+                _integer(lab, "ket label"): Ket(
+                    tuple(_integer(x, "weight component") for x in dyn),
+                    _integer(deg, "degeneracy index"),
+                )
                 for lab, dyn, deg in doc["kets"]
             }
             lowering = {}
             for state, root, terms in doc["lowering"]:
-                lowering[(int(root), int(state))] = tuple(
-                    (_coefficient(c), int(t)) for c, t in terms
+                key = (_integer(root, "root"), _integer(state, "state"))
+                lowering[key] = tuple(
+                    (_coefficient(c), _integer(t, "target")) for c, t in terms
                 )
             scp = {
-                (int(a), int(b)): _coefficient(v) for a, b, v in doc["scp"]
+                (_integer(a, "state"), _integer(b, "state")): _coefficient(v)
+                for a, b, v in doc["scp"]
             }
         except InvalidImportError:
             raise
@@ -485,6 +490,16 @@ class ImportedIrrepData:
         except json.JSONDecodeError as exc:
             raise InvalidImportError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+def _integer(x, what):
+    """x when it is a JSON integer; a float, bool or string is refused, not
+    truncated."""
+    if type(x) is not int:
+        raise InvalidImportError(
+            f"malformed irrep data: {what} {x!r} is not an integer"
+        )
+    return x
 
 
 def _coefficient(text):
@@ -520,16 +535,14 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
             f"{dim} kets, but the {la.name} irrep {hw} has dimension {want_dim}"
         )
     want = {rec.dynkin: rec.degeneracy for rec in freudenthal(la, hw)}
-    got = {}
+    degs = {}
     for ket in data.kets.values():
-        got[ket.dynkin] = got.get(ket.dynkin, 0) + 1
-    if got != want:
+        degs.setdefault(ket.dynkin, []).append(ket.deg_index)
+    if {w: len(d) for w, d in degs.items()} != want:
         raise InvalidImportError("weight multiset does not match the irrep")
-    for w, m in got.items():
-        degs = sorted(
-            k.deg_index for k in data.kets.values() if k.dynkin == w
-        )
-        if degs != list(range(1, m + 1)):
+    for w, d in degs.items():
+        m = len(d)
+        if sorted(d) != list(range(1, m + 1)):
             raise InvalidImportError(f"degeneracy indices at {w} not 1..{m}")
     A = cartan(la)
     lowering = {}

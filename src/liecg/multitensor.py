@@ -27,9 +27,10 @@ x_s = sign*v with every child state entering as u_a = sqrt(r_a/rho_a) x_a:
 it multiplies only integers, one radical per child state, and classes
 multiply through gcd, as in SqrtSum.  filter, chbasis and scale keep their
 child's rho.  Radicals enter only with the script literals of scale and
-chbasis, each folded in per class, and leave only in expand (which untree
-and tensor_coeff read; is_sym compares the integers): the coefficient of
-e_L in e_s is
+chbasis, each a sum of radicals with rational coefficients (a FieldElem
+has no denominator) folded in per class, and leave only in expand (which
+untree and tensor_coeff read; is_sym compares the integers): the
+coefficient of e_L in e_s is
 W_h[L]/D * sqrt(h * prod r_l / rho_s).
 
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
@@ -93,11 +94,6 @@ def _mul_class(f1, f2):
     """(f, m) with sqrt(f1)*sqrt(f2) == m*sqrt(f), for square-free f1, f2."""
     g = gcd(f1, f2)
     return (f1 // g) * (f2 // g), g
-
-
-def _literal(c: FieldElem):
-    """{f: q} with c == sum of q*sqrt(f), its denominator rationalized."""
-    return c.rationalize().num.terms
 
 
 def _reduced(den, parts):
@@ -302,7 +298,7 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
         row = rows[old] = []
         for c, new in vec.terms:
             r_new = cls.get(new, 1)
-            for f, q in _literal(c).items():
+            for f, q in c.num.terms.items():
                 f, m1 = _mul_class(f, r_old)
                 f, m2 = _mul_class(f, r_new)
                 row.append((new, f, q * m1 * m2 / r_new))
@@ -399,7 +395,7 @@ def _swapped_leaves(tr, i1, i2):
 
 
 def scale(t: TensorNode, c: FieldElem) -> TensorNode:
-    lit = _literal(c)
+    lit = c.num.terms
     den = lcm(*(q.denominator for q in lit.values()))
     ints = [(f, int(q * den)) for f, q in lit.items()]
     return _termwise(t, den, lambda tr: [(tr, f, n) for f, n in ints])

@@ -173,8 +173,6 @@ def _split(s: ProductState, cls_l, cls_r):
     and m > 0."""
     parts = {}
     for c, (a, b) in s.terms:
-        if not c.den.is_rational():
-            c = c.rationalize()
         rab = cls_l[a] * cls_r[b]
         for f, q in c.num.terms.items():
             # q*sqrt(f) e_a x e_b = q/rab * sqrt(f*rab) u_a x u_b

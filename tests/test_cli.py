@@ -229,6 +229,70 @@ def test_import_huge_claimed_irrep_fails_fast(capsys, tmp_path):
     assert f"{f}: 1 kets, but the E8 irrep (1, 1, 1, 1, 1, 1, 1, 1) has " in err
 
 
+def _octet_doc(capsys, tmp_path):
+    d = tmp_path / "out"
+    run(capsys, "-su", "3", "--decompose", "10x01", "--dump", str(d))
+    return json.loads((d / "irrep_1.json").read_text())
+
+
+@pytest.mark.parametrize("where, value", [
+    (("kets", 0, 2), 1.5),  # the degeneracy index of state 1
+    (("kets", 0, 2), 1.0),
+    (("kets", 0, 2), True),
+    (("kets", 0, 1, 0), "1"),  # a weight component
+    (("kets", 0, 0), 1.0),  # a ket label
+    (("lowering", 0, 1), 1.5),  # a root
+    (("lowering", 0, 2, 0, 1), "2"),  # a target
+    (("scp", 0, 0), 4.0),  # a state of a scalar product
+])
+def test_import_refuses_non_integer_fields(capsys, tmp_path, where, value):
+    # floats, bools and strings are refused, not truncated to an integer
+    doc = _octet_doc(capsys, tmp_path)
+    *path, last = where
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
+    assert rc == 1 and out == ""
+    assert f"{bad}: malformed irrep data: " in err
+    assert f"{value!r} is not an integer" in err
+
+
+def test_import_refuses_repeated_degeneracy_index(capsys, tmp_path):
+    doc = _octet_doc(capsys, tmp_path)
+    zero = [k for k in doc["kets"] if k[1] == [0, 0]]
+    assert [k[2] for k in zero] == [1, 2]
+    zero[1][2] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
+    assert rc == 1 and out == ""
+    assert f"{bad}: degeneracy indices at (0, 0) not 1..2" in err
+
+
+def test_huge_radicand_fails_fast(capsys, tmp_path):
+    # factoring a 50-digit radicand would not finish; it is refused
+    huge = "sqrt(" + "9" * 50 + ")"
+    doc = _octet_doc(capsys, tmp_path)
+    doc["lowering"][0][2][0][0] = huge
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
+    assert rc == 1 and out == ""
+    assert f"{bad}: malformed irrep data: radicand " in err
+    script = tmp_path / "s.lie"
+    script.write_text(f"algebra a 2\nirrep r 10\nwrap t r\nscale s t {huge}\n")
+    rc, out, err = run(capsys, "--script", str(script))
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 1 and out == ""
+    assert f"{script}:4: scale: cannot read coefficient '{huge}': " in err
+    assert "radicand" in err
+
+
 def test_import_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "-su", "3", "--import", str(tmp_path / "no.json"))
     assert rc == 1 and "cannot read" in err

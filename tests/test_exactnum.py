@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecg.exactnum import (
+    MAX_RADICAND,
     ONE,
     ZERO,
     FieldElem,
@@ -30,7 +31,7 @@ def mp_value(x: FieldElem, dps: int = 60) -> mpmath.mpf:
                 mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(f)
                 for f, c in ss.terms.items()
             )
-        return ev(x.num) / ev(x.den)
+        return ev(x.num)
 
 
 # ---------------------------------------------------------------- frozen values
@@ -47,7 +48,7 @@ def test_radicand_reduction():
 def test_single_term_denominator_absorbed():
     x = ONE / number(1, 1, 2)
     assert x == number(1, 2, 2)
-    assert x.den.is_rational()
+    assert x.num.terms == {2: Fraction(1, 2)}
     y = number(3, 2, 1) / number(2, 1, 3)  # (3/2)/(2*sqrt(3)) = sqrt(3)/4
     assert y == number(1, 4, 3)
 
@@ -96,7 +97,7 @@ def test_plain_roundtrip_examples():
         field(-7),
         number(1, 2, 2),
         number(-5, 3, 7) + field(Fraction(2, 9)),
-        FieldElem(SqrtSum.make([(2, 1)]), SqrtSum.make([(1, 1), (3, 1)])),
+        number(1, 1, 2) / (ONE + number(1, 1, 3)),
     ]:
         assert parse_field(x.plain()) == x
 
@@ -123,22 +124,23 @@ def test_field_sqrt():
 
 
 def test_rationalize():
-    x = FieldElem(SqrtSum.rational(1), SqrtSum.make([(1, 1), (2, 1)]))
-    r = x.rationalize()
-    assert r.den.is_rational()
-    assert r == x
-    assert r == number(1, 1, 2) - field(1)  # 1/(1+sqrt(2)) = sqrt(2)-1
-    y = FieldElem(SqrtSum.rational(1), SqrtSum.make([(2, 1), (3, 1), (1, 1)]))
-    ry = y.rationalize()
-    assert ry.den.is_rational()
-    assert abs(mp_value(ry) - mp_value(y)) < mpmath.mpf("1e-50")
+    # invert rationalizes: the inverse is again a plain sum of radicals
+    d = FieldElem(SqrtSum.make([(1, 1), (2, 1)]))
+    assert d.invert() == number(1, 1, 2) - field(1)  # 1/(1+sqrt(2)) = sqrt(2)-1
+    e = FieldElem(SqrtSum.make([(2, 1), (3, 1), (1, 1)]))
+    r = e.invert()
+    assert r * e == ONE
+    with mpmath.workdps(60):
+        assert abs(mp_value(r) - 1 / mp_value(e)) < mpmath.mpf("1e-50")
 
 
 def test_zero_division_guards():
     with pytest.raises(ZeroDivisionError):
         ZERO.invert()
     with pytest.raises(ZeroDivisionError):
-        FieldElem(SqrtSum.rational(1), SqrtSum())
+        ONE / ZERO
+    with pytest.raises(ZeroDivisionError):
+        parse_field("(1)/(sqrt(2)-sqrt(2))")
 
 
 # ---------------------------------------------------------------- property tests
@@ -165,7 +167,7 @@ def elems(draw):
         den = draw(sqrtsums(max_terms=2, allow_zero=False))
         if den.is_zero():
             den = SqrtSum.rational(1)
-        return FieldElem(num, den)
+        return FieldElem(num) / FieldElem(den)
     return FieldElem(num)
 
 
@@ -184,13 +186,10 @@ def test_field_axioms(a, b, c):
 
 
 @given(elems())
-def test_simplify_idempotent_and_canonical(a):
-    s = a.simplify()
-    assert s == a
-    assert s.simplify() == s
-    for f in s.num.terms:
+def test_canonical_form(a):
+    for f in a.num.terms:
         assert _square_free(f)[1] == f  # radicands stay square-free
-    assert all(c != 0 for c in s.num.terms.values())
+    assert all(c != 0 for c in a.num.terms.values())
 
 
 @given(elems())
@@ -210,29 +209,90 @@ def test_plain_roundtrip(a):
 
 @given(elems())
 def test_rationalize_preserves_value(a):
-    r = a.rationalize()
-    assert r.den.is_rational()
-    assert r == a
+    # the inverse is rationalized and is the numeric inverse
+    if a.is_zero():
+        return
+    r = a.invert()
+    assert r * a == ONE
+    with mpmath.workdps(60):
+        assert abs(mp_value(r) * mp_value(a) - 1) < mpmath.mpf("1e-40")
 
 
 @settings(max_examples=200)
 @given(sqrtsums(max_terms=2, allow_zero=False))
 def test_field_sqrt_squares_back(ss):
     x = FieldElem(ss)
-    x = (x * x).simplify()  # squares are always in range of field_sqrt
+    x = x * x  # squares are always in range of field_sqrt
     r = field_sqrt(x)
     assert r * r == x
     assert r.sign() >= 0
 
 
+def _random_elem(rng):
+    items = [
+        (rng.choice(_rads), Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return FieldElem(SqrtSum.make(items))
+
+
+def test_no_quotient_survives_inversion():
+    # criterion-8-style elements and their inverses are sums of radicals:
+    # no rendering shows a quotient, and every one parses back
+    rng = random.Random(1105)
+    for _ in range(300):
+        x = _random_elem(rng)
+        if x.is_zero():
+            continue
+        inv = x.invert()
+        assert x * inv == ONE
+        for y in (x, inv):
+            for text in (y.plain(), y.render("tex"), y.render("mathematica")):
+                assert ")/(" not in text
+            assert parse_field(y.plain()) == y
+
+
+def _square_free_by_trial(n):
+    """Oracle: split n as s*s*f by trial division up to sqrt(n)."""
+    s, f, m, d = 1, 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if e % 2:
+                f *= d
+            s *= d ** (e // 2)
+        d += 1 if d == 2 else 2
+    return s, f * m
+
+
+def test_square_free_matches_trial_division():
+    rng = random.Random(20261018)
+    cases = [rng.randrange(10**12) for _ in range(200)]
+    # cofactors left above the cube root: p, p*q and p*p for primes near it
+    p, q = 999983, 1000003
+    cases += [p, p * q, p * p, 12 * p * p, 18 * p * q, 7 * 7 * 7 * p]
+    for n in cases:
+        assert _square_free(n) == _square_free_by_trial(n), n
+
+
+def test_large_radicands_fail_fast():
+    # a 16-digit prime radicand parses at once, one above the bound is refused
+    p = 9999999999999937
+    assert parse_field("1/1*sqrt(%d)" % p).num.terms == {p: 1}
+    assert parse_field("sqrt(%d)" % MAX_RADICAND) == number(10**9, 1, 1)
+    with pytest.raises(ValueError, match="radicand"):
+        parse_field("1/1*sqrt(%d)" % (MAX_RADICAND + 1))
+    with pytest.raises(ValueError, match="radicand"):
+        parse_field("sqrt(" + "9" * 50 + ")")
+
+
 def test_sign_vs_numeric_random_bulk():
     rng = random.Random(20240817)
     for _ in range(2000):
-        items = [
-            (rng.choice(_rads), Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
-            for _ in range(rng.randint(1, 4))
-        ]
-        x = FieldElem(SqrtSum.make(items))
+        x = _random_elem(rng)
         v = mp_value(x)
         s = x.sign()
         if s == 0:

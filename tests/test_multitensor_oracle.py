@@ -8,8 +8,7 @@ expansion of `liecg.multitensor`.  Both take the irrep of an `otimes` from
 `prepare_with_states`; the oracle rebuilds each of its unit states from the
 descended product states.  The same pipelines are built with both; every
 state must expand to the same terms in the same order, with the same
-rendering unless a script literal had a denominator of more than one
-radical, and is_sym and tensor_coeff must agree.
+rendering, and is_sym and tensor_coeff must agree.
 """
 
 from types import SimpleNamespace
@@ -224,14 +223,13 @@ def both(build):
     return build(mt), build(OLD)
 
 
-def assert_same(new, old, rendered=True):
+def assert_same(new, old):
     assert new.factors == old.factors and new.shape == old.shape
     assert new.irrep.dim == old.irrep.dim
     for s in sorted(old.irrep.kets):
         e_new, e_old = new.expand(s), old.expand(s)
         assert e_new.terms == e_old.terms, s
-        if rendered:
-            assert repr(e_new) == repr(e_old), s
+        assert repr(e_new) == repr(e_old), s
         # a leaf combination of each term, and one that is absent
         for c, tr in e_old.terms[:3]:
             leaves = tree_leaves(tr)
@@ -351,7 +349,8 @@ def test_readme_su4_script():
 
 def octet_block_trafos():
     # bases of the SU(3) octet's zero-weight block (labels 4, 5): one with
-    # single radicals, one whose inverse has two-term denominators
+    # single radicals, one whose inverse has two-term denominators, which
+    # come out rationalized
     unit = LabeledVector.unit
     plain = mt.chbasis_list(
         [unit(4) + unit(5).scaled(number(1, 1, 2)),
@@ -379,7 +378,8 @@ def test_chbasis_to_negative_leaves_and_back():
 def test_chbasis_two_term_denominators():
     r8 = new_generic_irrep(A2, (1, 1))
     _, two_term = octet_block_trafos()
-    assert any(not c.den.is_rational()
+    # 1/(1 - sqrt(2)) = -1 - sqrt(2): a sum of radicals, no quotient
+    assert any(len(c.num.terms) == 2
                for _, vec in two_term for c, _ in vec.terms)
 
     def build(m):
@@ -387,23 +387,19 @@ def test_chbasis_two_term_denominators():
         return [m.chbasis(t, 1, two_term)]
 
     new, old = both(build)
-    # the rational expansion rationalizes the literal: same values
-    assert_same(new[0], old[0], rendered=False)
+    assert_same(new[0], old[0])
 
 
 def test_scale_by_two_term_denominator():
     r8, r3 = irreps(A2, (1, 1), (1, 0))
     c = parse_field("(1)/(1+sqrt(2))")
-    assert not c.den.is_rational()
+    assert c == number(1, 1, 2) - field(1)  # read rationalized
 
     def build(m):
         return [m.scale(m.otimes(m.wrap(r8), m.wrap(r3), 2), c)]
 
     new, old = both(build)
-    assert_same(new[0], old[0], rendered=False)
-    # the oracle keeps the literal's denominator, the expansion clears it
-    got, want = repr(new[0].expand(1)), repr(old[0].expand(1))
-    assert ")/(1+1*sqrt(2))" in want and ")/(" not in got
+    assert_same(new[0], old[0])
 
 
 def test_otimes_over_chbasis_and_scale_children():
