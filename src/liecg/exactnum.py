@@ -411,8 +411,17 @@ def field(c) -> FieldElem:
 
 
 def _frac_sqrt(c: Fraction) -> FieldElem:
-    # sqrt(p/q) = sqrt(p*q)/q, exact in the field for c >= 0
-    return number(1, c.denominator, c.numerator * c.denominator)
+    # sqrt(p/q) = sqrt(p*q)/q, exact in the field for c >= 0.  Factoring a
+    # radicand p*q above MAX_RADICAND could hang, so unless it is a perfect
+    # square it is refused.
+    n = c.numerator * c.denominator
+    if n > MAX_RADICAND:
+        r = _exact_sqrt(n)
+        if r is None:
+            raise FieldSqrtError(
+                "square root of %s: radicand exceeds %d" % (c, MAX_RADICAND))
+        return field(Fraction(r, c.denominator))
+    return number(1, c.denominator, n)
 
 
 def _exact_sqrt(n: int) -> int | None:

@@ -6,9 +6,12 @@ total order on labels so that all listings are deterministic.
 
 _Reducer is the incremental elimination over the rationals that the irrep
 builder, the consistency sweep and the tensor-product descent, search and
-prepare share.  Over the field there is only `invert_matrix`, for the basis
-changes that scripts write with radical coefficients, and
-`gram_orthogonalize`, which completes such a basis.
+prepare share.  It works fraction-free (Bareiss 1968): rows are primitive
+integer vectors, and the combinations it tracks are integer relations, so
+a Fraction appears only in the coordinates of a dependent vector.  Over
+the field there is only `invert_matrix`, for the basis changes that
+scripts write with radical coefficients, and `gram_orthogonalize`, which
+completes such a basis.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ class LabeledVector:
 # Rational vectors are dicts {label: q} with nonzero int or Fraction q.
 
 def _integral(vec):
-    """(row, m): the primitive integer vector row == m * vec, m > 0."""
+    """(row, p, q): the primitive integer vector row with q*row == p*vec,
+    p, q > 0 coprime ints."""
     den, ints = 1, True
     for c in vec.values():
         if type(c) is not int:
@@ -149,33 +153,35 @@ def _integral(vec):
     g = gcd(*row.values())
     if g != 1:
         row = {k: c // g for k, c in row.items()}
-    return row, Fraction(den, g)
+    h = gcd(den, g)
+    return row, den // h, g // h
 
 
 class _Reducer:
     """Incremental exact rank tracker over rational vectors, eliminating
     fraction-free on primitive integer rows.
 
-    Built with track=True, it also keeps every stored row as a combination
-    of the vectors kept so far, so a dependent vector comes back with its
-    coordinates in terms of them.
+    Built with track=True, it also keeps every stored row as an integer
+    relation s*row == sum of b_k times kept vector k, s > 0 and the common
+    gcd of s and the b_k divided out, so a dependent vector comes back with
+    its coordinates in terms of the kept vectors.  Only those coordinates
+    are Fractions.
     """
 
     __slots__ = ("rows", "combs")
 
     def __init__(self, track=False):
         self.rows = []  # (pivot label, primitive integer row), pivot == min
-        # parallel to rows when tracking: {kept index: coefficient} giving
-        # the row in terms of kept vectors
+        # parallel to rows when tracking: (s, {kept index: b_k})
         self.combs = [] if track else None
 
     def add(self, vec):
         """None, and remember the vector as kept vector number len(rows), if
         it is independent of those kept; else its coordinates {k: c} with
         vec == sum of c times kept vector k (left empty unless tracking)."""
-        row, alpha = _integral(vec)
+        row, alpha, s = _integral(vec)
         combs = self.combs
-        beta = {}  # row == alpha * vec + sum of beta[k] times kept vector k
+        beta = {}  # s*row == alpha*vec + sum of beta[k] times kept vector k
         for k, (pl, prow) in enumerate(self.rows):
             c = row.get(pl)
             if not c:
@@ -193,43 +199,59 @@ class _Reducer:
                 else:
                     del row[l2]
             if combs is not None:
-                alpha *= a
-                beta = {kk: a * x for kk, x in beta.items()}
-                for kk, x in combs[k].items():
-                    nv = beta.get(kk, 0) - b * x
+                # sk*prow == P, so s*sk*(a*row - b*prow) == a*sk*R - b*s*P
+                sk, bk = combs[k]
+                f, bs = a * sk, b * s
+                alpha *= f
+                if f != 1:
+                    beta = {kk: f * x for kk, x in beta.items()}
+                for kk, x in bk.items():
+                    nv = beta.get(kk, 0) - bs * x
                     if nv:
                         beta[kk] = nv
                     else:
                         del beta[kk]
+                s *= sk
         if not row:
-            return {k: -x / alpha for k, x in beta.items()}
+            # 0 == alpha*vec + sum of beta[k] times kept vector k
+            return {k: Fraction(-x, alpha) for k, x in beta.items()}
         g = gcd(*row.values())
         if g != 1:
             row = {lab: c // g for lab, c in row.items()}
         if combs is not None:
-            comb = {k: x / g for k, x in beta.items()}
-            comb[len(self.rows)] = alpha / g
-            combs.append(comb)
+            beta[len(self.rows)] = alpha
+            s *= g
+            h = gcd(s, *beta.values())
+            if h != 1:
+                s //= h
+                beta = {kk: x // h for kk, x in beta.items()}
+            combs.append((s, beta))
         self.rows.append((min(row), row))
         return None
 
     def null_vector(self, labels):
-        """The vector x with row.x == 0 for every stored row whose first
-        free label in labels is 1 and whose other free labels are 0, or None
-        when every label is a pivot."""
+        """A positive integer multiple of the vector x with row.x == 0 for
+        every stored row whose first free label in labels is 1 and whose
+        other free labels are 0, or None when every label is a pivot."""
         pivots = {pl for pl, _ in self.rows}
         free = next((lab for lab in labels if lab not in pivots), None)
         if free is None:
             return None
         x = {free: 1}
-        # every row lives on labels >= its pivot: solve from the last pivot
+        # every row lives on labels >= its pivot: solve from the last pivot,
+        # scaling x by |p|/g so that p*x[pl] + acc == 0 has an integer root
         for pl, prow in sorted(self.rows, key=lambda pr: pr[0], reverse=True):
             acc = 0
             for l2, c2 in prow.items():
                 if l2 != pl and l2 in x:
                     acc += c2 * x[l2]
             if acc:
-                x[pl] = Fraction(-acc) / prow[pl]
+                p = prow[pl]
+                g = gcd(acc, p)
+                a = abs(p) // g
+                if a != 1:
+                    x = {k: a * c for k, c in x.items()}
+                x[pl] = -acc // g if p > 0 else acc // g
         return x
 
 

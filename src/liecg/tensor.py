@@ -12,23 +12,31 @@ the remaining dominant weight with the most levels, solve for a state
 orthogonal to everything already built at that weight, and descend again
 until the dimensions add up.
 
-All of this runs over the rationals.  Each factor holds its rational form
+All of this runs over the integers, with rationals only as one scale per
+state and in the final coordinates.  Each factor holds its rational form
 (Irrep.rational_form): in the basis u_a = sqrt(r_a) e_a, with r_a the
 square-free class of label a, its lowering entries and its Gram matrix are
-rational.  A product irrep keeps its states as rational vectors
-{(a, b): q} over u_a x u_b, and the whole irrep shares one scale rho: the
-found highest-weight vector y has rational norm N = <y|y>, and rho is
-1/sqrt(N).  Radicals appear only where a FieldElem state is read: the
-coefficient of (a, b) is rho * q * sqrt(r_a * r_b).  hw_state, levels and
-by_weight are such views, converted on access.  prepare_with_states hands
-out the found irrep as an Irrep holding its own rational form, with no
-radical; prepare renders its file tables.  The public product_lower and
-product_scp split a FieldElem state into one rational vector per radical
-class and run the same rational lowering and scalar product.
+rational.  For each root i, _int_tables scales both factors' root-i
+lowering entries by D_i, the lcm of their denominators, so lowering runs
+on ints and yields D_i times the lowered vector; _int_gram scales the
+Gram tables the same way for the search and prepare.  A product irrep keeps
+each state as a primitive integer vector v over u_a x u_b with one
+positive rational scale sigma, the state being sigma*v; a lowered vector
+D_i*E v of content g becomes the child state of scale sigma*g/D_i.  The
+whole irrep shares one more scale rho: the found highest-weight vector y
+has rational norm N = <y|y>, and rho is 1/sqrt(N).  Radicals appear only
+where a FieldElem state is read: the coefficient of (a, b) is
+rho * sigma * v_ab * sqrt(r_a * r_b).  hw_state, levels and by_weight are
+such views, converted on access.  prepare_with_states hands out the found
+irrep as an Irrep holding its own rational form, with no radical; prepare
+renders its file tables.  The public product_lower and product_scp split a
+FieldElem state into one integer vector per radical class and run the same
+lowering and scalar product.
 
-Positive rescaling keeps pivots and signs, so the rational search picks
-the same highest-weight states, with the same phases, as a search over the
-field would.
+Positive rescaling keeps pivots and signs, so the search over the integer
+vectors picks the same highest-weight states, with the same phases, as a
+search over the field would, and the unit states sign*v/sqrt(<v|v>) do not
+depend on the scales.
 
 One sparse elimination, linalg's _Reducer (the irrep builder's too),
 serves the descent (is a lowered state new at its weight?), the
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import FieldElem, SqrtSum, _sqrt, _square_free
 from .linalg import LabeledVector, _integral, _Reducer
@@ -107,11 +115,46 @@ def product_weight(s: ProductState, l: Irrep, r: Irrep):
 
 # ------------------------------------------------------------ rational core
 # A rational vector is a dict {(a, b): q} with nonzero int or Fraction q
-# over the rescaled basis u_a x u_b of the two factors' rational forms.
+# over the rescaled basis u_a x u_b of the two factors' rational forms;
+# the descent, the search and prepare hold only integer ones.
+
+def _scaled_ints(tab_l, tab_r):
+    """(d, tab_l, tab_r): two tables label -> ((label, q), ...) times d, the
+    lcm of the denominators of all their entries, as ints."""
+    d = 1
+    for tab in (tab_l, tab_r):
+        for row in tab.values():
+            for _, q in row:
+                if type(q) is not int:
+                    d = lcm(d, q.denominator)
+    if d == 1:
+        return 1, tab_l, tab_r
+    return (d, *(
+        {a: tuple((t, q.numerator * (d // q.denominator)) for t, q in row)
+         for a, row in tab.items()}
+        for tab in (tab_l, tab_r)
+    ))
+
+
+def _int_tables(fl, fr):
+    """[(D_i, low_l, low_r)] for the roots i = 1..rank: the root-i lowering
+    tables of the rational forms fl and fr, both times D_i, as ints."""
+    return [_scaled_ints(fl.lower[i], fr.lower[i])
+            for i in range(1, len(fl.lower) + 1)]
+
+
+def _int_gram(fl, fr):
+    """(E, gram_l, gram_r): the Gram tables of fl and fr, both times d, as
+    ints; _gram_apply and _scp on them give E = d*d times the product
+    form."""
+    d, gram_l, gram_r = _scaled_ints(fl.gram, fr.gram)
+    return d * d, gram_l, gram_r
+
 
 def _lower(v, low_l, low_r):
-    """E_-i acting as E x 1 + 1 x E; low_l, low_r are the factors' rational
-    lowering tables of root i."""
+    """E_-i acting as E x 1 + 1 x E; low_l, low_r are the factors' integer
+    lowering tables of root i from _int_tables, so on an integer vector v
+    this is D_i times the lowered vector, in ints."""
     out = {}
     for (a, b), c in v.items():
         for t, q in low_l.get(a, ()):
@@ -194,9 +237,9 @@ def product_lower(s: ProductState, root: int, l: Irrep, r: Irrep) -> ProductStat
     if not 1 <= root <= l.algebra.rank:
         raise ValueError(f"root index must lie in 1..{l.algebra.rank}")
     fl, fr = l.rational_form(), r.rational_form()
-    low_l, low_r = fl.lower[root], fr.lower[root]
+    d, low_l, low_r = _int_tables(fl, fr)[root - 1]
     parts = [
-        (f, Fraction(1, m), _lower(v, low_l, low_r))
+        (f, Fraction(1, m * d), _lower(v, low_l, low_r))
         for f, (v, m) in _split(s, fl.r, fr.r).items()
     ]
     return _to_field(parts, fl.r, fr.r)
@@ -205,9 +248,10 @@ def product_lower(s: ProductState, root: int, l: Irrep, r: Irrep) -> ProductStat
 def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
     """<s1|s2> built from the factor scalar products."""
     fl, fr = l.rational_form(), r.rational_form()
+    e, gram_l, gram_r = _int_gram(fl, fr)
     p2 = _split(s2, fl.r, fr.r).items()
     return FieldElem(SqrtSum.make(
-        (f * g, Fraction(_scp(v, w, fl.gram, fr.gram)) / (m * k))
+        (f * g, Fraction(_scp(v, w, gram_l, gram_r), m * k * e))
         for f, (v, m) in _split(s1, fl.r, fr.r).items()
         for g, (w, k) in p2
     ))
@@ -235,17 +279,18 @@ class ProductIrrep:
     """An irrep living inside a tensor product: its highest-weight product
     state and, once descended, all states grouped by level.
 
-    The states are kept as rational vectors v; hw_state, levels and
-    by_weight show them as the FieldElem product states rho*v, with one
-    radical rho = k*sqrt(f) for the whole irrep.
+    Each state is kept as a pair (v, sigma): a primitive integer vector v
+    and a positive rational scale sigma.  hw_state, levels and by_weight
+    show them as the FieldElem product states rho*sigma*v, with one radical
+    rho = k*sqrt(f) for the whole irrep.
     """
 
     def __init__(self, hw_state: ProductState):
         self._hw_state = hw_state  # as given, read until descended
-        self._hw_vec = None  # rational highest-weight vector
+        self._hw_vec = None  # primitive integer highest-weight vector
         self._scale = None  # (f, k): rho = k*sqrt(f)
-        self._levels = None  # rational vectors by level, once descended
-        self._by_weight = None  # weight -> rational vectors
+        self._levels = None  # (v, sigma) pairs by level, once descended
+        self._by_weight = None  # weight -> (v, sigma) pairs
         self._classes = None  # the factors' square-free classes
         self.hw = None  # set by descend_irrep
         self.weights = None  # weights parallel to levels
@@ -262,14 +307,16 @@ class ProductIrrep:
     def descended(self):
         return self.hw is not None
 
-    def _state(self, v) -> ProductState:
-        return _to_field([(*self._scale, v)], *self._classes)
+    def _state(self, state) -> ProductState:
+        v, sigma = state
+        f, k = self._scale
+        return _to_field([(f, k * sigma, v)], *self._classes)
 
     @property
     def hw_state(self) -> ProductState:
         if self._levels is None:
             return self._hw_state
-        return self._state(self._hw_vec)
+        return self._state((self._hw_vec, 1))
 
     @property
     def levels(self):
@@ -297,7 +344,9 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     Candidates are generated lowering each state of the current level by
     each simple root, in (state order, root index) order; a candidate is
     kept iff it is linearly independent of the states already kept at its
-    weight.  The total count must come out at the Weyl dimension.
+    weight.  The total count must come out at the Weyl dimension.  A kept
+    candidate D_i*E v of content g, lowered from the state (v, sigma), is
+    stored as its primitive vector with scale sigma*g/D_i.
     """
     la = l.algebra
     A = cartan(la)
@@ -311,26 +360,27 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                 f"{la.name}: the highest-weight state is not one radical "
                 "times a rational vector"
             )
-        ((f, (p._hw_vec, m)),) = parts.items()
-        p._scale = (f, Fraction(1, m))
-    top = p._hw_vec
-    hw = _pairs_weight(top, l, r)
+        ((f, (v, m)),) = parts.items()
+        p._hw_vec, _, g = _integral(v)
+        p._scale = (f, Fraction(g, m))
+    top = (p._hw_vec, 1)
+    hw = _pairs_weight(p._hw_vec, l, r)
     target = weyl_dim(la, hw)
     mult = {rec.dynkin: rec.degeneracy for rec in freudenthal(la, hw)}
-    lows = [(fl.lower[i], fr.lower[i], A[i - 1]) for i in range(1, n + 1)]
+    lows = [(*t, row) for t, row in zip(_int_tables(fl, fr), A)]
     levels = [[top]]
     p.weights = [[hw]]
     by_weight = {hw: [top]}
     descent = {hw: (0,) * n}
     reducers = {hw: _Reducer()}
-    reducers[hw].add(top)
+    reducers[hw].add(p._hw_vec)
     count = 1
     cur_states, cur_weights = levels[0], p.weights[0]
     while True:
         nxt_states, nxt_weights = [], []
-        for s, w in zip(cur_states, cur_weights):
+        for (s, sigma), w in zip(cur_states, cur_weights):
             dsc = descent[w]
-            for i, (low_l, low_r, row) in enumerate(lows):
+            for i, (d, low_l, low_r, row) in enumerate(lows):
                 low = _lower(s, low_l, low_r)
                 if not low:
                     continue
@@ -339,9 +389,11 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                 if red is None:
                     red = reducers[w2] = _Reducer()
                 if red.add(low) is None:
-                    nxt_states.append(low)
+                    low, _, g = _integral(low)
+                    state = (low, sigma * g if d == 1 else sigma * Fraction(g, d))
+                    nxt_states.append(state)
                     nxt_weights.append(w2)
-                    by_weight.setdefault(w2, []).append(low)
+                    by_weight.setdefault(w2, []).append(state)
                     if w2 not in descent:
                         descent[w2] = tuple(
                             q + (1 if k == i else 0) for k, q in enumerate(dsc)
@@ -411,7 +463,7 @@ def decompose(d: Decomposition) -> None:
     """Split the product into irreps (fills d.found, d.multiplicities)."""
     l, r = d.left, d.right
     la = l.algebra
-    fl, fr = l.rational_form(), r.rational_form()
+    e, gram_l, gram_r = _int_gram(l.rational_form(), r.rational_form())
     d.found = []
     d.multiplicities = {}
     # multiplicity of each dominant weight in the full product
@@ -446,8 +498,8 @@ def decompose(d: Decomposition) -> None:
         # one orthogonality row per state already built at w: its Gram image
         red = _Reducer()
         for p in d.found:
-            for v in p._by_weight.get(w, ()):
-                red.add(_gram_apply(v, fl.gram, fr.gram))
+            for v, _ in p._by_weight.get(w, ()):
+                red.add(_gram_apply(v, gram_l, gram_r))
         x = red.null_vector(_basis_pairs(d, w))
         if x is None:
             raise DecompositionError(
@@ -456,8 +508,8 @@ def decompose(d: Decomposition) -> None:
         y = _integral(x)[0]
         if y[min(y)] < 0:
             y = {k: -c for k, c in y.items()}
-        norm = _scp(y, y, fl.gram, fr.gram)
-        p = ProductIrrep._from_vector(y, _sqrt(Fraction(1) / norm))
+        norm = Fraction(_scp(y, y, gram_l, gram_r), e)
+        p = ProductIrrep._from_vector(y, _sqrt(1 / norm))
         descend_irrep(p, l, r)
         take(p)
     if not check_dims(d):
@@ -503,15 +555,16 @@ def prepare(p: ProductIrrep, l: Irrep, r: Irrep) -> ImportedIrrepData:
 def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     """The descended product irrep p as an Irrep of its own, and the map
     label a -> (v_a, sign_a, N_a): its unit state is sign_a*v_a/sqrt(N_a),
-    v_a the rational vector descend_irrep kept, N_a = <v_a|v_a> and sign_a
-    the sign of the leading coefficient of v_a.
+    v_a the primitive integer vector descend_irrep kept, N_a = <v_a|v_a>
+    and sign_a the sign of the leading coefficient of v_a.
 
     States are labeled level by level; inside a level the weight buckets
     are ordered by descent vector ascending (the generic listing order) and
     states keep their construction order, which defines their degeneracy
-    indices.  Each lowered state is reduced against the descended states of
-    its target weight, as descend_irrep did; its coordinates and the Gram
-    entries of the signed states over N_1 give the rational form.
+    indices.  Each lowered state D_i*E v_a is reduced against the descended
+    states of its target weight, as descend_irrep did; its coordinates over
+    D_i and the Gram entries of the signed states over N_1 give the rational
+    form.
     """
     la = l.algebra
     if not p.descended:
@@ -519,6 +572,8 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     A = cartan(la)
     n = la.rank
     fl, fr = l.rational_form(), r.rational_form()
+    tables = _int_tables(fl, fr)
+    e, gram_l, gram_r = _int_gram(fl, fr)
     kets = {}
     states = {}  # label -> (v_a, sign_a, N_a)
     labels_at = {}
@@ -527,18 +582,18 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     for weights in p.weights:
         for w in sorted(set(weights), key=p.descent.get):
             red = reducers[w] = _Reducer(track=True)
-            for deg, v in enumerate(p._by_weight[w], 1):
+            for deg, (v, _) in enumerate(p._by_weight[w], 1):
                 red.add(v)
                 kets[lab] = Ket(w, deg)
                 sign = 1 if v[min(v)] > 0 else -1
-                states[lab] = (v, sign, Fraction(_scp(v, v, fl.gram, fr.gram)))
+                states[lab] = (v, sign, Fraction(_scp(v, v, gram_l, gram_r), e))
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
     lowering = {}
     for a, (v, sign, _) in states.items():
         w = kets[a].dynkin
-        for i in range(1, n + 1):
-            low = _lower(v, fl.lower[i], fr.lower[i])
+        for i, (d, low_l, low_r) in enumerate(tables, 1):
+            low = _lower(v, low_l, low_r)
             if not low:
                 continue
             w2 = _vsub(w, A[i - 1])
@@ -554,9 +609,11 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            # E v_a = sum c_k v_k, so the signed states have c_k*sign_a*sign_k
+            # E v_a = sum c_k/D_i v_k, so the signed states have
+            # c_k/D_i*sign_a*sign_k
+            f = sign if d == 1 else Fraction(sign, d)
             lowering[(i, a)] = {
-                targets[k]: c * sign * states[targets[k]][1]
+                targets[k]: c * f * states[targets[k]][1]
                 for k, c in coords.items()
             }
     n1 = states[1][2]
@@ -566,9 +623,9 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
             va, sa, _ = states[a]
             for b in labs[ix + 1:]:
                 vb, sb, _ = states[b]
-                g = _scp(va, vb, fl.gram, fr.gram)
+                g = _scp(va, vb, gram_l, gram_r)
                 if g:
-                    gram[a][b] = gram[b][a] = sa * sb * g / n1
+                    gram[a][b] = gram[b][a] = sa * sb * Fraction(g, e) / n1
     return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
 
 

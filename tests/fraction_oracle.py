@@ -1,0 +1,266 @@
+"""The Fraction-valued descent, highest-weight search, prepare and tracked
+elimination that the integer versions in liecg.tensor and liecg.linalg
+replaced, kept as oracles.
+
+Here lowering reads the factors' rational tables as they are, so a single
+fractional entry turns every later lowered vector into Fractions; states
+are the exact lowered vectors, with no per-state scale; and the tracked
+elimination keeps each stored row's combination in Fractions.  The
+helpers that did not change (_gram_apply, _scp, _split, _to_field,
+_scaled_form) are shared with the package.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+from liecg.exactnum import _sqrt
+from liecg.irrep import Irrep, Ket, _scaled_form
+from liecg.liealg import cartan, level_vector
+from liecg.tensor import (
+    _basis_pairs,
+    _gram_apply,
+    _pairs_weight,
+    _scp,
+    _split,
+    _to_field,
+    _vadd,
+    _vsub,
+)
+
+
+def fraction_integral(vec):
+    """(row, m): the primitive integer vector row == m * vec, m > 0."""
+    den, ints = 1, True
+    for c in vec.values():
+        if type(c) is not int:
+            ints = False
+            den = den * c.denominator // gcd(den, c.denominator)
+    if ints:
+        row = dict(vec)
+    else:
+        row = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    g = gcd(*row.values())
+    if g != 1:
+        row = {k: c // g for k, c in row.items()}
+    return row, Fraction(den, g)
+
+
+class FractionReducer:
+    """The elimination with Fraction-tracked combinations."""
+
+    def __init__(self, track=False):
+        self.rows = []  # (pivot label, primitive integer row), pivot == min
+        # parallel to rows when tracking: {kept index: coefficient} giving
+        # the row in terms of kept vectors
+        self.combs = [] if track else None
+
+    def add(self, vec):
+        row, alpha = fraction_integral(vec)
+        combs = self.combs
+        beta = {}  # row == alpha * vec + sum of beta[k] times kept vector k
+        for k, (pl, prow) in enumerate(self.rows):
+            c = row.get(pl)
+            if not c:
+                continue
+            p = prow[pl]
+            g = gcd(c, p)
+            a, b = p // g, c // g
+            if a != 1:
+                for lab in row:
+                    row[lab] *= a
+            for l2, c2 in prow.items():
+                nv = row.get(l2, 0) - b * c2
+                if nv:
+                    row[l2] = nv
+                else:
+                    del row[l2]
+            if combs is not None:
+                alpha *= a
+                beta = {kk: a * x for kk, x in beta.items()}
+                for kk, x in combs[k].items():
+                    nv = beta.get(kk, 0) - b * x
+                    if nv:
+                        beta[kk] = nv
+                    else:
+                        del beta[kk]
+        if not row:
+            return {k: -x / alpha for k, x in beta.items()}
+        g = gcd(*row.values())
+        if g != 1:
+            row = {lab: c // g for lab, c in row.items()}
+        if combs is not None:
+            comb = {k: x / g for k, x in beta.items()}
+            comb[len(self.rows)] = alpha / g
+            combs.append(comb)
+        self.rows.append((min(row), row))
+        return None
+
+    def null_vector(self, labels):
+        pivots = {pl for pl, _ in self.rows}
+        free = next((lab for lab in labels if lab not in pivots), None)
+        if free is None:
+            return None
+        x = {free: 1}
+        for pl, prow in sorted(self.rows, key=lambda pr: pr[0], reverse=True):
+            acc = 0
+            for l2, c2 in prow.items():
+                if l2 != pl and l2 in x:
+                    acc += c2 * x[l2]
+            if acc:
+                x[pl] = Fraction(-acc) / prow[pl]
+        return x
+
+
+def fraction_lower(v, low_l, low_r):
+    """E_-i acting as E x 1 + 1 x E on the factors' rational tables."""
+    out = {}
+    for (a, b), c in v.items():
+        for t, q in low_l.get(a, ()):
+            k = (t, b)
+            x = out.get(k, 0) + c * q
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+        for t, q in low_r.get(b, ()):
+            k = (a, t)
+            x = out.get(k, 0) + c * q
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return out
+
+
+class OracleIrrep:
+    """One irrep of the product: the exact rational vectors of its states
+    and the scale rho = k*sqrt(f) shared by all of them."""
+
+    def __init__(self, hw_vec, scale, l, r):
+        fl, fr = l.rational_form(), r.rational_form()
+        A = cartan(l.algebra)
+        n = l.algebra.rank
+        self.scale = scale
+        self.classes = (fl.r, fr.r)
+        self.hw = _pairs_weight(hw_vec, l, r)
+        lows = [(fl.lower[i], fr.lower[i], A[i - 1]) for i in range(1, n + 1)]
+        self.levels = [[hw_vec]]
+        self.weights = [[self.hw]]
+        self.by_weight = {self.hw: [hw_vec]}
+        self.descent = {self.hw: (0,) * n}
+        reducers = {self.hw: FractionReducer()}
+        reducers[self.hw].add(hw_vec)
+        cur = list(zip(self.levels[0], self.weights[0]))
+        while cur:
+            nxt = []
+            for s, w in cur:
+                dsc = self.descent[w]
+                for i, (low_l, low_r, row) in enumerate(lows):
+                    low = fraction_lower(s, low_l, low_r)
+                    if not low:
+                        continue
+                    w2 = _vsub(w, row)
+                    red = reducers.setdefault(w2, FractionReducer())
+                    if red.add(low) is None:
+                        nxt.append((low, w2))
+                        self.by_weight.setdefault(w2, []).append(low)
+                        if w2 not in self.descent:
+                            self.descent[w2] = tuple(
+                                q + (1 if k == i else 0) for k, q in enumerate(dsc)
+                            )
+            if nxt:
+                self.levels.append([s for s, _ in nxt])
+                self.weights.append([w for _, w in nxt])
+            cur = nxt
+
+    @classmethod
+    def from_state(cls, state, l, r):
+        """The irrep under a FieldElem highest-weight product state."""
+        fl, fr = l.rational_form(), r.rational_form()
+        ((f, (v, m)),) = _split(state, fl.r, fr.r).items()
+        return cls(v, (f, Fraction(1, m)), l, r)
+
+    def field_levels(self):
+        """The FieldElem product states, level by level."""
+        return [[_to_field([(*self.scale, v)], *self.classes) for v in lev]
+                for lev in self.levels]
+
+
+def oracle_decompose(d):
+    """The irreps of d.left x d.right in discovery order."""
+    l, r = d.left, d.right
+    fl, fr = l.rational_form(), r.rational_form()
+    prod_mult = {}
+    for wa, la_labels in l.labels_by_weight.items():
+        for wb, rb_labels in r.labels_by_weight.items():
+            w = _vadd(wa, wb)
+            if all(c >= 0 for c in w):
+                prod_mult[w] = prod_mult.get(w, 0) + len(la_labels) * len(rb_labels)
+    found, used = [], {}
+    R = level_vector(l.algebra)
+
+    def take(p):
+        found.append(p)
+        for w, states in p.by_weight.items():
+            if all(c >= 0 for c in w):
+                used[w] = used.get(w, 0) + len(states)
+
+    take(OracleIrrep({(1, 1): 1}, (1, Fraction(1)), l, r))
+    while True:
+        cands = [w for w, m in prod_mult.items() if used.get(w, 0) < m]
+        if not cands:
+            return found
+        w = max(cands, key=lambda w: (sum(a * b for a, b in zip(R, w)), w))
+        red = FractionReducer()
+        for p in found:
+            for v in p.by_weight.get(w, ()):
+                red.add(_gram_apply(v, fl.gram, fr.gram))
+        y = fraction_integral(red.null_vector(_basis_pairs(d, w)))[0]
+        if y[min(y)] < 0:
+            y = {k: -c for k, c in y.items()}
+        norm = _scp(y, y, fl.gram, fr.gram)
+        take(OracleIrrep(y, _sqrt(Fraction(1) / norm), l, r))
+
+
+def oracle_prepare(p, l, r):
+    """prepare_with_states on the exact rational vectors of p."""
+    la = l.algebra
+    A = cartan(la)
+    n = la.rank
+    fl, fr = l.rational_form(), r.rational_form()
+    kets, states, labels_at, reducers = {}, {}, {}, {}
+    lab = 1
+    for weights in p.weights:
+        for w in sorted(set(weights), key=p.descent.get):
+            red = reducers[w] = FractionReducer(track=True)
+            for deg, v in enumerate(p.by_weight[w], 1):
+                red.add(v)
+                kets[lab] = Ket(w, deg)
+                sign = 1 if v[min(v)] > 0 else -1
+                states[lab] = (v, sign, Fraction(_scp(v, v, fl.gram, fr.gram)))
+                labels_at.setdefault(w, []).append(lab)
+                lab += 1
+    lowering = {}
+    for a, (v, sign, _) in states.items():
+        w = kets[a].dynkin
+        for i in range(1, n + 1):
+            low = fraction_lower(v, fl.lower[i], fr.lower[i])
+            if not low:
+                continue
+            targets = labels_at[_vsub(w, A[i - 1])]
+            coords = reducers[_vsub(w, A[i - 1])].add(low)
+            lowering[(i, a)] = {
+                targets[k]: c * sign * states[targets[k]][1]
+                for k, c in coords.items()
+            }
+    n1 = states[1][2]
+    gram = {a: {a: na / n1} for a, (_, _, na) in states.items()}
+    for labs in labels_at.values():
+        for ix, a in enumerate(labs):
+            va, sa, _ = states[a]
+            for b in labs[ix + 1:]:
+                vb, sb, _ = states[b]
+                g = _scp(va, vb, fl.gram, fr.gram)
+                if g:
+                    gram[a][b] = gram[b][a] = sa * sb * g / n1
+    return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states

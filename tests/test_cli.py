@@ -607,6 +607,27 @@ def test_script_normalize_zero_vector(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+
+def test_script_normalize_huge_radicand_fails_fast(tmp_path):
+    # the norm of v is 1 + c*c with a 31-digit c: factoring it would not
+    # finish, so normalize refuses it
+    path = tmp_path / "s.lie"
+    path.write_text("algebra a 2\nirrep r 10\n"
+                    "vector v r 1:1000000000000000000000000000057 2:1\n"
+                    "normalize v\n")
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecg", "--script", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert f"{path}:4: normalize: square root of " in proc.stderr
+    assert "radicand exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
 @pytest.mark.parametrize("coeff", ["1/0", "(1)/(0)"])
 def test_script_coefficient_divides_by_zero(capsys, tmp_path, coeff):
     path = tmp_path / "s.lie"

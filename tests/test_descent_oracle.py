@@ -1,0 +1,147 @@
+"""The integer descent, search and prepare of liecg.tensor against the
+Fraction-valued versions they replaced (tests/fraction_oracle.py), on the
+products whose factor tables hold fractional entries: F4 52x52 (two roots
+with entries of 1/2), the imported SU(3) 27 (denominators 2, 3, 4 and 6)
+against itself and the octet, and an SU(3) otimes chain whose factors are
+prepared product irreps.  A type guard checks that no Fraction reaches the
+lowering tables, the stored states or the tracked eliminations."""
+
+import sys
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from liecg import irrep as irrep_mod
+from liecg import linalg, tensor
+from liecg.exactnum import field
+from liecg.irrep import new_generic_irrep, new_imported_irrep
+from liecg.liealg import LieAlgebra
+from liecg.tensor import Decomposition, decompose, prepare, prepare_with_states
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from fraction_oracle import (  # noqa: E402
+    OracleIrrep,
+    oracle_decompose,
+    oracle_prepare,
+)
+
+A2 = LieAlgebra("A", 2)
+F4 = LieAlgebra("F4", 4)
+
+
+def _found(l, r, k):
+    d = Decomposition(l, r)
+    decompose(d)
+    return d.found[k - 1]
+
+
+def factors(case):
+    if case == "f4-52x52":
+        adj = new_generic_irrep(F4, (0, 0, 0, 1))
+        return adj, adj
+    oc = new_generic_irrep(A2, (1, 1))
+    if case in ("su3-27x27", "su3-27x8"):
+        i27 = new_imported_irrep(A2, prepare(_found(oc, oc, 1), oc, oc))
+        return i27, (i27 if case == "su3-27x27" else oc)
+    # the chain 8 x 8 -> 27 (k=1), x 3 -> 24 (k=2), x 3, each factor the
+    # prepared irrep of the step before
+    tri = new_generic_irrep(A2, (1, 0))
+    p27 = prepare_with_states(_found(oc, oc, 1), oc, oc)[0]
+    if case == "su3-chain-step2":
+        return p27, tri
+    p24 = prepare_with_states(_found(p27, tri, 2), p27, tri)[0]
+    return p24, tri
+
+
+def same_unit_state(got, want):
+    """sign*v/sqrt(N) is the same vector for both (v, sign, N)."""
+    (v, sign, n), (ov, osign, on) = got, want
+    if v.keys() != ov.keys():
+        return False
+    k0 = min(v)
+    c = Fraction(ov[k0]) / v[k0]
+    return (all(ov[k] == c * x for k, x in v.items())
+            and on == c * c * n and osign * (1 if c > 0 else -1) == sign)
+
+
+CASES = ["f4-52x52", "su3-27x27", "su3-27x8", "su3-chain-step2",
+         "su3-chain-step3"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_descent_and_prepare_match_fraction_oracle(case):
+    l, r = factors(case)
+    d = Decomposition(l, r)
+    decompose(d)
+    want = oracle_decompose(d)
+    assert [p.hw for p in d.found] == [o.hw for o in want]
+    for p, o in zip(d.found, want):
+        assert p.weights == o.weights and p.descent == o.descent
+        assert [list(lev) for lev in p.levels] == o.field_levels(), p.hw
+        irrep, states = prepare_with_states(p, l, r)
+        oirrep, ostates = oracle_prepare(o, l, r)
+        assert irrep.kets == oirrep.kets
+        assert irrep.rational_form() == oirrep.rational_form(), p.hw
+        assert states.keys() == ostates.keys()
+        for a, st in states.items():
+            assert same_unit_state(st, ostates[a]), (p.hw, a)
+
+
+def test_descent_from_a_given_state_matches_fraction_oracle():
+    # a ProductIrrep built from a FieldElem state: the content of its
+    # integer vector goes into the scale, the views stay the oracle's
+    l, r = factors("su3-27x8")
+    state = _found(l, r, 2).hw_state.scaled(field(6))
+    q = tensor.descend_irrep(tensor.ProductIrrep(state), l, r)
+    o = OracleIrrep.from_state(state, l, r)
+    assert q.hw_state == state
+    assert [list(lev) for lev in q.levels] == o.field_levels()
+
+
+def test_hot_path_holds_only_ints(monkeypatch):
+    checked = {}  # id -> table, kept alive so that ids stay unique
+    real_lower = tensor._lower
+
+    def guarded_lower(v, low_l, low_r):
+        for tab in (low_l, low_r):
+            if id(tab) not in checked:
+                assert all(type(q) is int for row in tab.values() for _, q in row)
+                checked[id(tab)] = tab
+        assert all(type(c) is int for c in v.values())
+        return real_lower(v, low_l, low_r)
+
+    made = []
+
+    class Recording(linalg._Reducer):
+        def __init__(self, track=False):
+            super().__init__(track)
+            made.append(self)
+
+    monkeypatch.setattr(tensor, "_lower", guarded_lower)
+    monkeypatch.setattr(tensor, "_Reducer", Recording)
+    monkeypatch.setattr(irrep_mod, "_Reducer", Recording)
+    l, r = factors("su3-27x8")
+    assert [t[0] for t in tensor._int_tables(l.rational_form(),
+                                             r.rational_form())] == [12, 12]
+    d = Decomposition(l, r)
+    decompose(d)
+    for p in d.found:
+        for lev in p._levels:
+            for v, sigma in lev:
+                assert all(type(c) is int for c in v.values())
+                assert gcd(*v.values()) == 1 and sigma > 0
+        prepared = prepare_with_states(p, l, r)[0]
+        prepared.check_consistency()
+    tracked = [red for red in made if red.combs is not None]
+    assert tracked and any(len(red.combs) > 1 for red in tracked)
+    for red in made:
+        for _, row in red.rows:
+            assert all(type(c) is int for c in row.values())
+    for red in tracked:
+        for s, comb in red.combs:
+            assert type(s) is int and s > 0
+            assert all(type(b) is int for b in comb.values())
+            assert gcd(s, *comb.values()) == 1

@@ -289,6 +289,18 @@ def test_large_radicands_fail_fast():
         parse_field("sqrt(" + "9" * 50 + ")")
 
 
+
+def test_field_sqrt_of_huge_rational_fails_fast():
+    # a computed radicand above the bound is refused unless it is a perfect
+    # square, whose root needs no factoring
+    c = 10**30 + 57
+    with pytest.raises(FieldSqrtError, match="radicand exceeds"):
+        field_sqrt(field(c * c + 1))
+    with pytest.raises(FieldSqrtError, match="radicand exceeds"):
+        field_sqrt(field(Fraction(1, c)))
+    assert field_sqrt(field(Fraction(c * c, 4))) == field(Fraction(c, 2))
+    assert field_sqrt(field(MAX_RADICAND)) == number(10**9, 1, 1)
+
 def test_sign_vs_numeric_random_bulk():
     rng = random.Random(20240817)
     for _ in range(2000):

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -8,10 +10,15 @@ from liecg.exactnum import ONE, ZERO, field, number
 from liecg.linalg import (
     LabeledVector,
     SingularMatrixError,
+    _Reducer,
     gram_orthogonalize,
     invert_matrix,
     label_key,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from fraction_oracle import FractionReducer  # noqa: E402
 
 
 def F(m):
@@ -192,3 +199,66 @@ def test_invert_matrix_inverse_or_singular_by_rank(m, radicand):
     ident = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     assert mat_mul(fm, inv) == ident
     assert mat_mul(inv, fm) == ident
+
+
+# ------------------------------------------------- integer-tracked reducer
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _rational(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+@given(st.data())
+def test_integer_tracked_reducer_matches_fraction_oracle(data):
+    # random rational vectors, some of them exact combinations of earlier
+    # ones: verdicts, stored rows and coordinates agree with the
+    # Fraction-tracked elimination, and every relation is exact
+    n = data.draw(st.integers(1, 5))
+    got_red, want_red = _Reducer(track=True), FractionReducer(track=True)
+    vecs, kept = [], []
+    for _ in range(data.draw(st.integers(1, 9))):
+        if vecs and data.draw(st.booleans()):
+            vec = {}
+            for v in vecs:
+                c = data.draw(fracs)
+                for lab, x in v.items():
+                    vec[lab] = vec.get(lab, 0) + c * x
+        else:
+            vec = {lab: data.draw(fracs) for lab in range(n)}
+        vec = {lab: _rational(Fraction(x)) for lab, x in vec.items() if x}
+        if not vec:
+            continue
+        vecs.append(vec)
+        got, want = got_red.add(vec), want_red.add(vec)
+        assert (got is None) == (want is None)
+        assert got_red.rows == want_red.rows
+        if got is None:
+            kept.append(vec)
+        else:
+            assert got == want
+            recon = {}
+            for k, c in got.items():
+                for lab, x in kept[k].items():
+                    recon[lab] = recon.get(lab, 0) + c * x
+            assert {lab: x for lab, x in recon.items() if x} == vec
+    for (_, row), (s, comb), want in zip(got_red.rows, got_red.combs,
+                                         want_red.combs):
+        assert type(s) is int and s > 0
+        assert all(type(b) is int for b in comb.values())
+        assert {k: Fraction(b, s) for k, b in comb.items()} == want
+        acc = {}
+        for k, b in comb.items():
+            for lab, x in kept[k].items():
+                acc[lab] = acc.get(lab, 0) + b * x
+        assert {lab: x for lab, x in acc.items() if x} == {
+            lab: s * x for lab, x in row.items()}
+    # the null vector is a positive multiple of the oracle's, in ints
+    got, want = got_red.null_vector(range(n)), want_red.null_vector(range(n))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.keys() == want.keys()
+        assert all(type(c) is int for c in got.values())
+        c = Fraction(got[min(got)]) / want[min(want)]
+        assert c > 0 and all(got[k] == c * x for k, x in want.items())
