@@ -300,6 +300,13 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
         )
     l = _factor_irrep(la, sides[0].strip())
     r = _factor_irrep(la, sides[1].strip())
+    if dump_dir is not None:
+        # a bad path fails here, before the work
+        try:
+            os.makedirs(dump_dir, exist_ok=True)
+        except OSError as e:
+            raise UsageError(f"cannot create --dump directory {dump_dir}: "
+                             f"{e.strerror}")
     d = Decomposition(l, r)
     decompose(d)
     if fmt == "json":
@@ -324,31 +331,32 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
 _EXT = {"plain": "txt", "tex": "tex", "mathematica": "m", "json": "json"}
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror}")
+
+
+def _states_text(p, l, r, fmt):
+    if fmt == "json":
+        return states_to_json(p, l, r) + "\n"
+    return render_states(p, l, r, fmt) + "\n"
+
+
 def _dump_all(d, l, r, fmt, dump_dir):
-    os.makedirs(dump_dir, exist_ok=True)
     for k, p in enumerate(d.found, 1):
         data = prepare(p, l, r)
-        with open(os.path.join(dump_dir, f"irrep_{k}.json"), "w") as fh:
-            fh.write(data.to_json())
-        if fmt == "json":
-            text = states_to_json(p, l, r)
-        else:
-            text = render_states(p, l, r, fmt)
-        name = f"states_{k}.{_EXT[fmt]}"
-        with open(os.path.join(dump_dir, name), "w") as fh:
-            fh.write(text + "\n")
+        _write(os.path.join(dump_dir, f"irrep_{k}.json"), data.to_json())
+        _write(os.path.join(dump_dir, f"states_{k}.{_EXT[fmt]}"),
+               _states_text(p, l, r, fmt))
 
 
 def _dump_singlet(d, l, r, fmt, path):
     for p in d.found:
         if p.dim == 1:
-            text = (
-                states_to_json(p, l, r)
-                if fmt == "json"
-                else render_states(p, l, r, fmt)
-            )
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+            _write(path, _states_text(p, l, r, fmt))
             return
     raise UsageError("the product contains no singlet to dump")
 
@@ -451,14 +459,17 @@ class _Script:
         )
 
     def v_vector(self, toks):
-        name, rname = toks[0], toks[1]
+        name, rname, *items = toks
         r = self._get(self.irreps, rname, "irrep")
         terms = []
-        for t in toks[2:]:
+        for t in items:
             lab, _, coeff = t.partition(":")
             if not coeff:
                 raise ValueError(f"vector term {t!r} is not LABEL:COEFF")
-            terms.append((_parse_coeff(coeff), int(lab)))
+            lab = int(lab)
+            if lab not in r.kets:
+                raise ValueError(f"no state labeled {lab} in {rname}")
+            terms.append((_parse_coeff(coeff), lab))
         self.vectors[name] = (r, LabeledVector(terms))
 
     def v_normalize(self, toks):
@@ -470,10 +481,11 @@ class _Script:
         self.vectors[name] = (r, v.scaled(nu.invert()))
 
     def v_basis(self, toks):
-        name, rname, offset = toks[0], toks[1], int(toks[2])
+        name, rname, offset, *vnames = toks
+        offset = int(offset)
         r = self._get(self.irreps, rname, "irrep")
         seeds = []
-        for vn in toks[3:]:
+        for vn in vnames:
             vr, v = self._get(self.vectors, vn, "vector")
             if vr is not r:
                 raise ValueError(f"vector {vn!r} belongs to another irrep")

@@ -10,6 +10,10 @@ coefficients are dropped.  Because square roots of distinct square-free
 integers are linearly independent over the rationals, two elements are
 equal exactly when their canonical forms are, and the form is empty exactly
 when the value is zero, which makes equality and sign tests decidable.
+
+One class, FieldElem, holds that form as its terms, a dict from radicand
+to nonzero Fraction coefficient; callers that work per radical class read
+and build the dict directly.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 from fractions import Fraction
 
 __all__ = [
-    "SqrtSum",
     "FieldElem",
     "FieldSqrtError",
     "number",
@@ -75,11 +78,14 @@ def _frac_str(c: Fraction) -> str:
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-class SqrtSum:
-    """A rational linear combination of square roots of integers.
+class FieldElem:
+    """An element of the field: a rational linear combination of square
+    roots of integers.
 
     Stored as a mapping radicand -> rational coefficient with square-free
-    radicands; the radicand 1 carries the rational part.
+    radicands; the radicand 1 carries the rational part.  There is no
+    denominator to carry: invert clears the radicals of a divisor by
+    conjugation, and a value has exactly one representation.
     """
 
     __slots__ = ("terms",)
@@ -89,7 +95,7 @@ class SqrtSum:
         self.terms = terms or {}
 
     @classmethod
-    def make(cls, items) -> "SqrtSum":
+    def make(cls, items) -> "FieldElem":
         """Build from (radicand, coefficient) pairs, canonicalizing."""
         terms: dict[int, Fraction] = {}
         for n, c in items:
@@ -110,72 +116,19 @@ class SqrtSum:
                 del terms[f]
         return cls(terms)
 
-    @classmethod
-    def rational(cls, c) -> "SqrtSum":
-        c = Fraction(c)
-        return cls({1: c} if c else {})
+    # the benchmark's coefficient probe reads x.num.terms and x.den.terms;
+    # num is the element itself and den (set below) the constant ONE
+    @property
+    def num(self) -> "FieldElem":
+        return self
+
+    # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_rational(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 1 in self.terms)
-
-    def rational_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and 1 in self.terms:
-            return self.terms[1]
-        raise ValueError("not rational: %s" % self)
-
-    def __add__(self, other: "SqrtSum") -> "SqrtSum":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        terms = dict(self.terms)
-        for f, c in other.terms.items():
-            acc = terms.get(f)
-            if acc is None:
-                terms[f] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[f] = acc
-                else:
-                    del terms[f]
-        return SqrtSum(terms)
-
-    def __neg__(self) -> "SqrtSum":
-        return SqrtSum({f: -c for f, c in self.terms.items()})
-
-    def __sub__(self, other: "SqrtSum") -> "SqrtSum":
-        return self + (-other)
-
-    def __mul__(self, other: "SqrtSum") -> "SqrtSum":
-        if not self.terms or not other.terms:
-            return SqrtSum()
-        terms: dict[int, Fraction] = {}
-        for f1, c1 in self.terms.items():
-            for f2, c2 in other.terms.items():
-                if f1 == f2:
-                    f, c = 1, c1 * c2 * f1
-                else:
-                    g = math.gcd(f1, f2)
-                    # f1, f2 square-free => (f1//g)*(f2//g) square-free
-                    f, c = (f1 // g) * (f2 // g), c1 * c2 * g
-                acc = terms.get(f)
-                acc = c if acc is None else acc + c
-                if acc:
-                    terms[f] = acc
-                elif f in terms:
-                    del terms[f]
-        return SqrtSum(terms)
-
-    def scaled(self, c: Fraction) -> "SqrtSum":
-        if not c:
-            return SqrtSum()
-        return SqrtSum({f: k * c for f, k in self.terms.items()})
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def sign(self) -> int:
         """Exact sign: canonical emptiness decides zero, dyadic intervals
@@ -208,88 +161,63 @@ class SqrtSum:
                 return -1
             k *= 2
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SqrtSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def plain(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for f in sorted(self.terms):
-            c = self.terms[f]
-            body = _frac_str(abs(c)) + ("" if f == 1 else "*sqrt(%d)" % f)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("-" if c < 0 else "+") + body)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return self.plain()
-
-
-_SS_ZERO = SqrtSum()
-_SS_ONE = SqrtSum({1: Fraction(1)})
-
-
-class FieldElem:
-    """An element of the field: one canonical SqrtSum.
-
-    Every element is a rational linear combination of square roots, so
-    there is no denominator to carry: invert clears the radicals of a
-    divisor by conjugation, and a value has exactly one representation.
-    """
-
-    __slots__ = ("num",)
-
-    # the denominator of every element, a constant; the benchmark's
-    # coefficient probe still reads it
-    den = _SS_ONE
-
-    def __init__(self, num: SqrtSum):
-        self.num = num
-
-    # -- predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def sign(self) -> int:
-        return self.num.sign()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem(self.num + other.num)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for f, c in other.terms.items():
+            acc = terms.get(f)
+            if acc is None:
+                terms[f] = c
+            else:
+                acc = acc + c
+                if acc:
+                    terms[f] = acc
+                else:
+                    del terms[f]
+        return FieldElem(terms)
 
     def __neg__(self) -> "FieldElem":
-        return FieldElem(-self.num)
+        return FieldElem({f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
         return self + (-other)
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        return FieldElem(self.num * other.num)
+        if not self.terms or not other.terms:
+            return ZERO
+        terms: dict[int, Fraction] = {}
+        for f1, c1 in self.terms.items():
+            for f2, c2 in other.terms.items():
+                if f1 == f2:
+                    f, c = 1, c1 * c2 * f1
+                else:
+                    g = math.gcd(f1, f2)
+                    # f1, f2 square-free => (f1//g)*(f2//g) square-free
+                    f, c = (f1 // g) * (f2 // g), c1 * c2 * g
+                acc = terms.get(f)
+                acc = c if acc is None else acc + c
+                if acc:
+                    terms[f] = acc
+                elif f in terms:
+                    del terms[f]
+        return FieldElem(terms)
 
     def invert(self) -> "FieldElem":
         """1/self as a sum of radicals: multiply 1/den by conjugates, each
         clearing one prime from the radicands of den, until den is rational."""
-        if self.num.is_zero():
+        if not self.terms:
             raise ZeroDivisionError("inverting zero")
-        if len(self.num.terms) == 1:
-            ((f, c),) = self.num.terms.items()
+        if len(self.terms) == 1:
+            ((f, c),) = self.terms.items()
             # 1/(c*sqrt(f)) = sqrt(f)/(c*f)
-            return FieldElem(SqrtSum({f: 1 / (c * f)}))
-        num, den = _SS_ONE, self.num
-        while not den.is_rational():
+            return FieldElem({f: 1 / (c * f)})
+        num, den = ONE, self
+        while len(den.terms) > 1 or 1 not in den.terms:
             f0 = min(f for f in den.terms if f > 1)
             p = 2
             while f0 % p:
@@ -297,13 +225,13 @@ class FieldElem:
                 if p * p > f0:
                     p = f0  # square-free with no small factor: prime
                     break
-            a = SqrtSum({f: c for f, c in den.terms.items() if f % p})
-            b = SqrtSum({f // p: c for f, c in den.terms.items() if f % p == 0})
             # den = a + sqrt(p)*b; the conjugate a - sqrt(p)*b removes p
-            conj = a - b * SqrtSum({p: Fraction(1)})
+            conj = FieldElem(
+                {f: -c if f % p == 0 else c for f, c in den.terms.items()})
             num = num * conj
             den = den * conj
-        return FieldElem(num.scaled(1 / den.rational_value()))
+        k = 1 / den.terms[1]
+        return FieldElem({f: c * k for f, c in num.terms.items()})
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.invert()
@@ -313,40 +241,44 @@ class FieldElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.num == other.num
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.num)
+        return hash(frozenset(self.terms.items()))
 
     # -- rendering -----------------------------------------------------
 
     def plain(self) -> str:
-        return self.num.plain()
+        return self._render_terms(_plain_term, "+", "-")
 
     def render(self, fmt: str = "plain") -> str:
         if fmt == "plain":
             return self.plain()
         if fmt == "tex":
-            return self._render_terms(_tex_term)
+            return self._render_terms(_tex_term, " + ", " - ")
         if fmt == "mathematica":
-            return self._render_terms(_mma_term)
+            return self._render_terms(_mma_term, " + ", " - ")
         raise ValueError("unknown format %r" % (fmt,))
 
-    def _render_terms(self, term_fn) -> str:
-        if self.num.is_zero():
+    def _render_terms(self, term_fn, plus: str, minus: str) -> str:
+        if not self.terms:
             return "0"
         parts = []
-        for f in sorted(self.num.terms):
-            c = self.num.terms[f]
+        for f in sorted(self.terms):
+            c = self.terms[f]
             body = term_fn(abs(c), f)
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
             else:
-                parts.append((" - " if c < 0 else " + ") + body)
+                parts.append((minus if c < 0 else plus) + body)
         return "".join(parts)
 
     def __repr__(self) -> str:
         return self.plain()
+
+
+def _plain_term(c: Fraction, f: int) -> str:
+    return _frac_str(c) + ("" if f == 1 else "*sqrt(%d)" % f)
 
 
 def _mma_term(c: Fraction, f: int) -> str:
@@ -368,21 +300,13 @@ def _tex_term(c: Fraction, f: int) -> str:
     return "\\frac{%d%s}{%d}" % (c.numerator, root, c.denominator)
 
 
-ZERO = FieldElem(_SS_ZERO)
-ONE = FieldElem(_SS_ONE)
+ZERO = FieldElem()
+ONE = FieldElem({1: Fraction(1)})
+FieldElem.den = ONE
 
 
-# single_radical, _sqrt and _times_sqrt serve the rational forms; they stay
-# out of __all__ and so out of the package namespace
-
-def single_radical(x: FieldElem):
-    """(q, f) with x == q*sqrt(f), q a nonzero Fraction and f square-free,
-    or None when x is zero or needs more than one radical."""
-    if len(x.num.terms) != 1:
-        return None
-    ((f, q),) = x.num.terms.items()
-    return q, f
-
+# _sqrt and _times_sqrt serve the rational forms; they stay out of __all__
+# and so out of the package namespace
 
 def _sqrt(x):
     """(f, k) with sqrt(x) == k*sqrt(f), for a rational x > 0."""
@@ -395,25 +319,26 @@ def _times_sqrt(q, n, d) -> FieldElem:
     """q*sqrt(n/d) for a rational q != 0 and square-free n, d > 0: with
     g = gcd(n, d), it is q/(d/g) * sqrt((n/g)*(d/g)), a square-free root."""
     g = math.gcd(n, d)
-    return FieldElem(SqrtSum({(n // g) * (d // g): Fraction(q, d // g)}))
+    return FieldElem({(n // g) * (d // g): Fraction(q, d // g)})
 
 
 def number(a: int, b: int, n: int) -> FieldElem:
     """The element (a/b)*sqrt(n); the workhorse constructor."""
-    return FieldElem(SqrtSum.make([(n, Fraction(a, b))]))
+    return FieldElem.make([(n, Fraction(a, b))])
 
 
 def field(c) -> FieldElem:
     """A rational element from an int, Fraction or (p, q) pair."""
-    if isinstance(c, tuple):
-        c = Fraction(*c)
-    return FieldElem(SqrtSum.rational(c))
+    c = Fraction(*c) if isinstance(c, tuple) else Fraction(c)
+    return FieldElem({1: c} if c else {})
 
 
 def _frac_sqrt(c: Fraction) -> FieldElem:
     # sqrt(p/q) = sqrt(p*q)/q, exact in the field for c >= 0.  Factoring a
     # radicand p*q above MAX_RADICAND could hang, so unless it is a perfect
     # square it is refused.
+    if not c:
+        return ZERO
     n = c.numerator * c.denominator
     if n > MAX_RADICAND:
         r = _exact_sqrt(n)
@@ -421,7 +346,8 @@ def _frac_sqrt(c: Fraction) -> FieldElem:
             raise FieldSqrtError(
                 "square root of %s: radicand exceeds %d" % (c, MAX_RADICAND))
         return field(Fraction(r, c.denominator))
-    return number(1, c.denominator, n)
+    f, k = _sqrt(c)
+    return FieldElem({f: k})
 
 
 def _exact_sqrt(n: int) -> int | None:
@@ -438,7 +364,7 @@ def field_sqrt(x: FieldElem) -> FieldElem:
         return ZERO
     if sgn < 0:
         raise FieldSqrtError("square root of negative value %s" % x)
-    terms = x.num.terms
+    terms = x.terms
     if len(terms) == 1:
         ((f, c),) = terms.items()
         if f == 1:
@@ -465,7 +391,7 @@ def field_sqrt(x: FieldElem) -> FieldElem:
 _TERM_RE = re.compile(r"^(?:(\d+)(?:/(\d+))?)?(?:\*?sqrt\((\d+)\))?$")
 
 
-def _parse_sum(s: str) -> SqrtSum:
+def _parse_sum(s: str) -> FieldElem:
     items = []
     i = 0
     n = len(s)
@@ -489,7 +415,7 @@ def _parse_sum(s: str) -> SqrtSum:
             raise ValueError("radicand %d exceeds %d" % (f, MAX_RADICAND))
         items.append((f, Fraction(sign * a, b)))
         i = j
-    return SqrtSum.make(items)
+    return FieldElem.make(items)
 
 
 def parse_field(s: str) -> FieldElem:
@@ -500,8 +426,8 @@ def parse_field(s: str) -> FieldElem:
         raise ValueError("empty number")
     m = re.match(r"^\((.*)\)/\((.*)\)$", s)
     if m:
-        num, den = (FieldElem(_parse_sum(g)) for g in m.groups())
+        num, den = (_parse_sum(g) for g in m.groups())
         return num / den
     if s == "0":
         return ZERO
-    return FieldElem(_parse_sum(s))
+    return _parse_sum(s)

@@ -38,7 +38,6 @@ from .exactnum import (
     ZERO,
     FieldElem,
     parse_field,
-    single_radical,
     _sqrt,
     _square_free,
     _times_sqrt,
@@ -240,14 +239,13 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
                 continue
             row = []
             for c, t in vec.terms:
-                term = single_radical(c)
-                if term is None:
+                if len(c.terms) != 1:
                     raise InvalidImportError(
                         f"no rational form: lowering state {a} by root {i} "
                         f"gives state {t} the coefficient {c.plain()}, "
                         "which is not a single radical"
                     )
-                q, f = term
+                ((f, q),) = c.terms.items()
                 s, cls = _square_free(f * r[a])
                 got = r.get(t)
                 if got is None:
@@ -269,7 +267,8 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
         )
     gram = {a: [(a, r[a])] for a in kets}
     for (a, b), v in scp.items():
-        q, f = single_radical(v) or (0, 0)
+        # a value that is not one radical gets f = 0, so class 0
+        ((f, q),) = v.terms.items() if len(v.terms) == 1 else ((0, 0),)
         s, cls = _square_free(f * r[a] * r[b])
         if cls != 1:
             raise InvalidImportError(

@@ -25,10 +25,10 @@ prepare_with_states, which also gives each state as sign*v/sqrt(N), v a
 rational vector over the children's u_a x u_b.  It keeps rho_s = N, so
 x_s = sign*v with every child state entering as u_a = sqrt(r_a/rho_a) x_a:
 it multiplies only integers, one radical per child state, and classes
-multiply through gcd, as in SqrtSum.  filter, chbasis and scale keep their
-child's rho.  Radicals enter only with the script literals of scale and
-chbasis, each a sum of radicals with rational coefficients (a FieldElem
-has no denominator) folded in per class, and leave only in expand (which
+multiply through gcd, as in FieldElem.  filter, chbasis and scale keep
+their child's rho.  Radicals enter only with the script literals of scale
+and chbasis, each a FieldElem whose terms (radicand -> rational
+coefficient) are folded in per class, and leave only in expand (which
 untree and tensor_coeff read; is_sym compares the integers): the
 coefficient of e_L in e_s is
 W_h[L]/D * sqrt(h * prod r_l / rho_s).
@@ -43,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import FieldElem, SqrtSum, _sqrt
+from .exactnum import FieldElem, _sqrt
 from .linalg import LabeledVector, invert_matrix
 from .irrep import Irrep
 from .tensor import Decomposition, decompose, prepare_with_states
@@ -170,7 +170,7 @@ class TensorNode:
     def expand(self, state: int) -> LabeledVector:
         q, parts = self._field_parts(state)
         return LabeledVector._raw({
-            tr: FieldElem(SqrtSum({f: n * q for f, n in t.items()}))
+            tr: FieldElem({f: n * q for f, n in t.items()})
             for tr, t in parts.items()
         })
 
@@ -298,7 +298,7 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
         row = rows[old] = []
         for c, new in vec.terms:
             r_new = cls.get(new, 1)
-            for f, q in c.num.terms.items():
+            for f, q in c.terms.items():
                 f, m1 = _mul_class(f, r_old)
                 f, m2 = _mul_class(f, r_new)
                 row.append((new, f, q * m1 * m2 / r_new))
@@ -395,7 +395,7 @@ def _swapped_leaves(tr, i1, i2):
 
 
 def scale(t: TensorNode, c: FieldElem) -> TensorNode:
-    lit = c.num.terms
+    lit = c.terms
     den = lcm(*(q.denominator for q in lit.values()))
     ints = [(f, int(q * den)) for f, q in lit.items()]
     return _termwise(t, den, lambda tr: [(tr, f, n) for f, n in ints])

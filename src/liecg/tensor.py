@@ -30,8 +30,10 @@ rho * sigma * v_ab * sqrt(r_a * r_b).  hw_state, levels and by_weight are
 such views, converted on access.  prepare_with_states hands out the found
 irrep as an Irrep holding its own rational form, with no radical; prepare
 renders its file tables.  The public product_lower and product_scp split a
-FieldElem state into one integer vector per radical class and run the same
-lowering and scalar product.
+FieldElem state, by the radicands of its coefficients' terms, into one
+integer vector per radical class, run the same lowering and scalar
+product, and build the FieldElem results from (radicand, coefficient)
+terms.
 
 Positive rescaling keeps pivots and signs, so the search over the integer
 vectors picks the same highest-weight states, with the same phases, as a
@@ -51,7 +53,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import FieldElem, SqrtSum, _sqrt, _square_free
+from .exactnum import FieldElem, _sqrt, _square_free
 from .linalg import LabeledVector, _integral, _Reducer
 from .liealg import (
     ConsistencyError,
@@ -207,7 +209,7 @@ def _to_field(parts, cls_l, cls_r) -> ProductState:
         for (a, b), q in v.items():
             items.setdefault((a, b), []).append((f * cls_l[a] * cls_r[b], k * q))
     return LabeledVector(
-        (FieldElem(SqrtSum.make(it)), lab) for lab, it in items.items()
+        (FieldElem.make(it), lab) for lab, it in items.items()
     )
 
 
@@ -217,7 +219,7 @@ def _split(s: ProductState, cls_l, cls_r):
     parts = {}
     for c, (a, b) in s.terms:
         rab = cls_l[a] * cls_r[b]
-        for f, q in c.num.terms.items():
+        for f, q in c.terms.items():
             # q*sqrt(f) e_a x e_b = q/rab * sqrt(f*rab) u_a x u_b
             t, g = _square_free(f * rab)
             parts.setdefault(g, []).append(
@@ -250,11 +252,11 @@ def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
     fl, fr = l.rational_form(), r.rational_form()
     e, gram_l, gram_r = _int_gram(fl, fr)
     p2 = _split(s2, fl.r, fr.r).items()
-    return FieldElem(SqrtSum.make(
+    return FieldElem.make(
         (f * g, Fraction(_scp(v, w, gram_l, gram_r), m * k * e))
         for f, (v, m) in _split(s1, fl.r, fr.r).items()
         for g, (w, k) in p2
-    ))
+    )
 
 
 class _States(Sequence):

@@ -164,6 +164,32 @@ def test_dump_singlet_absent(capsys, tmp_path):
     assert rc == 1 and "no singlet" in err
 
 
+def test_dump_singlet_to_missing_directory(capsys, tmp_path):
+    path = tmp_path / "no" / "s.txt"
+    rc, _, err = run(capsys, "-su", "3", "--decompose", "10x01",
+                     "--dump-singlet", str(path))
+    assert rc == 1 and f"cannot write {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_dump_to_bad_path_fails_before_the_work(capsys, tmp_path, monkeypatch,
+                                                where):
+    f = tmp_path / "f"
+    f.write_text("")
+    path = f if where == "file" else f / "d"
+
+    def refuse(d):
+        raise AssertionError("decompose ran before the dump path was made")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    rc, out, err = run(capsys, "-su", "3", "--decompose", "10x01",
+                       "--dump", str(path))
+    assert rc == 1 and out == ""
+    assert f"cannot create --dump directory {path}: " in err
+    assert "Traceback" not in err
+
+
 def test_dump_and_import_roundtrip(capsys, tmp_path):
     d = tmp_path / "out"
     rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
@@ -596,6 +622,27 @@ def test_script_huge_irrep_fails_fast(capsys, tmp_path):
     assert rc == 1 and out == "" and f"{path}:2" in err
     assert "1329227995784915872903807060280344576" in err
     assert str(cli.MAX_DIM) in err
+
+
+@pytest.mark.parametrize(
+    "verb", sorted(v[2:] for v in dir(cli._Script) if v.startswith("v_")))
+def test_script_verb_without_arguments(capsys, tmp_path, verb):
+    path = tmp_path / "s.lie"
+    path.write_text(f"algebra a 2\n{verb}\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert f"{path}:2: {verb}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("use", ["normalize v", "basis b r 3 v"])
+def test_script_vector_label_outside_irrep(capsys, tmp_path, use):
+    path = tmp_path / "s.lie"
+    path.write_text(f"algebra a 2\nirrep r 11\nvector v r 99:1\n{use}\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert f"{path}:3: vector: no state labeled 99 in r" in err
+    assert "Traceback" not in err
 
 
 def test_script_normalize_zero_vector(capsys, tmp_path):

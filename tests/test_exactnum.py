@@ -12,7 +12,6 @@ from liecg.exactnum import (
     ZERO,
     FieldElem,
     FieldSqrtError,
-    SqrtSum,
     _square_free,
     field,
     field_sqrt,
@@ -24,14 +23,12 @@ from liecg.exactnum import (
 def mp_value(x: FieldElem, dps: int = 60) -> mpmath.mpf:
     """Independent numeric oracle: evaluate with 60-digit floats."""
     with mpmath.workdps(dps):
-        def ev(ss: SqrtSum):
-            if not ss.terms:
-                return mpmath.mpf(0)
-            return mpmath.fsum(
-                mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(f)
-                for f, c in ss.terms.items()
-            )
-        return ev(x.num)
+        if not x.terms:
+            return mpmath.mpf(0)
+        return mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(f)
+            for f, c in x.terms.items()
+        )
 
 
 # ---------------------------------------------------------------- frozen values
@@ -48,7 +45,7 @@ def test_radicand_reduction():
 def test_single_term_denominator_absorbed():
     x = ONE / number(1, 1, 2)
     assert x == number(1, 2, 2)
-    assert x.num.terms == {2: Fraction(1, 2)}
+    assert x.terms == {2: Fraction(1, 2)}
     y = number(3, 2, 1) / number(2, 1, 3)  # (3/2)/(2*sqrt(3)) = sqrt(3)/4
     assert y == number(1, 4, 3)
 
@@ -76,18 +73,51 @@ def test_equality_and_zero_by_canonical_form():
     assert not (x - ONE).is_zero()
 
 
+# multi-term values with a negative leading term and a rational part
+MIXED = [
+    field(Fraction(-1, 2)) + number(3, 1, 2) - number(1, 1, 6),
+    number(-1, 1, 3) + number(1, 5, 10),
+    number(-7, 3, 1) + number(2, 3, 5) + number(-1, 4, 7) + number(5, 1, 11),
+    number(1, 1, 2) + number(-5, 2, 15),
+]
+
+
 def test_render_mathematica():
     assert number(1, 3, 3).render("mathematica") == "Sqrt[3]/3"
     assert number(-2, 3, 5).render("mathematica") == "-2*Sqrt[5]/3"
     assert field(Fraction(2, 3)).render("mathematica") == "2/3"
     x = field(1) + number(-1, 2, 2)
     assert x.render("mathematica") == "1 - Sqrt[2]/2"
+    assert [x.render("mathematica") for x in MIXED] == [
+        "-1/2 + 3*Sqrt[2] - Sqrt[6]",
+        "-Sqrt[3] + Sqrt[10]/5",
+        "-7/3 + 2*Sqrt[5]/3 - Sqrt[7]/4 + 5*Sqrt[11]",
+        "Sqrt[2] - 5*Sqrt[15]/2",
+    ]
 
 
 def test_render_tex():
     assert number(1, 2, 2).render("tex") == "\\frac{1\\sqrt{2}}{2}"
     assert field(3).render("tex") == "3"
     assert number(1, 1, 5).render("tex") == "\\sqrt{5}"
+    assert [x.render("tex") for x in MIXED] == [
+        "-\\frac{1}{2} + 3\\sqrt{2} - \\sqrt{6}",
+        "-\\sqrt{3} + \\frac{1\\sqrt{10}}{5}",
+        "-\\frac{7}{3} + \\frac{2\\sqrt{5}}{3} - \\frac{1\\sqrt{7}}{4} + 5\\sqrt{11}",
+        "\\sqrt{2} - \\frac{5\\sqrt{15}}{2}",
+    ]
+
+
+def test_render_plain():
+    assert [x.plain() for x in MIXED] == [
+        "-1/2+3*sqrt(2)-1*sqrt(6)",
+        "-1*sqrt(3)+1/5*sqrt(10)",
+        "-7/3+2/3*sqrt(5)-1/4*sqrt(7)+5*sqrt(11)",
+        "1*sqrt(2)-5/2*sqrt(15)",
+    ]
+    assert all(x.render("plain") == x.plain() for x in MIXED)
+    with pytest.raises(ValueError, match="unknown format"):
+        ONE.render("latex")
 
 
 def test_plain_roundtrip_examples():
@@ -98,6 +128,7 @@ def test_plain_roundtrip_examples():
         number(1, 2, 2),
         number(-5, 3, 7) + field(Fraction(2, 9)),
         number(1, 1, 2) / (ONE + number(1, 1, 3)),
+        *MIXED,
     ]:
         assert parse_field(x.plain()) == x
 
@@ -125,9 +156,9 @@ def test_field_sqrt():
 
 def test_rationalize():
     # invert rationalizes: the inverse is again a plain sum of radicals
-    d = FieldElem(SqrtSum.make([(1, 1), (2, 1)]))
+    d = FieldElem.make([(1, 1), (2, 1)])
     assert d.invert() == number(1, 1, 2) - field(1)  # 1/(1+sqrt(2)) = sqrt(2)-1
-    e = FieldElem(SqrtSum.make([(2, 1), (3, 1), (1, 1)]))
+    e = FieldElem.make([(2, 1), (3, 1), (1, 1)])
     r = e.invert()
     assert r * e == ONE
     with mpmath.workdps(60):
@@ -157,7 +188,7 @@ def sqrtsums(draw, max_terms=3, allow_zero=True):
         a = draw(st.integers(-9, 9))
         b = draw(st.integers(1, 9))
         items.append((f, Fraction(a, b)))
-    return SqrtSum.make(items)
+    return FieldElem.make(items)
 
 
 @st.composite
@@ -166,9 +197,9 @@ def elems(draw):
     if draw(st.booleans()):
         den = draw(sqrtsums(max_terms=2, allow_zero=False))
         if den.is_zero():
-            den = SqrtSum.rational(1)
-        return FieldElem(num) / FieldElem(den)
-    return FieldElem(num)
+            den = ONE
+        return num / den
+    return num
 
 
 @given(elems(), elems(), elems())
@@ -187,9 +218,9 @@ def test_field_axioms(a, b, c):
 
 @given(elems())
 def test_canonical_form(a):
-    for f in a.num.terms:
+    for f in a.terms:
         assert _square_free(f)[1] == f  # radicands stay square-free
-    assert all(c != 0 for c in a.num.terms.values())
+    assert all(c != 0 for c in a.terms.values())
 
 
 @given(elems())
@@ -221,8 +252,7 @@ def test_rationalize_preserves_value(a):
 @settings(max_examples=200)
 @given(sqrtsums(max_terms=2, allow_zero=False))
 def test_field_sqrt_squares_back(ss):
-    x = FieldElem(ss)
-    x = x * x  # squares are always in range of field_sqrt
+    x = ss * ss  # squares are always in range of field_sqrt
     r = field_sqrt(x)
     assert r * r == x
     assert r.sign() >= 0
@@ -233,7 +263,7 @@ def _random_elem(rng):
         (rng.choice(_rads), Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
         for _ in range(rng.randint(1, 4))
     ]
-    return FieldElem(SqrtSum.make(items))
+    return FieldElem.make(items)
 
 
 def test_no_quotient_survives_inversion():
@@ -281,7 +311,7 @@ def test_square_free_matches_trial_division():
 def test_large_radicands_fail_fast():
     # a 16-digit prime radicand parses at once, one above the bound is refused
     p = 9999999999999937
-    assert parse_field("1/1*sqrt(%d)" % p).num.terms == {p: 1}
+    assert parse_field("1/1*sqrt(%d)" % p).terms == {p: 1}
     assert parse_field("sqrt(%d)" % MAX_RADICAND) == number(10**9, 1, 1)
     with pytest.raises(ValueError, match="radicand"):
         parse_field("1/1*sqrt(%d)" % (MAX_RADICAND + 1))

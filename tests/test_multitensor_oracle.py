@@ -379,7 +379,7 @@ def test_chbasis_two_term_denominators():
     r8 = new_generic_irrep(A2, (1, 1))
     _, two_term = octet_block_trafos()
     # 1/(1 - sqrt(2)) = -1 - sqrt(2): a sum of radicals, no quotient
-    assert any(len(c.num.terms) == 2
+    assert any(len(c.terms) == 2
                for _, vec in two_term for c, _ in vec.terms)
 
     def build(m):

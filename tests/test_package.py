@@ -12,11 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the exported set when __all__ was still a hand-kept list, less
 # UnsupportedIrrepError and scp_zero_weights, which left with the
-# refusal of degenerate irreps and the hand-derived adjoint builder
+# refusal of degenerate irreps and the hand-derived adjoint builder, and
+# SqrtSum, which was folded into FieldElem
 EXPORTED = {
     "ConsistencyError", "Decomposition", "DecompositionError", "FieldElem",
     "FieldSqrtError", "ImportedIrrepData", "InvalidImportError", "Irrep",
-    "Ket", "LabeledVector", "LieAlgebra", "ONE", "ProductIrrep", "SqrtSum",
+    "Ket", "LabeledVector", "LieAlgebra", "ONE", "ProductIrrep",
     "TensorNode", "WeightRecord", "ZERO",
     "adjoint_hw", "basis_product", "cartan", "chbasis", "chbasis_list",
     "check_dims", "comm", "complete_descent", "decompose", "descend_irrep",

@@ -18,7 +18,7 @@ def _to_sympy(x):
     assert x.den.plain() == "1"
     return sum(
         (sympy.Rational(c.numerator, c.denominator) * sympy.sqrt(f)
-         for f, c in x.num.terms.items()),
+         for f, c in x.terms.items()),
         sympy.Integer(0),
     )
 
