@@ -307,6 +307,8 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
         except OSError as e:
             raise UsageError(f"cannot create --dump directory {dump_dir}: "
                              f"{e.strerror}")
+    if dump_singlet is not None:
+        _check_singlet_target(la, l, r, dump_singlet)
     d = Decomposition(l, r)
     decompose(d)
     if fmt == "json":
@@ -353,12 +355,24 @@ def _dump_all(d, l, r, fmt, dump_dir):
                _states_text(p, l, r, fmt))
 
 
+def _check_singlet_target(la, l, r, path):
+    """Refuse --dump-singlet before the work: the file's directory must
+    exist, and l x r holds a singlet only if r is the dual of l, whose
+    highest weight is minus the lowest weight of l."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"cannot write {path}: no directory {folder}")
+    dual = tuple(-x for x in freudenthal(la, l.hw)[-1].dynkin)
+    if r.hw != dual:
+        raise UsageError(
+            f"the product contains no singlet to dump: {_tup(r.hw)} is not "
+            f"the dual {_tup(dual)} of {_tup(l.hw)}"
+        )
+
+
 def _dump_singlet(d, l, r, fmt, path):
-    for p in d.found:
-        if p.dim == 1:
-            _write(path, _states_text(p, l, r, fmt))
-            return
-    raise UsageError("the product contains no singlet to dump")
+    singlet = next(p for p in d.found if p.dim == 1)
+    _write(path, _states_text(singlet, l, r, fmt))
 
 
 # ---------------------------------------------------------------- script

@@ -72,12 +72,6 @@ def _square_free(n: int) -> tuple[int, int]:
     return (s, f)
 
 
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 class FieldElem:
     """An element of the field: a rational linear combination of square
     roots of integers.
@@ -249,55 +243,70 @@ class FieldElem:
     # -- rendering -----------------------------------------------------
 
     def plain(self) -> str:
-        return self._render_terms(_plain_term, "+", "-")
+        return self.render("plain")
 
     def render(self, fmt: str = "plain") -> str:
-        if fmt == "plain":
-            return self.plain()
-        if fmt == "tex":
-            return self._render_terms(_tex_term, " + ", " - ")
-        if fmt == "mathematica":
-            return self._render_terms(_mma_term, " + ", " - ")
-        raise ValueError("unknown format %r" % (fmt,))
-
-    def _render_terms(self, term_fn, plus: str, minus: str) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for f in sorted(self.terms):
-            c = self.terms[f]
-            body = term_fn(abs(c), f)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((minus if c < 0 else plus) + body)
-        return "".join(parts)
+        return _render_terms(
+            [(f, c.numerator, c.denominator)
+             for f, c in sorted(self.terms.items())], fmt)
 
     def __repr__(self) -> str:
         return self.plain()
 
 
-def _plain_term(c: Fraction, f: int) -> str:
-    return _frac_str(c) + ("" if f == 1 else "*sqrt(%d)" % f)
+# _render_terms also renders the coefficients multitensor.untree reads off
+# its integer expansions; like _sqrt below it stays out of __all__
+
+def _render_terms(terms, fmt: str = "plain") -> str:
+    """The sum of p/q*sqrt(f) over the (f, p, q) in terms, in increasing f,
+    each p/q nonzero and in lowest terms with q > 0; "0" when empty."""
+    try:
+        term_fn, plus, minus = _STYLES[fmt]
+    except KeyError:
+        raise ValueError("unknown format %r" % (fmt,)) from None
+    if not terms:
+        return "0"
+    parts = []
+    for f, p, q in terms:
+        sign = (minus if p < 0 else plus) if parts else ("-" if p < 0 else "")
+        parts.append(sign + term_fn(abs(p), q, f))
+    return "".join(parts)
 
 
-def _mma_term(c: Fraction, f: int) -> str:
+# each term function renders p/q*sqrt(f) for p, q > 0
+
+def _frac_str(p: int, q: int) -> str:
+    return str(p) if q == 1 else "%d/%d" % (p, q)
+
+
+def _plain_term(p: int, q: int, f: int) -> str:
+    return _frac_str(p, q) + ("" if f == 1 else "*sqrt(%d)" % f)
+
+
+def _mma_term(p: int, q: int, f: int) -> str:
     if f == 1:
-        return _frac_str(c)
+        return _frac_str(p, q)
     s = "Sqrt[%d]" % f
-    if c.numerator != 1:
-        s = "%d*%s" % (c.numerator, s)
-    if c.denominator != 1:
-        s = "%s/%d" % (s, c.denominator)
+    if p != 1:
+        s = "%d*%s" % (p, s)
+    if q != 1:
+        s = "%s/%d" % (s, q)
     return s
 
 
-def _tex_term(c: Fraction, f: int) -> str:
+def _tex_term(p: int, q: int, f: int) -> str:
     root = "" if f == 1 else "\\sqrt{%d}" % f
-    if c.denominator == 1:
-        coef = "" if (c.numerator == 1 and root) else str(c.numerator)
+    if q == 1:
+        coef = "" if (p == 1 and root) else str(p)
         return coef + root
-    return "\\frac{%d%s}{%d}" % (c.numerator, root, c.denominator)
+    return "\\frac{%d%s}{%d}" % (p, root, q)
+
+
+_STYLES = {
+    "plain": (_plain_term, "+", "-"),
+    "tex": (_tex_term, " + ", " - "),
+    "mathematica": (_mma_term, " + ", " - "),
+}
 
 
 ZERO = FieldElem()

@@ -28,10 +28,13 @@ it multiplies only integers, one radical per child state, and classes
 multiply through gcd, as in FieldElem.  filter, chbasis and scale keep
 their child's rho.  Radicals enter only with the script literals of scale
 and chbasis, each a FieldElem whose terms (radicand -> rational
-coefficient) are folded in per class, and leave only in expand (which
-untree and tensor_coeff read; is_sym compares the integers): the
-coefficient of e_L in e_s is
-W_h[L]/D * sqrt(h * prod r_l / rho_s).
+coefficient) are folded in per class.  The coefficient of e_L in e_s is
+W_h[L]/D * sqrt(h * prod r_l / rho_s), which TensorNode._int_parts gives
+as a sum of n/kd * sqrt(f) over square-free f, still in integers; the
+class of prod r_l is built bottom-up from the two children of L.
+Radicals leave through two doors: untree renders every coefficient
+straight from those integers, and expand (with tensor_coeff) turns them
+into FieldElems.  is_sym compares the integers.
 
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
 directions introduced by chbasis_list, e.g. a vev direction -1; they have
@@ -41,9 +44,10 @@ class 1, as has any label that is not a state of its factor.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
-from .exactnum import FieldElem, _sqrt
+from .exactnum import FieldElem, ZERO, _render_terms, _sqrt
 from .linalg import LabeledVector, invert_matrix
 from .irrep import Irrep
 from .tensor import Decomposition, decompose, prepare_with_states
@@ -77,9 +81,8 @@ def tree_leaves(tree) -> list:
 
 
 def tree_str(tree) -> str:
-    if isinstance(tree, tuple):
-        return "(%s,%s)" % (tree_str(tree[0]), tree_str(tree[1]))
-    return str(tree)
+    # every leaf is an int, so the tuple's repr without its spaces
+    return str(tree).replace(" ", "")
 
 
 def _graft(shape, it):
@@ -88,6 +91,30 @@ def _graft(shape, it):
         left = _graft(shape[0], it)
         return (left, _graft(shape[1], it))
     return next(it)
+
+
+def _leaf_paths(shape, path=()) -> list:
+    """The index path from the root to each leaf of the shape, left to
+    right."""
+    if isinstance(shape, tuple):
+        return (_leaf_paths(shape[0], path + (0,))
+                + _leaf_paths(shape[1], path + (1,)))
+    return [path]
+
+
+def _leaf_at(tr, path):
+    for i in path:
+        tr = tr[i]
+    return tr
+
+
+def _with_leaf(tr, path, leaf):
+    """tr with the leaf at the path replaced."""
+    if not path:
+        return leaf
+    if path[0]:
+        return (tr[0], _with_leaf(tr[1], path[1:], leaf))
+    return (_with_leaf(tr[0], path[1:], leaf), tr[1])
 
 
 def _mul_class(f1, f2):
@@ -148,34 +175,62 @@ class TensorNode:
             got = self._u_memo[state] = k / den, f, parts
         return got
 
-    def _field_parts(self, state: int):
-        """(q, {tree: {f: n}}) with e_state == q times the sum over trees L
-        of sum n*sqrt(f) e_L; q > 0."""
+    def _tree_class(self):
+        """A function taking a tree to (f, m), prod of sqrt(r_l) over its
+        leaves l == m*sqrt(f).  It works bottom-up from the two children and
+        memoizes the inner subtrees, which many trees share; keep it only
+        as long as the trees it is given."""
+        classes = iter([fac.rational_form().r for fac in self.factors])
+
+        def build(shape, top):
+            if not isinstance(shape, tuple):
+                r = next(classes)
+                return lambda leaf: (r.get(leaf, 1), 1)
+            left, right = build(shape[0], False), build(shape[1], False)
+
+            def cls(tr):
+                f1, m1 = left(tr[0])
+                f2, m2 = right(tr[1])
+                f, g = _mul_class(f1, f2)
+                return f, m1 * m2 * g
+
+            return cls if top else cache(cls)
+
+        return build(self.shape, True)
+
+    def _int_parts(self, state: int, tree_class=None):
+        """(kd, {tree: {f: n}}) with e_state == the sum over trees L of
+        sum n/kd*sqrt(f) e_L, every f square-free and kd > 0.  tree_class
+        is a _tree_class() of this node, to share between states."""
         if state not in self.irrep.kets:
             raise ValueError(f"no state labeled {state}")
+        if tree_class is None:
+            tree_class = self._tree_class()
         den, parts = self._rational(state)
         f0, k = _sqrt(1 / Fraction(self._rho(state)))
-        classes = [fac.rational_form().r for fac in self.factors]
+        kn, kd = k.numerator, k.denominator * den
         out = {}
         for h, w in parts.items():
             h, m0 = _mul_class(h, f0)
+            m0 *= kn
             for tr, x in w.items():
-                f, m = h, m0
-                for r, leaf in zip(classes, tree_leaves(tr)):
-                    f, g = _mul_class(f, r.get(leaf, 1))
-                    m *= g
-                out.setdefault(tr, {})[f] = x * m
-        return k / den, out
+                fl, ml = tree_class(tr)
+                f, g = _mul_class(h, fl)
+                out.setdefault(tr, {})[f] = x * m0 * ml * g
+        return kd, out
 
     def expand(self, state: int) -> LabeledVector:
-        q, parts = self._field_parts(state)
-        return LabeledVector._raw({
-            tr: FieldElem({f: n * q for f, n in t.items()})
-            for tr, t in parts.items()
-        })
+        kd, parts = self._int_parts(state)
+        return LabeledVector._raw(
+            {tr: _field_elem(kd, t) for tr, t in parts.items()})
 
     def __repr__(self):
         return f"TensorNode({self.irrep!r}, {self.nfactors} factors)"
+
+
+def _field_elem(kd, t) -> FieldElem:
+    """The sum of n/kd*sqrt(f) over the {f: n} of one tree."""
+    return FieldElem({f: Fraction(n, kd) for f, n in t.items()})
 
 
 def wrap(r: Irrep) -> TensorNode:
@@ -237,14 +292,25 @@ def expand(t: TensorNode, state: int) -> LabeledVector:
 
 
 def untree(t: TensorNode, fmt: str = "plain") -> list:
-    """All states with their expansions rendered as (coeff, tree) listings."""
+    """All states with their expansions rendered as (coeff, tree) listings.
+
+    Each coefficient is rendered from the integers of _int_parts, with
+    every fraction put in lowest terms.  All trees of a node have its
+    shape and int leaves, so plain tuple order is the label order of
+    LabeledVector listings."""
+    tree_class = t._tree_class()
     out = []
     for lab in sorted(t.irrep.kets):
-        e = t.expand(lab)
-        body = "; ".join(
-            '("%s", "%s")' % (c.render(fmt), tree_str(tr)) for c, tr in e.terms
-        )
-        out.append((lab, "[" + body + "]"))
+        kd, parts = t._int_parts(lab, tree_class)
+        items = []
+        for tr in sorted(parts):
+            terms = []
+            for f, n in sorted(parts[tr].items()):
+                g = gcd(n, kd)
+                terms.append((f, n // g, kd // g))
+            items.append('("%s", "%s")' % (_render_terms(terms, fmt),
+                                           tree_str(tr)))
+        out.append((lab, "[" + "; ".join(items) + "]"))
     return out
 
 
@@ -277,10 +343,10 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     """Keep only terms whose leaf at the factor position is in keep.
     No renormalization is applied."""
-    idx = _check_factor(t, factor)
+    path = _leaf_paths(t.shape)[_check_factor(t, factor)]
     keep_set = set(keep)
     return _termwise(t, 1, lambda tr: [(tr, 1, 1)]
-                     if tree_leaves(tr)[idx] in keep_set else ())
+                     if _leaf_at(tr, path) in keep_set else ())
 
 
 def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
@@ -288,6 +354,7 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
     of (old label, LabeledVector over new labels).  Encountering a leaf
     missing from trafo is an error."""
     idx = _check_factor(t, factor)
+    path = _leaf_paths(t.shape)[idx]
     # e_old = sum c e_new, so u_old = sum c*sqrt(r_old/r_new) u_new: per
     # old label the (new label, class, coefficient) terms of that sum, all
     # coefficients over the common denominator den
@@ -307,16 +374,15 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
             for old, row in rows.items()}
 
     def image(tr):
-        leaves = tree_leaves(tr)
-        sub = tmap.get(leaves[idx])
+        old = _leaf_at(tr, path)
+        sub = tmap.get(old)
         if sub is None:
             raise ValueError(
-                f"label {leaves[idx]} at factor {factor} has no image "
+                f"label {old} at factor {factor} has no image "
                 "in the basis transformation"
             )
         for new, f, n in sub:
-            leaves[idx] = new
-            yield _graft(tr, iter(leaves)), f, n
+            yield _with_leaf(tr, path, new), f, n
 
     return _termwise(t, den, image)
 
@@ -364,16 +430,21 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
             f"factors {f1} and {f2} carry different irreps "
             f"({fa.hw} vs {fb.hw})"
         )
+    paths = _leaf_paths(t.shape)
+    p1, p2 = paths[i1], paths[i2]
+
+    def swap(tr):
+        a, b = _leaf_at(tr, p1), _leaf_at(tr, p2)
+        return _with_leaf(_with_leaf(tr, p1, b), p2, a)
+
+    tree_class = t._tree_class()
     verdict = 0
     for lab in t.irrep.kets:
         # the coefficients of e_L up to one positive factor
-        _, e = t._field_parts(lab)
+        _, e = t._int_parts(lab, tree_class)
         if not e:
             continue
-        swapped = {
-            _graft(tr, iter(_swapped_leaves(tr, i1, i2))): c
-            for tr, c in e.items()
-        }
+        swapped = {swap(tr): c for tr, c in e.items()}
         if swapped == e:
             v = 1
         elif swapped == {tr: {f: -n for f, n in c.items()}
@@ -386,12 +457,6 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
         elif verdict != v:
             return 0
     return verdict
-
-
-def _swapped_leaves(tr, i1, i2):
-    leaves = tree_leaves(tr)
-    leaves[i1], leaves[i2] = leaves[i2], leaves[i1]
-    return leaves
 
 
 def scale(t: TensorNode, c: FieldElem) -> TensorNode:
@@ -407,8 +472,9 @@ def tensor_coeff(t: TensorNode, state: int, leaves) -> FieldElem:
         raise ValueError(
             f"expected {t.nfactors} leaf labels, got {len(leaves)}"
         )
-    tr = _graft(t.shape, iter(leaves))
-    return t.expand(state).get(tr)
+    kd, parts = t._int_parts(state)
+    c = parts.get(_graft(t.shape, iter(leaves)))
+    return ZERO if c is None else _field_elem(kd, c)
 
 
 # --------------------------------------------------- operator helpers

@@ -158,18 +158,68 @@ def test_dump_singlet_formats(capsys, tmp_path):
     assert "Sqrt[3]/3" in mma.read_text()
 
 
-def test_dump_singlet_absent(capsys, tmp_path):
-    rc, _, err = run(capsys, "-su", "3", "--decompose", "10x10",
-                     "--dump-singlet", str(tmp_path / "s.txt"))
-    assert rc == 1 and "no singlet" in err
+def refuse_decompose(d):
+    raise AssertionError("decompose ran before the arguments were checked")
 
 
-def test_dump_singlet_to_missing_directory(capsys, tmp_path):
-    path = tmp_path / "no" / "s.txt"
-    rc, _, err = run(capsys, "-su", "3", "--decompose", "10x01",
+def assert_no_singlet(capsys, tmp_path, monkeypatch, algebra, spec, dual):
+    monkeypatch.setattr(cli, "decompose", refuse_decompose)
+    rc, out, err = run(capsys, *algebra.split(), "--decompose", spec,
+                       "--dump-singlet", str(tmp_path / "s.txt"))
+    assert rc == 1 and out == ""
+    assert "no singlet" in err and f"is not the dual {dual} of" in err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_dump_singlet_absent(capsys, tmp_path, monkeypatch):
+    assert_no_singlet(capsys, tmp_path, monkeypatch, "-su 3", "10x10", "(0,1)")
+
+
+@pytest.mark.parametrize("algebra, spec, dual", [
+    ("-su 4", "100x010", "(0,0,1)"),
+    ("-e6", "100000x100000", "(0,0,0,0,1,0)"),
+    ("-f4", "0001x1000", "(0,0,0,1)"),
+    ("-so 10", "00010x00010", "(0,0,0,0,1)"),
+])
+def test_dump_singlet_absent_fails_before_the_work(capsys, tmp_path,
+                                                  monkeypatch, algebra, spec,
+                                                  dual):
+    assert_no_singlet(capsys, tmp_path, monkeypatch, algebra, spec, dual)
+
+
+@pytest.mark.parametrize("algebra, spec", [
+    ("-su 3", "10x01"), ("-su 4", "100x001"), ("-g2", "10x10"),
+    ("-e6", "100000x000010"), ("-so 10", "00010x00001"),
+])
+def test_dump_singlet_of_dual_pairs(capsys, tmp_path, algebra, spec):
+    # the dual is minus the lowest weight: G2 is self-dual, A, D5 and E6
+    # swap the ends of their Dynkin diagrams
+    path = tmp_path / "s.txt"
+    rc, _, err = run(capsys, *algebra.split(), "--decompose", spec,
                      "--dump-singlet", str(path))
-    assert rc == 1 and f"cannot write {path}: " in err
+    assert rc == 0 and err == ""
+    assert path.read_text().strip()
+
+
+def assert_missing_directory(capsys, tmp_path, monkeypatch, algebra, spec):
+    monkeypatch.setattr(cli, "decompose", refuse_decompose)
+    path = tmp_path / "no" / "s.txt"
+    rc, out, err = run(capsys, *algebra.split(), "--decompose", spec,
+                       "--dump-singlet", str(path))
+    assert rc == 1 and out == ""
+    assert f"cannot write {path}: no directory {tmp_path / 'no'}" in err
     assert "Traceback" not in err
+
+
+def test_dump_singlet_to_missing_directory(capsys, tmp_path, monkeypatch):
+    assert_missing_directory(capsys, tmp_path, monkeypatch, "-su 3", "10x01")
+
+
+def test_dump_singlet_to_missing_directory_fails_before_the_work(
+        capsys, tmp_path, monkeypatch):
+    # F4 26 x 26 holds a singlet, but its decomposition takes most of a
+    # second, all of it wasted on a path that cannot be written
+    assert_missing_directory(capsys, tmp_path, monkeypatch, "-f4", "0001x0001")
 
 
 @pytest.mark.parametrize("where", ["file", "under_file"])
@@ -597,6 +647,59 @@ def test_octet4_print_golden(tmp_path, hashseed):
     assert proc.returncode == 0 and proc.stderr == ""
     assert len(proc.stdout) == OCTET4_CHARS
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == OCTET4_SHA256
+
+
+# the README script, also printing the rotated nodes before the rescaling,
+# so that radicals reach the printed coefficients
+README_SU4_PRINTS = SU4_SCRIPT.split("filter f2")[0] + "print v1\nprint c1\n"
+
+# SU(3) (3 x 8)_15 x 3 with the octet's zero-weight block rotated to the
+# reserved labels -1, -2 and then scaled by a two-radical literal
+CHBASIS_SCALE_SCRIPT = """\
+algebra a 2
+irrep r8 11
+irrep r3 10
+wrap t8 r8
+wrap t3 r3
+otimes p t3 t8 1
+otimes q p t3 2
+vector v r8 4:1 5:1
+normalize v
+basis tr r8 3 v
+filter f q 2 4,5
+chbasis c f 2 tr
+scale s c 1+sqrt(2)
+print c
+print s
+"""
+
+# (characters, sha256) of the print output per script and format
+PRINT_GOLDENS = {
+    ("readme", "tex"): (
+        1656,
+        "374a9bd541f9bf0c53130c850040802ba2c77695f62e0d37ab7d7dd5c7a66eb9"),
+    ("readme", "mathematica"): (
+        1336,
+        "4c7f5229148f404b71c9ee47aa92c00cbf6d1165831a7ed4b9464a90d2aee2db"),
+    ("chbasis_scale", "tex"): (
+        2712,
+        "6196ad7f86c364c65ff5028cd246506cdcde949c9e278b5fd724123f3b0c8ee9"),
+    ("chbasis_scale", "mathematica"): (
+        1960,
+        "ff6abb7312991d2dd1228bb2e4d5240ba9eb61132f28a215fa7a1be1cb5de231"),
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PRINT_GOLDENS))
+def test_print_golden_formats(capsys, tmp_path, name, fmt):
+    script = {"readme": README_SU4_PRINTS,
+              "chbasis_scale": CHBASIS_SCALE_SCRIPT}[name]
+    path = tmp_path / "s.lie"
+    path.write_text(script)
+    rc, out, err = run(capsys, "--script", str(path), "--format", fmt)
+    assert rc == 0 and err == ""
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == \
+        PRINT_GOLDENS[name, fmt]
 
 
 def test_script_unknown_verb(capsys, tmp_path):

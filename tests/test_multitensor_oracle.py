@@ -9,14 +9,30 @@ expansion of `liecg.multitensor`.  Both take the irrep of an `otimes` from
 descended product states.  The same pipelines are built with both; every
 state must expand to the same terms in the same order, with the same
 rendering, and is_sym and tensor_coeff must agree.
+
+A second oracle keeps the print path as it was before untree rendered
+straight from integers: _field_parts walking every tree's leaves, expand
+building FieldElem coefficients, and untree rendering a LabeledVector with
+the recursive tree_str.  untree in all three formats, expand, tensor_coeff
+and is_sym of liecg.multitensor must agree with it on the same nodes.
 """
 
+import random
+from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
 import liecg.multitensor as mt
-from liecg.exactnum import FieldElem, field, field_sqrt, number, parse_field
+from liecg.exactnum import (
+    FieldElem,
+    _sqrt,
+    field,
+    field_sqrt,
+    number,
+    parse_field,
+)
 from liecg.irrep import Irrep, new_generic_irrep, new_imported_irrep
 from liecg.linalg import LabeledVector, gram_orthogonalize
 from liecg.liealg import LieAlgebra
@@ -436,3 +452,199 @@ def test_chbasis_missing_label_errors_alike():
     with pytest.raises(ValueError) as e_old:
         old.expand(1)
     assert str(e_new.value) == str(e_old.value)
+
+
+# ------------------------------------ the print path over FieldElem, as it was
+
+def tree_str(tree) -> str:
+    if isinstance(tree, tuple):
+        return "(%s,%s)" % (tree_str(tree[0]), tree_str(tree[1]))
+    return str(tree)
+
+
+def _mul_class(f1, f2):
+    """(f, m) with sqrt(f1)*sqrt(f2) == m*sqrt(f), for square-free f1, f2."""
+    g = gcd(f1, f2)
+    return (f1 // g) * (f2 // g), g
+
+
+def field_parts(self, state: int):
+    """(q, {tree: {f: n}}) with e_state == q times the sum over trees L
+    of sum n*sqrt(f) e_L; q > 0."""
+    if state not in self.irrep.kets:
+        raise ValueError(f"no state labeled {state}")
+    den, parts = self._rational(state)
+    f0, k = _sqrt(1 / Fraction(self._rho(state)))
+    classes = [fac.rational_form().r for fac in self.factors]
+    out = {}
+    for h, w in parts.items():
+        h, m0 = _mul_class(h, f0)
+        for tr, x in w.items():
+            f, m = h, m0
+            for r, leaf in zip(classes, tree_leaves(tr)):
+                f, g = _mul_class(f, r.get(leaf, 1))
+                m *= g
+            out.setdefault(tr, {})[f] = x * m
+    return k / den, out
+
+
+def field_expand(self, state: int) -> LabeledVector:
+    q, parts = field_parts(self, state)
+    return LabeledVector._raw({
+        tr: FieldElem({f: n * q for f, n in t.items()})
+        for tr, t in parts.items()
+    })
+
+
+def field_untree(t, fmt: str = "plain") -> list:
+    """All states with their expansions rendered as (coeff, tree) listings."""
+    out = []
+    for lab in sorted(t.irrep.kets):
+        e = field_expand(t, lab)
+        body = "; ".join(
+            '("%s", "%s")' % (c.render(fmt), tree_str(tr)) for c, tr in e.terms
+        )
+        out.append((lab, "[" + body + "]"))
+    return out
+
+
+def field_is_sym(t, f1: int, f2: int) -> int:
+    i1, i2 = f1 - 1, f2 - 1
+    verdict = 0
+    for lab in t.irrep.kets:
+        # the coefficients of e_L up to one positive factor
+        _, e = field_parts(t, lab)
+        if not e:
+            continue
+        swapped = {
+            _graft(tr, iter(_swapped_leaves(tr, i1, i2))): c
+            for tr, c in e.items()
+        }
+        if swapped == e:
+            v = 1
+        elif swapped == {tr: {f: -n for f, n in c.items()}
+                         for tr, c in e.items()}:
+            v = -1
+        else:
+            return 0
+        if verdict == 0:
+            verdict = v
+        elif verdict != v:
+            return 0
+    return verdict
+
+
+def assert_prints_alike(node):
+    for fmt in ("plain", "tex", "mathematica"):
+        assert mt.untree(node, fmt) == field_untree(node, fmt), fmt
+    for s in sorted(node.irrep.kets):
+        old = field_expand(node, s)
+        assert mt.expand(node, s).terms == old.terms, s
+        for c, tr in old.terms:
+            assert mt.tensor_coeff(node, s, tree_leaves(tr)) == c
+        absent = [-99] * node.nfactors
+        assert mt.tensor_coeff(node, s, absent).is_zero()
+    for i in range(1, node.nfactors + 1):
+        for j in range(i + 1, node.nfactors + 1):
+            if node.factors[i - 1].hw == node.factors[j - 1].hw:
+                assert mt.is_sym(node, i, j) == field_is_sym(node, i, j)
+
+
+@pytest.mark.parametrize("la, hw", [
+    (A2, (1, 1)), (A3, (1, 0, 1)), (G2, (0, 1)), (G2, (1, 0)),
+])
+def test_print_wrap(la, hw):
+    assert_prints_alike(mt.wrap(new_generic_irrep(la, hw)))
+
+
+def test_print_wrap_imported_27():
+    r8 = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(r8, r8)
+    decompose(d)
+    r27 = new_imported_irrep(A2, prepare(d.found[0], r8, r8))
+    node = mt.wrap(r27)
+    assert_prints_alike(node)
+    assert_prints_alike(mt.otimes(node, mt.wrap(r8), 7))
+
+
+@pytest.mark.parametrize(
+    "la, labels, ks",
+    [
+        (A2, [(1, 1), (1, 1), (1, 0), (1, 0)], [1, 2, 1]),
+        (A2, [(1, 1), (1, 1), (1, 1)], [2, 3]),
+        (A3, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1)], [1, 2, 7]),
+        (A3, [(0, 1, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0)], [1, 2, 2]),
+        (G2, [(1, 0), (0, 1), (0, 1)], [3, 1]),
+        (G2, [(0, 1), (1, 0), (1, 0)], [3, 2]),
+    ],
+)
+def test_print_chains(la, labels, ks):
+    for node in chain(irreps(la, *labels), ks)(mt)[1:]:
+        assert_prints_alike(node)
+
+
+def test_print_products_on_both_sides():
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    t8 = mt.wrap(r8)
+    left, right = mt.otimes(t8, t8, 2), mt.otimes(t8, mt.wrap(r3), 3)
+    assert_prints_alike(mt.otimes(left, right, 1))
+
+
+def test_print_filter_chbasis_scale():
+    r4, r6, r15 = irreps(A3, (1, 0, 0), (0, 1, 0), (1, 0, 1))
+    t4, t6, t15 = mt.wrap(r4), mt.wrap(r6), mt.wrap(r15)
+    tt = mt.otimes(mt.otimes(mt.otimes(t4, t4, 2), t6, 2), t15, 7)
+    f = mt.filter_factor(tt, 4, [7, 8, 9])
+    c = mt.chbasis(f, 4, su4_vev_trafo(r15))
+    assert any(tr[1] < 0 for tr in mt.expand(c, 1).labels())
+    lit = parse_field("1+sqrt(2)")
+    assert len(lit.terms) == 2
+    for node in (f, mt.filter_factor(tt, 1, [1, 3]), c,
+                 mt.filter_factor(c, 4, [-1, -3]), mt.scale(c, lit)):
+        assert_prints_alike(node)
+
+
+def test_print_negative_leaves_inside_products():
+    # reserved labels on the left of a later otimes, and a scale by two
+    # radicals whose classes meet the children's
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    plain, two_term = octet_block_trafos()
+    t8 = mt.wrap(r8)
+    rot = mt.chbasis(mt.filter_factor(t8, 1, [4, 5]), 1, plain)
+    lit = parse_field("1+sqrt(2)")
+    p = mt.otimes(rot, mt.wrap(r3), 1)
+    for node in (rot, p, mt.scale(p, lit),
+                 mt.chbasis(mt.filter_factor(mt.otimes(t8, t8, 4), 2, [4, 5]),
+                            2, two_term),
+                 mt.otimes(mt.scale(t8, lit), rot, 1)):
+        assert_prints_alike(node)
+
+
+def test_print_rho_with_square_denominator():
+    # products found so far all have rho with a square-free numerator times
+    # denominator; a node keeping x_s = u_s/2 with rho_s = r_s/4 expands to
+    # the same unit vectors, through sqrt(1/rho_s) = 2/sqrt(r_s)
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    node = mt.TensorNode(r8, lambda s: (2, {1: {s: 1}}), [r8], None,
+                         lambda s: Fraction(r8.rational_form().r[s], 4))
+    for s in r8.kets:
+        assert mt.expand(node, s) == LabeledVector.unit(s)
+    assert_prints_alike(node)
+    assert_prints_alike(mt.otimes(node, mt.wrap(r3), 2))
+    assert_prints_alike(mt.otimes(mt.wrap(r8), node, 4))
+
+
+def random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice((-1, -2, -3, -10, -123)) if rng.random() < 0.3 \
+            else rng.randrange(0, 2000)
+    return (random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+def test_tree_str_matches_recursive_oracle():
+    rng = random.Random(7)
+    trees = [random_tree(rng, 6) for _ in range(500)]
+    assert any(isinstance(tr, tuple) for tr in trees)
+    assert any("-" in tree_str(tr) for tr in trees)
+    for tr in trees:
+        assert mt.tree_str(tr) == tree_str(tr)

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import liecg
 import liecg.exactnum
+import liecg.multitensor as mt
 from liecg import cli
+from liecg.exactnum import parse_field
+from liecg.irrep import new_generic_irrep
+from liecg.liealg import LieAlgebra
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -41,6 +45,54 @@ def test_traced_job_records_spans_and_restores(tmp_path):
         assert prof.calls.get(name), name
     coeffs = passrun.irrep_coeffs(str(tmp_path / "out" / "irrep_1.json"))
     assert coeffs and passrun.check_roundtrip(parse_field, coeffs) == []
+
+
+PRINT_SCRIPT = """\
+algebra a 2
+irrep r8 11
+irrep r3 10
+wrap t8 r8
+wrap t3 r3
+otimes p t3 t8 1
+otimes q p t8 2
+filter f q 2 4,5,6
+scale s f 1+sqrt(2)
+print q
+print s
+"""
+
+
+def test_traced_script_prints_every_term(tmp_path):
+    path = tmp_path / "s.lie"
+    path.write_text(PRINT_SCRIPT)
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["--script", str(path)])
+        return rc, out.getvalue()
+
+    plain = run()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        tracer.job = 0
+        traced = run()
+    finally:
+        tracing.uninstall(undo)
+    assert traced == plain and plain[0] == 0
+    # the terms the benchmark harvests are every term of both printed nodes
+    la = LieAlgebra("A", 2)
+    t8 = mt.wrap(new_generic_irrep(la, (1, 1)))
+    t3 = mt.wrap(new_generic_irrep(la, (1, 0)))
+    q = mt.otimes(mt.otimes(t3, t8, 1), t8, 2)
+    s = mt.scale(mt.filter_factor(q, 2, [4, 5, 6]), parse_field("1+sqrt(2)"))
+    want = sum(len(mt.expand(n, lab)) for n in (q, s) for lab in n.irrep.kets)
+    assert want > 100
+    assert len(passrun.TREE_TERM.findall(traced[1])) == want
+    trace = tmp_path / "trace.jsonl"
+    tracer.write_jsonl(trace)
+    assert tracing.Profile(str(trace)).calls.get("multitensor.untree") == 2
 
 
 def test_probe_reads_every_exactnum_metric():
