@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .exactnum import FieldSqrtError, field_sqrt, parse_field
 from .linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
@@ -30,6 +31,7 @@ from .irrep import (
 from .tensor import (
     Decomposition,
     DecompositionError,
+    _ket_str,
     decompose,
     prepare,
     render_states,
@@ -58,11 +60,6 @@ class ScriptError(Exception):
 
 def _tup(w):
     return "(" + ",".join(str(x) for x in w) + ")"
-
-
-def _ket_str(k):
-    # trailing comma before the closing paren, then the degeneracy index
-    return "(" + "".join(f"{x}," for x in k.dynkin) + ")" + str(k.deg_index)
 
 
 def _hdr(key, val):
@@ -203,32 +200,28 @@ def parse_rep(s, rank):
     return labels
 
 
+# algebra names, as the flags and the script's algebra verb spell them, ->
+# the LieAlgebra of a size (su, so, sp) or a rank (a-d); the exceptional
+# algebras take neither
+_EXCEPTIONAL = ("e6", "e7", "e8", "f4", "g2")
+_ALGEBRAS = {
+    "su": LieAlgebra.su,
+    "so": LieAlgebra.so,
+    "sp": LieAlgebra.sp,
+    **{f: partial(LieAlgebra, f.upper()) for f in "abcd"},
+    **{f: partial(LieAlgebra, f.upper(), int(f[1])) for f in _EXCEPTIONAL},
+}
+
+
 def _algebra_from_args(args):
-    picked = []
-    if args.su is not None:
-        picked.append(("su", args.su))
-    if args.so is not None:
-        picked.append(("so", args.so))
-    if args.sp is not None:
-        picked.append(("sp", args.sp))
-    if args.d is not None:
-        picked.append(("d", args.d))
-    for f in ("e6", "e7", "e8", "f4", "g2"):
-        if getattr(args, f):
-            picked.append((f, None))
+    picked = [(kind, n) for kind in ("su", "so", "sp", "d")
+              if (n := getattr(args, kind)) is not None]
+    picked += [(kind,) for kind in _EXCEPTIONAL if getattr(args, kind)]
     if len(picked) != 1:
         raise UsageError("exactly one algebra flag is required")
-    kind, n = picked[0]
+    kind, *size = picked[0]
     try:
-        if kind == "su":
-            return LieAlgebra.su(n)
-        if kind == "so":
-            return LieAlgebra.so(n)
-        if kind == "sp":
-            return LieAlgebra.sp(n)
-        if kind == "d":
-            return LieAlgebra("D", n)
-        return LieAlgebra(kind.upper(), int(kind[1]))
+        return _ALGEBRAS[kind](*size)
     except ValueError as e:
         raise UsageError(str(e))
 
@@ -298,8 +291,9 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
         raise UsageError(
             f"--decompose wants 'AxB' with two irrep specs, got {spec!r}"
         )
-    l = _factor_irrep(la, sides[0].strip())
-    r = _factor_irrep(la, sides[1].strip())
+    left, right = (side.strip() for side in sides)
+    l = _factor_irrep(la, left)
+    r = l if right == left else _factor_irrep(la, right)
     if dump_dir is not None:
         # a bad path fails here, before the work
         try:
@@ -403,21 +397,20 @@ class _Script:
 
     # every verb gets the argument tokens of its line
     def v_algebra(self, toks):
-        kind = toks[0].lower() if toks else ""
-        if kind in ("a", "b", "c", "d"):
-            if len(toks) != 2:
-                raise ValueError("algebra a|b|c|d needs a rank")
-            self.la = LieAlgebra(kind.upper(), int(toks[1]))
-        elif kind in ("e6", "e7", "e8", "f4", "g2"):
-            if len(toks) != 1:
-                raise ValueError(f"algebra {kind} takes no rank")
-            self.la = LieAlgebra(kind.upper(), int(kind[1]))
-        elif kind in ("su", "so", "sp"):
-            if len(toks) != 2:
-                raise ValueError(f"algebra {kind} needs a size")
-            self.la = getattr(LieAlgebra, kind)(int(toks[1]))
-        else:
+        kind, *size = toks or [""]
+        kind = kind.lower()
+        make = _ALGEBRAS.get(kind)
+        if make is None:
             raise ValueError(f"unknown algebra {' '.join(toks)!r}")
+        if kind in _EXCEPTIONAL:
+            if size:
+                raise ValueError(f"algebra {kind} takes no rank")
+            self.la = make()
+        elif len(size) != 1:
+            raise ValueError("algebra a|b|c|d needs a rank" if kind in "abcd"
+                             else f"algebra {kind} needs a size")
+        else:
+            self.la = make(int(size[0]))
 
     def _need_algebra(self):
         if self.la is None:
@@ -589,7 +582,7 @@ def build_parser():
     g.add_argument("-so", type=int, metavar="N", help="SO(N)")
     g.add_argument("-sp", type=int, metavar="N", help="SP(N), N even")
     g.add_argument("-d", type=int, metavar="N", help="D series of rank N")
-    for f in ("e6", "e7", "e8", "f4", "g2"):
+    for f in _EXCEPTIONAL:
         g.add_argument(f"-{f}", action="store_true", help=f.upper())
     p.add_argument(
         "-rep",

@@ -187,12 +187,8 @@ class FieldElem:
         terms: dict[int, Fraction] = {}
         for f1, c1 in self.terms.items():
             for f2, c2 in other.terms.items():
-                if f1 == f2:
-                    f, c = 1, c1 * c2 * f1
-                else:
-                    g = math.gcd(f1, f2)
-                    # f1, f2 square-free => (f1//g)*(f2//g) square-free
-                    f, c = (f1 // g) * (f2 // g), c1 * c2 * g
+                f, g = _mul_class(f1, f2)
+                c = c1 * c2 * g
                 acc = terms.get(f)
                 acc = c if acc is None else acc + c
                 if acc:
@@ -314,8 +310,15 @@ ONE = FieldElem({1: Fraction(1)})
 FieldElem.den = ONE
 
 
-# _sqrt and _times_sqrt serve the rational forms; they stay out of __all__
-# and so out of the package namespace
+# _mul_class, _sqrt and _times_sqrt serve the rational forms; they stay out
+# of __all__ and so out of the package namespace
+
+def _mul_class(f1: int, f2: int) -> tuple[int, int]:
+    """(f, g) with sqrt(f1)*sqrt(f2) == g*sqrt(f), for square-free f1, f2:
+    g = gcd(f1, f2) and f = (f1/g)*(f2/g), again square-free."""
+    g = math.gcd(f1, f2)
+    return (f1 // g) * (f2 // g), g
+
 
 def _sqrt(x):
     """(f, k) with sqrt(x) == k*sqrt(f), for a rational x > 0."""
@@ -325,10 +328,10 @@ def _sqrt(x):
 
 
 def _times_sqrt(q, n, d) -> FieldElem:
-    """q*sqrt(n/d) for a rational q != 0 and square-free n, d > 0: with
-    g = gcd(n, d), it is q/(d/g) * sqrt((n/g)*(d/g)), a square-free root."""
-    g = math.gcd(n, d)
-    return FieldElem({(n // g) * (d // g): Fraction(q, d // g)})
+    """q*sqrt(n/d) for a rational q != 0 and square-free n, d > 0: it is
+    q/d * sqrt(n)*sqrt(d) == q/(d/g) * sqrt(f), (f, g) = _mul_class(n, d)."""
+    f, g = _mul_class(n, d)
+    return FieldElem({f: Fraction(q, d // g)})
 
 
 def number(a: int, b: int, n: int) -> FieldElem:

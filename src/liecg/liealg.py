@@ -163,18 +163,22 @@ def cartan(la: LieAlgebra):
 
 @lru_cache(maxsize=None)
 def root_weights(la: LieAlgebra):
-    """Squared lengths of the simple roots, short ones normalized to 1."""
-    n = la.rank
-    fam = la.family
-    if fam == "B":
-        return (2,) * (n - 1) + (1,)
-    if fam == "C":
-        return (1,) * (n - 1) + (2,)
-    if fam == "F4":
-        return (1, 1, 2, 2)
-    if fam == "G2":
-        return (1, 3)
-    return (1,) * n
+    """Squared lengths of the simple roots, short ones normalized to 1.
+
+    A_ji / A_ij = (a^j)^2 / (a^i)^2 for linked nodes i, j, so the lengths
+    spread from node 0 along the Dynkin diagram.  Starting from 6 every step
+    divides exactly: a diagram has at most one multiple bond, of ratio 2 or
+    3."""
+    A = cartan(la)
+    w = [6] + [0] * (la.rank - 1)
+    todo = [0]
+    for i in todo:
+        for j, a in enumerate(A[i]):
+            if a and not w[j]:
+                w[j] = w[i] * A[j][i] // a
+                todo.append(j)
+    m = min(w)
+    return tuple(x // m for x in w)
 
 
 @lru_cache(maxsize=None)

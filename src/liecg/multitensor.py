@@ -13,25 +13,26 @@ eager 4-fold expansion can be very large.
 Expansions are kept over Q.  Every irrep holds its rational form
 (Irrep.rational_form): in the basis u_l = sqrt(r_l) e_l, r_l the
 square-free class of leaf l, its tables are rational; a tree L stands for
-u_L, the product of its leaves' u_l.  A node keeps its state s rescaled
-as x_s = sqrt(rho_s) e_s, with
+u_L, the product of its leaves' u_l.  A node keeps each state s as the
+expansion of u_s = sqrt(r_s) e_s, r_s the class of s in the node's own
+irrep,
 
-    x_s = sum over h of sqrt(h)/D * sum over L of W_h[L] u_L
+    u_s = sum over h of sqrt(h)/D * sum over L of W_h[L] u_L
 
 for h square-free, W_h a dict {tree: int} and D > 0 an int: the pair
-(D, {h: W_h}).  A wrapped factor has rho_s = r_s, so x_s = u_s is one
-leaf.  otimes takes the irrep it selects, form and all, from
-prepare_with_states, which also gives each state as sign*v/sqrt(N), v a
-rational vector over the children's u_a x u_b.  It keeps rho_s = N, so
-x_s = sign*v with every child state entering as u_a = sqrt(r_a/rho_a) x_a:
-it multiplies only integers, one radical per child state, and classes
-multiply through gcd, as in FieldElem.  filter, chbasis and scale keep
-their child's rho.  Radicals enter only with the script literals of scale
-and chbasis, each a FieldElem whose terms (radicand -> rational
-coefficient) are folded in per class.  The coefficient of e_L in e_s is
-W_h[L]/D * sqrt(h * prod r_l / rho_s), which TensorNode._int_parts gives
-as a sum of n/kd * sqrt(f) over square-free f, still in integers; the
-class of prod r_l is built bottom-up from the two children of L.
+(D, {h: W_h}).  A wrapped factor's u_s is one leaf.  otimes takes the
+irrep it selects, form and all, from prepare_with_states, which also gives
+each state as e_s = sign*v/sqrt(N), v a rational vector over the
+children's u_a x u_b; so u_s = sign*sqrt(r_s/N)*v, and the children's
+u_a, u_b enter as they are memoized.  It multiplies only integers, one
+radical per state, and classes multiply through gcd, as in FieldElem.
+filter, chbasis and scale are linear, so they act on u_s term by term.
+FieldElems enter only with the script literals of scale and chbasis,
+whose terms (radicand -> rational coefficient) are folded in per class.
+The coefficient of e_L in e_s = sqrt(r_s)/r_s * u_s is W_h[L]/(D r_s) *
+sqrt(h * r_s * prod r_l), which TensorNode._int_parts gives as a sum of
+n/kd * sqrt(f) over square-free f, still in integers; the class of
+prod r_l is built bottom-up from the two children of L.
 Radicals leave through two doors: untree renders every coefficient
 straight from those integers, and expand (with tensor_coeff) turns them
 into FieldElems.  is_sym compares the integers.
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .exactnum import FieldElem, ZERO, _render_terms, _sqrt
+from .exactnum import FieldElem, ZERO, _mul_class, _render_terms, _sqrt
 from .linalg import LabeledVector, invert_matrix
 from .irrep import Irrep
 from .tensor import Decomposition, decompose, prepare_with_states
@@ -117,12 +118,6 @@ def _with_leaf(tr, path, leaf):
     return (_with_leaf(tr[0], path[1:], leaf), tr[1])
 
 
-def _mul_class(f1, f2):
-    """(f, m) with sqrt(f1)*sqrt(f2) == m*sqrt(f), for square-free f1, f2."""
-    g = gcd(f1, f2)
-    return (f1 // g) * (f2 // g), g
-
-
 def _reduced(den, parts):
     """(den, parts) with zero entries and empty classes dropped and the
     common divisor of den and every entry divided out."""
@@ -141,18 +136,16 @@ def _reduced(den, parts):
 class TensorNode:
     """An irrep together with the expansion of its states over label trees.
 
-    fn(state) gives the rational expansion (D, {h: W_h}) of x_state =
-    sqrt(rho(state)) e_state (module docstring); it is memoized, expand
+    fn(state) gives the rational expansion (D, {h: W_h}) of u_state =
+    sqrt(r_state) e_state (module docstring); it is memoized, expand
     converts it to FieldElem coefficients on every call."""
 
-    def __init__(self, irrep: Irrep, fn, factors, shape, rho):
+    def __init__(self, irrep: Irrep, fn, factors, shape):
         self.irrep = irrep
         self.factors = factors  # factor Irreps in leaf order
         self.shape = shape  # nested tuple, leaves are None placeholders
         self._fn = fn
-        self._rho = rho
         self._memo = {}
-        self._u_memo = {}
 
     @property
     def nfactors(self) -> int:
@@ -162,17 +155,6 @@ class TensorNode:
         got = self._memo.get(state)
         if got is None:
             got = self._memo[state] = self._fn(state)
-        return got
-
-    def _u(self, state: int):
-        """(c, f, parts): u_state = sqrt(r_state) e_state is c*sqrt(f)
-        times the sum over h of sqrt(h) * sum of W_h[L] u_L."""
-        got = self._u_memo.get(state)
-        if got is None:
-            den, parts = self._rational(state)
-            r = self.irrep.rational_form().r[state]
-            f, k = _sqrt(Fraction(r) / self._rho(state))
-            got = self._u_memo[state] = k / den, f, parts
         return got
 
     def _tree_class(self):
@@ -207,17 +189,16 @@ class TensorNode:
         if tree_class is None:
             tree_class = self._tree_class()
         den, parts = self._rational(state)
-        f0, k = _sqrt(1 / Fraction(self._rho(state)))
-        kn, kd = k.numerator, k.denominator * den
+        # e_state = sqrt(r)/r * u_state
+        r = self.irrep.rational_form().r[state]
         out = {}
         for h, w in parts.items():
-            h, m0 = _mul_class(h, f0)
-            m0 *= kn
+            h, m0 = _mul_class(h, r)
             for tr, x in w.items():
                 fl, ml = tree_class(tr)
                 f, g = _mul_class(h, fl)
                 out.setdefault(tr, {})[f] = x * m0 * ml * g
-        return kd, out
+        return den * r, out
 
     def expand(self, state: int) -> LabeledVector:
         kd, parts = self._int_parts(state)
@@ -235,8 +216,7 @@ def _field_elem(kd, t) -> FieldElem:
 
 def wrap(r: Irrep) -> TensorNode:
     """A single-factor node: each ket expands to its own leaf."""
-    return TensorNode(r, lambda s: (1, {1: {s: 1}}), [r], None,
-                      lambda s: r.rational_form().r[s])
+    return TensorNode(r, lambda s: (1, {1: {s: 1}}), [r], None)
 
 
 def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
@@ -249,28 +229,31 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
             f"irrep index {k} out of range: the product has {len(d.found)} irreps"
         )
     irrep, states = prepare_with_states(d.found[k - 1], a.irrep, b.irrep)
+    r = irrep.rational_form().r
 
     def fn(s):
-        # x_s = sign * sum of v_ab u_a x u_b, and u_a = ca*sqrt(fa) * ...
-        v, sign, _ = states[s]
+        # u_s = sign*sqrt(r_s/N_s) * sum of v_ab u_a x u_b, with
+        # sqrt(r_s/N_s) = c0*sqrt(f0)
+        v, sign, norm = states[s]
+        f0, c0 = _sqrt(r[s] / norm)
+        c0 *= sign
         pairs = []
         for (al, bl), q in v.items():
-            ca, fa, pa = a._u(al)
-            cb, fb, pb = b._u(bl)
-            pairs.append((q * sign * ca * cb, fa, fb, pa, pb))
-        den = lcm(*(c.denominator for c, *_ in pairs))
+            da, pa = a._rational(al)
+            db, pb = b._rational(bl)
+            pairs.append((c0 * q / (da * db), pa, pb))
+        den = lcm(*(c.denominator for c, _, _ in pairs))
         out = {}
         classes = {}
-        for c, fa, fb, pa, pb in pairs:
+        for c, pa, pb in pairs:
             n = c.numerator * (den // c.denominator)
             for h1, wa in pa.items():
                 for h2, wb in pb.items():
-                    hm = classes.get((fa, fb, h1, h2))
+                    hm = classes.get((h1, h2))
                     if hm is None:
-                        h, m1 = _mul_class(fa, fb)
-                        h, m2 = _mul_class(h, h1)
-                        h, m3 = _mul_class(h, h2)
-                        hm = classes[fa, fb, h1, h2] = h, m1 * m2 * m3
+                        h, m1 = _mul_class(f0, h1)
+                        h, m2 = _mul_class(h, h2)
+                        hm = classes[h1, h2] = h, m1 * m2
                     h, m = hm
                     acc = out.get(h)
                     if acc is None:
@@ -283,8 +266,7 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
                             acc[key] = acc.get(key, 0) + x * xb
         return _reduced(den, out)
 
-    return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape),
-                      lambda s: states[s][2])
+    return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape))
 
 
 def expand(t: TensorNode, state: int) -> LabeledVector:
@@ -337,7 +319,7 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
                     acc[tr2] = acc.get(tr2, 0) + x * n * m
         return _reduced(d * den, out)
 
-    return TensorNode(t.irrep, fn, t.factors, t.shape, t._rho)
+    return TensorNode(t.irrep, fn, t.factors, t.shape)
 
 
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:

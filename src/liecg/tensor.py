@@ -62,7 +62,7 @@ from .liealg import (
     level_vector,
     weyl_dim,
 )
-from .irrep import ImportedIrrepData, Irrep, Ket, _scaled_form
+from .irrep import ImportedIrrepData, Irrep, Ket, _scaled_form, _vadd, _vsub
 
 __all__ = [
     "ProductIrrep",
@@ -87,14 +87,6 @@ ProductState = LabeledVector
 
 class DecompositionError(ConsistencyError):
     """The found irreps do not exhaust the tensor product."""
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _pairs_weight(pairs, l: Irrep, r: Irrep):
@@ -352,7 +344,6 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     """
     la = l.algebra
     A = cartan(la)
-    n = la.rank
     fl, fr = l.rational_form(), r.rational_form()
     if p._hw_vec is None:
         product_weight(p._hw_state, l, r)  # refuses zero and mixed states
@@ -368,12 +359,12 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     top = (p._hw_vec, 1)
     hw = _pairs_weight(p._hw_vec, l, r)
     target = weyl_dim(la, hw)
-    mult = {rec.dynkin: rec.degeneracy for rec in freudenthal(la, hw)}
+    recs = freudenthal(la, hw)
+    mult = {rec.dynkin: rec.degeneracy for rec in recs}
     lows = [(*t, row) for t, row in zip(_int_tables(fl, fr), A)]
     levels = [[top]]
     p.weights = [[hw]]
     by_weight = {hw: [top]}
-    descent = {hw: (0,) * n}
     reducers = {hw: _Reducer()}
     reducers[hw].add(p._hw_vec)
     count = 1
@@ -381,8 +372,7 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     while True:
         nxt_states, nxt_weights = [], []
         for (s, sigma), w in zip(cur_states, cur_weights):
-            dsc = descent[w]
-            for i, (d, low_l, low_r, row) in enumerate(lows):
+            for d, low_l, low_r, row in lows:
                 low = _lower(s, low_l, low_r)
                 if not low:
                     continue
@@ -396,10 +386,6 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                     nxt_states.append(state)
                     nxt_weights.append(w2)
                     by_weight.setdefault(w2, []).append(state)
-                    if w2 not in descent:
-                        descent[w2] = tuple(
-                            q + (1 if k == i else 0) for k, q in enumerate(dsc)
-                        )
         if not nxt_states:
             break
         levels.append(nxt_states)
@@ -408,7 +394,7 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
         cur_states, cur_weights = nxt_states, nxt_weights
     p.hw = hw
     p.dim = count
-    p.descent = descent
+    p.descent = {rec.dynkin: rec.descent for rec in recs}
     p._levels, p._by_weight = levels, by_weight
     p._classes = (fl.r, fr.r)
     if count != target:
@@ -533,6 +519,11 @@ def _wstr(w):
     return "(" + "".join(f"{c}," for c in w) + ")"
 
 
+def _ket_str(k: Ket) -> str:
+    """A ket as its weight with trailing commas, then its degeneracy index."""
+    return _wstr(k.dynkin) + str(k.deg_index)
+
+
 def result(d: Decomposition) -> str:
     """Decomposition summary, one "(dynkin)dim" line per irrep."""
     lines = []
@@ -634,17 +625,13 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:
     """Nested listing of all states as (coeff, (left ket, right ket)) terms,
     grouped state-by-state and level-by-level."""
-
-    def kstr(irr, label):
-        k = irr.kets[label]
-        return _wstr(k.dynkin) + str(k.deg_index)
-
     out_levels = []
     for states in p.levels:
         out_states = []
         for s in states:
             terms = [
-                f'("{c.render(fmt)}", ("{kstr(l, a)}", "{kstr(r, b)}"))'
+                f'("{c.render(fmt)}", '
+                f'("{_ket_str(l.kets[a])}", "{_ket_str(r.kets[b])}"))'
                 for c, (a, b) in s.terms
             ]
             out_states.append("[" + ";\n  ".join(terms) + "]")

@@ -240,6 +240,31 @@ def test_dump_to_bad_path_fails_before_the_work(capsys, tmp_path, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_equal_factors_are_built_once(capsys, tmp_path, monkeypatch):
+    # the same irrep under another spec ("1,1", "./FILE") is built anew,
+    # so its stdout is the one to match
+    rc, _, _ = run(capsys, "-su", "3", "--decompose", "10x01",
+                   "--dump", str(tmp_path))
+    assert rc == 0
+    path = tmp_path / "irrep_1.json"
+    rc, generic, _ = run(capsys, "-su", "3", "--decompose", "11x1,1")
+    assert rc == 0
+    rc, imported, _ = run(capsys, "-su", "3", "--decompose",
+                          f"@{path} x @{tmp_path}/./irrep_1.json")
+    assert rc == 0
+    for name, spec, want in (
+        ("new_generic_irrep", "11x11", generic),
+        ("_import_irrep", f"@{path} x @{path}", imported),
+    ):
+        calls = []
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, real=real: calls.append(a) or real(*a))
+        rc, out, _ = run(capsys, "-su", "3", "--decompose", spec)
+        assert rc == 0 and out == want
+        assert len(calls) == 1, name
+
+
 def test_dump_and_import_roundtrip(capsys, tmp_path):
     d = tmp_path / "out"
     rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
@@ -725,6 +750,78 @@ def test_script_huge_irrep_fails_fast(capsys, tmp_path):
     assert rc == 1 and out == "" and f"{path}:2" in err
     assert "1329227995784915872903807060280344576" in err
     assert str(cli.MAX_DIM) in err
+
+
+@pytest.mark.parametrize("toks, la", [
+    ("a 2", LieAlgebra("A", 2)), ("B 3", LieAlgebra("B", 3)),
+    ("c 3", LieAlgebra("C", 3)), ("d 4", LieAlgebra("D", 4)),
+    ("su 3", LieAlgebra("A", 2)), ("so 7", LieAlgebra("B", 3)),
+    ("so 8", LieAlgebra("D", 4)), ("SP 6", LieAlgebra("C", 3)),
+    ("e6", LieAlgebra("E6", 6)), ("E7", LieAlgebra("E7", 7)),
+    ("e8", LieAlgebra("E8", 8)), ("f4", LieAlgebra("F4", 4)),
+    ("g2", LieAlgebra("G2", 2)),
+])
+def test_script_algebra_names(toks, la):
+    sc = cli._Script("plain")
+    sc.v_algebra(toks.split())
+    assert sc.la == la
+
+
+@pytest.mark.parametrize("argv, la", [
+    (["-su", "3"], LieAlgebra("A", 2)), (["-so", "7"], LieAlgebra("B", 3)),
+    (["-so", "8"], LieAlgebra("D", 4)), (["-sp", "6"], LieAlgebra("C", 3)),
+    (["-d", "4"], LieAlgebra("D", 4)), (["-e6"], LieAlgebra("E6", 6)),
+    (["-e7"], LieAlgebra("E7", 7)), (["-e8"], LieAlgebra("E8", 8)),
+    (["-f4"], LieAlgebra("F4", 4)), (["-g2"], LieAlgebra("G2", 2)),
+])
+def test_algebra_flags(argv, la):
+    args = cli.build_parser().parse_args(argv + ["-rep", "0"])
+    assert cli._algebra_from_args(args) == la
+
+
+# the error texts of the script's algebra verb and of the algebra flags
+@pytest.mark.parametrize("toks, msg", [
+    ("", "unknown algebra ''"),
+    ("x 3", "unknown algebra 'x 3'"),
+    ("e9", "unknown algebra 'e9'"),
+    ("a", "algebra a|b|c|d needs a rank"),
+    ("B 2 3", "algebra a|b|c|d needs a rank"),
+    ("e6 6", "algebra e6 takes no rank"),
+    ("G2 1", "algebra g2 takes no rank"),
+    ("su", "algebra su needs a size"),
+    ("sp 4 4", "algebra sp needs a size"),
+    ("so 4", "SO(n) needs odd n >= 5 or even n >= 6"),
+    ("su 1", "SU(n) needs n >= 2"),
+    ("sp 5", "SP(n) needs even n >= 4"),
+    ("c 1", "family C needs integer rank >= 2"),
+    ("d 2", "family D needs integer rank >= 3"),
+    ("a x", "invalid literal for int() with base 10: 'x'"),
+    ("su x", "invalid literal for int() with base 10: 'x'"),
+    ("A X", "invalid literal for int() with base 10: 'X'"),
+])
+def test_script_algebra_errors(capsys, tmp_path, toks, msg):
+    path = tmp_path / "s.lie"
+    path.write_text(f"algebra {toks}\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"lie: error: {path}:1: algebra: {msg}\n"
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["-su", "1"], "SU(n) needs n >= 2"),
+    (["-so", "4"], "SO(n) needs odd n >= 5 or even n >= 6"),
+    (["-so", "0"], "SO(n) needs odd n >= 5 or even n >= 6"),
+    (["-sp", "5"], "SP(n) needs even n >= 4"),
+    (["-d", "2"], "family D needs integer rank >= 3"),
+    (["-d", "0"], "family D needs integer rank >= 3"),
+    (["-su", "3", "-d", "4"], "exactly one algebra flag is required"),
+    (["-e6", "-g2"], "exactly one algebra flag is required"),
+    (["-su", "0", "-e8"], "exactly one algebra flag is required"),
+])
+def test_algebra_flag_errors(capsys, argv, msg):
+    rc, out, err = run(capsys, *argv, "-rep", "1")
+    assert rc == 1 and out == ""
+    assert err.splitlines()[0] == f"lie: error: {msg}"
 
 
 @pytest.mark.parametrize(

