@@ -496,6 +496,56 @@ def test_dump_goldens(capsys, tmp_path, monkeypatch):
         assert not (tmp_path / name / f"irrep_{len(want) + 1}.json").exists()
 
 
+# sha256 of every states_K file of the G2 14 x 14 dump, K = 1..5, per
+# format: its coefficients carry the sqrt(2), sqrt(3) and sqrt(6) classes
+G2_STATES_GOLDENS = {
+    "plain": [
+        "b06462df18d06d837be53716cbc41cbc05c043f9f4fe1221b3a8d0dd0d87029d",
+        "ba1c60c4d221221ad5d0e9eb19d010a27e80079efd4f9f4357e5c223a224bab3",
+        "bf09fd89857b73867aabf2d9f2a92c627cdf998121af32ef9f2b37cb548de9e8",
+        "63c502f17ba013f2b350e60d74d61175d3a4cedc1745cd6f755b072a33949195",
+        "b361148d86990f07ccb9f67e9e9951c241ae1f841c72917522a6214a6888cf4c",
+    ],
+    "tex": [
+        "4a10aac86e3296a1e428375cb5b4a614cad84180d255e79956301a1d0ab93b82",
+        "7319cb43b943f227aed0ec62a5794616a669473c77b723221bbadb15b9bad126",
+        "ed4f6d21b13739117bfff5e757025905e886350cb1fa36ac9d615d101eeb1997",
+        "8335dbbbc46f4101ed83014452c67d831c984f47c5d62ad019f38708c67ae862",
+        "41632c1e18532348dd736cb6d081b015003daa7712792ba5cd5a1861d8bf164d",
+    ],
+    "mathematica": [
+        "e371163e884c4f1434dfdf98badc9a1bd01a34f1cdb01265e49a5c4f9c886380",
+        "3f98e6169084478c6014930310b7642e06fbc1f8dad10da96d63bdaf2c6d5d47",
+        "bd783cd6a812611e4bc3685ca0bb0ce9870574be48f11c4cfd17a17ce2083e59",
+        "bb8f8e6534b07c3721905e074c46c89494f817bb1ece201a620a842bfb339ef7",
+        "b69a07f5143cfc402d3796b4185a8ca9cbf48358bf4b2c16c6b1c07a365f35a2",
+    ],
+    "json": [
+        "9453de05117d757524bf5242d9880db6e38145e22d1f7d0f72ca6739ccf13178",
+        "b391350d0530f09fe473f12aa84b0d0eecaa050dcd29c7f9b832ff0a762f40a8",
+        "a9a9d497a4d2967d95ba83c9593117af583a0dad67e33d5bd142b5cc9569da4b",
+        "33a3fd66d196a7dc2d81628552414461ce5ef8fe0a44bfe46df7589ef65d819d",
+        "7cc5f3c6afdc9906b608ebb79f7b83c953e29bcca56c1f271a629d9300cf173f",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(G2_STATES_GOLDENS))
+def test_g2_states_goldens(capsys, tmp_path, fmt):
+    want = G2_STATES_GOLDENS[fmt]
+    ext = cli._EXT[fmt]
+    rc, _, err = run(capsys, "-g2", "--decompose", "01x01", "--dump",
+                     str(tmp_path), "--format", fmt)
+    assert rc == 0 and err == ""
+    got = [
+        hashlib.sha256((tmp_path / f"states_{k}.{ext}").read_bytes())
+        .hexdigest()
+        for k in range(1, len(want) + 1)
+    ]
+    assert got == want
+    assert not (tmp_path / f"states_{len(want) + 1}.{ext}").exists()
+
+
 def _bad_import_files(tmp_path):
     """name -> path of a file that from_json_dict must refuse: a top level
     that is not an object, and zero denominators or a coefficient that is
