@@ -19,7 +19,7 @@ import os
 import sys
 from functools import partial
 
-from .exactnum import FieldSqrtError, field_sqrt, parse_field
+from .exactnum import FieldSqrtError, _render_terms, field_sqrt, parse_field
 from .linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
 from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
@@ -32,6 +32,7 @@ from .tensor import (
     Decomposition,
     DecompositionError,
     _ket_str,
+    _state_terms,
     decompose,
     prepare,
     render_states,
@@ -125,16 +126,17 @@ def states_to_json(p, l, r):
     """CG coefficient table of one product irrep as JSON text."""
     states = []
     lab = 0
-    for lev, level in enumerate(p.levels):
-        for s in level:
+    for lev, level in enumerate(_state_terms(p)):
+        for terms in level:
             lab += 1
             states.append(
                 {
                     "state": lab,
                     "level": lev,
                     "terms": [
-                        {"coeff": c.plain(), "left": a, "right": b}
-                        for c, (a, b) in s.terms
+                        {"coeff": _render_terms(((g, n, m),)), "left": a,
+                         "right": b}
+                        for g, n, m, a, b in terms
                     ],
                 }
             )
@@ -261,6 +263,16 @@ def _factor_irrep(la, token):
     return new_generic_irrep(la, _checked_rep(la, token))
 
 
+def _factor_key(la, token):
+    """What one side of --decompose names: the resolved path of @FILE or the
+    highest weight of Dynkin labels.  Sides with equal keys are the same
+    irrep; a path never equals a weight, so a file is never taken for
+    labels."""
+    if token.startswith("@"):
+        return os.path.realpath(token[1:])
+    return _checked_rep(la, token)
+
+
 # ----------------------------------------------------------------- modes
 
 def run_weights(la, rep, fmt):
@@ -293,7 +305,8 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
         )
     left, right = (side.strip() for side in sides)
     l = _factor_irrep(la, left)
-    r = l if right == left else _factor_irrep(la, right)
+    same = _factor_key(la, right) == _factor_key(la, left)
+    r = l if same else _factor_irrep(la, right)
     if dump_dir is not None:
         # a bad path fails here, before the work
         try:

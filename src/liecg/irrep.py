@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .exactnum import (
@@ -42,7 +43,7 @@ from .exactnum import (
     _square_free,
     _times_sqrt,
 )
-from .linalg import LabeledVector, _Reducer
+from .linalg import LabeledVector, _Reducer, _scaled_ints
 from .liealg import ConsistencyError, LieAlgebra, cartan, freudenthal, weyl_dim
 
 __all__ = [
@@ -140,47 +141,73 @@ class Irrep:
         For a state a of weight w and a simple root i,
         |F_i a|^2 = w_i <a|a> + u.G^-1.u, where G is the Gram matrix of the
         weight block at w + alpha_i and u_g = <F_i g|a> for each state g
-        there.  The sweep runs on the rational form, where every quantity
-        is rational.  G^-1.u comes from a tracking _Reducer holding the rows
-        of G: G is symmetric, so the coordinates of u in terms of its rows
-        are G^-1.u.  Raises ConsistencyError on the first violation or on a
+        there.  The sweep runs on the rational form in integers: the root-i
+        lowering table times D_i and each weight block's Gram rows times
+        their own lcm gamma are ints, G^-1 = M/delta with M an int matrix,
+        and the two sides are compared cross-multiplied.  M comes from a
+        tracking _Reducer holding the rows of G: G is symmetric, so the
+        coordinates of a unit vector in terms of its rows are a column of
+        G^-1.  Raises ConsistencyError on the first violation or on a
         singular block.
         """
         rf = self._form
         la = self.algebra
         A = cartan(la)
-        blocks = {}  # weight -> (its states, _Reducer over their Gram rows)
+        lows = {}  # root i -> (D_i, the root-i table times D_i)
+        blocks = {}  # weight -> (gamma, Gram rows times gamma)
+        inverses = {}  # weight -> (its states, M, delta)
+
+        def block(weight):
+            got = blocks.get(weight)
+            if got is None:
+                got = blocks[weight] = _scaled_ints(
+                    {b: rf.gram[b] for b in self.labels_by_weight[weight]})
+            return got
+
         for a in labels if labels is not None else self.kets:
             w = self.weight_of[a]
-            ga = dict(rf.gram[a])
+            ga, rows_w = block(w)
+            row_a = dict(rows_w[a])
             for i in roots if roots is not None else range(1, la.rank + 1):
-                low = rf.lower[i]
+                if i not in lows:
+                    lows[i] = _scaled_ints(rf.lower[i])
+                d, low = lows[i]
+                # lhs_int = (d*d*gd) |F_i a|^2, gd the scale of w - alpha_i
                 down = dict(low.get(a, ()))
-                lhs = sum(q * g * down.get(b, 0)
-                          for t, q in down.items() for b, g in rf.gram[t])
-                rhs = w[i - 1] * rf.r[a]
+                lhs, gd = 0, 1
+                if down:
+                    gd, rows_d = block(_vsub(w, A[i - 1]))
+                    lhs = sum(q * g * down.get(b, 0)
+                              for t, q in down.items() for b, g in rows_d[t])
+                # rhs = w_i r_a + Q/(delta*(d*ga)^2), Q = u_int.M.u_int,
+                # u_int = d*ga*u
+                q_up, delta = 0, 1
                 up = _vadd(w, A[i - 1])
                 if up in self.labels_by_weight:
-                    if up not in blocks:
-                        blocks[up] = self._gram_block(rf, up)
-                    ups, red = blocks[up]
-                    u = _nonzero({
-                        k: sum(q * ga.get(t, 0) for t, q in low.get(g, ()))
-                        for k, g in enumerate(ups)
-                    })
-                    if u:
-                        rhs += sum(u.get(k, 0) * c for k, c in red.add(u).items())
-                if lhs != rhs:
-                    ra = rf.r[a]  # both sides read in the unit basis
+                    if up not in inverses:
+                        inverses[up] = self._gram_inverse(rf, up)
+                    ups, m, delta = inverses[up]
+                    u = [sum(q * row_a.get(t, 0) for t, q in low.get(g, ()))
+                         for g in ups]
+                    q_up = sum(x * sum(mx * y for mx, y in zip(mrow, u) if y)
+                               for x, mrow in zip(u, m) if x)
+                # both sides times delta*(d*ga)^2*gd
+                dg = delta * ga * ga
+                ra = rf.r[a]
+                if lhs * dg != (w[i - 1] * ra * dg * d * d + q_up) * gd:
+                    # both sides read in the unit basis
+                    lhs = Fraction(lhs, d * d * gd)
+                    rhs = w[i - 1] * ra + Fraction(q_up, dg * d * d)
                     raise ConsistencyError(
                         f"{la.name} irrep {self.hw}: string sum rule fails at "
                         f"state {a} of weight {w}, root {i}: "
-                        f"{Fraction(lhs) / ra} != {Fraction(rhs) / ra}"
+                        f"{lhs / ra} != {rhs / ra}"
                     )
 
-    def _gram_block(self, rf, weight):
-        """The states of a weight block and a tracking _Reducer holding
-        their Gram rows, each row indexed by position in the block."""
+    def _gram_inverse(self, rf, weight):
+        """(ups, M, delta) for the weight block: its states and the inverse
+        of its Gram matrix as M/delta, M a list of int rows and delta > 0,
+        both indexed by position in the block."""
         ups = self.labels_by_weight[weight]
         pos = {g: k for k, g in enumerate(ups)}
         red = _Reducer(track=True)
@@ -190,7 +217,14 @@ class Irrep:
                     f"{self.algebra.name} irrep {self.hw}: the Gram matrix "
                     f"of weight {weight} is singular"
                 )
-        return ups, red
+        # G is symmetric: the coordinates of unit vector k are column k of
+        # G^-1, so its row k too
+        inv = [red.add({k: 1}) for k in range(len(ups))]
+        delta = lcm(*(c.denominator for col in inv for c in col.values()))
+        m = [[c.numerator * (delta // c.denominator) if c else 0
+              for c in (col.get(j, 0) for j in range(len(ups)))]
+             for col in inv]
+        return ups, m, delta
 
 
 class RationalForm(NamedTuple):

@@ -17,7 +17,7 @@ completes such a basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import ONE, ZERO, FieldElem
 
@@ -155,6 +155,24 @@ def _integral(vec):
         row = {k: c // g for k, c in row.items()}
     h = gcd(den, g)
     return row, den // h, g // h
+
+
+def _scaled_ints(*tabs):
+    """(d, *tabs): the tables label -> ((label, q), ...) times d, the lcm of
+    the denominators of all their entries, as ints."""
+    d = 1
+    for tab in tabs:
+        for row in tab.values():
+            for _, q in row:
+                if type(q) is not int:
+                    d = lcm(d, q.denominator)
+    if d == 1:
+        return (1, *tabs)
+    return (d, *(
+        {a: tuple((t, q.numerator * (d // q.denominator)) for t, q in row)
+         for a, row in tab.items()}
+        for tab in tabs
+    ))
 
 
 class _Reducer:

@@ -24,16 +24,19 @@ each state as a primitive integer vector v over u_a x u_b with one
 positive rational scale sigma, the state being sigma*v; a lowered vector
 D_i*E v of content g becomes the child state of scale sigma*g/D_i.  The
 whole irrep shares one more scale rho: the found highest-weight vector y
-has rational norm N = <y|y>, and rho is 1/sqrt(N).  Radicals appear only
-where a FieldElem state is read: the coefficient of (a, b) is
-rho * sigma * v_ab * sqrt(r_a * r_b).  hw_state, levels and by_weight are
-such views, converted on access.  prepare_with_states hands out the found
-irrep as an Irrep holding its own rational form, with no radical; prepare
-renders its file tables.  The public product_lower and product_scp split a
-FieldElem state, by the radicands of its coefficients' terms, into one
-integer vector per radical class, run the same lowering and scalar
-product, and build the FieldElem results from (radicand, coefficient)
-terms.
+has rational norm N = <y|y>, and rho is 1/sqrt(N).  The coefficient of
+(a, b) is the single radical rho * sigma * v_ab * sqrt(r_a * r_b).  The
+export path reads the integer states themselves: prepare_with_states forms
+each entry of the found irrep's rational form once, from the integer
+coordinates, D_i and the integer norms, and hands out an Irrep with no
+radical (prepare renders its file tables); render_states and
+cli.states_to_json render every coefficient from the integers through
+_state_terms.  hw_state, levels and by_weight show the states as FieldElem
+product states, converted on access, for the library and its tests.  The
+public product_lower and product_scp split a FieldElem state, by the
+radicands of its coefficients' terms, into one integer vector per radical
+class, run the same lowering and scalar product, and build the FieldElem
+results from (radicand, coefficient) terms.
 
 Positive rescaling keeps pivots and signs, so the search over the integer
 vectors picks the same highest-weight states, with the same phases, as a
@@ -51,10 +54,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .exactnum import FieldElem, _sqrt, _square_free
-from .linalg import LabeledVector, _integral, _Reducer
+from .exactnum import FieldElem, _render_terms, _sqrt, _square_free
+from .linalg import LabeledVector, _integral, _Reducer, _scaled_ints
 from .liealg import (
     ConsistencyError,
     cartan,
@@ -62,7 +65,7 @@ from .liealg import (
     level_vector,
     weyl_dim,
 )
-from .irrep import ImportedIrrepData, Irrep, Ket, _scaled_form, _vadd, _vsub
+from .irrep import ImportedIrrepData, Irrep, Ket, RationalForm, _vadd, _vsub
 
 __all__ = [
     "ProductIrrep",
@@ -111,24 +114,6 @@ def product_weight(s: ProductState, l: Irrep, r: Irrep):
 # A rational vector is a dict {(a, b): q} with nonzero int or Fraction q
 # over the rescaled basis u_a x u_b of the two factors' rational forms;
 # the descent, the search and prepare hold only integer ones.
-
-def _scaled_ints(tab_l, tab_r):
-    """(d, tab_l, tab_r): two tables label -> ((label, q), ...) times d, the
-    lcm of the denominators of all their entries, as ints."""
-    d = 1
-    for tab in (tab_l, tab_r):
-        for row in tab.values():
-            for _, q in row:
-                if type(q) is not int:
-                    d = lcm(d, q.denominator)
-    if d == 1:
-        return 1, tab_l, tab_r
-    return (d, *(
-        {a: tuple((t, q.numerator * (d // q.denominator)) for t, q in row)
-         for a, row in tab.items()}
-        for tab in (tab_l, tab_r)
-    ))
-
 
 def _int_tables(fl, fr):
     """[(D_i, low_l, low_r)] for the roots i = 1..rank: the root-i lowering
@@ -555,20 +540,23 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     are ordered by descent vector ascending (the generic listing order) and
     states keep their construction order, which defines their degeneracy
     indices.  Each lowered state D_i*E v_a is reduced against the descended
-    states of its target weight, as descend_irrep did; its coordinates over
-    D_i and the Gram entries of the signed states over N_1 give the rational
-    form.
+    states of its target weight, as descend_irrep did, giving E v_a = sum
+    of c_t/D_i v_t.  The rational form follows in one step per entry: with
+    N_a/N_1 = k_a^2 r_a, r_a square-free, the state u_a = sign_a*v_a/
+    (k_a*sqrt(N_1)) has the lowering entry sign_a*sign_t*c_t*k_t/(D_i*k_a)
+    and, against u_b of its weight block, the Gram entry
+    sign_a*sign_b*<v_a|v_b>/(N_1*k_a*k_b).
     """
     la = l.algebra
     if not p.descended:
         raise ConsistencyError(f"{la.name}: prepare needs a descended irrep")
     A = cartan(la)
-    n = la.rank
     fl, fr = l.rational_form(), r.rational_form()
     tables = _int_tables(fl, fr)
     e, gram_l, gram_r = _int_gram(fl, fr)
     kets = {}
     states = {}  # label -> (v_a, sign_a, N_a)
+    norms = {}  # label -> e*N_a, an int
     labels_at = {}
     reducers = {}
     lab = 1
@@ -579,12 +567,20 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                 red.add(v)
                 kets[lab] = Ket(w, deg)
                 sign = 1 if v[min(v)] > 0 else -1
-                states[lab] = (v, sign, Fraction(_scp(v, v, gram_l, gram_r), e))
+                norms[lab] = nn = _scp(v, v, gram_l, gram_r)
+                states[lab] = (v, sign, Fraction(nn, e))
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
-    lowering = {}
-    for a, (v, sign, _) in states.items():
+    n1 = norms[1]
+    classes = {}  # label -> r_a
+    scale = {}  # label -> (sign_a*numerator, denominator) of k_a
+    for a, nn in norms.items():
+        classes[a], k = _sqrt(Fraction(nn, n1))
+        scale[a] = (states[a][1] * k.numerator, k.denominator)
+    lower = {i: {} for i in range(1, la.rank + 1)}
+    for a, (v, _, _) in states.items():
         w = kets[a].dynkin
+        ka, kd = scale[a]
         for i, (d, low_l, low_r) in enumerate(tables, 1):
             low = _lower(v, low_l, low_r)
             if not low:
@@ -602,38 +598,86 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            # E v_a = sum c_k/D_i v_k, so the signed states have
-            # c_k/D_i*sign_a*sign_k
-            f = sign if d == 1 else Fraction(sign, d)
-            lowering[(i, a)] = {
-                targets[k]: c * f * states[targets[k]][1]
-                for k, c in coords.items()
-            }
-    n1 = states[1][2]
-    gram = {a: {a: na / n1} for a, (_, _, na) in states.items()}
+            den = d * ka
+            row = []
+            for k in sorted(coords):
+                c, t = coords[k], targets[k]
+                kt, td = scale[t]
+                row.append((t, _ratio(c.numerator * kt * kd,
+                                      c.denominator * den * td)))
+            lower[i][a] = tuple(row)
+    gram = {}
     for labs in labels_at.values():
+        rows = {a: [(a, classes[a])] for a in labs}
         for ix, a in enumerate(labs):
-            va, sa, _ = states[a]
+            va, (ka, kd) = states[a][0], scale[a]
             for b in labs[ix + 1:]:
-                vb, sb, _ = states[b]
-                g = _scp(va, vb, gram_l, gram_r)
+                g = _scp(va, states[b][0], gram_l, gram_r)
                 if g:
-                    gram[a][b] = gram[b][a] = sa * sb * Fraction(g, e) / n1
-    return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
+                    kb, bd = scale[b]
+                    q = _ratio(g * kd * bd, n1 * ka * kb)
+                    rows[a].append((b, q))
+                    rows[b].append((a, q))
+        gram.update((a, tuple(row)) for a, row in rows.items())
+    form = RationalForm(classes, lower, gram)
+    return Irrep(la, p.hw, kets, form, "imported"), states
+
+
+def _ratio(n, d):
+    """n/d as an int when it is one, else as a Fraction; d != 0."""
+    if n % d:
+        return Fraction(n, d)
+    return n // d
+
+
+def _state_terms(p: ProductIrrep):
+    """The states of the descended p level by level, each as its terms
+    (radicand, n, m, a, b) in label order: the coefficient of e_a x e_b is
+    n/m*sqrt(radicand), in lowest terms with m > 0.
+
+    They are read off the integer states: the coefficient is
+    k*sigma*v_ab*sqrt(f*r_a*r_b) for the state (v, sigma) and the irrep's
+    radical k*sqrt(f), and sqrt(f*r_a*r_b) == t*sqrt(g) is worked out once
+    per pair of classes."""
+    if not p.descended:
+        raise ConsistencyError("rendering needs a descended irrep")
+    f, k = p._scale
+    cls_l, cls_r = p._classes
+    radicals = {}  # (r_a, r_b) -> (t, g)
+    for level in p._levels:
+        out = []
+        for v, sigma in level:
+            c = k * sigma
+            cn, cd = c.numerator, c.denominator
+            terms = []
+            for ab in sorted(v):
+                a, b = ab
+                key = (cls_l[a], cls_r[b])
+                tg = radicals.get(key)
+                if tg is None:
+                    tg = radicals[key] = _square_free(f * key[0] * key[1])
+                n = cn * v[ab] * tg[0]
+                h = gcd(n, cd)
+                terms.append((tg[1], n // h, cd // h, a, b))
+            out.append(terms)
+        yield out
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:
     """Nested listing of all states as (coeff, (left ket, right ket)) terms,
-    grouped state-by-state and level-by-level."""
+    grouped state-by-state and level-by-level; the coefficients come from
+    _state_terms."""
+    kets_l = {a: _ket_str(k) for a, k in l.kets.items()}
+    kets_r = {b: _ket_str(k) for b, k in r.kets.items()}
     out_levels = []
-    for states in p.levels:
+    for states in _state_terms(p):
         out_states = []
-        for s in states:
-            terms = [
-                f'("{c.render(fmt)}", '
-                f'("{_ket_str(l.kets[a])}", "{_ket_str(r.kets[b])}"))'
-                for c, (a, b) in s.terms
+        for terms in states:
+            items = [
+                f'("{_render_terms(((g, n, m),), fmt)}", '
+                f'("{kets_l[a]}", "{kets_r[b]}"))'
+                for g, n, m, a, b in terms
             ]
-            out_states.append("[" + ";\n  ".join(terms) + "]")
+            out_states.append("[" + ";\n  ".join(items) + "]")
         out_levels.append("[" + ";\n ".join(out_states) + "]")
     return "[" + ";\n".join(out_levels) + "]"

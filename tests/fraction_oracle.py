@@ -1,6 +1,6 @@
-"""The Fraction-valued descent, highest-weight search, prepare and tracked
-elimination that the integer versions in liecg.tensor and liecg.linalg
-replaced, kept as oracles.
+"""The Fraction-valued descent, highest-weight search, prepare, tracked
+elimination and consistency sweep that the integer versions in
+liecg.tensor, liecg.linalg and liecg.irrep replaced, kept as oracles.
 
 Here lowering reads the factors' rational tables as they are, so a single
 fractional entry turns every later lowered vector into Fractions; states
@@ -8,6 +8,12 @@ are the exact lowered vectors, with no per-state scale; and the tracked
 elimination keeps each stored row's combination in Fractions.  The
 helpers that did not change (_gram_apply, _scp, _split, _to_field,
 _scaled_form) are shared with the package.
+
+fraction_prepare is the prepare that ran on the integer states but formed
+its entries in Fractions, c*f*sign_k and then _scaled_form's q*k_t/k_a;
+fraction_check_consistency is the string sum rule summed in Fractions
+over the rational form, with G^-1.u from a tracking _Reducer per (state,
+root).
 """
 
 from fractions import Fraction
@@ -15,10 +21,14 @@ from math import gcd
 
 from liecg.exactnum import _sqrt
 from liecg.irrep import Irrep, Ket, _scaled_form
-from liecg.liealg import cartan, level_vector
+from liecg.liealg import ConsistencyError, cartan, level_vector
+from liecg.linalg import _Reducer
 from liecg.tensor import (
     _basis_pairs,
     _gram_apply,
+    _int_gram,
+    _int_tables,
+    _lower,
     _pairs_weight,
     _scp,
     _split,
@@ -264,3 +274,104 @@ def oracle_prepare(p, l, r):
                 if g:
                     gram[a][b] = gram[b][a] = sa * sb * g / n1
     return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
+
+
+def fraction_prepare(p, l, r):
+    """prepare_with_states on the integer states of a descended p, with
+    every entry formed in Fractions."""
+    la = l.algebra
+    A = cartan(la)
+    n = la.rank
+    fl, fr = l.rational_form(), r.rational_form()
+    tables = _int_tables(fl, fr)
+    e, gram_l, gram_r = _int_gram(fl, fr)
+    kets, states, labels_at, reducers = {}, {}, {}, {}
+    lab = 1
+    for weights in p.weights:
+        for w in sorted(set(weights), key=p.descent.get):
+            red = reducers[w] = _Reducer(track=True)
+            for deg, (v, _) in enumerate(p._by_weight[w], 1):
+                red.add(v)
+                kets[lab] = Ket(w, deg)
+                sign = 1 if v[min(v)] > 0 else -1
+                states[lab] = (v, sign, Fraction(_scp(v, v, gram_l, gram_r), e))
+                labels_at.setdefault(w, []).append(lab)
+                lab += 1
+    lowering = {}
+    for a, (v, sign, _) in states.items():
+        w = kets[a].dynkin
+        for i, (d, low_l, low_r) in enumerate(tables, 1):
+            low = _lower(v, low_l, low_r)
+            if not low:
+                continue
+            w2 = _vsub(w, A[i - 1])
+            targets = labels_at[w2]
+            coords = reducers[w2].add(low)
+            # E v_a = sum c_k/D_i v_k, so the signed states have
+            # c_k/D_i*sign_a*sign_k
+            f = sign if d == 1 else Fraction(sign, d)
+            lowering[(i, a)] = {
+                targets[k]: c * f * states[targets[k]][1]
+                for k, c in coords.items()
+            }
+    n1 = states[1][2]
+    gram = {a: {a: na / n1} for a, (_, _, na) in states.items()}
+    for labs in labels_at.values():
+        for ix, a in enumerate(labs):
+            va, sa, _ = states[a]
+            for b in labs[ix + 1:]:
+                vb, sb, _ = states[b]
+                g = _scp(va, vb, gram_l, gram_r)
+                if g:
+                    gram[a][b] = gram[b][a] = sa * sb * Fraction(g, e) / n1
+    return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
+
+
+def fraction_check_consistency(irrep, labels=None, roots=None):
+    """Irrep.check_consistency summed in Fractions: the same order of
+    states and roots, the same errors and messages."""
+    rf = irrep.rational_form()
+    la = irrep.algebra
+    A = cartan(la)
+    blocks = {}  # weight -> (its states, _Reducer over their Gram rows)
+    for a in labels if labels is not None else irrep.kets:
+        w = irrep.weight_of[a]
+        ga = dict(rf.gram[a])
+        for i in roots if roots is not None else range(1, la.rank + 1):
+            low = rf.lower[i]
+            down = dict(low.get(a, ()))
+            lhs = sum(q * g * down.get(b, 0)
+                      for t, q in down.items() for b, g in rf.gram[t])
+            rhs = w[i - 1] * rf.r[a]
+            up = _vadd(w, A[i - 1])
+            if up in irrep.labels_by_weight:
+                if up not in blocks:
+                    blocks[up] = _gram_block(irrep, up)
+                ups, red = blocks[up]
+                u = {k: x for k, g in enumerate(ups)
+                     if (x := sum(q * ga.get(t, 0) for t, q in low.get(g, ())))}
+                if u:
+                    rhs += sum(u.get(k, 0) * c for k, c in red.add(u).items())
+            if lhs != rhs:
+                ra = rf.r[a]  # both sides read in the unit basis
+                raise ConsistencyError(
+                    f"{la.name} irrep {irrep.hw}: string sum rule fails at "
+                    f"state {a} of weight {w}, root {i}: "
+                    f"{Fraction(lhs) / ra} != {Fraction(rhs) / ra}"
+                )
+
+
+def _gram_block(irrep, weight):
+    """The states of a weight block and a tracking _Reducer holding their
+    Gram rows, each row indexed by position in the block."""
+    rf = irrep.rational_form()
+    ups = irrep.labels_by_weight[weight]
+    pos = {g: k for k, g in enumerate(ups)}
+    red = _Reducer(track=True)
+    for g in ups:
+        if red.add({pos[b]: x for b, x in rf.gram[g]}) is not None:
+            raise ConsistencyError(
+                f"{irrep.algebra.name} irrep {irrep.hw}: the Gram matrix "
+                f"of weight {weight} is singular"
+            )
+    return ups, red

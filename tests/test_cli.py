@@ -11,7 +11,9 @@ import time
 import pytest
 
 from liecg import cli
+from liecg.irrep import new_generic_irrep
 from liecg.liealg import LieAlgebra
+from liecg.tensor import Decomposition, decompose, result
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -241,28 +243,41 @@ def test_dump_to_bad_path_fails_before_the_work(capsys, tmp_path, monkeypatch,
 
 
 def test_equal_factors_are_built_once(capsys, tmp_path, monkeypatch):
-    # the same irrep under another spec ("1,1", "./FILE") is built anew,
-    # so its stdout is the one to match
+    # a factor named twice, under the same or another spec ("1,1",
+    # "./FILE"), is built once; the references build both factors
     rc, _, _ = run(capsys, "-su", "3", "--decompose", "10x01",
                    "--dump", str(tmp_path))
     assert rc == 0
     path = tmp_path / "irrep_1.json"
-    rc, generic, _ = run(capsys, "-su", "3", "--decompose", "11x1,1")
-    assert rc == 0
-    rc, imported, _ = run(capsys, "-su", "3", "--decompose",
-                          f"@{path} x @{tmp_path}/./irrep_1.json")
-    assert rc == 0
-    for name, spec, want in (
-        ("new_generic_irrep", "11x11", generic),
-        ("_import_irrep", f"@{path} x @{path}", imported),
-    ):
-        calls = []
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name,
-                            lambda *a, real=real: calls.append(a) or real(*a))
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    oc = LieAlgebra.su(3)
+    d = Decomposition(new_generic_irrep(oc, (1, 1)),
+                      new_generic_irrep(oc, (1, 1)))
+    decompose(d)
+    generic = result(d) + "\n"
+
+    def count(spec, *names):
+        calls = {name: [] for name in names}
+        for name in names:
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name,
+                lambda *a, real=real, log=calls[name]: log.append(a) or real(*a))
         rc, out, _ = run(capsys, "-su", "3", "--decompose", spec)
-        assert rc == 0 and out == want
-        assert len(calls) == 1, name
+        assert rc == 0
+        monkeypatch.undo()
+        return out, [len(calls[name]) for name in names]
+
+    imported, n = count(f"@{path} x @{copy}", "_import_irrep")
+    assert n == [2]
+    for spec in ("11x11", "11x1,1", "1,1 x 11"):
+        assert count(spec, "new_generic_irrep") == (generic, [1]), spec
+    for spec in (f"@{path} x @{path}", f"@{path} x @{tmp_path}/./irrep_1.json"):
+        assert count(spec, "_import_irrep") == (imported, [1]), spec
+    # a file holding the octet is not taken for the labels 11
+    _, n = count(f"@{path} x 11", "_import_irrep", "new_generic_irrep")
+    assert n == [1, 1]
 
 
 def test_dump_and_import_roundtrip(capsys, tmp_path):

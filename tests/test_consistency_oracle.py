@@ -8,13 +8,17 @@ elimination.  That sweep and its elimination are kept here as they were,
 reading the FieldElem tables of the dumped data the way the old
 `new_imported_irrep` read them, and sharing no code with the rational path.
 Both must give the same verdict on every prepared irrep and on seeded
-mutations of dumped tables.
+mutations of dumped tables.  On the mutations the integer sweep must also
+raise the message of the Fraction sweep it replaced
+(tests/fraction_oracle.py), at the same first violation.
 """
 
 import os
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,10 @@ from liecg.irrep import (
 )
 from liecg.liealg import ConsistencyError, LieAlgebra, cartan
 from liecg.tensor import Decomposition, decompose, prepare
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from fraction_oracle import fraction_check_consistency  # noqa: E402
 
 
 def _vadd(a, b):
@@ -253,6 +261,19 @@ def rational_verdict(data):
     return True
 
 
+def sweep_message(check, irrep, **kw):
+    """The ConsistencyError text of one sweep, None when it passes."""
+    try:
+        check(irrep, **kw)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def integer_sweep(irrep, **kw):
+    irrep.check_consistency(**kw)
+
+
 A2 = LieAlgebra("A", 2)
 A3 = LieAlgebra("A", 3)
 B2 = LieAlgebra("B", 2)
@@ -333,6 +354,10 @@ def test_sweeps_agree_on_mutations(case, hw, seed):
         got = field_verdict(mutant)
         assert rational_verdict(mutant) == got
         verdicts.append(got)
+        imp = new_imported_irrep(la, mutant)
+        msg = sweep_message(integer_sweep, imp)
+        assert msg == sweep_message(fraction_check_consistency, imp)
+        assert (msg is None) == got
     # the mutations are seen: most are refused (a sign flip can pass, as
     # the sum rule does not see every phase)
     assert verdicts.count(False) >= 20
@@ -350,6 +375,11 @@ def test_zero_block_overlap_of_one():
         FieldSweep(bad).check_consistency(labels=[6])
     with pytest.raises(ConsistencyError, match=r"weight \(0, 0\) is singular"):
         new_imported_irrep(A2, bad).check_consistency(labels=[6])
+    imp = new_imported_irrep(A2, bad)
+    for labels in (None, [6]):
+        msg = sweep_message(integer_sweep, imp, labels=labels)
+        assert msg == sweep_message(fraction_check_consistency, imp,
+                                    labels=labels)
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")

@@ -24,11 +24,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from fraction_oracle import (  # noqa: E402
     OracleIrrep,
+    fraction_prepare,
     oracle_decompose,
     oracle_prepare,
 )
 
 A2 = LieAlgebra("A", 2)
+E6 = LieAlgebra("E6", 6)
 F4 = LieAlgebra("F4", 4)
 
 
@@ -42,6 +44,9 @@ def factors(case):
     if case == "f4-52x52":
         adj = new_generic_irrep(F4, (0, 0, 0, 1))
         return adj, adj
+    if case == "e6-27x27bar":
+        return (new_generic_irrep(E6, (1, 0, 0, 0, 0, 0)),
+                new_generic_irrep(E6, (0, 0, 0, 0, 1, 0)))
     oc = new_generic_irrep(A2, (1, 1))
     if case in ("su3-27x27", "su3-27x8"):
         i27 = new_imported_irrep(A2, prepare(_found(oc, oc, 1), oc, oc))
@@ -90,6 +95,34 @@ def test_descent_and_prepare_match_fraction_oracle(case):
             assert same_unit_state(st, ostates[a]), (p.hw, a)
 
 
+def typed(form):
+    """A rational form with the type of every entry beside it, so that an
+    int and an equal Fraction differ."""
+    return (
+        form.r,
+        {i: {a: tuple((t, q, type(q)) for t, q in row)
+             for a, row in rows.items()}
+         for i, rows in form.lower.items()},
+        {a: tuple((b, g, type(g)) for b, g in row)
+         for a, row in form.gram.items()},
+    )
+
+
+@pytest.mark.parametrize("case", CASES + ["e6-27x27bar"])
+def test_prepare_entries_match_fraction_oracle(case):
+    # the entries formed once from the integers are those of the Fraction
+    # formation, entry by entry, ints where they are whole
+    l, r = factors(case)
+    d = Decomposition(l, r)
+    decompose(d)
+    for p in d.found:
+        irrep, states = prepare_with_states(p, l, r)
+        oirrep, ostates = fraction_prepare(p, l, r)
+        assert irrep.kets == oirrep.kets
+        assert typed(irrep.rational_form()) == typed(oirrep.rational_form()), p.hw
+        assert states == ostates
+
+
 def test_descent_from_a_given_state_matches_fraction_oracle():
     # a ProductIrrep built from a FieldElem state: the content of its
     # integer vector goes into the scale, the views stay the oracle's
@@ -120,9 +153,25 @@ def test_hot_path_holds_only_ints(monkeypatch):
             super().__init__(track)
             made.append(self)
 
+    # the consistency sweep's lowering tables and Gram blocks, scaled to
+    # ints, and its inverse Gram blocks M/delta
+    scaled, inverses = [], []
+    real_scaled = irrep_mod._scaled_ints
+    real_inverse = irrep_mod.Irrep._gram_inverse
+
+    def recording_scaled(*tabs):
+        scaled.append(real_scaled(*tabs))
+        return scaled[-1]
+
+    def recording_inverse(self, rf, weight):
+        inverses.append(real_inverse(self, rf, weight))
+        return inverses[-1]
+
     monkeypatch.setattr(tensor, "_lower", guarded_lower)
     monkeypatch.setattr(tensor, "_Reducer", Recording)
     monkeypatch.setattr(irrep_mod, "_Reducer", Recording)
+    monkeypatch.setattr(irrep_mod, "_scaled_ints", recording_scaled)
+    monkeypatch.setattr(irrep_mod.Irrep, "_gram_inverse", recording_inverse)
     l, r = factors("su3-27x8")
     assert [t[0] for t in tensor._int_tables(l.rational_form(),
                                              r.rational_form())] == [12, 12]
@@ -145,3 +194,12 @@ def test_hot_path_holds_only_ints(monkeypatch):
             assert type(s) is int and s > 0
             assert all(type(b) is int for b in comb.values())
             assert gcd(s, *comb.values()) == 1
+    assert scaled and any(d > 1 for d, _ in scaled)
+    for d, tab in scaled:
+        assert type(d) is int and d > 0
+        assert all(type(q) is int for row in tab.values() for _, q in row)
+    assert inverses and any(len(ups) > 1 for ups, _, _ in inverses)
+    for ups, m, delta in inverses:
+        assert type(delta) is int and delta > 0
+        assert len(m) == len(ups)
+        assert all(type(x) is int for row in m for x in row)
