@@ -633,7 +633,8 @@ def _ratio(n, d):
 def _state_terms(p: ProductIrrep):
     """The states of the descended p level by level, each as its terms
     (radicand, n, m, a, b) in label order: the coefficient of e_a x e_b is
-    n/m*sqrt(radicand), in lowest terms with m > 0.
+    n/m*sqrt(radicand), in lowest terms with m > 0.  Levels and states are
+    produced one at a time, as they are read.
 
     They are read off the integer states: the coefficient is
     k*sigma*v_ab*sqrt(f*r_a*r_b) for the state (v, sigma) and the irrep's
@@ -644,23 +645,23 @@ def _state_terms(p: ProductIrrep):
     f, k = p._scale
     cls_l, cls_r = p._classes
     radicals = {}  # (r_a, r_b) -> (t, g)
-    for level in p._levels:
+
+    def terms(v, sigma):
+        c = k * sigma
+        cn, cd = c.numerator, c.denominator
         out = []
-        for v, sigma in level:
-            c = k * sigma
-            cn, cd = c.numerator, c.denominator
-            terms = []
-            for ab in sorted(v):
-                a, b = ab
-                key = (cls_l[a], cls_r[b])
-                tg = radicals.get(key)
-                if tg is None:
-                    tg = radicals[key] = _square_free(f * key[0] * key[1])
-                n = cn * v[ab] * tg[0]
-                h = gcd(n, cd)
-                terms.append((tg[1], n // h, cd // h, a, b))
-            out.append(terms)
-        yield out
+        for ab in sorted(v):
+            a, b = ab
+            key = (cls_l[a], cls_r[b])
+            tg = radicals.get(key)
+            if tg is None:
+                tg = radicals[key] = _square_free(f * key[0] * key[1])
+            n = cn * v[ab] * tg[0]
+            h = gcd(n, cd)
+            out.append((tg[1], n // h, cd // h, a, b))
+        return out
+
+    return ((terms(v, sigma) for v, sigma in level) for level in p._levels)
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:
