@@ -297,13 +297,32 @@ def run_import(la, path):
     return 0
 
 
-def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
-    sides = spec.replace("×", "x").split("x")
-    if len(sides) != 2:
+_DYNKIN_CHARS = frozenset("0123456789, ")
+
+
+def _decompose_sides(spec):
+    """The two sides of --decompose AxB, cut at the one 'x' or '×' that
+    has on each hand either Dynkin labels (digits, commas, spaces) or
+    @FILE, so that a file path may hold an 'x' of its own."""
+
+    def side(text):
+        return text.startswith("@") or (text != "" and set(text) <= _DYNKIN_CHARS)
+
+    cuts = []
+    for i, ch in enumerate(spec):
+        if ch in "x×":
+            left, right = spec[:i].strip(), spec[i + 1:].strip()
+            if side(left) and side(right):
+                cuts.append((left, right))
+    if len(cuts) != 1:
         raise UsageError(
             f"--decompose wants 'AxB' with two irrep specs, got {spec!r}"
         )
-    left, right = (side.strip() for side in sides)
+    return cuts[0]
+
+
+def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
+    left, right = _decompose_sides(spec)
     l = _factor_irrep(la, left)
     same = _factor_key(la, right) == _factor_key(la, left)
     r = l if same else _factor_irrep(la, right)
@@ -466,11 +485,16 @@ class _Script:
 
     def v_chbasis(self, toks):
         name, nn, factor, tn = toks
-        self.nodes[name] = mt.chbasis(
+        node = mt.chbasis(
             self._get(self.nodes, nn, "node"),
             int(factor),
             self._get(self.trafos, tn, "trafo"),
         )
+        # a label the transformation misses is reported on this line; the
+        # states are memoized, so the nodes downstream read them for free
+        for lab in node.irrep.kets:
+            node._rational(lab)
+        self.nodes[name] = node
 
     def v_scale(self, toks):
         name, nn, coeff = toks

@@ -16,9 +16,11 @@ negative.
 `new_generic_irrep` builds any irrep from scratch with the contravariant
 (Shapovalov) form on the lowering monomials F_i ... F_j |hw>, over Q: at
 each weight it keeps the first monomials that are independent under the
-form.  A kept monomial a of norm k_a^2 r_a is k_a u_a, so the form comes
-straight from its tables, as it does in the tensor module's
-`prepare_with_states` for an irrep found in a product.
+form.  One rule then gives the rational form of a built irrep and of an
+irrep found in a product (the tensor module's `prepare_with_states`),
+in one builder, `_scaled_form`: a state a of norm k_a^2 r_a times the
+norm of state 1 is k_a u_a, so every lowering entry and every Gram entry
+is one ratio of integers, formed once.
 
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
 files: `from_irrep` renders them from the form, `new_imported_irrep`
@@ -243,11 +245,6 @@ class RationalForm(NamedTuple):
     gram: dict
 
 
-def _rational(q):
-    # ints keep the hot loops in integer arithmetic wherever they can
-    return q.numerator if q.denominator == 1 else q
-
-
 def _unit_row(rf, i, a):
     """E_-i e_a in the unit basis, as (coefficient, target) pairs in label
     order: an entry q from a to t reads q*sqrt(r_t/r_a)."""
@@ -291,7 +288,7 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
                         f"gives state {t} the radical class {cls}, "
                         f"another path gave it {got}"
                     )
-                row.append((t, _rational(q * s)))
+                row.append((t, _ratio(q.numerator * s, q.denominator)))
             lower[i][a] = tuple(row)
     missing = [lab for lab in kets if lab not in r]
     if missing:
@@ -309,33 +306,58 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
                 f"no rational form: the scalar product {v.plain()} of states "
                 f"{a} and {b} is not rational in the rescaled basis"
             )
-        g = _rational(q * s)
+        g = _ratio(q.numerator * s, q.denominator)
         gram[a].append((b, g))
         gram[b].append((a, g))
     return RationalForm(r, lower, {a: tuple(g) for a, g in gram.items()})
 
 
-def _scaled_form(rank, low, gram):
-    """The rational form of states with lowering table low, (root, a) ->
-    {target: q}, and Gram rows gram, a -> {b: g} over a's weight block.
-    State 1 has norm 1 and state a norm k_a^2 r_a, so u_a = a/k_a: an entry
-    q from a to t becomes q*k_t/k_a, a Gram entry g/(k_a*k_b).  Rows are in
-    label order, each Gram row with its diagonal first."""
+def _ratio(n, d):
+    """n/d as an int when it is one, else as a Fraction; d != 0.  Ints keep
+    the hot loops in integer arithmetic wherever they can."""
+    if n % d:
+        return Fraction(n, d)
+    return n // d
+
+
+def _scaled_form(norms, lower, gram):
+    """The rational form of states a with norms N_a, a -> int or Fraction
+    (N_1 an int); lowering table lower, root i -> (d, {a: {t: c}}) with
+    E_-i a = sum of c/d t; and Gram entries gram, a -> {b: <a|b>} over a's
+    weight block, of which only b > a is read.  With N_a/N_1 = k_a^2 r_a,
+    r_a square-free, the state u_a = a/(k_a*sqrt(N_1)) has the lowering
+    entry c*k_t/(d*k_a) and the Gram entry <a|b>/(N_1*k_a*k_b), each formed
+    as one _ratio of integers.  Rows are in label order, each Gram row with
+    its diagonal r_a first."""
+    n1 = norms[1]
     r, k = {}, {}
-    for a, row in gram.items():
-        r[a], k[a] = _sqrt(row[a])
-    lower = {i: {} for i in range(1, rank + 1)}
-    for (i, a), v in low.items():
-        lower[i][a] = tuple(
-            (t, _rational(q * k[t] / k[a])) for t, q in sorted(v.items())
-        )
-    return RationalForm(r, lower, {
-        a: ((a, r[a]),) + tuple(
-            (b, _rational(g / (k[a] * k[b])))
-            for b, g in sorted(row.items()) if b != a
-        )
-        for a, row in gram.items()
-    })
+    for a, nn in norms.items():
+        r[a], ka = _sqrt(Fraction(nn, n1))
+        k[a] = (ka.numerator, ka.denominator)
+    form_lower = {}
+    for i, (d, rows) in lower.items():
+        out = form_lower[i] = {}
+        for a, row in rows.items():
+            ka, kd = k[a]
+            den = d * ka
+            entries = []
+            for t, c in sorted(row.items()):
+                kt, td = k[t]
+                entries.append((t, _ratio(c.numerator * kt * kd,
+                                          c.denominator * den * td)))
+            out[a] = tuple(entries)
+    form_gram = {a: [(a, r[a])] for a in norms}
+    for a in sorted(gram):
+        ka, kd = k[a]
+        den = n1 * ka
+        for b, g in sorted(gram[a].items()):
+            if b > a:
+                kb, bd = k[b]
+                q = _ratio(g.numerator * kd * bd, g.denominator * den * kb)
+                form_gram[a].append((b, q))
+                form_gram[b].append((a, q))
+    return RationalForm(r, form_lower,
+                        {a: tuple(row) for a, row in form_gram.items()})
 
 
 def _nonzero(vec):
@@ -367,7 +389,7 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
     kets = {1: Ket(hw, 1)}
     at = {hw: [1]}  # weight -> its states in kept order
     up = {1: {}}  # state -> {k: E_k state as {label: q}}
-    low = {}  # (i, state) -> F_i state as {label: q}
+    low = {i: {} for i in range(1, la.rank + 1)}  # i -> state -> F_i state
     gram = {1: {1: 1}}  # state -> {b: <state|b>} over its weight block
     for rec in records[1:]:
         nu = rec.dynkin
@@ -381,7 +403,7 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
             for k in range(1, len(A) + 1):
                 acc = {a: kets[a].dynkin[i - 1]} if k == i else {}
                 for b, q in up[a].get(k, {}).items():
-                    for t, p in low.get((i, b), {}).items():
+                    for t, p in low[i].get(b, {}).items():
                         acc[t] = acc.get(t, 0) + q * p
                 acc = _nonzero(acc)
                 if acc:
@@ -400,9 +422,9 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
                 kets[t] = Ket(nu, len(kept) + 1)
                 kept.append((t, (a, i), row))
                 up[t] = raised
-                low[(i, a)] = {t: 1}
+                low[i][a] = {t: 1}
             else:
-                low[(i, a)] = {kept[k][0]: q for k, q in coords.items()}
+                low[i][a] = {kept[k][0]: q for k, q in coords.items()}
         if len(kept) != rec.degeneracy:
             raise ConsistencyError(
                 f"{la.name} irrep {hw}: weight {nu} holds {len(kept)} "
@@ -411,7 +433,9 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
         at[nu] = [t for t, _, _ in kept]
         for t, cand, _ in kept:
             gram[t] = _nonzero({t2: row2.get(cand, 0) for t2, _, row2 in kept})
-    return Irrep(la, hw, kets, _scaled_form(la.rank, low, gram), "generic")
+    form = _scaled_form({a: row[a] for a, row in gram.items()},
+                        {i: (1, rows) for i, rows in low.items()}, gram)
+    return Irrep(la, hw, kets, form, "generic")
 
 
 def lower(r: Irrep, root: int, state: int) -> LabeledVector:

@@ -24,19 +24,22 @@ each state as a primitive integer vector v over u_a x u_b with one
 positive rational scale sigma, the state being sigma*v; a lowered vector
 D_i*E v of content g becomes the child state of scale sigma*g/D_i.  The
 whole irrep shares one more scale rho: the found highest-weight vector y
-has rational norm N = <y|y>, and rho is 1/sqrt(N).  The coefficient of
-(a, b) is the single radical rho * sigma * v_ab * sqrt(r_a * r_b).  The
-export path reads the integer states themselves: prepare_with_states forms
-each entry of the found irrep's rational form once, from the integer
-coordinates, D_i and the integer norms, and hands out an Irrep with no
-radical (prepare renders its file tables); render_states and
-cli.states_to_json render every coefficient from the integers through
-_state_terms.  hw_state, levels and by_weight show the states as FieldElem
-product states, converted on access, for the library and its tests.  The
-public product_lower and product_scp split a FieldElem state, by the
-radicands of its coefficients' terms, into one integer vector per radical
-class, run the same lowering and scalar product, and build the FieldElem
-results from (radicand, coefficient) terms.
+has rational norm N = <y|y>, and rho is 1/sqrt(N).
+
+Each exact conversion has one home.  prepare_with_states orients each
+integer state once and hands its lowering coordinates, D_i, the integer
+norms and the Gram products to irrep._scaled_form, the form builder of
+new_generic_irrep too, and so gets an Irrep with no radical (prepare
+renders its file tables).  _coefficients turns an integer state
+c*sqrt(f)*v into its terms, the coefficient of (a, b) being the single
+radical c*v_ab*sqrt(f*r_a*r_b): render_states and cli.states_to_json
+render them through _state_terms, the read-only FieldElem views hw_state,
+levels and by_weight build their states from them on access, and the
+public product_lower builds its result from them.  Those views and the
+public product_lower and product_scp are a FieldElem façade over the
+integer core: _split reads a FieldElem state as one primitive integer
+vector and one rational scale per radical class, and the integer lowering
+and scalar product run on those.
 
 Positive rescaling keeps pivots and signs, so the search over the integer
 vectors picks the same highest-weight states, with the same phases, as a
@@ -55,6 +58,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .exactnum import FieldElem, _render_terms, _sqrt, _square_free
 from .linalg import LabeledVector, _integral, _Reducer, _scaled_ints
@@ -65,7 +69,7 @@ from .liealg import (
     level_vector,
     weyl_dim,
 )
-from .irrep import ImportedIrrepData, Irrep, Ket, RationalForm, _vadd, _vsub
+from .irrep import ImportedIrrepData, Irrep, Ket, _scaled_form, _vadd, _vsub
 
 __all__ = [
     "ProductIrrep",
@@ -178,36 +182,53 @@ def _scp(v, w, gram_l, gram_r):
     return acc
 
 
-def _to_field(parts, cls_l, cls_r) -> ProductState:
-    """The FieldElem product state sum of k*sqrt(f)*v over the (f, k, v) in
-    parts, each v a rational vector; cls_l, cls_r are the factors' classes."""
-    items = {}
-    for f, k, v in parts:
-        for (a, b), q in v.items():
-            items.setdefault((a, b), []).append((f * cls_l[a] * cls_r[b], k * q))
+def _coefficients(f, cls_l, cls_r):
+    """The function (v, c) -> terms of the product state c*sqrt(f)*v, for an
+    integer vector v over u_a x u_b and a rational c > 0; cls_l, cls_r are
+    the factors' classes.  The terms (g, n, m, a, b) come in label order:
+    the coefficient of e_a x e_b is n/m*sqrt(g), in lowest terms with
+    m > 0.  It is c*v_ab*sqrt(f*r_a*r_b), and sqrt(f*r_a*r_b) == t*sqrt(g)
+    is worked out once per pair of classes."""
+    radicals = {}  # (r_a, r_b) -> (t, g)
+
+    def terms(v, c):
+        cn, cd = c.numerator, c.denominator
+        out = []
+        for ab in sorted(v):
+            a, b = ab
+            key = (cls_l[a], cls_r[b])
+            tg = radicals.get(key)
+            if tg is None:
+                tg = radicals[key] = _square_free(f * key[0] * key[1])
+            n = cn * v[ab] * tg[0]
+            h = gcd(n, cd)
+            out.append((tg[1], n // h, cd // h, a, b))
+        return out
+
+    return terms
+
+
+def _field_state(terms) -> ProductState:
+    """The FieldElem product state of _coefficients terms, summed by label."""
     return LabeledVector(
-        (FieldElem.make(it), lab) for lab, it in items.items()
+        (FieldElem({g: Fraction(n, m)}), (a, b)) for g, n, m, a, b in terms
     )
 
 
 def _split(s: ProductState, cls_l, cls_r):
-    """{f: (v, m)} with s == sum of sqrt(f)/m * v, each v an integer vector
-    and m > 0."""
+    """{f: (v, c)} with s == the sum of c*sqrt(f)*v, each v a primitive
+    integer vector and c > 0 rational."""
     parts = {}
     for c, (a, b) in s.terms:
         rab = cls_l[a] * cls_r[b]
         for f, q in c.terms.items():
-            # q*sqrt(f) e_a x e_b = q/rab * sqrt(f*rab) u_a x u_b
+            # q*sqrt(f) e_a x e_b = q*t/rab * sqrt(g) u_a x u_b
             t, g = _square_free(f * rab)
-            parts.setdefault(g, []).append(
-                ((a, b), q.numerator * t, q.denominator * rab)
-            )
+            parts.setdefault(g, {})[(a, b)] = q * t / rab
     out = {}
-    for g, items in parts.items():
-        m = 1
-        for _, _, den in items:
-            m = m * den // gcd(m, den)
-        out[g] = ({lab: num * (m // den) for lab, num, den in items}, m)
+    for g, vec in parts.items():
+        v, num, den = _integral(vec)
+        out[g] = (v, Fraction(den, num))
     return out
 
 
@@ -216,12 +237,11 @@ def product_lower(s: ProductState, root: int, l: Irrep, r: Irrep) -> ProductStat
     if not 1 <= root <= l.algebra.rank:
         raise ValueError(f"root index must lie in 1..{l.algebra.rank}")
     fl, fr = l.rational_form(), r.rational_form()
-    d, low_l, low_r = _int_tables(fl, fr)[root - 1]
-    parts = [
-        (f, Fraction(1, m * d), _lower(v, low_l, low_r))
-        for f, (v, m) in _split(s, fl.r, fr.r).items()
-    ]
-    return _to_field(parts, fl.r, fr.r)
+    d, low_l, low_r = _scaled_ints(fl.lower[root], fr.lower[root])
+    return _field_state(
+        term for f, (v, c) in _split(s, fl.r, fr.r).items()
+        for term in _coefficients(f, fl.r, fr.r)(_lower(v, low_l, low_r), c / d)
+    )
 
 
 def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
@@ -230,8 +250,8 @@ def product_scp(s1: ProductState, s2: ProductState, l: Irrep, r: Irrep):
     e, gram_l, gram_r = _int_gram(fl, fr)
     p2 = _split(s2, fl.r, fr.r).items()
     return FieldElem.make(
-        (f * g, Fraction(_scp(v, w, gram_l, gram_r), m * k * e))
-        for f, (v, m) in _split(s1, fl.r, fr.r).items()
+        (f * g, c * k * Fraction(_scp(v, w, gram_l, gram_r), e))
+        for f, (v, c) in _split(s1, fl.r, fr.r).items()
         for g, (w, k) in p2
     )
 
@@ -270,7 +290,7 @@ class ProductIrrep:
         self._scale = None  # (f, k): rho = k*sqrt(f)
         self._levels = None  # (v, sigma) pairs by level, once descended
         self._by_weight = None  # weight -> (v, sigma) pairs
-        self._classes = None  # the factors' square-free classes
+        self._terms = None  # _coefficients of the radical sqrt(f)
         self.hw = None  # set by descend_irrep
         self.weights = None  # weights parallel to levels
         self.descent = None  # weight -> root-coordinate drop from hw
@@ -286,10 +306,22 @@ class ProductIrrep:
     def descended(self):
         return self.hw is not None
 
+    def _start(self, l: Irrep, r: Irrep):
+        """Read the given FieldElem highest-weight state as a primitive
+        integer vector times the radical of the irrep."""
+        product_weight(self._hw_state, l, r)  # refuses zero and mixed states
+        parts = _split(self._hw_state, l.rational_form().r, r.rational_form().r)
+        if len(parts) != 1:
+            raise ConsistencyError(
+                f"{l.algebra.name}: the highest-weight state is not one "
+                "radical times a rational vector"
+            )
+        ((f, (v, c)),) = parts.items()
+        self._hw_vec, self._scale = v, (f, c)
+
     def _state(self, state) -> ProductState:
         v, sigma = state
-        f, k = self._scale
-        return _to_field([(f, k * sigma, v)], *self._classes)
+        return _field_state(self._terms(v, self._scale[1] * sigma))
 
     @property
     def hw_state(self) -> ProductState:
@@ -299,17 +331,19 @@ class ProductIrrep:
 
     @property
     def levels(self):
-        """States level by level, in construction order."""
+        """States level by level, in construction order, read-only."""
         if self._levels is None:
-            return [[self._hw_state]]
-        return [_States(lev, self._state) for lev in self._levels]
+            return ((self._hw_state,),)
+        return tuple(_States(lev, self._state) for lev in self._levels)
 
     @property
     def by_weight(self):
-        """weight -> states in construction order, once descended."""
+        """weight -> states in construction order, read-only, once
+        descended."""
         if self._by_weight is None:
             return None
-        return {w: _States(vs, self._state) for w, vs in self._by_weight.items()}
+        return MappingProxyType(
+            {w: _States(vs, self._state) for w, vs in self._by_weight.items()})
 
     def __repr__(self):
         if self.descended:
@@ -331,16 +365,7 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     A = cartan(la)
     fl, fr = l.rational_form(), r.rational_form()
     if p._hw_vec is None:
-        product_weight(p._hw_state, l, r)  # refuses zero and mixed states
-        parts = _split(p._hw_state, fl.r, fr.r)
-        if len(parts) != 1:
-            raise ConsistencyError(
-                f"{la.name}: the highest-weight state is not one radical "
-                "times a rational vector"
-            )
-        ((f, (v, m)),) = parts.items()
-        p._hw_vec, _, g = _integral(v)
-        p._scale = (f, Fraction(g, m))
+        p._start(l, r)
     top = (p._hw_vec, 1)
     hw = _pairs_weight(p._hw_vec, l, r)
     target = weyl_dim(la, hw)
@@ -381,7 +406,7 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     p.dim = count
     p.descent = {rec.dynkin: rec.descent for rec in recs}
     p._levels, p._by_weight = levels, by_weight
-    p._classes = (fl.r, fr.r)
+    p._terms = _coefficients(p._scale[0], fl.r, fr.r)
     if count != target:
         raise ConsistencyError(
             f"descent of {la.name} {hw} produced {count} states, "
@@ -539,13 +564,11 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     States are labeled level by level; inside a level the weight buckets
     are ordered by descent vector ascending (the generic listing order) and
     states keep their construction order, which defines their degeneracy
-    indices.  Each lowered state D_i*E v_a is reduced against the descended
-    states of its target weight, as descend_irrep did, giving E v_a = sum
-    of c_t/D_i v_t.  The rational form follows in one step per entry: with
-    N_a/N_1 = k_a^2 r_a, r_a square-free, the state u_a = sign_a*v_a/
-    (k_a*sqrt(N_1)) has the lowering entry sign_a*sign_t*c_t*k_t/(D_i*k_a)
-    and, against u_b of its weight block, the Gram entry
-    sign_a*sign_b*<v_a|v_b>/(N_1*k_a*k_b).
+    indices.  Each state is oriented once, as sign_a*v_a, before it is
+    reduced, lowered or paired.  Each lowered state D_i*E v_a is reduced
+    against the oriented states of its target weight, as descend_irrep
+    did, giving the lowering coordinates c_t/D_i, and _scaled_form forms
+    the rational form from them, the norms and the Gram products.
     """
     la = l.algebra
     if not p.descended:
@@ -556,6 +579,7 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     e, gram_l, gram_r = _int_gram(fl, fr)
     kets = {}
     states = {}  # label -> (v_a, sign_a, N_a)
+    oriented = {}  # label -> sign_a*v_a
     norms = {}  # label -> e*N_a, an int
     labels_at = {}
     reducers = {}
@@ -564,25 +588,19 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
         for w in sorted(set(weights), key=p.descent.get):
             red = reducers[w] = _Reducer(track=True)
             for deg, (v, _) in enumerate(p._by_weight[w], 1):
-                red.add(v)
-                kets[lab] = Ket(w, deg)
                 sign = 1 if v[min(v)] > 0 else -1
-                norms[lab] = nn = _scp(v, v, gram_l, gram_r)
+                u = oriented[lab] = v if sign > 0 else {k: -c for k, c in v.items()}
+                red.add(u)
+                kets[lab] = Ket(w, deg)
+                norms[lab] = nn = _scp(u, u, gram_l, gram_r)
                 states[lab] = (v, sign, Fraction(nn, e))
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
-    n1 = norms[1]
-    classes = {}  # label -> r_a
-    scale = {}  # label -> (sign_a*numerator, denominator) of k_a
-    for a, nn in norms.items():
-        classes[a], k = _sqrt(Fraction(nn, n1))
-        scale[a] = (states[a][1] * k.numerator, k.denominator)
-    lower = {i: {} for i in range(1, la.rank + 1)}
-    for a, (v, _, _) in states.items():
+    lower = {i: (d, {}) for i, (d, _, _) in enumerate(tables, 1)}
+    for a, u in oriented.items():
         w = kets[a].dynkin
-        ka, kd = scale[a]
-        for i, (d, low_l, low_r) in enumerate(tables, 1):
-            low = _lower(v, low_l, low_r)
+        for i, (_, low_l, low_r) in enumerate(tables, 1):
+            low = _lower(u, low_l, low_r)
             if not low:
                 continue
             w2 = _vsub(w, A[i - 1])
@@ -598,70 +616,26 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            den = d * ka
-            row = []
-            for k in sorted(coords):
-                c, t = coords[k], targets[k]
-                kt, td = scale[t]
-                row.append((t, _ratio(c.numerator * kt * kd,
-                                      c.denominator * den * td)))
-            lower[i][a] = tuple(row)
+            lower[i][1][a] = {targets[k]: c for k, c in coords.items()}
     gram = {}
     for labs in labels_at.values():
-        rows = {a: [(a, classes[a])] for a in labs}
         for ix, a in enumerate(labs):
-            va, (ka, kd) = states[a][0], scale[a]
-            for b in labs[ix + 1:]:
-                g = _scp(va, states[b][0], gram_l, gram_r)
-                if g:
-                    kb, bd = scale[b]
-                    q = _ratio(g * kd * bd, n1 * ka * kb)
-                    rows[a].append((b, q))
-                    rows[b].append((a, q))
-        gram.update((a, tuple(row)) for a, row in rows.items())
-    form = RationalForm(classes, lower, gram)
+            ua = oriented[a]
+            gram[a] = {b: g for b in labs[ix + 1:]
+                       if (g := _scp(ua, oriented[b], gram_l, gram_r))}
+    form = _scaled_form(norms, lower, gram)
     return Irrep(la, p.hw, kets, form, "imported"), states
-
-
-def _ratio(n, d):
-    """n/d as an int when it is one, else as a Fraction; d != 0."""
-    if n % d:
-        return Fraction(n, d)
-    return n // d
 
 
 def _state_terms(p: ProductIrrep):
     """The states of the descended p level by level, each as its terms
-    (radicand, n, m, a, b) in label order: the coefficient of e_a x e_b is
-    n/m*sqrt(radicand), in lowest terms with m > 0.  Levels and states are
-    produced one at a time, as they are read.
-
-    They are read off the integer states: the coefficient is
-    k*sigma*v_ab*sqrt(f*r_a*r_b) for the state (v, sigma) and the irrep's
-    radical k*sqrt(f), and sqrt(f*r_a*r_b) == t*sqrt(g) is worked out once
-    per pair of classes."""
+    (radicand, n, m, a, b) in label order from _coefficients: the
+    coefficient of e_a x e_b is n/m*sqrt(radicand).  Levels and states are
+    produced one at a time, as they are read."""
     if not p.descended:
         raise ConsistencyError("rendering needs a descended irrep")
-    f, k = p._scale
-    cls_l, cls_r = p._classes
-    radicals = {}  # (r_a, r_b) -> (t, g)
-
-    def terms(v, sigma):
-        c = k * sigma
-        cn, cd = c.numerator, c.denominator
-        out = []
-        for ab in sorted(v):
-            a, b = ab
-            key = (cls_l[a], cls_r[b])
-            tg = radicals.get(key)
-            if tg is None:
-                tg = radicals[key] = _square_free(f * key[0] * key[1])
-            n = cn * v[ab] * tg[0]
-            h = gcd(n, cd)
-            out.append((tg[1], n // h, cd // h, a, b))
-        return out
-
-    return ((terms(v, sigma) for v, sigma in level) for level in p._levels)
+    k, terms = p._scale[1], p._terms
+    return ((terms(v, k * sigma) for v, sigma in level) for level in p._levels)
 
 
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:

@@ -6,8 +6,13 @@ Here lowering reads the factors' rational tables as they are, so a single
 fractional entry turns every later lowered vector into Fractions; states
 are the exact lowered vectors, with no per-state scale; and the tracked
 elimination keeps each stored row's combination in Fractions.  The
-helpers that did not change (_gram_apply, _scp, _split, _to_field,
-_scaled_form) are shared with the package.
+helpers that did not change (_gram_apply, _scp) are shared with the
+package.  The conversions the package merged into one routine each are
+kept here as they were: _to_field (FieldElem states from rational
+vectors), _split (a FieldElem state into integer vectors, one per radical
+class, each with its own lcm and gcd) and _scaled_form (the rational form
+of a lowering table and Gram rows, in Fractions).  oracle_product_lower
+and oracle_product_scp are the public façade written on them.
 
 fraction_prepare is the prepare that ran on the integer states but formed
 its entries in Fractions, c*f*sign_k and then _scaled_form's q*k_t/k_a;
@@ -19,10 +24,10 @@ root).
 from fractions import Fraction
 from math import gcd
 
-from liecg.exactnum import _sqrt
-from liecg.irrep import Irrep, Ket, _scaled_form
+from liecg.exactnum import FieldElem, _sqrt, _square_free
+from liecg.irrep import Irrep, Ket, RationalForm
 from liecg.liealg import ConsistencyError, cartan, level_vector
-from liecg.linalg import _Reducer
+from liecg.linalg import LabeledVector, _Reducer
 from liecg.tensor import (
     _basis_pairs,
     _gram_apply,
@@ -31,11 +36,92 @@ from liecg.tensor import (
     _lower,
     _pairs_weight,
     _scp,
-    _split,
-    _to_field,
     _vadd,
     _vsub,
 )
+
+
+def _rational(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+def _to_field(parts, cls_l, cls_r):
+    """The FieldElem product state sum of k*sqrt(f)*v over the (f, k, v) in
+    parts, each v a rational vector; cls_l, cls_r are the factors' classes."""
+    items = {}
+    for f, k, v in parts:
+        for (a, b), q in v.items():
+            items.setdefault((a, b), []).append((f * cls_l[a] * cls_r[b], k * q))
+    return LabeledVector(
+        (FieldElem.make(it), lab) for lab, it in items.items()
+    )
+
+
+def _split(s, cls_l, cls_r):
+    """{f: (v, m)} with s == sum of sqrt(f)/m * v, each v an integer vector
+    and m > 0."""
+    parts = {}
+    for c, (a, b) in s.terms:
+        rab = cls_l[a] * cls_r[b]
+        for f, q in c.terms.items():
+            # q*sqrt(f) e_a x e_b = q/rab * sqrt(f*rab) u_a x u_b
+            t, g = _square_free(f * rab)
+            parts.setdefault(g, []).append(
+                ((a, b), q.numerator * t, q.denominator * rab)
+            )
+    out = {}
+    for g, items in parts.items():
+        m = 1
+        for _, _, den in items:
+            m = m * den // gcd(m, den)
+        out[g] = ({lab: num * (m // den) for lab, num, den in items}, m)
+    return out
+
+
+def _scaled_form(rank, low, gram):
+    """The rational form of states with lowering table low, (root, a) ->
+    {target: q}, and Gram rows gram, a -> {b: g} over a's weight block.
+    State 1 has norm 1 and state a norm k_a^2 r_a, so u_a = a/k_a: an entry
+    q from a to t becomes q*k_t/k_a, a Gram entry g/(k_a*k_b).  Rows are in
+    label order, each Gram row with its diagonal first."""
+    r, k = {}, {}
+    for a, row in gram.items():
+        r[a], k[a] = _sqrt(row[a])
+    lower = {i: {} for i in range(1, rank + 1)}
+    for (i, a), v in low.items():
+        lower[i][a] = tuple(
+            (t, _rational(q * k[t] / k[a])) for t, q in sorted(v.items())
+        )
+    return RationalForm(r, lower, {
+        a: ((a, r[a]),) + tuple(
+            (b, _rational(g / (k[a] * k[b])))
+            for b, g in sorted(row.items()) if b != a
+        )
+        for a, row in gram.items()
+    })
+
+
+def oracle_product_lower(s, root, l, r):
+    """product_lower through _split and _to_field."""
+    fl, fr = l.rational_form(), r.rational_form()
+    d, low_l, low_r = _int_tables(fl, fr)[root - 1]
+    parts = [
+        (f, Fraction(1, m * d), _lower(v, low_l, low_r))
+        for f, (v, m) in _split(s, fl.r, fr.r).items()
+    ]
+    return _to_field(parts, fl.r, fr.r)
+
+
+def oracle_product_scp(s1, s2, l, r):
+    """product_scp through _split."""
+    fl, fr = l.rational_form(), r.rational_form()
+    e, gram_l, gram_r = _int_gram(fl, fr)
+    p2 = _split(s2, fl.r, fr.r).items()
+    return FieldElem.make(
+        (f * g, Fraction(_scp(v, w, gram_l, gram_r), m * k * e))
+        for f, (v, m) in _split(s1, fl.r, fr.r).items()
+        for g, (w, k) in p2
+    )
 
 
 def fraction_integral(vec):

@@ -444,6 +444,35 @@ def test_imported_factor_in_decompose(capsys, tmp_path):
     assert "Dimensions match." in out
 
 
+def test_decompose_file_paths_holding_x(capsys, tmp_path):
+    # --decompose cuts at the one 'x' with Dynkin labels or @FILE on each
+    # hand, so a path may hold an 'x' of its own
+    box = tmp_path / "box_x"
+    run(capsys, "-su", "3", "--decompose", "10x10", "--dump", str(box))
+    six, bar = box / "irrep_1.json", box / "irrep_2.json"  # 6, 3bar
+    copies = {}
+    for name, src in [("six_x", six), ("bar_x", bar), ("six.json", six),
+                      ("bar.json", bar)]:
+        copies[name] = tmp_path / name
+        copies[name].write_text(src.read_text())
+    for spec, plain in [
+        (f"@{six} x 10", f"@{copies['six.json']} x 10"),
+        (f"@{copies['six_x']} x @{copies['bar_x']}",
+         f"@{copies['six.json']} x @{copies['bar.json']}"),
+    ]:
+        got = run(capsys, "-su", "3", "--decompose", spec)
+        want = run(capsys, "-su", "3", "--decompose", plain)
+        assert got == want and got[0] == 0 and got[2] == "", spec
+        assert "Dimensions match." in got[1]
+
+
+@pytest.mark.parametrize("spec", ["10x01x10", "10", "1ax01", "@a x @b x @c"])
+def test_decompose_spec_without_one_cut(capsys, spec):
+    rc, out, err = run(capsys, "-su", "3", "--decompose", spec)
+    assert rc == 1 and out == ""
+    assert "--decompose wants 'AxB' with two irrep specs" in err
+
+
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
 
 
@@ -496,7 +525,7 @@ DUMP_GOLDENS = {
 
 
 def test_dump_goldens(capsys, tmp_path, monkeypatch):
-    # relative names without an 'x', at which --decompose splits
+    # relative names
     monkeypatch.chdir(tmp_path)
     for name, (spec, want) in DUMP_GOLDENS.items():
         algebra = ["-g2"] if name.startswith("g2") else ["-su", "3"]
@@ -586,7 +615,7 @@ def _bad_import_files(tmp_path):
 
 @pytest.mark.parametrize("how", ["import", "factor", "script"])
 def test_malformed_import_file_exits_1(capsys, tmp_path, monkeypatch, how):
-    # relative names: --decompose splits its argument at every 'x'
+    # relative names
     paths = {k: p.name for k, p in _bad_import_files(tmp_path).items()}
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
@@ -907,6 +936,20 @@ def test_script_vector_label_outside_irrep(capsys, tmp_path, use):
     rc, out, err = run(capsys, "--script", str(path))
     assert rc == 1 and out == ""
     assert f"{path}:3: vector: no state labeled 99 in r" in err
+    assert "Traceback" not in err
+
+
+def test_script_chbasis_missing_label_names_its_line(capsys, tmp_path):
+    # the transformation covers label 4 only; the chbasis line, not the
+    # print that reads the node, reports the missing label 1
+    path = tmp_path / "s.lie"
+    path.write_text("algebra su 3\nirrep r8 11\nwrap t r8\n"
+                    "vector v r8 4:1\nbasis tr r8 3 v\n"
+                    "chbasis c t 1 tr\nprint c\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert (f"{path}:6: chbasis: label 1 at factor 1 has no image in the "
+            "basis transformation") in err
     assert "Traceback" not in err
 
 

@@ -15,23 +15,35 @@ import pytest
 
 from liecg import irrep as irrep_mod
 from liecg import linalg, tensor
-from liecg.exactnum import field
+from liecg.exactnum import field, number
 from liecg.irrep import new_generic_irrep, new_imported_irrep
 from liecg.liealg import LieAlgebra
-from liecg.tensor import Decomposition, decompose, prepare, prepare_with_states
+from liecg.tensor import (
+    Decomposition,
+    basis_product,
+    decompose,
+    prepare,
+    prepare_with_states,
+    product_lower,
+    product_scp,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import fraction_oracle  # noqa: E402
 from fraction_oracle import (  # noqa: E402
     OracleIrrep,
     fraction_prepare,
     oracle_decompose,
     oracle_prepare,
+    oracle_product_lower,
+    oracle_product_scp,
 )
 
 A2 = LieAlgebra("A", 2)
 E6 = LieAlgebra("E6", 6)
 F4 = LieAlgebra("F4", 4)
+G2 = LieAlgebra("G2", 2)
 
 
 def _found(l, r, k):
@@ -132,6 +144,37 @@ def test_descent_from_a_given_state_matches_fraction_oracle():
     o = OracleIrrep.from_state(state, l, r)
     assert q.hw_state == state
     assert [list(lev) for lev in q.levels] == o.field_levels()
+
+
+def test_product_lower_and_scp_on_mixed_radicals_match_oracle():
+    # G2 7x7: each state of the product, plus two basis pairs of its
+    # weight, with coefficients in sqrt(2), sqrt(3) and sqrt(6), so that a
+    # state splits into several radical classes
+    g = new_generic_irrep(G2, (1, 0))
+    d = Decomposition(g, g)
+    decompose(d)
+    coeffs = [number(1, 2, 2), number(-2, 3, 3), number(3, 5, 6), field(1)]
+    at = {}  # weight -> mixed states
+    for p in d.found:
+        for w, states in p.by_weight.items():
+            pairs = basis_product(d, w)
+            for k, s in enumerate(states):
+                at.setdefault(w, []).append(
+                    s.scaled(coeffs[k % 4])
+                    + pairs[0].scaled(coeffs[(k + 1) % 4])
+                    + pairs[-1].scaled(coeffs[(k + 2) % 4]))
+    fl, fr = g.rational_form(), g.rational_form()
+    classes = [len(fraction_oracle._split(s, fl.r, fr.r))
+               for states in at.values() for s in states]
+    assert len(classes) == 49 and max(classes) >= 3
+    for states in at.values():
+        for s in states:
+            for i in (1, 2):
+                assert product_lower(s, i, g, g) == \
+                    oracle_product_lower(s, i, g, g)
+            for s2 in states:
+                assert product_scp(s, s2, g, g) == \
+                    oracle_product_scp(s, s2, g, g)
 
 
 def test_hot_path_holds_only_ints(monkeypatch):

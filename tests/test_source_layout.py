@@ -22,3 +22,27 @@ def test_no_name_defined_in_two_modules():
             where.setdefault(name, []).append(path.name)
     assert len(where) > 100
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
+# the descent, the search, prepare and the dumps run on integer states; the
+# FieldElem façade (the views, product_lower, product_scp) converts at its
+# own edges and never inside them
+INTEGER_CORE = ("descend_irrep", "decompose", "prepare_with_states",
+                "_state_terms", "render_states")
+FACADE = {"FieldElem", "LabeledVector", "_split", "parse_field"}
+
+
+def names_in(node):
+    """Every name and attribute a piece of code reads or writes."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_integer_core_never_names_the_field_facade():
+    path = SRC / "tensor.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(INTEGER_CORE) <= funcs.keys()
+    assert {name: names_in(funcs[name]) & FACADE
+            for name in INTEGER_CORE} == {name: set() for name in INTEGER_CORE}

@@ -122,6 +122,18 @@ def test_descend_octet(su3_pair):
     assert sorted(len(v) for v in p.by_weight.values()) == [1] * 6 + [2]
 
 
+def test_views_are_read_only(su3_pair):
+    l, r = su3_pair
+    p = descend_irrep(ProductIrrep(unit((1, 1))), l, r)
+    with pytest.raises(AttributeError):
+        p.levels.pop()
+    with pytest.raises(AttributeError):
+        p.by_weight.pop((0, 0))
+    with pytest.raises(TypeError):
+        p.by_weight[(0, 0)] = ()
+    assert len(p.levels) == 5 and len(p.by_weight) == 7
+
+
 def test_descend_rejects_non_highest_weight(su3_pair):
     l, r = su3_pair
     hw = unit((1, 1))
@@ -390,9 +402,10 @@ def test_prepared_lowering_reproduces_product_states(la, left, right):
 def test_prepare_error_names_algebra_and_irrep(su3_pair):
     l, r = su3_pair
     p = descend_irrep(ProductIrrep(unit((1, 1))), l, r)
-    p.levels.pop()
+    # cut the last level off the descent itself: the views are read-only
+    p._levels.pop()
     for w in p.weights.pop():
-        p.by_weight.pop(w, None)
+        p._by_weight.pop(w, None)
     with pytest.raises(ConsistencyError, match="lowering left the module") as exc:
         prepare(p, l, r)
     msg = str(exc.value)
