@@ -138,12 +138,14 @@ def test_prepare_entries_match_fraction_oracle(case):
 def test_descent_from_a_given_state_matches_fraction_oracle():
     # a ProductIrrep built from a FieldElem state: the content of its
     # integer vector goes into the scale, the views stay the oracle's
+    # (times sqrt(6) the state reads as scale 1, times 3/7*sqrt(2) not)
     l, r = factors("su3-27x8")
-    state = _found(l, r, 2).hw_state.scaled(field(6))
-    q = tensor.descend_irrep(tensor.ProductIrrep(state), l, r)
-    o = OracleIrrep.from_state(state, l, r)
-    assert q.hw_state == state
-    assert [list(lev) for lev in q.levels] == o.field_levels()
+    for c in (field(6), number(3, 7, 2)):
+        state = _found(l, r, 2).hw_state.scaled(c)
+        q = tensor.descend_irrep(tensor.ProductIrrep(state), l, r)
+        o = OracleIrrep.from_state(state, l, r)
+        assert q.hw_state == state
+        assert [list(lev) for lev in q.levels] == o.field_levels()
 
 
 def test_product_lower_and_scp_on_mixed_radicals_match_oracle():
