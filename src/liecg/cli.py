@@ -25,6 +25,7 @@ from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
+    _json_text,
     new_generic_irrep,
     new_imported_irrep,
 )
@@ -112,7 +113,7 @@ def weights_to_json(la, hw):
         "dim": weyl_dim(la, hw),
         "weights": recs,
     }
-    return json.dumps(doc, indent=1)
+    return _json_text(doc)
 
 
 def weights_from_json(s):
@@ -147,7 +148,7 @@ def states_to_json(p, l, r):
         "irrep": {"dynkin": list(p.hw), "dim": p.dim},
         "states": states,
     }
-    return json.dumps(doc, indent=1)
+    return _json_text(doc)
 
 
 def states_from_json(s):
@@ -300,10 +301,11 @@ def run_import(la, path):
 _DYNKIN_CHARS = frozenset("0123456789, ")
 
 
-def _decompose_sides(spec):
+def _decompose_sides(la, spec):
     """The two sides of --decompose AxB, cut at the one 'x' or '×' that
     has on each hand either Dynkin labels (digits, commas, spaces) or
-    @FILE, so that a file path may hold an 'x' of its own."""
+    @FILE, so that a file path may hold an 'x' of its own.  A spec with one
+    'x' and no such cut has a bad side, and parse_rep names it."""
 
     def side(text):
         return text.startswith("@") or (text != "" and set(text) <= _DYNKIN_CHARS)
@@ -315,6 +317,10 @@ def _decompose_sides(spec):
             if side(left) and side(right):
                 cuts.append((left, right))
     if len(cuts) != 1:
+        if sum(ch in "x×" for ch in spec) == 1:
+            left, _, right = spec.replace("×", "x").partition("x")
+            _factor_key(la, left.strip())
+            _factor_key(la, right.strip())
         raise UsageError(
             f"--decompose wants 'AxB' with two irrep specs, got {spec!r}"
         )
@@ -322,7 +328,7 @@ def _decompose_sides(spec):
 
 
 def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
-    left, right = _decompose_sides(spec)
+    left, right = _decompose_sides(la, spec)
     l = _factor_irrep(la, left)
     same = _factor_key(la, right) == _factor_key(la, left)
     r = l if same else _factor_irrep(la, right)
@@ -346,7 +352,7 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
                 {"dynkin": list(p.hw), "dim": p.dim} for p in d.found
             ],
         }
-        print(json.dumps(doc, indent=1))
+        print(_json_text(doc))
     else:
         print(result(d))
     if dump_dir is not None:
@@ -694,6 +700,12 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
+    except BrokenPipeError:
+        # the reader closed stdout (lie ... | head): point it at devnull,
+        # as the Python docs' SIGPIPE note does, so the flush at exit stays
+        # quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, ScriptError, InvalidImportError) as e:
         print(f"lie: error: {e}", file=sys.stderr)
         if isinstance(e, UsageError):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import NamedTuple
 
@@ -507,7 +508,7 @@ class ImportedIrrepData:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=1)
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -547,6 +548,52 @@ class ImportedIrrepData:
         except json.JSONDecodeError as exc:
             raise InvalidImportError(f"not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
+
+
+def _json_text(doc):
+    """The text of json.dumps(doc, indent=1), byte for byte, for a document
+    of dicts with str keys, lists, str, int and None; anything else (bool,
+    float, tuple, a non-str key) raises TypeError.  Every JSON document liecg
+    writes goes through here: before Python 3.13 json.dumps runs its
+    pure-Python encoder whenever it indents, while this writer joins each
+    container once and writes a list of plain ints in C."""
+    return _json_value(doc, "\n")
+
+
+_INTS = {int}
+
+
+def _json_value(x, nl):
+    """x written at the depth whose line break and indent is nl."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    inner = nl + " "
+    sep = "," + inner
+    if t is list:
+        if not x:
+            return "[]"
+        # type(), not isinstance(): a bool is an int that json.dumps writes
+        # as true, which int.__repr__ would write as 1
+        if set(map(type, x)) == _INTS:
+            body = sep.join(map(int.__repr__, x))
+        else:
+            body = sep.join([_json_value(v, inner) for v in x])
+        return "[" + inner + body + nl + "]"
+    if t is dict:
+        if not x:
+            return "{}"
+        for k in x:
+            if type(k) is not str:
+                raise TypeError(f"JSON object key {k!r} is not a str")
+        body = sep.join([encode_basestring_ascii(k) + ": "
+                         + _json_value(v, inner) for k, v in x.items()])
+        return "{" + inner + body + nl + "}"
+    raise TypeError(f"cannot write {type(x).__name__} {x!r} as JSON")
 
 
 def _integer(x, what):

@@ -466,11 +466,21 @@ def test_decompose_file_paths_holding_x(capsys, tmp_path):
         assert "Dimensions match." in got[1]
 
 
-@pytest.mark.parametrize("spec", ["10x01x10", "10", "1ax01", "@a x @b x @c"])
+@pytest.mark.parametrize("spec", ["10x01x10", "10", "@a x @b x @c"])
 def test_decompose_spec_without_one_cut(capsys, spec):
     rc, out, err = run(capsys, "-su", "3", "--decompose", spec)
     assert rc == 1 and out == ""
     assert "--decompose wants 'AxB' with two irrep specs" in err
+
+
+@pytest.mark.parametrize("spec", ["1ax01", "11x1a", "1a × 01"])
+def test_decompose_names_the_bad_side(capsys, spec):
+    # one 'x' but no cut with a valid side on each hand: the side that is
+    # not Dynkin labels is named
+    rc, out, err = run(capsys, "-su", "3", "--decompose", spec)
+    assert rc == 1 and out == ""
+    assert "cannot read '1a' as 2 Dynkin labels" in err
+    assert "--decompose wants" not in err
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
@@ -1026,6 +1036,27 @@ def test_python_m_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == SU3_OCTET_LISTING
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the reader takes one line of the 2 MB E8 30380 listing and closes the
+    # pipe; the rest of the write fails with EPIPE
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liecg", "-e8", "-rep", "00000100",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_listing_is_byte_stable():

@@ -46,3 +46,21 @@ def test_integer_core_never_names_the_field_facade():
     assert set(INTEGER_CORE) <= funcs.keys()
     assert {name: names_in(funcs[name]) & FACADE
             for name in INTEGER_CORE} == {name: set() for name in INTEGER_CORE}
+
+
+def test_no_module_calls_json_dumps():
+    # every JSON document is written by irrep._json_text, the one writer
+    # that gives json.dumps(indent=1)'s text without the pure-Python encoder;
+    # json.loads stays
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"):
+                found.append((path.name, node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [(path.name, node.lineno) for alias in node.names
+                          if alias.name in ("dump", "dumps")]
+    assert found == []
