@@ -38,11 +38,11 @@ FAMILIES = [LieAlgebra(f, n) for f, n in
              ("E8", 8), ("F4", 4), ("G2", 2)]]
 
 
-def fundamentals(la, max_dim=30380):
-    """The fundamental weights of la whose irrep has at most max_dim
-    states (E7 and E8 have larger ones)."""
+def fundamentals(la):
+    """The fundamental weights of la whose irrep has at most 30380 states
+    (E7 and E8 have larger ones)."""
     units = [tuple(int(i == j) for j in range(la.rank)) for i in range(la.rank)]
-    return [hw for hw in units if weyl_dim(la, hw) <= max_dim]
+    return [hw for hw in units if weyl_dim(la, hw) <= 30380]
 
 
 # with the E8 fundamentals 3875 and 30380, the 27000 completes the
