@@ -34,6 +34,7 @@ from .tensor import (
     DecompositionError,
     _ket_str,
     _state_terms,
+    _tup,
     decompose,
     prepare,
     render_states,
@@ -59,10 +60,6 @@ class ScriptError(Exception):
 
 
 # ------------------------------------------------------------ formatting
-
-def _tup(w):
-    return "(" + ",".join(str(x) for x in w) + ")"
-
 
 def _hdr(key, val):
     return f"{key:<14}:   {val}"

@@ -525,14 +525,17 @@ class ImportedIrrepData:
                 )
                 for lab, dyn, deg in doc["kets"]
             }
+            parsed = {}  # coefficient text -> its FieldElem, shared
             lowering = {}
             for state, root, terms in doc["lowering"]:
                 key = (_integer(root, "root"), _integer(state, "state"))
                 lowering[key] = tuple(
-                    (_coefficient(c), _integer(t, "target")) for c, t in terms
+                    (_coefficient(c, parsed), _integer(t, "target"))
+                    for c, t in terms
                 )
             scp = {
-                (_integer(a, "state"), _integer(b, "state")): _coefficient(v)
+                (_integer(a, "state"), _integer(b, "state")):
+                    _coefficient(v, parsed)
                 for a, b, v in doc["scp"]
             }
         except InvalidImportError:
@@ -606,13 +609,20 @@ def _integer(x, what):
     return x
 
 
-def _coefficient(text):
+def _coefficient(text, parsed):
+    """The FieldElem of a coefficient text, parsed once per distinct text:
+    parsed maps each text already read to its FieldElem, which is never
+    changed in place and so can be shared."""
     if not isinstance(text, str):
         raise InvalidImportError(f"coefficient {text!r} is not a string")
-    try:
-        return parse_field(text)
-    except ZeroDivisionError:
-        raise InvalidImportError(f"coefficient {text!r} divides by zero") from None
+    c = parsed.get(text)
+    if c is None:
+        try:
+            c = parsed[text] = parse_field(text)
+        except ZeroDivisionError:
+            raise InvalidImportError(
+                f"coefficient {text!r} divides by zero") from None
+    return c
 
 
 def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:

@@ -5,8 +5,9 @@ a leaf is a ket label of one factor irrep, a pair (left, right) records one
 tensorization step.  Trees are built strictly in the association order of
 the otimes calls, so (((4,3),1),-1) is a state of ((a x b) x c) x d.
 
-A TensorNode couples an irrep (generic or imported from a two-factor
-decomposition) with the expansion of each of its states over such trees.
+A TensorNode couples an irrep (generic, or the one irrep of a two-factor
+product that otimes selects and builds alone) with the expansion of each
+of its states over such trees.
 Expansions are computed on demand and memoized per node, since a fully
 eager 4-fold expansion can be very large.
 
@@ -51,7 +52,7 @@ from math import gcd, lcm
 from .exactnum import FieldElem, ZERO, _mul_class, _render_terms, _sqrt
 from .linalg import LabeledVector, invert_matrix
 from .irrep import Irrep
-from .tensor import Decomposition, decompose, prepare_with_states
+from .tensor import Decomposition, _plan, _select, prepare_with_states
 
 __all__ = [
     "TensorNode",
@@ -221,14 +222,18 @@ def wrap(r: Irrep) -> TensorNode:
 
 def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
     """Tensor two nodes and select the k-th irrep (1-based, construction
-    order) of the decomposition of a.irrep x b.irrep."""
+    order) of the decomposition of a.irrep x b.irrep.
+
+    Only that irrep is built: the plan of the product (its highest weights
+    in construction order) bounds k, and irrep k is found and descended as
+    decompose would build it, with the same states and phases."""
     d = Decomposition(a.irrep, b.irrep)
-    decompose(d)
-    if not 1 <= k <= len(d.found):
+    plan = _plan(a.irrep, b.irrep)
+    if not 1 <= k <= len(plan):
         raise ValueError(
-            f"irrep index {k} out of range: the product has {len(d.found)} irreps"
+            f"irrep index {k} out of range: the product has {len(plan)} irreps"
         )
-    irrep, states = prepare_with_states(d.found[k - 1], a.irrep, b.irrep)
+    irrep, states = prepare_with_states(_select(d, plan, k), a.irrep, b.irrep)
     r = irrep.rational_form().r
 
     def fn(s):

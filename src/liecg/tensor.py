@@ -5,12 +5,18 @@ pairs.  The Cartan generators act as H_i x 1 + 1 x H_i, so every basis pair
 of a product state must carry the same summed weight; lowering operators
 act by the Leibniz rule through each factor's lowering table.
 
-Decomposition walks the classical algorithm: seed with the sum of the two
-highest weights, build that irrep level by level (dropping states that are
-linearly dependent, in a fixed deterministic order), then repeatedly pick
-the remaining dominant weight with the most levels, solve for a state
-orthogonal to everything already built at that weight, and descend again
-until the dimensions add up.
+Decomposition first plans, then builds.  The plan (_plan) lists the
+highest weights in discovery order from weights alone: of the product's
+dominant-weight multiplicities, the remaining weight with the most levels
+is the next highest weight, and its irrep's Freudenthal multiplicities are
+subtracted, until nothing is left and the Weyl dimensions add up.  Each
+planned irrep is then found and built on its own: its highest-weight
+vector is a vector at its weight that every raising operator kills, i.e.
+one Gram-orthogonal to E_-i of every basis pair one root higher, and for
+the c-th copy also to copies 1..c-1 (_hw_irreps); descend_irrep builds
+the irrep under it level by level, dropping states that are linearly
+dependent, in a fixed deterministic order.  decompose builds every planned
+irrep; multitensor.otimes builds only the one it selects (_select).
 
 All of this runs over the integers, with rationals only as one scale per
 state and in the final coordinates.  Each factor holds its rational form
@@ -48,15 +54,21 @@ depend on the scales.
 
 One sparse elimination, linalg's _Reducer (the irrep builder's too),
 serves the descent (is a lowered state new at its weight?), the
-highest-weight search (its rows are the Gram images of the states already
-built, its null vector the new state) and prepare (the coordinates of a
-lowered state on the states already there).
+highest-weight search (its rows are the Gram images of the lowered basis
+pairs one root higher and of the earlier copies, its null vector the new
+state) and prepare (the coordinates of a lowered state on the states
+already there).  Those rows span the Gram image of everything the earlier
+irreps hold at the weight, and the null vector takes min-label pivots,
+which depend only on the row space: so the vector is the one the Gram
+images of all the states the earlier irreps built there would give, and an
+irrep comes out the same whether the irreps before it were built or not.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from types import MappingProxyType
 
@@ -457,65 +469,115 @@ def basis_product(d: Decomposition, w) -> list:
     return [LabeledVector.unit(pr) for pr in _basis_pairs(d, w)]
 
 
-def decompose(d: Decomposition) -> None:
-    """Split the product into irreps (fills d.found, d.multiplicities)."""
-    l, r = d.left, d.right
+def _tup(w):
+    """A weight as comma-separated labels in parentheses, as messages and
+    listings write it."""
+    return "(" + ",".join(map(str, w)) + ")"
+
+
+def _product_name(l: Irrep, r: Irrep) -> str:
+    """The product as its algebra and both highest weights, for errors."""
+    return f"{l.algebra.name} {_tup(l.hw)} x {_tup(r.hw)}"
+
+
+def _plan(l: Irrep, r: Irrep) -> list:
+    """The highest weights of the irreps of l x r in discovery order, one
+    entry per copy.
+
+    Of the product's dominant-weight multiplicities, the remaining weight
+    with the most levels is the next highest weight; its irrep's Freudenthal
+    multiplicities are subtracted, and this repeats until every dominant
+    weight is used up.  The Weyl dimensions must add up to dim l * dim r.
+    """
     la = l.algebra
-    e, gram_l, gram_r = _int_gram(l.rational_form(), r.rational_form())
-    d.found = []
-    d.multiplicities = {}
-    # multiplicity of each dominant weight in the full product
-    prod_mult = {}
+    rest = {}  # dominant weight -> multiplicity not yet taken by an irrep
     for wa, la_labels in l.labels_by_weight.items():
         for wb, rb_labels in r.labels_by_weight.items():
             w = _vadd(wa, wb)
             if all(c >= 0 for c in w):
-                prod_mult[w] = prod_mult.get(w, 0) + len(la_labels) * len(rb_labels)
-    used = {}
-
-    def take(p):
-        d.found.append(p)
-        d.multiplicities[p.hw] = d.multiplicities.get(p.hw, 0) + 1
-        for w, states in p._by_weight.items():
-            if all(c >= 0 for c in w):
-                used[w] = used.get(w, 0) + len(states)
-
-    first = ProductIrrep._from_vector({(1, 1): 1}, (1, Fraction(1)))
-    descend_irrep(first, l, r)
-    take(first)
+                rest[w] = rest.get(w, 0) + len(la_labels) * len(rb_labels)
     R = level_vector(la)
 
     def levels_key(w):
         return (sum(ri * wi for ri, wi in zip(R, w)), w)
 
-    while True:
-        cands = [w for w, m in prod_mult.items() if used.get(w, 0) < m]
+    total = l.dim * r.dim
+    plan, dims = [], []
+    # each irrep adds at least 1, so a wrong multiplicity cannot loop forever
+    while sum(dims) <= total:
+        cands = [w for w, m in rest.items() if m > 0]
         if not cands:
             break
         w = max(cands, key=levels_key)
-        # one orthogonality row per state already built at w: its Gram image
-        red = _Reducer()
-        for p in d.found:
-            for v, _ in p._by_weight.get(w, ()):
-                red.add(_gram_apply(v, gram_l, gram_r))
-        x = red.null_vector(_basis_pairs(d, w))
+        plan.append(w)
+        dims.append(weyl_dim(la, w))
+        for rec in freudenthal(la, w):
+            if rec.dynkin in rest:
+                rest[rec.dynkin] -= rec.degeneracy
+    if sum(dims) != total:
+        raise DecompositionError(
+            f"{_product_name(l, r)}: dimensions do not add up: "
+            + " + ".join(map(str, dims)) + f" != {total}"
+        )
+    return plan
+
+
+def _hw_irreps(d: Decomposition, w, n):
+    """Copies 1..n of the irrep at highest weight w, as undescended
+    ProductIrreps in copy order, one at a time.
+
+    A vector at w is a highest-weight vector iff it is Gram-orthogonal to
+    E_-i of every basis pair at w + alpha_i, for every root i; copy c is
+    also orthogonal to copies 1..c-1.  Those Gram images are the rows, and
+    the null vector over the basis pairs at w is copy c, oriented so that
+    its leading coefficient is positive.
+    """
+    l, r = d.left, d.right
+    fl, fr = l.rational_form(), r.rational_form()
+    e, gram_l, gram_r = _int_gram(fl, fr)
+    red = _Reducer()
+    for (_, low_l, low_r), row in zip(_int_tables(fl, fr), cartan(l.algebra)):
+        for ab in _basis_pairs(d, _vadd(w, row)):
+            low = _lower({ab: 1}, low_l, low_r)
+            if low:
+                red.add(_gram_apply(low, gram_l, gram_r))
+    labels = _basis_pairs(d, w)
+    for _ in range(n):
+        x = red.null_vector(labels)
         if x is None:
             raise DecompositionError(
-                f"no state orthogonal to the built irreps at weight {w}"
+                f"{_product_name(l, r)}: no highest-weight vector at "
+                f"weight {_tup(w)}"
             )
         y = _integral(x)[0]
         if y[min(y)] < 0:
             y = {k: -c for k, c in y.items()}
         norm = Fraction(_scp(y, y, gram_l, gram_r), e)
-        p = ProductIrrep._from_vector(y, _sqrt(1 / norm))
-        descend_irrep(p, l, r)
-        take(p)
-    if not check_dims(d):
-        raise DecompositionError(
-            "dimensions do not add up: "
-            + " + ".join(str(p.dim) for p in d.found)
-            + f" != {l.dim * r.dim}"
-        )
+        yield ProductIrrep._from_vector(y, _sqrt(1 / norm))
+        red.add(_gram_apply(y, gram_l, gram_r))
+
+
+def decompose(d: Decomposition) -> None:
+    """Split the product into irreps (fills d.found, d.multiplicities).
+
+    _plan gives the highest weights; at each, _hw_irreps finds the
+    highest-weight vector of every copy and descend_irrep builds its irrep.
+    """
+    l, r = d.left, d.right
+    d.found = []
+    d.multiplicities = {}
+    for w, copies in groupby(_plan(l, r)):
+        d.multiplicities[w] = n = len(list(copies))
+        for p in _hw_irreps(d, w, n):
+            d.found.append(descend_irrep(p, l, r))
+
+
+def _select(d: Decomposition, plan, k: int) -> ProductIrrep:
+    """Irrep k (1-based) of the plan of d, descended; the earlier copies at
+    its weight give only their highest-weight vectors."""
+    w = plan[k - 1]
+    *_, p = _hw_irreps(d, w, plan[:k].count(w))
+    return descend_irrep(p, d.left, d.right)
 
 
 def check_dims(d: Decomposition) -> bool:

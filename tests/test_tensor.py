@@ -537,3 +537,180 @@ def test_decompose_runs_without_field_arithmetic(case, monkeypatch):
     with pytest.raises(AssertionError):
         monkeypatch.setattr(FieldElem, "__add__", boom)
         ONE + ONE
+
+
+# ----------------------------------------------- plan and single-irrep build
+
+@pytest.fixture(scope="module")
+def su3_27(tmp_path_factory):
+    """The SU(3) 27 as the benchmark fixture makes it: irrep 1 of the dump
+    of 8 x 8 (tests/data holds no 27)."""
+    from liecg import cli
+
+    out = tmp_path_factory.mktemp("su3_octets")
+    assert cli.main(["-su", "3", "--decompose", "11x11", "--dump", str(out)]) == 0
+    return cli._import_irrep(A2, str(out / "irrep_1.json"))
+
+
+# (family, rank, left, right): all nine families; A2 8x8, A3 15x15,
+# B2 16x16, D4 56x56 and G2 27x27 have outer multiplicity 2
+PLAN_CASES = [
+    ("A", 1, (3,), (2,)),
+    ("A", 2, (1, 1), (1, 1)),
+    ("A", 3, (1, 0, 1), (1, 0, 1)),
+    ("B", 2, (1, 1), (1, 1)),
+    ("B", 3, (0, 0, 1), (1, 0, 1)),
+    ("C", 2, (1, 1), (0, 1)),
+    ("C", 3, (0, 1, 0), (0, 1, 0)),
+    ("D", 4, (1, 0, 1, 0), (1, 0, 0, 1)),
+    ("D", 5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+    ("G2", 2, (2, 0), (2, 0)),
+    ("F4", 4, (0, 0, 0, 1), (0, 0, 0, 1)),
+    ("E6", 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+    ("E7", 7, (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "fam, rank, left, right", PLAN_CASES,
+    ids=[f"{f if len(f) > 1 else f + str(n)}-"
+         f"{''.join(map(str, a))}x{''.join(map(str, b))}"
+         for f, n, a, b in PLAN_CASES],
+)
+def test_plan_is_the_discovery_order(fam, rank, left, right):
+    la = LieAlgebra(fam, rank)
+    l, r = new_generic_irrep(la, left), new_generic_irrep(la, right)
+    d = Decomposition(l, r)
+    decompose(d)
+    assert tensor._plan(l, r) == [p.hw for p in d.found]
+
+
+def test_plan_of_degenerate_su3_27_squared(su3_27):
+    d = Decomposition(su3_27, su3_27)
+    decompose(d)
+    plan = tensor._plan(su3_27, su3_27)
+    assert plan == [p.hw for p in d.found]
+    assert len(plan) == 19 and max(d.multiplicities.values()) >= 3
+
+
+def test_plan_of_e8_adjoint_square():
+    # the full decomposition is acceptance criterion 4; its irreps in
+    # discovery order are 27000 + 30380 + 3875 + 248 + 1
+    E8 = LieAlgebra("E8", 8)
+    r248 = new_generic_irrep(E8, (0, 0, 0, 0, 0, 0, 1, 0))
+    plan = tensor._plan(r248, r248)
+    assert plan == [
+        (0, 0, 0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0),
+        (1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 0, 0, 0),
+    ]
+    assert [weyl_dim(E8, w) for w in plan] == [27000, 30380, 3875, 248, 1]
+
+
+def _otimes_irreps(l, r, monkeypatch):
+    """The ProductIrrep that multitensor.otimes builds for every k."""
+    import liecg.multitensor as mt
+
+    built = []
+    real = mt.prepare_with_states
+
+    def capture(p, a, b):
+        built.append(p)
+        return real(p, a, b)
+
+    monkeypatch.setattr(mt, "prepare_with_states", capture)
+    k = 1
+    while True:
+        try:
+            mt.otimes(mt.wrap(l), mt.wrap(r), k)
+        except ValueError:
+            return built
+        k += 1
+
+
+@pytest.mark.parametrize("case", ["su3-8x8", "b2-16x16", "g2-27x27", "su3-27x8"])
+def test_otimes_builds_the_irrep_decompose_finds(case, su3_27, monkeypatch):
+    if case == "su3-8x8":
+        l = r = new_generic_irrep(A2, (1, 1))
+    elif case == "b2-16x16":
+        l = r = new_generic_irrep(B2, (1, 1))
+    elif case == "g2-27x27":
+        l = r = new_generic_irrep(G2, (2, 0))
+    else:
+        l, r = su3_27, new_generic_irrep(A2, (1, 1))
+    d = Decomposition(l, r)
+    decompose(d)
+    built = _otimes_irreps(l, r, monkeypatch)
+    assert len(built) == len(d.found)
+    assert max(d.multiplicities.values()) >= 2
+    for p, q in zip(built, d.found):
+        assert p._hw_vec == q._hw_vec
+        assert p._scale == q._scale
+        assert p._levels == q._levels
+
+
+def test_otimes_out_of_range_counts_from_the_plan(monkeypatch):
+    import liecg.multitensor as mt
+
+    def no_descent(*args):
+        raise AssertionError("otimes descended before checking k")
+
+    monkeypatch.setattr(tensor, "descend_irrep", no_descent)
+    oc = mt.wrap(new_generic_irrep(A2, (1, 1)))
+    for k in (0, 7):
+        with pytest.raises(ValueError) as exc:
+            mt.otimes(oc, oc, k)
+        assert str(exc.value) == (
+            f"irrep index {k} out of range: the product has 6 irreps")
+
+
+def test_plan_dimension_error_names_the_product(monkeypatch, capsys):
+    # the octet claims a third zero-weight state, so 3 x 3bar plans no
+    # singlet and the dimensions come out at 8 of 9
+    from liecg import cli
+
+    def greedy(la, hw):
+        recs = freudenthal(la, hw)
+        if hw != (1, 1):
+            return recs
+        return [replace(rec, degeneracy=3) if rec.dynkin == (0, 0) else rec
+                for rec in recs]
+
+    monkeypatch.setattr(tensor, "freudenthal", greedy)
+    l, r = new_generic_irrep(A2, (1, 0)), new_generic_irrep(A2, (0, 1))
+    want = "SU(3) (1,0) x (0,1): dimensions do not add up: 8 != 9"
+    with pytest.raises(DecompositionError) as exc:
+        decompose(Decomposition(l, r))
+    assert str(exc.value) == want
+    assert cli.main(["-su", "3", "--decompose", "10x01"]) == 2
+    assert want in capsys.readouterr().err
+
+
+def test_empty_kernel_error_names_the_product(monkeypatch, tmp_path, capsys):
+    # the 27 claims two (0,3) states and no (3,0) state: the dimensions
+    # still add up (27 + 10 + 10 + 8 + 8 + 1), but the plan's second 10 at
+    # (3,0) has no highest-weight vector; otimes never descends the 27
+    import liecg.multitensor as mt
+    from liecg import cli
+
+    def swapped(la, hw):
+        recs = freudenthal(la, hw)
+        if hw != (2, 2):
+            return recs
+        moved = {(3, 0): 0, (0, 3): 2}
+        return [replace(rec, degeneracy=moved.get(rec.dynkin, rec.degeneracy))
+                for rec in recs]
+
+    monkeypatch.setattr(tensor, "freudenthal", swapped)
+    oc = new_generic_irrep(A2, (1, 1))
+    assert tensor._plan(oc, oc) == [
+        (2, 2), (3, 0), (3, 0), (1, 1), (1, 1), (0, 0)]
+    want = "SU(3) (1,1) x (1,1): no highest-weight vector at weight (3,0)"
+    with pytest.raises(DecompositionError) as exc:
+        mt.otimes(mt.wrap(oc), mt.wrap(oc), 3)
+    assert str(exc.value) == want
+    script = tmp_path / "s.lie"
+    script.write_text(
+        "algebra a 2\nirrep r8 11\nwrap t r8\notimes p t t 3\n")
+    assert cli.main(["--script", str(script)]) == 2
+    assert want in capsys.readouterr().err
