@@ -33,12 +33,14 @@ from .tensor import (
     Decomposition,
     DecompositionError,
     _ket_str,
+    _plan,
+    _result_text,
+    _select,
     _state_terms,
     _tup,
     decompose,
     prepare,
     render_states,
-    result,
 )
 from . import multitensor as mt
 
@@ -254,10 +256,24 @@ def _import_irrep(la, path):
     return r
 
 
+def _check_imported(r, path):
+    """Refuse a file's irrep before its first product unless its tables are
+    a representation: the descent caps each weight at its Freudenthal
+    multiplicity and so trusts its factors (Irrep.check_representation).
+    A failure is an inconsistency, exit 2, and names the file."""
+    try:
+        r.check_representation()
+    except ConsistencyError as e:
+        raise ConsistencyError(f"{path}: {e}") from e
+
+
 def _factor_irrep(la, token):
-    """One side of --decompose: Dynkin labels or @FILE with imported data."""
+    """One side of --decompose: Dynkin labels or @FILE with imported data,
+    checked as a representation."""
     if token.startswith("@"):
-        return _import_irrep(la, token[1:])
+        r = _import_irrep(la, token[1:])
+        _check_imported(r, token[1:])
+        return r
     return new_generic_irrep(la, _checked_rep(la, token))
 
 
@@ -339,23 +355,29 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
     if dump_singlet is not None:
         _check_singlet_target(la, l, r, dump_singlet)
     d = Decomposition(l, r)
-    decompose(d)
+    if dump_singlet is not None and dump_dir is None:
+        # the result needs only the plan; the singlet alone is built
+        plan = _plan(l, r)
+        irreps = [(w, weyl_dim(la, w)) for w in plan]
+        singlet = _select(d, plan, plan.index((0,) * la.rank) + 1)
+    else:
+        decompose(d)
+        irreps = [(p.hw, p.dim) for p in d.found]
+        singlet = next((p for p in d.found if p.dim == 1), None)
     if fmt == "json":
         doc = {
             "algebra": {"family": la.family, "rank": la.rank},
             "left": {"dynkin": list(l.hw), "dim": l.dim},
             "right": {"dynkin": list(r.hw), "dim": r.dim},
-            "irreps": [
-                {"dynkin": list(p.hw), "dim": p.dim} for p in d.found
-            ],
+            "irreps": [{"dynkin": list(w), "dim": n} for w, n in irreps],
         }
         print(_json_text(doc))
     else:
-        print(result(d))
+        print(_result_text(l, r, irreps))
     if dump_dir is not None:
         _dump_all(d, l, r, fmt, dump_dir)
     if dump_singlet is not None:
-        _dump_singlet(d, l, r, fmt, dump_singlet)
+        _write(dump_singlet, _states_text(singlet, l, r, fmt))
     return 0
 
 
@@ -399,11 +421,6 @@ def _check_singlet_target(la, l, r, path):
         )
 
 
-def _dump_singlet(d, l, r, fmt, path):
-    singlet = next(p for p in d.found if p.dim == 1)
-    _write(path, _states_text(singlet, l, r, fmt))
-
-
 # ---------------------------------------------------------------- script
 
 def _parse_coeff(tok):
@@ -423,6 +440,7 @@ class _Script:
         self.out = out
         self.la = None
         self.irreps = {}
+        self.unchecked = {}  # imported Irrep -> its file, until a product
         self.vectors = {}  # name -> (irrep, LabeledVector)
         self.trafos = {}
         self.nodes = {}
@@ -465,7 +483,8 @@ class _Script:
     def v_import(self, toks):
         la = self._need_algebra()
         name, path = toks
-        self.irreps[name] = _import_irrep(la, path)
+        self.irreps[name] = r = _import_irrep(la, path)
+        self.unchecked[r] = path
 
     def v_wrap(self, toks):
         name, rname = toks
@@ -473,11 +492,12 @@ class _Script:
 
     def v_otimes(self, toks):
         name, ln, rn, k = toks
-        self.nodes[name] = mt.otimes(
-            self._get(self.nodes, ln, "node"),
-            self._get(self.nodes, rn, "node"),
-            int(k),
-        )
+        a = self._get(self.nodes, ln, "node")
+        b = self._get(self.nodes, rn, "node")
+        for r in (a.irrep, b.irrep):
+            if r in self.unchecked:
+                _check_imported(r, self.unchecked.pop(r))
+        self.nodes[name] = mt.otimes(a, b, int(k))
 
     def v_filter(self, toks):
         name, nn, factor, labels = toks

@@ -25,7 +25,11 @@ is one ratio of integers, formed once.
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
 files: `from_irrep` renders them from the form, `new_imported_irrep`
 derives the form back by pushing the classes down the lowering table from
-the highest weight, and refuses a file that has none.
+the highest weight, and refuses a file that has none.  Two sweeps test a
+file's tables: `Irrep.check_consistency`, the string sum rule that
+`--import` runs, and `Irrep.check_representation`, the defining relations
+of the algebra, which the tensor descent relies on and which a file's
+irrep passes before its first product.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .exactnum import (
@@ -79,6 +84,16 @@ def _vadd(a, b):
 
 def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _apply(table, vec):
+    """A lowering table, label -> ((target, q), ...), applied to an int
+    vector {label: c}; zeros dropped."""
+    out = {}
+    for a, c in vec.items():
+        for t, q in table.get(a, ()):
+            out[t] = out.get(t, 0) + c * q
+    return {t: c for t, c in out.items() if c}
 
 
 class Irrep:
@@ -206,6 +221,119 @@ class Irrep:
                         f"state {a} of weight {w}, root {i}: "
                         f"{lhs / ra} != {rhs / ra}"
                     )
+
+    def check_representation(self):
+        """Verify that the tables are a representation of the algebra: the
+        defining relations (Humphreys, section 18) on every state, with H_i
+        acting as the weight's label w_i.
+
+        E_i is the Gram-adjoint of F_i = E_-i, as the sum rule forms it: E_i a
+        = G^-1.u over the weight block one root up, u_g = <F_i g|a>.  For
+        every state a and roots i, j the check is E_i F_j a - F_j E_i a ==
+        delta_ij w_i a, and on the lowering tables alone the Serre relation
+        sum over k of (-1)^k C(n, k) F_i^(n-k) F_j F_i^k a == 0 for i != j,
+        n = 1 - <alpha_j, alpha_i^v>.  It runs on the rational form in
+        integers: the root-i table times D_i, each weight block's Gram rows
+        times their lcm gamma, G^-1 = M/delta as in check_consistency, so
+        E_i a is an int vector over a denominator shared by its weight block;
+        each relation is compared cross-multiplied.  On a finite-dimensional
+        module with integral weights the Serre relations follow from the
+        others by sl2 theory; they are checked first, on the lowering
+        tables alone.  Raises ConsistencyError naming the state, its weight
+        and the roots.
+        """
+        rf = self._form
+        la = self.algebra
+        A = cartan(la)
+        roots = range(la.rank)  # root i + 1 at index i
+        at = self.labels_by_weight
+        # weight -> [w - alpha_i or None], [w + alpha_i or None] by root
+        down = {w: [v if (v := _vsub(w, row)) in at else None for row in A]
+                for w in at}
+        up = {w: [v if (v := _vadd(w, row)) in at else None for row in A]
+              for w in at}
+        lows = [_scaled_ints(rf.lower[i + 1]) for i in roots]
+
+        def fail(what, a, i, j):
+            raise ConsistencyError(
+                f"{la.name} irrep {self.hw}: {what} fails at state {a} of "
+                f"weight {self.weight_of[a]}, roots i={i + 1}, j={j + 1}"
+            )
+
+        # Serre: the terms are homogeneous in F_i and F_j, so the int
+        # tables give the relation times D_i^n D_j
+        for i, j in product(roots, roots):
+            n = 1 - A[j][i]
+            if i == j or (n == 1 and j < i):  # F_i, F_j commute: once
+                continue
+            di, dj = lows[i][1], lows[j][1]
+            signed = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+            drop = tuple(n * x + y for x, y in zip(A[i], A[j]))
+            for w, labs in at.items():
+                if _vsub(w, drop) not in at:  # every term would be zero
+                    continue
+                for a in labs:
+                    acc, x = {}, {a: 1}
+                    for k in range(n + 1):  # x = F_i^k a
+                        y = _apply(dj, x)
+                        for _ in range(n - k):
+                            y = _apply(di, y)
+                        for t, c in y.items():
+                            acc[t] = acc.get(t, 0) + signed[k] * c
+                        x = _apply(di, x)
+                    if any(acc.values()):
+                        fail("the Serre relation", a, i, j)
+
+        blocks = {}  # weight -> (gamma, {state: {b: Gram entry times gamma}})
+        inverses = {}  # weight -> (its states, M, delta)
+        raising = {}  # (i, weight) -> (c, {state a: E_i a times c, ints})
+
+        def raise_block(i, w):
+            got = raising.get((i, w))
+            if got is not None:
+                return got
+            if w is None or up[w][i] is None:
+                got = raising[i, w] = (1, {})
+                return got
+            if w not in blocks:
+                g, rows = _scaled_ints({b: rf.gram[b] for b in at[w]})
+                blocks[w] = (g, {b: dict(row) for b, row in rows.items()})
+            gw, rows_w = blocks[w]
+            if up[w][i] not in inverses:
+                inverses[up[w][i]] = self._gram_inverse(rf, up[w][i])
+            ups, m, delta = inverses[up[w][i]]
+            d, low = lows[i]
+            vecs = {}
+            for a in at[w]:
+                row_a = rows_w[a]
+                # u_int = d*gw*u, so E_i a = M.u_int/(delta*d*gw)
+                u = [sum(q * row_a.get(t, 0) for t, q in low.get(g, ()))
+                     for g in ups]
+                vecs[a] = {
+                    g: e for g, mrow in zip(ups, m)
+                    if (e := sum(mx * y for mx, y in zip(mrow, u) if y))}
+            got = raising[i, w] = (delta * d * gw, vecs)
+            return got
+
+        # E_i F_j a - F_j E_i a - delta_ij w_i a, times D_j*c(w-alpha_j)*c(w)
+        for w, labs in at.items():
+            for i, j in product(roots, roots):
+                if i != j and down[w][j] is None and up[w][i] is None:
+                    continue  # F_j a == 0 and E_i a == 0
+                dj, lowj = lows[j]
+                cw, ew = raise_block(i, w)
+                cd, ed = raise_block(i, down[w][j])
+                diag = w[i] * dj * cd * cw if i == j else 0
+                for a in labs:
+                    acc = {a: -diag} if diag else {}
+                    for t, q in lowj.get(a, ()):
+                        for g, e in ed.get(t, {}).items():
+                            acc[g] = acc.get(g, 0) + cw * q * e
+                    for g, e in ew.get(a, {}).items():
+                        for t, q in lowj.get(g, ()):
+                            acc[t] = acc.get(t, 0) - cd * e * q
+                    if any(acc.values()):
+                        fail("E_i F_j - F_j E_i == delta_ij w_i", a, i, j)
 
     def _gram_inverse(self, rf, weight):
         """(ups, M, delta) for the weight block: its states and the inverse

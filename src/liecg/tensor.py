@@ -18,6 +18,18 @@ the irrep under it level by level, dropping states that are linearly
 dependent, in a fixed deterministic order.  decompose builds every planned
 irrep; multitensor.otimes builds only the one it selects (_select).
 
+The descent lowers a state only into a weight whose Freudenthal
+multiplicity is not yet reached.  It so keeps at most min(true, Freudenthal)
+states at each weight, and the checks that each weight holds its
+Freudenthal multiplicity and that the total is the Weyl dimension, a
+formula of its own, still verify Freudenthal in full: the kept states are
+independent vectors of the true weight spaces, so the true multiplicities,
+which sum to the Weyl dimension, equal the kept ones.  This rests on its
+inputs: the start must be a highest-weight vector (a given state is
+checked to lie in the raising kernel) and the factors a representation
+(generic and prepared irreps are by construction, and a file's irrep
+passes Irrep.check_representation before its first product).
+
 All of this runs over the integers, with rationals only as one scale per
 state and in the final coordinates.  Each factor holds its rational form
 (Irrep.rational_form): in the basis u_a = sqrt(r_a) e_a, with r_a the
@@ -320,15 +332,30 @@ class ProductIrrep:
 
     def _start(self, l: Irrep, r: Irrep):
         """Read the given FieldElem highest-weight state as a primitive
-        integer vector times the radical of the irrep."""
-        product_weight(self._hw_state, l, r)  # refuses zero and mixed states
-        parts = _split(self._hw_state, l.rational_form().r, r.rational_form().r)
+        integer vector times the radical of the irrep, and check that every
+        raising operator kills it: that it is Gram-orthogonal to E_-i of
+        every basis pair at w + alpha_i, for every root i."""
+        # refuses zero and mixed states
+        w = product_weight(self._hw_state, l, r)
+        fl, fr = l.rational_form(), r.rational_form()
+        parts = _split(self._hw_state, fl.r, fr.r)
         if len(parts) != 1:
             raise ConsistencyError(
-                f"{l.algebra.name}: the highest-weight state is not one "
+                f"{_product_name(l, r)}: the highest-weight state is not one "
                 "radical times a rational vector"
             )
         ((f, (v, c)),) = parts.items()
+        _, gram_l, gram_r = _int_gram(fl, fr)
+        for i, ((_, low_l, low_r), row) in enumerate(
+                zip(_int_tables(fl, fr), cartan(l.algebra)), 1):
+            for ab in _basis_pairs(l, r, _vadd(w, row)):
+                low = _lower({ab: 1}, low_l, low_r)
+                if low and _scp(low, v, gram_l, gram_r):
+                    raise ConsistencyError(
+                        f"{_product_name(l, r)}: the given state at weight "
+                        f"{w} is not a highest-weight vector: raising it by "
+                        f"root {i} does not give zero"
+                    )
         self._hw_vec, self._scale = v, (f, c)
 
     def _state(self, state) -> ProductState:
@@ -369,45 +396,67 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     Candidates are generated lowering each state of the current level by
     each simple root, in (state order, root index) order; a candidate is
     kept iff it is linearly independent of the states already kept at its
-    weight.  The total count must come out at the Weyl dimension.  A kept
-    candidate D_i*E v of content g, lowered from the state (v, sigma), is
-    stored as its primitive vector with scale sigma*g/D_i.
+    weight.  A kept candidate D_i*E v of content g, lowered from the state
+    (v, sigma), is stored as its primitive vector with scale sigma*g/D_i.
+
+    The descent is capped by Freudenthal's multiplicities: a state is
+    lowered only into a weight of the irrep that still has room, a weight
+    of multiplicity 1 keeps its first nonzero candidate without an
+    elimination, and a weight's elimination is dropped once it is full.
+    From a highest-weight vector of a representation this keeps the same
+    states as the uncapped descent: a full weight admits no further
+    independent vector, and a weight outside the irrep gets zero.  Every
+    weight of the irrep must then hold its multiplicity (one never reached
+    holds 0), and the total must be the Weyl dimension; with at most
+    min(true, Freudenthal) states kept per weight, the two checks verify
+    Freudenthal in full (module docstring).  A given start state is
+    checked to lie in the raising kernel (ProductIrrep._start).
     """
     la = l.algebra
-    A = cartan(la)
     fl, fr = l.rational_form(), r.rational_form()
     if p._hw_vec is None:
         p._start(l, r)
     top = (p._hw_vec, 1)
     hw = _pairs_weight(p._hw_vec, l, r)
-    target = weyl_dim(la, hw)
     recs = freudenthal(la, hw)
     mult = {rec.dynkin: rec.degeneracy for rec in recs}
-    lows = [(*t, row) for t, row in zip(_int_tables(fl, fr), A)]
+    room = dict(mult)  # weight -> states it still lacks
+    room[hw] -= 1
+    # weight -> (D_i, low_l, low_r, w - alpha_i) for the children in mult
+    lows = list(zip(_int_tables(fl, fr), cartan(la)))
+    children = {
+        w: [(*t, w2) for t, row in lows if (w2 := _vsub(w, row)) in mult]
+        for w in mult}
     levels = [[top]]
     p.weights = [[hw]]
     by_weight = {hw: [top]}
-    reducers = {hw: _Reducer()}
-    reducers[hw].add(p._hw_vec)
+    reducers = {}  # weight of multiplicity > 1 that is not yet full
     count = 1
     cur_states, cur_weights = levels[0], p.weights[0]
     while True:
         nxt_states, nxt_weights = [], []
         for (s, sigma), w in zip(cur_states, cur_weights):
-            for d, low_l, low_r, row in lows:
+            for d, low_l, low_r, w2 in children[w]:
+                left = room[w2]
+                if not left:
+                    continue
                 low = _lower(s, low_l, low_r)
                 if not low:
                     continue
-                w2 = _vsub(w, row)
-                red = reducers.get(w2)
-                if red is None:
-                    red = reducers[w2] = _Reducer()
-                if red.add(low) is None:
-                    low, _, g = _integral(low)
-                    state = (low, sigma * g if d == 1 else sigma * Fraction(g, d))
-                    nxt_states.append(state)
-                    nxt_weights.append(w2)
-                    by_weight.setdefault(w2, []).append(state)
+                if mult[w2] > 1:
+                    red = reducers.get(w2)
+                    if red is None:
+                        red = reducers[w2] = _Reducer()
+                    if red.add(low) is not None:
+                        continue
+                    if left == 1:
+                        del reducers[w2]
+                room[w2] = left - 1
+                low, _, g = _integral(low)
+                state = (low, sigma * g if d == 1 else sigma * Fraction(g, d))
+                nxt_states.append(state)
+                nxt_weights.append(w2)
+                by_weight.setdefault(w2, []).append(state)
         if not nxt_states:
             break
         levels.append(nxt_states)
@@ -419,17 +468,18 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     p.descent = {rec.dynkin: rec.descent for rec in recs}
     p._levels, p._by_weight = levels, by_weight
     p._terms = _coefficients(p._scale[0], fl.r, fr.r)
+    for w, m in mult.items():
+        if room[w]:
+            raise ConsistencyError(
+                f"{_product_name(l, r)}: irrep {hw}: weight {w} holds "
+                f"{m - room[w]} states, multiplicity is {m}"
+            )
+    target = weyl_dim(la, hw)
     if count != target:
         raise ConsistencyError(
-            f"descent of {la.name} {hw} produced {count} states, "
-            f"Weyl dimension is {target}"
+            f"{_product_name(l, r)}: descent of irrep {hw} produced {count} "
+            f"states, Weyl dimension is {target}"
         )
-    for w, states in by_weight.items():
-        if len(states) != mult.get(w, 0):
-            raise ConsistencyError(
-                f"{la.name} irrep {hw}: weight {w} holds {len(states)} "
-                f"states, multiplicity is {mult.get(w, 0)}"
-            )
     return p
 
 
@@ -453,10 +503,10 @@ class Decomposition:
         )
 
 
-def _basis_pairs(d: Decomposition, w) -> list:
+def _basis_pairs(l: Irrep, r: Irrep, w) -> list:
     pairs = []
-    for wa, la_labels in d.left.labels_by_weight.items():
-        rb_labels = d.right.labels_by_weight.get(_vsub(w, wa))
+    for wa, la_labels in l.labels_by_weight.items():
+        rb_labels = r.labels_by_weight.get(_vsub(w, wa))
         if rb_labels:
             pairs.extend((a, b) for a in la_labels for b in rb_labels)
     pairs.sort()
@@ -466,7 +516,7 @@ def _basis_pairs(d: Decomposition, w) -> list:
 def basis_product(d: Decomposition, w) -> list:
     """All ket pairs of summed weight w, each as a singleton state,
     ordered by (left label, right label)."""
-    return [LabeledVector.unit(pr) for pr in _basis_pairs(d, w)]
+    return [LabeledVector.unit(pr) for pr in _basis_pairs(d.left, d.right, w)]
 
 
 def _tup(w):
@@ -537,11 +587,11 @@ def _hw_irreps(d: Decomposition, w, n):
     e, gram_l, gram_r = _int_gram(fl, fr)
     red = _Reducer()
     for (_, low_l, low_r), row in zip(_int_tables(fl, fr), cartan(l.algebra)):
-        for ab in _basis_pairs(d, _vadd(w, row)):
+        for ab in _basis_pairs(l, r, _vadd(w, row)):
             low = _lower({ab: 1}, low_l, low_r)
             if low:
                 red.add(_gram_apply(low, gram_l, gram_r))
-    labels = _basis_pairs(d, w)
+    labels = _basis_pairs(l, r, w)
     for _ in range(n):
         x = red.null_vector(labels)
         if x is None:
@@ -598,17 +648,19 @@ def _ket_str(k: Ket) -> str:
 
 def result(d: Decomposition) -> str:
     """Decomposition summary, one "(dynkin)dim" line per irrep."""
+    return _result_text(d.left, d.right, [(p.hw, p.dim) for p in d.found])
+
+
+def _result_text(l: Irrep, r: Irrep, irreps) -> str:
+    """The summary of result for the (highest weight, dim) pairs irreps."""
     lines = []
-    if d.found and check_dims(d):
+    if irreps and sum(n for _, n in irreps) == l.dim * r.dim:
         lines.append("Dimensions match.")
         lines.append("Clebsch-Gordan decomposition successfully done!")
-    la = d.left.algebra
     lines.append(
-        f"{la.name}: {_wstr(d.left.hw)}{d.left.dim} x "
-        f"{_wstr(d.right.hw)}{d.right.dim} = "
+        f"{l.algebra.name}: {_wstr(l.hw)}{l.dim} x {_wstr(r.hw)}{r.dim} = "
     )
-    for p in d.found:
-        lines.append(_wstr(p.hw) + str(p.dim))
+    lines.extend(_wstr(w) + str(n) for w, n in irreps)
     return "\n".join(lines)
 
 

@@ -18,7 +18,9 @@ fraction_prepare is the prepare that ran on the integer states but formed
 its entries in Fractions, c*f*sign_k and then _scaled_form's q*k_t/k_a;
 fraction_check_consistency is the string sum rule summed in Fractions
 over the rational form, with G^-1.u from a tracking _Reducer per (state,
-root).
+root).  uncapped_descent is the integer descent as it ran before it was
+capped by Freudenthal's multiplicities: every state lowered by every root,
+every candidate tried against its weight's elimination.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ from math import gcd
 from liecg.exactnum import FieldElem, _sqrt, _square_free
 from liecg.irrep import Irrep, Ket, RationalForm
 from liecg.liealg import ConsistencyError, cartan, level_vector
-from liecg.linalg import LabeledVector, _Reducer
+from liecg.linalg import LabeledVector, _integral, _Reducer
 from liecg.tensor import (
     _basis_pairs,
     _gram_apply,
@@ -228,6 +230,38 @@ def fraction_lower(v, low_l, low_r):
     return out
 
 
+def uncapped_descent(hw_vec, l, r):
+    """The descent before it was capped by Freudenthal's multiplicities,
+    from the primitive integer highest-weight vector hw_vec: every state is
+    lowered by every root, and a candidate is kept iff a _Reducer at its
+    weight finds it independent of the states kept there.  Returns the
+    (v, sigma) states level by level and their weights."""
+    A = cartan(l.algebra)
+    fl, fr = l.rational_form(), r.rational_form()
+    hw = _pairs_weight(hw_vec, l, r)
+    lows = [(*t, row) for t, row in zip(_int_tables(fl, fr), A)]
+    levels, weights = [[(hw_vec, 1)]], [[hw]]
+    reducers = {hw: _Reducer()}
+    reducers[hw].add(hw_vec)
+    while True:
+        nxt_states, nxt_weights = [], []
+        for (s, sigma), w in zip(levels[-1], weights[-1]):
+            for d, low_l, low_r, row in lows:
+                low = _lower(s, low_l, low_r)
+                if not low:
+                    continue
+                w2 = _vsub(w, row)
+                red = reducers.setdefault(w2, _Reducer())
+                if red.add(low) is None:
+                    low, _, g = _integral(low)
+                    nxt_states.append((low, sigma * Fraction(g, d)))
+                    nxt_weights.append(w2)
+        if not nxt_states:
+            return levels, weights
+        levels.append(nxt_states)
+        weights.append(nxt_weights)
+
+
 class OracleIrrep:
     """One irrep of the product: the exact rational vectors of its states
     and the scale rho = k*sqrt(f) shared by all of them."""
@@ -311,7 +345,7 @@ def oracle_decompose(d):
         for p in found:
             for v in p.by_weight.get(w, ()):
                 red.add(_gram_apply(v, fl.gram, fr.gram))
-        y = fraction_integral(red.null_vector(_basis_pairs(d, w)))[0]
+        y = fraction_integral(red.null_vector(_basis_pairs(l, r, w)))[0]
         if y[min(y)] < 0:
             y = {k: -c for k, c in y.items()}
         norm = _scp(y, y, fl.gram, fr.gram)

@@ -160,6 +160,36 @@ def test_dump_singlet_formats(capsys, tmp_path):
     assert "Sqrt[3]/3" in mma.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_dump_singlet_descends_only_the_singlet(capsys, tmp_path, monkeypatch,
+                                                fmt):
+    # the result comes from the plan; of E6 27 x 27bar = 650 + 78 + 1 only
+    # the singlet is searched and descended
+    from liecg import tensor
+
+    path = tmp_path / "s.txt"
+    rc, want, _ = run(capsys, "-e6", "--decompose", "100000x000010",
+                      "--format", fmt, "--dump-singlet", str(path))
+    assert rc == 0
+    singlet = path.read_bytes()
+    descended = []
+    real = tensor.descend_irrep
+    monkeypatch.setattr(tensor, "descend_irrep",
+                        lambda p, l, r: descended.append(p) or real(p, l, r))
+    monkeypatch.setattr(cli, "decompose", refuse_decompose)
+    rc, out, _ = run(capsys, "-e6", "--decompose", "100000x000010",
+                     "--format", fmt, "--dump-singlet", str(path))
+    assert rc == 0 and out == want and path.read_bytes() == singlet
+    assert [(p.hw, p.dim) for p in descended] == [((0,) * 6, 1)]
+    monkeypatch.undo()
+    # the same lines as the full decomposition prints, and with --dump the
+    # same singlet file
+    rc, full, _ = run(capsys, "-e6", "--decompose", "100000x000010",
+                      "--format", fmt, "--dump", str(tmp_path / "all"),
+                      "--dump-singlet", str(path))
+    assert rc == 0 and full == want and path.read_bytes() == singlet
+
+
 def refuse_decompose(d):
     raise AssertionError("decompose ran before the arguments were checked")
 
@@ -548,6 +578,96 @@ def test_dump_goldens(capsys, tmp_path, monkeypatch):
         ]
         assert got == want, name
         assert not (tmp_path / name / f"irrep_{len(want) + 1}.json").exists()
+
+
+def test_dump_goldens_are_representations(capsys, tmp_path, monkeypatch):
+    # the check an imported factor gets before its first product passes on
+    # every irrep of the golden dumps
+    monkeypatch.chdir(tmp_path)
+    for name, (spec, want) in DUMP_GOLDENS.items():
+        g2 = name.startswith("g2")
+        la = LieAlgebra("G2", 2) if g2 else LieAlgebra("A", 2)
+        algebra = ["-g2"] if g2 else ["-su", "3"]
+        rc, _, _ = run(capsys, *algebra, "--decompose", spec, "--dump", name)
+        assert rc == 0
+        for k in range(1, len(want) + 1):
+            r = cli._import_irrep(la, f"{name}/irrep_{k}.json")
+            r.check_representation()
+
+
+@pytest.fixture
+def flipped_octet(capsys, tmp_path):
+    """The octet of SU(3) 8 x 8 (irrep 4 of its dump) with the sign of the
+    root-1 lowering of state 6 flipped.  The file keeps a rational form and
+    passes the sum rule of --import, but is not a representation; before
+    the descent was capped, its products overflowed a weight."""
+    rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
+                   "--dump", str(tmp_path / "octets"))
+    assert rc == 0
+    doc = json.loads((tmp_path / "octets" / "irrep_4.json").read_text())
+    for entry in doc["lowering"]:
+        if entry[:2] == [6, 1]:
+            entry[2] = [[c[1:] if c.startswith("-") else "-" + c, t]
+                        for c, t in entry[2]]
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(doc, indent=1))
+    return path
+
+
+FLIP_ERROR = ("SU(3) irrep (1, 1): the Serre relation fails at state 2 of "
+              "weight (2, -1), roots i=1, j=2")
+
+
+def test_flipped_octet_passes_import(capsys, flipped_octet):
+    rc, out, _ = run(capsys, "-su", "3", "--import", str(flipped_octet))
+    assert rc == 0 and "Consistency   :   OK" in out
+
+
+@pytest.mark.parametrize("spec", ["@F x 10", "@F x 11", "11 x @F", "@F x @F"])
+def test_flipped_octet_factor_is_refused(capsys, flipped_octet, spec):
+    rc, out, err = run(capsys, "-su", "3", "--decompose",
+                       spec.replace("F", str(flipped_octet)))
+    assert rc == 2 and out == ""
+    assert f"lie: internal inconsistency: {flipped_octet}: {FLIP_ERROR}" in err
+
+
+def test_script_checks_an_imported_factor_at_its_first_product(
+        capsys, tmp_path, flipped_octet):
+    # listing the file's states takes no product and needs no check
+    script = tmp_path / "flip.lie"
+    lines = ["algebra su 3", f"import f {flipped_octet}", "states f"]
+    script.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run(capsys, "--script", str(script))
+    assert rc == 0 and out.startswith('[(1, "(1,1,)1")')
+    lines += ["irrep r8 11", "wrap t8 r8", "wrap tf f", "otimes p t8 tf 1"]
+    script.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, "--script", str(script))
+    assert rc == 2
+    assert f"lie: internal inconsistency: {flipped_octet}: {FLIP_ERROR}" in err
+
+
+def test_imported_factor_is_checked_once(capsys, tmp_path, monkeypatch):
+    from liecg.irrep import Irrep
+
+    rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
+                   "--dump", str(tmp_path))
+    assert rc == 0
+    checked = []
+    real = Irrep.check_representation
+    monkeypatch.setattr(Irrep, "check_representation",
+                        lambda self: checked.append(self) or real(self))
+    path = tmp_path / "irrep_4.json"
+    for spec, n in ((f"@{path} x @{path}", 1), (f"@{path} x 11", 1),
+                    ("11 x 11", 0)):
+        checked.clear()
+        assert run(capsys, "-su", "3", "--decompose", spec)[0] == 0
+        assert len(checked) == n, spec
+    script = tmp_path / "s.lie"
+    script.write_text(f"algebra su 3\nimport f {path}\nwrap t f\n"
+                      "otimes p t t 1\notimes q t t 2\n")
+    checked.clear()
+    assert run(capsys, "--script", str(script))[0] == 0
+    assert len(checked) == 1
 
 
 # sha256 of every states_K file of the G2 14 x 14 dump, K = 1..5, per

@@ -10,7 +10,8 @@ reading the FieldElem tables of the dumped data the way the old
 Both must give the same verdict on every prepared irrep and on seeded
 mutations of dumped tables.  On the mutations the integer sweep must also
 raise the message of the Fraction sweep it replaced
-(tests/fraction_oracle.py), at the same first violation.
+(tests/fraction_oracle.py), at the same first violation, and
+`Irrep.check_representation` must refuse every one of them.
 """
 
 import os
@@ -361,6 +362,24 @@ def test_sweeps_agree_on_mutations(case, hw, seed):
     # the mutations are seen: most are refused (a sign flip can pass, as
     # the sum rule does not see every phase)
     assert verdicts.count(False) >= 20
+
+
+def test_representation_check_refuses_every_mutation():
+    # the defining relations see what the sum rule, their diagonal, misses:
+    # of the 160 mutations the sum rule passes 6 (sign flips), the
+    # representation check none; the unmutated tables pass both
+    passed_sum_rule = 0
+    for case, hw, seed in MUTATED:
+        la = PRODUCTS[case][0]
+        data = next(data for h, data in dumps(case) if h == hw)
+        new_imported_irrep(la, data).check_representation()
+        rng = random.Random(seed)
+        for _ in range(40):
+            imp = new_imported_irrep(la, _mutated(data, rng))
+            passed_sum_rule += sweep_message(integer_sweep, imp) is None
+            with pytest.raises(ConsistencyError):
+                imp.check_representation()
+    assert passed_sum_rule == 6
 
 
 def test_zero_block_overlap_of_one():

@@ -38,6 +38,7 @@ from fraction_oracle import (  # noqa: E402
     oracle_prepare,
     oracle_product_lower,
     oracle_product_scp,
+    uncapped_descent,
 )
 
 A2 = LieAlgebra("A", 2)
@@ -248,3 +249,53 @@ def test_hot_path_holds_only_ints(monkeypatch):
         assert type(delta) is int and delta > 0
         assert len(m) == len(ups)
         assert all(type(x) is int for row in m for x in row)
+
+
+# (family, rank, left, right): all nine families; A2 8x8, A3 15x15, B2
+# 16x16, D4 56x56 and G2 27x27 have outer multiplicity 2
+CAP_CASES = [
+    ("A", 1, (3,), (2,)),
+    ("A", 2, (1, 1), (1, 1)),
+    ("A", 3, (1, 0, 1), (1, 0, 1)),
+    ("B", 2, (1, 1), (1, 1)),
+    ("B", 3, (0, 0, 1), (1, 0, 1)),
+    ("C", 2, (1, 1), (0, 1)),
+    ("C", 3, (0, 1, 0), (0, 1, 0)),
+    ("D", 4, (1, 0, 1, 0), (1, 0, 0, 1)),
+    ("D", 5, (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+    ("G2", 2, (2, 0), (2, 0)),
+    ("F4", 4, (0, 0, 0, 1), (0, 0, 0, 1)),
+    ("E6", 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+    ("E7", 7, (0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1, 0)),
+]
+
+
+def assert_capped_equals_uncapped(l, r):
+    d = Decomposition(l, r)
+    decompose(d)
+    for p in d.found:
+        levels, weights = uncapped_descent(p._hw_vec, l, r)
+        assert p._levels == levels, p.hw
+        assert p.weights == weights, p.hw
+
+
+@pytest.mark.parametrize(
+    "fam, rank, left, right", CAP_CASES,
+    ids=[f"{f if len(f) > 1 else f + str(n)}-"
+         f"{''.join(map(str, a))}x{''.join(map(str, b))}"
+         for f, n, a, b in CAP_CASES],
+)
+def test_capped_descent_keeps_the_uncapped_states(fam, rank, left, right):
+    # the cap only skips candidates that the elimination would have found
+    # dependent (a full weight) or that lower to zero (a weight outside
+    # the irrep): every kept (v, sigma), in order, is the uncapped one's
+    la = LieAlgebra(fam, rank)
+    assert_capped_equals_uncapped(new_generic_irrep(la, left),
+                                  new_generic_irrep(la, right))
+
+
+def test_capped_descent_keeps_the_uncapped_states_of_su3_27_squared():
+    # the degenerate 27 x 27: 19 irreps, outer multiplicities up to 3, and
+    # fractional factor tables
+    l, r = factors("su3-27x27")
+    assert_capped_equals_uncapped(l, r)

@@ -188,6 +188,45 @@ def test_sum_rule_detects_corruption():
         r.check_consistency()
 
 
+@pytest.mark.parametrize("la,hw", CONSISTENCY_CASES)
+def test_generic_irreps_are_representations(la, hw):
+    new_generic_irrep(la, hw).check_representation()
+
+
+def test_prepared_irreps_are_representations():
+    # every irrep of the G2 adjoint squared and of the SU(3) octet squared:
+    # sqrt(2), sqrt(3) classes, fractional entries, degenerate blocks
+    for adj in (new_generic_irrep(G2, (0, 1)), new_generic_irrep(A2, (1, 1))):
+        d = Decomposition(adj, adj)
+        decompose(d)
+        for p in d.found:
+            prepare_with_states(p, adj, adj)[0].check_representation()
+
+
+def test_representation_check_refuses_a_scaled_entry():
+    # SU(2) has no Serre relation: the commutator catches the doubled entry
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A1, (2,)))
+    terms = tuple((c * field(2), t) for c, t in data.lowering[(1, 2)])
+    r = _corrupted(data, lowering={(1, 2): terms})
+    with pytest.raises(ConsistencyError) as exc:
+        r.check_representation()
+    assert str(exc.value) == (
+        "SU(2) irrep (2,): E_i F_j - F_j E_i == delta_ij w_i fails at state 2 "
+        "of weight (0,), roots i=1, j=1"
+    )
+
+
+def test_representation_check_refuses_what_the_sum_rule_passes():
+    # the octet with one lowering sign flipped keeps every norm, so the
+    # sum rule holds; the defining relations do not
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
+    terms = tuple((-c, t) for c, t in data.lowering[(1, 6)])
+    r = _corrupted(data, lowering={(1, 6): terms})
+    r.check_consistency()
+    with pytest.raises(ConsistencyError, match="Serre relation fails"):
+        r.check_representation()
+
+
 def test_sum_rule_error_names_where():
     data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
     r = _corrupted(data, scp={(4, 5): ONE})

@@ -437,6 +437,98 @@ def test_descent_multiplicity_error_names_algebra_and_irrep(su3_pair, monkeypatc
     assert "SU(3)" in msg and "(1, 1)" in msg
 
 
+def test_descent_errors_name_the_product(su3_pair, monkeypatch):
+    def shifted(la, hw):
+        moved = {(1, 1): 2, (0, 0): 1}
+        return [
+            replace(rec, degeneracy=moved.get(rec.dynkin, rec.degeneracy))
+            for rec in freudenthal(la, hw)
+        ]
+
+    monkeypatch.setattr(tensor, "freudenthal", shifted)
+    l, r = su3_pair
+    with pytest.raises(ConsistencyError) as exc:
+        descend_irrep(ProductIrrep(unit((1, 1))), l, r)
+    # the per-weight check runs first, over every weight, the highest too
+    assert str(exc.value) == (
+        "SU(3) (1,0) x (0,1): irrep (1, 1): weight (1, 1) holds 1 states, "
+        "multiplicity is 2"
+    )
+
+
+def test_descent_reports_a_weight_it_never_reached(su3_pair, monkeypatch):
+    # Freudenthal without the octet's zero weight: nothing lowers into
+    # (0,0), so (1,-2) and (-2,1), reached only through it, stay empty
+    def dropped(la, hw):
+        return [rec for rec in freudenthal(la, hw) if rec.dynkin != (0, 0)]
+
+    monkeypatch.setattr(tensor, "freudenthal", dropped)
+    l, r = su3_pair
+    with pytest.raises(ConsistencyError) as exc:
+        descend_irrep(ProductIrrep(unit((1, 1))), l, r)
+    assert str(exc.value) == (
+        "SU(3) (1,0) x (0,1): irrep (1, 1): weight (1, -2) holds 0 states, "
+        "multiplicity is 1"
+    )
+
+
+def test_descent_weyl_total_names_the_product(su3_pair, monkeypatch):
+    # every weight holds its claimed multiplicity, one fewer than the true
+    # one at (0,0): only the Weyl dimension, a formula of its own, catches it
+    def short(la, hw):
+        return [replace(rec, degeneracy=1) if rec.dynkin == (0, 0) else rec
+                for rec in freudenthal(la, hw)]
+
+    monkeypatch.setattr(tensor, "freudenthal", short)
+    l, r = su3_pair
+    with pytest.raises(ConsistencyError) as exc:
+        descend_irrep(ProductIrrep(unit((1, 1))), l, r)
+    assert str(exc.value) == (
+        "SU(3) (1,0) x (0,1): descent of irrep (1, 1) produced 7 states, "
+        "Weyl dimension is 8"
+    )
+
+
+def test_start_outside_the_raising_kernel_names_the_product(su3_pair):
+    # the zero-weight state F_2 F_1 of the triplet pair: before the cap,
+    # its descent overflowed; now the raising kernel refuses it up front
+    l, r = su3_pair
+    z1 = product_lower(product_lower(unit((1, 1)), 1, l, r), 2, l, r)
+    with pytest.raises(ConsistencyError) as exc:
+        descend_irrep(ProductIrrep(z1), l, r)
+    assert str(exc.value) == (
+        "SU(3) (1,0) x (0,1): the given state at weight (0, 0) is not a "
+        "highest-weight vector: raising it by root 1 does not give zero"
+    )
+    # the singlet, a true highest-weight vector at the same weight, passes
+    d = Decomposition(l, r)
+    decompose(d)
+    p = descend_irrep(ProductIrrep(d.found[1].hw_state), l, r)
+    assert (p.hw, p.dim) == ((0, 0), 1)
+
+
+def test_descent_skips_full_and_outside_weights(monkeypatch):
+    # the 27 of SU(3) 8 x 8: the uncapped descent lowered each of its 27
+    # states by both roots, 54 candidates; the capped one lowers a state
+    # only into a weight with room, so one candidate per kept state below
+    # the top plus the few found dependent before a degenerate weight fills
+    calls = {"lower": 0}
+    real = tensor._lower
+
+    def counting(*args):
+        calls["lower"] += 1
+        return real(*args)
+
+    oc = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(oc, oc)
+    decompose(d)
+    monkeypatch.setattr(tensor, "_lower", counting)
+    p = descend_irrep(ProductIrrep._from_vector(d.found[0]._hw_vec, (1, 1)),
+                      oc, oc)
+    assert p.dim == 27
+    assert 26 <= calls["lower"] < 54
+
+
 def test_prepared_g2_adjoint_consistency():
     v7 = new_generic_irrep(G2, (1, 0))
     d = Decomposition(v7, v7)
