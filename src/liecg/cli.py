@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain
 
 from .exactnum import FieldSqrtError, _render_terms, field_sqrt, parse_field
 from .linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
@@ -25,7 +26,7 @@ from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
-    _json_text,
+    _json_chunks,
     new_generic_irrep,
     new_imported_irrep,
 )
@@ -34,13 +35,13 @@ from .tensor import (
     DecompositionError,
     _ket_str,
     _plan,
+    _render_chunks,
     _result_text,
     _select,
     _state_terms,
     _tup,
     decompose,
     prepare,
-    render_states,
 )
 from . import multitensor as mt
 
@@ -70,49 +71,64 @@ def _hdr(key, val):
 _RULE = "=" * 34
 
 
-def weight_listing(la, hw):
-    """The per-irrep weight table, one line per weight."""
-    lines = [
+def _listing_lines(la, hw):
+    """The lines of weight_listing, formed as they are read; freudenthal
+    and weyl_dim run before the first."""
+    records = freudenthal(la, hw)
+    head = [
         _hdr("Lie algebra", la.name),
         _RULE,
         _hdr("Highest weight", _tup(hw)),
         _hdr("Dim. of irrep", weyl_dim(la, hw)),
         _RULE,
     ]
-    idx = 1
-    for rec in freudenthal(la, hw):
-        lines.append(
-            f"{idx}, Lev:{rec.level}, Deg:{rec.degeneracy}  "
-            f"{_tup(rec.dynkin)},{rec.lowest_root_label}  {_tup(rec.descent)}"
-        )
-        idx += rec.degeneracy
-    return "\n".join(lines)
+
+    def lines():
+        yield from head
+        idx = 1
+        for rec in records:
+            yield (f"{idx}, Lev:{rec.level}, Deg:{rec.degeneracy}  "
+                   f"{_tup(rec.dynkin)},{rec.lowest_root_label}  {_tup(rec.descent)}")
+            idx += rec.degeneracy
+
+    return lines()
 
 
-def weights_to_json(la, hw):
-    recs = [
-        {
-            "label": None,
-            "level": r.level,
-            "deg": r.degeneracy,
-            "dynkin": list(r.dynkin),
-            "lowest_root": r.lowest_root_label,
-            "descent": list(r.descent),
-        }
-        for r in freudenthal(la, hw)
-    ]
-    idx = 1
-    for r in recs:
-        r["label"] = idx
-        idx += r["deg"]
-    doc = {
+def weight_listing(la, hw):
+    """The per-irrep weight table, one line per weight."""
+    return "\n".join(_listing_lines(la, hw))
+
+
+def _weights_doc(la, hw):
+    """The document of weights_to_json, its "weights" an iterator that forms
+    one record at a time with its running label; freudenthal and weyl_dim
+    run before the first."""
+    records = freudenthal(la, hw)
+
+    def weights():
+        idx = 1
+        for r in records:
+            yield {
+                "label": idx,
+                "level": r.level,
+                "deg": r.degeneracy,
+                "dynkin": list(r.dynkin),
+                "lowest_root": r.lowest_root_label,
+                "descent": list(r.descent),
+            }
+            idx += r.degeneracy
+
+    return {
         "algebra": {"family": la.family, "rank": la.rank},
         "name": la.name,
         "highest_weight": list(hw),
         "dim": weyl_dim(la, hw),
-        "weights": recs,
+        "weights": weights(),
     }
-    return _json_text(doc)
+
+
+def weights_to_json(la, hw):
+    return "".join(_json_chunks(_weights_doc(la, hw)))
 
 
 def weights_from_json(s):
@@ -122,15 +138,17 @@ def weights_from_json(s):
     return la, tuple(doc["highest_weight"]), doc["weights"]
 
 
-def states_to_json(p, l, r):
-    """CG coefficient table of one product irrep as JSON text."""
-    states = []
-    lab = 0
-    for lev, level in enumerate(_state_terms(p)):
-        for terms in level:
-            lab += 1
-            states.append(
-                {
+def _states_doc(p, l, r):
+    """The document of states_to_json, its "states" an iterator that renders
+    one state at a time; _state_terms checks p before the first."""
+    levels = _state_terms(p)
+
+    def states():
+        lab = 0
+        for lev, level in enumerate(levels):
+            for terms in level:
+                lab += 1
+                yield {
                     "state": lab,
                     "level": lev,
                     "terms": [
@@ -139,15 +157,19 @@ def states_to_json(p, l, r):
                         for g, n, m, a, b in terms
                     ],
                 }
-            )
-    doc = {
+
+    return {
         "algebra": {"family": l.algebra.family, "rank": l.algebra.rank},
         "left": list(l.hw),
         "right": list(r.hw),
         "irrep": {"dynkin": list(p.hw), "dim": p.dim},
-        "states": states,
+        "states": states(),
     }
-    return _json_text(doc)
+
+
+def states_to_json(p, l, r):
+    """CG coefficient table of one product irrep as JSON text."""
+    return "".join(_json_chunks(_states_doc(p, l, r)))
 
 
 def states_from_json(s):
@@ -289,12 +311,18 @@ def _factor_key(la, token):
 
 # ----------------------------------------------------------------- modes
 
+def _print_json(doc):
+    """Write doc to stdout as its pieces come, then the newline print adds."""
+    sys.stdout.writelines(_json_chunks(doc))
+    sys.stdout.write("\n")
+
+
 def run_weights(la, rep, fmt):
     hw = _checked_rep(la, rep)
     if fmt == "json":
-        print(weights_to_json(la, hw))
+        _print_json(_weights_doc(la, hw))
     else:
-        print(weight_listing(la, hw))
+        sys.stdout.writelines(line + "\n" for line in _listing_lines(la, hw))
     return 0
 
 
@@ -371,39 +399,45 @@ def run_decompose(la, spec, fmt, dump_dir=None, dump_singlet=None):
             "right": {"dynkin": list(r.hw), "dim": r.dim},
             "irreps": [{"dynkin": list(w), "dim": n} for w, n in irreps],
         }
-        print(_json_text(doc))
+        _print_json(doc)
     else:
         print(_result_text(l, r, irreps))
     if dump_dir is not None:
         _dump_all(d, l, r, fmt, dump_dir)
     if dump_singlet is not None:
-        _write(dump_singlet, _states_text(singlet, l, r, fmt))
+        _write(dump_singlet, _states_chunks(singlet, l, r, fmt))
     return 0
 
 
 _EXT = {"plain": "txt", "tex": "tex", "mathematica": "m", "json": "json"}
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write the text pieces to path as they come."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e.strerror}")
 
 
-def _states_text(p, l, r, fmt):
+def _states_chunks(p, l, r, fmt):
+    """The text of a states file in pieces, ending in a newline; p is
+    checked before the first."""
     if fmt == "json":
-        return states_to_json(p, l, r) + "\n"
-    return render_states(p, l, r, fmt) + "\n"
+        chunks = _json_chunks(_states_doc(p, l, r))
+    else:
+        chunks = _render_chunks(p, l, r, fmt)
+    return chain(chunks, ("\n",))
 
 
 def _dump_all(d, l, r, fmt, dump_dir):
     for k, p in enumerate(d.found, 1):
         data = prepare(p, l, r)
-        _write(os.path.join(dump_dir, f"irrep_{k}.json"), data.to_json())
+        _write(os.path.join(dump_dir, f"irrep_{k}.json"),
+               _json_chunks(data.json_doc()))
         _write(os.path.join(dump_dir, f"states_{k}.{_EXT[fmt]}"),
-               _states_text(p, l, r, fmt))
+               _states_chunks(p, l, r, fmt))
 
 
 def _check_singlet_target(la, l, r, path):

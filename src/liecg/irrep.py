@@ -35,8 +35,10 @@ irrep passes before its first product.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, lcm
@@ -509,19 +511,26 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
     - a row independent of those kept makes the candidate the next state of
       nu; a dependent row gives the candidate's lowering coordinates.
 
-    The kept count at each weight must be Freudenthal's multiplicity.  The
-    rational form is read off these tables at the end.
+    The kept count at each weight must be Freudenthal's multiplicity.  Only
+    level L reads the raisings of level L - 1, so those are dropped when
+    level L + 1 begins; the lowering and Gram tables stay, and the rational
+    form is read off them at the end.
     """
     hw = tuple(hw)
     A = cartan(la)
     records = freudenthal(la, hw)
     kets = {1: Ket(hw, 1)}
     at = {hw: [1]}  # weight -> its states in kept order
-    up = {1: {}}  # state -> {k: E_k state as {label: q}}
+    # state -> {k: E_k state as {label: q}}, for the level above and this one
+    up_above, up = {}, {1: {}}
+    level = 0
     low = {i: {} for i in range(1, la.rank + 1)}  # i -> state -> F_i state
     gram = {1: {1: 1}}  # state -> {b: <state|b>} over its weight block
     for rec in records[1:]:
         nu = rec.dynkin
+        if rec.level != level:
+            level = rec.level
+            up_above, up = up, {}
         cands = sorted(
             (a, i) for i, row in enumerate(A, 1) for a in at.get(_vadd(nu, row), ())
         )
@@ -531,7 +540,7 @@ def new_generic_irrep(la: LieAlgebra, hw) -> Irrep:
             raised = {}  # k -> E_k F_i a = F_i E_k a + delta_ki (wt a)_i a
             for k in range(1, len(A) + 1):
                 acc = {a: kets[a].dynkin[i - 1]} if k == i else {}
-                for b, q in up[a].get(k, {}).items():
+                for b, q in up_above[a].get(k, {}).items():
                     for t, p in low[i].get(b, {}).items():
                         acc[t] = acc.get(t, 0) + q * p
                 acc = _nonzero(acc)
@@ -617,26 +626,28 @@ class ImportedIrrepData:
             },
         )
 
-    def to_json_dict(self):
+    def json_doc(self):
+        """The liecg-irrep-v1 document, its three tables as iterators that
+        form each row as the writer reaches it (irrep._json_chunks)."""
         return {
             "format": self.FORMAT,
             "algebra": {"family": self.algebra.family, "rank": self.algebra.rank},
-            "kets": [
+            "kets": (
                 [lab, list(k.dynkin), k.deg_index] for lab, k in sorted(self.kets.items())
-            ],
-            "lowering": [
+            ),
+            "lowering": (
                 [state, root, [[c.plain(), t] for c, t in terms]]
                 for (root, state), terms in sorted(
                     self.lowering.items(), key=lambda kv: (kv[0][1], kv[0][0])
                 )
-            ],
-            "scp": [
+            ),
+            "scp": (
                 [a, b, v.plain()] for (a, b), v in sorted(self.scp.items())
-            ],
+            ),
         }
 
     def to_json(self):
-        return _json_text(self.to_json_dict())
+        return "".join(_json_chunks(self.json_doc()))
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -681,21 +692,45 @@ class ImportedIrrepData:
         return cls.from_json_dict(doc)
 
 
-def _json_text(doc):
-    """The text of json.dumps(doc, indent=1), byte for byte, for a document
-    of dicts with str keys, lists, str, int and None; anything else (bool,
-    float, tuple, a non-str key) raises TypeError.  Every JSON document liecg
-    writes goes through here: before Python 3.13 json.dumps runs its
+def _json_chunks(x, nl="\n"):
+    """The text of json.dumps(x, indent=1), byte for byte, in pieces, for a
+    document of dicts with str keys, lists, str, int and None; anything else
+    (bool, float, tuple, a non-str key) raises TypeError.  Every JSON
+    document liecg writes comes from here, as "".join of the pieces or
+    written piece by piece: before Python 3.13 json.dumps runs its
     pure-Python encoder whenever it indents, while this writer joins each
-    container once and writes a list of plain ints in C."""
-    return _json_value(doc, "\n")
+    container once and writes a list of plain ints with one %-format.
+
+    A list may also be given as an iterator, outside any list: it is written
+    element by element as it is consumed, one piece per element, so a long
+    list is never held whole, neither as values nor as text."""
+    t = type(x)
+    if t is dict and x:
+        for k in x:
+            _key(k)
+        inner, sep = _indent(nl)
+        head = "{" + inner
+        for k, v in x.items():
+            yield head + _key(k)
+            yield from _json_chunks(v, inner)
+            head = sep
+        yield nl + "}"
+    elif isinstance(x, Iterator):
+        inner, sep = _indent(nl)
+        head = "[" + inner
+        for v in x:
+            yield head + _json_value(v, inner)
+            head = sep
+        yield "[]" if head[0] == "[" else nl + "]"
+    else:
+        yield _json_value(x, nl)
 
 
 _INTS = {int}
 
 
 def _json_value(x, nl):
-    """x written at the depth whose line break and indent is nl."""
+    """x written at the depth whose line break and indent is nl, joined."""
     t = type(x)
     if t is str:
         return encode_basestring_ascii(x)
@@ -703,28 +738,47 @@ def _json_value(x, nl):
         return int.__repr__(x)
     if x is None:
         return "null"
-    inner = nl + " "
-    sep = "," + inner
     if t is list:
         if not x:
             return "[]"
         # type(), not isinstance(): a bool is an int that json.dumps writes
-        # as true, which int.__repr__ would write as 1
+        # as true, which %d would write as 1
         if set(map(type, x)) == _INTS:
-            body = sep.join(map(int.__repr__, x))
-        else:
-            body = sep.join([_json_value(v, inner) for v in x])
-        return "[" + inner + body + nl + "]"
+            return _ints_format(len(x), nl) % tuple(x)
+        inner, sep = _indent(nl)
+        return "[" + inner + sep.join([_json_value(v, inner) for v in x]) + nl + "]"
     if t is dict:
         if not x:
             return "{}"
-        for k in x:
-            if type(k) is not str:
-                raise TypeError(f"JSON object key {k!r} is not a str")
-        body = sep.join([encode_basestring_ascii(k) + ": "
-                         + _json_value(v, inner) for k, v in x.items()])
+        inner, sep = _indent(nl)
+        body = sep.join([_key(k) + _json_value(v, inner) for k, v in x.items()])
         return "{" + inner + body + nl + "}"
     raise TypeError(f"cannot write {type(x).__name__} {x!r} as JSON")
+
+
+# The writer's fixed pieces, each formed once: a document nests a few levels
+# deep and has a few dozen keys and int-list lengths.
+
+@lru_cache(maxsize=None)
+def _indent(nl):
+    """The line break one level below nl, and the item separator there."""
+    inner = nl + " "
+    return inner, "," + inner
+
+
+@lru_cache(maxsize=None)
+def _key(k):
+    """The JSON text of object key k and its colon."""
+    if type(k) is not str:
+        raise TypeError(f"JSON object key {k!r} is not a str")
+    return encode_basestring_ascii(k) + ": "
+
+
+@lru_cache(maxsize=256)
+def _ints_format(n, nl):
+    """The %-format of a list of n ints written at the depth of nl."""
+    inner, sep = _indent(nl)
+    return "[" + inner + sep.join(["%d"] * n) + nl + "]"
 
 
 def _integer(x, what):

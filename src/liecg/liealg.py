@@ -105,7 +105,7 @@ class LieAlgebra:
         return self.family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightRecord:
     """One weight of an irrep: level, descent vector, Dynkin labels,
     multiplicity (0 until computed) and the Dynkin coefficient along the

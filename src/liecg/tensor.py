@@ -756,17 +756,29 @@ def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> st
     """Nested listing of all states as (coeff, (left ket, right ket)) terms,
     grouped state-by-state and level-by-level; the coefficients come from
     _state_terms."""
+    return "".join(_render_chunks(p, l, r, fmt))
+
+
+def _render_chunks(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str):
+    """The text of render_states in pieces, one per state, each rendered as
+    it is read; _state_terms checks p before the first."""
+    levels = _state_terms(p)
     kets_l = {a: _ket_str(k) for a, k in l.kets.items()}
     kets_r = {b: _ket_str(k) for b, k in r.kets.items()}
-    out_levels = []
-    for states in _state_terms(p):
-        out_states = []
-        for terms in states:
-            items = [
-                f'("{_render_terms(((g, n, m),), fmt)}", '
-                f'("{kets_l[a]}", "{kets_r[b]}"))'
-                for g, n, m, a, b in terms
-            ]
-            out_states.append("[" + ";\n  ".join(items) + "]")
-        out_levels.append("[" + ";\n ".join(out_states) + "]")
-    return "[" + ";\n".join(out_levels) + "]"
+
+    def chunks():
+        yield "["
+        for i, states in enumerate(levels):
+            yield ";\n[" if i else "["
+            head = "["
+            for terms in states:
+                yield head + ";\n  ".join([
+                    f'("{_render_terms(((g, n, m),), fmt)}", '
+                    f'("{kets_l[a]}", "{kets_r[b]}"))'
+                    for g, n, m, a, b in terms
+                ]) + "]"
+                head = ";\n ["
+            yield "]"
+        yield "]"
+
+    return chunks()

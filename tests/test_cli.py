@@ -7,12 +7,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
 from liecg import cli
 from liecg.irrep import new_generic_irrep
-from liecg.liealg import LieAlgebra
+from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal
 from liecg.tensor import Decomposition, decompose, result
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -86,6 +88,45 @@ def test_weights_json_roundtrip():
         "lowest_root": 0,
         "descent": [1, 1],
     }
+
+
+class Discard:
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, pieces):
+        for _ in pieces:
+            pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_listing_is_written_in_flat_memory(fmt):
+    # E8 30380: 2.1 MB of JSON from the cached records; written as it is
+    # rendered, the listing holds one record's text at a time
+    la = LieAlgebra("E8", 8)
+    freudenthal(la, (0, 0, 0, 0, 0, 1, 0, 0))
+    tracemalloc.start()
+    try:
+        with redirect_stdout(Discard()):
+            assert cli.run_weights(la, "00000100", fmt) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_inconsistency_writes_nothing(capsys, monkeypatch, fmt):
+    # freudenthal runs before the first byte of a listing
+    def broken(la, hw):
+        raise ConsistencyError(f"{la.name} irrep {hw}: no multiplicities")
+
+    monkeypatch.setattr(cli, "freudenthal", broken)
+    rc, out, err = run(capsys, "-su", "3", "-rep", "11", "--format", fmt)
+    assert (rc, out) == (2, "")
+    assert "internal inconsistency: SU(3) irrep (1, 1)" in err
 
 
 def test_usage_errors(capsys):

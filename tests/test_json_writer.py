@@ -1,15 +1,17 @@
-"""irrep._json_text against the stdlib: every document liecg writes, and
+"""irrep._json_chunks against the stdlib: every document liecg writes, and
 random nested documents, must come out as json.dumps(doc, indent=1) does,
-byte for byte; what the stdlib would write differently is refused."""
+byte for byte, with each list given as a list or as an iterator; what the
+stdlib would write differently is refused."""
 
 import json
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecg import cli
-from liecg.irrep import _json_text, new_generic_irrep
+from liecg.irrep import _json_chunks, new_generic_irrep
 from liecg.liealg import LieAlgebra, weyl_dim
 from liecg.tensor import Decomposition, decompose, prepare
 
@@ -18,16 +20,51 @@ def reference(doc):
     return json.dumps(doc, indent=1)
 
 
+def text(doc):
+    return "".join(_json_chunks(doc))
+
+
+def tap(x):
+    """(x to write, x as written): in the first every iterator of x is
+    replaced by one that also appends what it yields to a list, which takes
+    its place in the second."""
+    if type(x) is dict:
+        pairs = {k: tap(v) for k, v in x.items()}
+        return ({k: fed for k, (fed, _) in pairs.items()},
+                {k: seen for k, (_, seen) in pairs.items()})
+    if isinstance(x, Iterator):
+        seen = []
+
+        def fed():
+            for v in x:
+                seen.append(v)
+                yield v
+
+        return fed(), seen
+    return x, x
+
+
+def iterated(x):
+    """x with every list outside any list given as an iterator."""
+    if type(x) is dict:
+        return {k: iterated(v) for k, v in x.items()}
+    if type(x) is list:
+        return iter(x)
+    return x
+
+
 @pytest.fixture
 def written(monkeypatch):
-    """The documents cli writes, recorded as they pass the writer."""
+    """The documents cli writes, recorded as they pass the writer, each
+    with the lists its iterators yielded."""
     docs = []
 
     def spy(doc):
-        docs.append(doc)
-        return _json_text(doc)
+        fed, seen = tap(doc)
+        docs.append(seen)
+        return _json_chunks(fed)
 
-    monkeypatch.setattr(cli, "_json_text", spy)
+    monkeypatch.setattr(cli, "_json_chunks", spy)
     return docs
 
 
@@ -77,10 +114,12 @@ def test_dumps_of_every_irrep(written, la, a, b):
     assert len(d.found) > 2
     for p in d.found:
         data = prepare(p, l, r)
-        assert data.to_json() == reference(data.to_json_dict())
-        text = cli.states_to_json(p, l, r)
-        assert text == reference(written[-1])
-        assert written[-1]["irrep"]["dim"] == p.dim
+        fed, seen = tap(data.json_doc())
+        assert text(fed) == reference(seen) == data.to_json()
+        assert len(seen["kets"]) == p.dim
+        states = cli.states_to_json(p, l, r)
+        assert states == reference(written[-1])
+        assert len(written[-1]["states"]) == written[-1]["irrep"]["dim"] == p.dim
 
 
 @pytest.mark.parametrize("argv", [["-su", "3", "--decompose", "11x11"],
@@ -91,6 +130,28 @@ def test_decompose_document(written, capsys, argv):
     (doc,) = written
     assert len(doc["irreps"]) > 2
     assert capsys.readouterr().out == reference(doc) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["-su", "3", "--decompose", "11x11"],
+                                  ["-g2", "--decompose", "10x10"]],
+                         ids=["su3-8x8", "g2-7x7"])
+def test_dumped_documents(written, capsys, tmp_path, argv):
+    # the result on stdout, then irrep_k.json and states_k.json of every
+    # irrep in turn, then the singlet
+    singlet = tmp_path / "singlet.json"
+    assert cli.main(argv + ["--format", "json", "--dump", str(tmp_path),
+                            "--dump-singlet", str(singlet)]) == 0
+    doc, *dumps, last = written
+    assert capsys.readouterr().out == reference(doc) + "\n"
+    assert len(dumps) == 2 * len(doc["irreps"]) > 4
+    for k, p in enumerate(doc["irreps"], 1):
+        irrep, states = dumps[2 * k - 2:2 * k]
+        assert len(irrep["kets"]) == len(states["states"]) == p["dim"]
+        assert (tmp_path / f"irrep_{k}.json").read_text() == reference(irrep)
+        assert (tmp_path / f"states_{k}.json").read_text() == (
+            reference(states) + "\n")
+    assert last["irrep"]["dim"] == 1
+    assert singlet.read_text() == reference(last) + "\n"
 
 
 # ------------------------------------------------------ random documents
@@ -112,12 +173,47 @@ documents = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(documents)
 def test_random_documents(doc):
-    assert _json_text(doc) == reference(doc)
+    assert text(doc) == reference(doc)
+    assert text(iterated(doc)) == reference(doc)
 
 
 def test_empty_containers_and_scalars():
     for doc in [[], {}, [[]], {"": {}}, None, "", -0, 2**70, [None, -1]]:
-        assert _json_text(doc) == reference(doc)
+        assert text(doc) == reference(doc)
+
+
+ITERATED = [
+    [],
+    {"a": []},
+    [7],
+    {"a": ["x"]},
+    {"a": [{"b": {"c": [1, 2], "d": []}, "e": None}]},
+    {"a": {"b": [{"c": [[1], {}]}, 2]}, "f": [[]]},
+]
+
+
+@pytest.mark.parametrize("doc", ITERATED, ids=["empty", "empty-in-dict", "one",
+                                               "one-in-dict", "nested-dicts",
+                                               "deep"])
+def test_iterator_lists(doc):
+    # a list given as an iterator, empty, of one element or of nested
+    # dicts, is written as the list itself
+    assert text(iterated(doc)) == reference(doc)
+
+
+def test_iterator_is_written_as_it_is_consumed():
+    pulled = []
+
+    def items():
+        for k in range(3):
+            pulled.append(k)
+            yield {"k": k}
+
+    chunks = _json_chunks({"a": items()})
+    assert next(chunks) == '{\n "a": '
+    assert pulled == []
+    assert next(chunks) == '[\n  {\n   "k": 0\n  }'
+    assert pulled == [0]
 
 
 @pytest.mark.parametrize("doc", [True, False, [1, True], {"a": [True]},
@@ -128,4 +224,11 @@ def test_refuses_what_json_dumps_writes_otherwise(doc):
     # json.dumps writes true, 1.5, "1" as a key and a tuple as a list; this
     # writer raises rather than guess
     with pytest.raises(TypeError):
-        _json_text(doc)
+        text(doc)
+
+
+def test_refuses_an_iterator_inside_a_list():
+    # inside a list, elements are joined whole; an iterator there is as
+    # foreign as a tuple
+    with pytest.raises(TypeError):
+        text({"a": iter([iter([1])])})

@@ -28,7 +28,7 @@ def test_no_name_defined_in_two_modules():
 # FieldElem façade (the views, product_lower, product_scp) converts at its
 # own edges and never inside them
 INTEGER_CORE = ("descend_irrep", "decompose", "prepare_with_states",
-                "_state_terms", "render_states")
+                "_state_terms", "render_states", "_render_chunks")
 FACADE = {"FieldElem", "LabeledVector", "_split", "parse_field"}
 
 
@@ -49,7 +49,7 @@ def test_integer_core_never_names_the_field_facade():
 
 
 def test_no_module_calls_json_dumps():
-    # every JSON document is written by irrep._json_text, the one writer
+    # every JSON document is written by irrep._json_chunks, the one writer
     # that gives json.dumps(indent=1)'s text without the pure-Python encoder;
     # json.loads stays
     found = []
