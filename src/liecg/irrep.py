@@ -628,7 +628,7 @@ class ImportedIrrepData:
 
     def json_doc(self):
         """The liecg-irrep-v1 document, its three tables as iterators that
-        form each row as the writer reaches it (irrep._json_chunks)."""
+        form each row as the writer (_json_chunks) reaches it."""
         return {
             "format": self.FORMAT,
             "algebra": {"family": self.algebra.family, "rank": self.algebra.rank},
