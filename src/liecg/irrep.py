@@ -23,10 +23,12 @@ norm of state 1 is k_a u_a, so every lowering entry and every Gram entry
 is one ratio of integers, formed once.
 
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
-files: `from_irrep` renders them from the form, `new_imported_irrep`
-derives the form back by pushing the classes down the lowering table from
-the highest weight, and refuses a file that has none.  Two sweeps test a
-file's tables: `Irrep.check_consistency`, the string sum rule that
+files: `from_irrep` renders them from the form, and `from_json` reads them
+back, refusing any entry given twice.  `new_imported_irrep` checks each
+lowering row and hands it, in target order, to the derivation of the form,
+which pushes the classes down the lowering table from the highest weight
+and refuses a file that has none.  Two sweeps test a file's tables, each
+over the whole irrep: `Irrep.check_consistency`, the string sum rule that
 `--import` runs, and `Irrep.check_representation`, the defining relations
 of the algebra, which the tensor descent relies on and which a file's
 irrep passes before its first product.
@@ -118,9 +120,6 @@ class Irrep:
         for labs in by_w.values():
             labs.sort(key=lambda l: kets[l].deg_index)
         self.labels_by_weight = {w: tuple(labs) for w, labs in by_w.items()}
-        self.label_of = {
-            (k.dynkin, k.deg_index): lab for lab, k in kets.items()
-        }
 
     def __repr__(self):
         return f"Irrep({self.algebra.name}, {self.hw}, dim={self.dim}, {self.origin})"
@@ -155,8 +154,8 @@ class Irrep:
         """The irrep in the rescaled basis u_a = sqrt(r_a) e_a."""
         return self._form
 
-    def check_consistency(self, labels=None, roots=None):
-        """Verify the string sum rule on the given states (all by default).
+    def check_consistency(self):
+        """Verify the string sum rule on every state and every simple root.
 
         For a state a of weight w and a simple root i,
         |F_i a|^2 = w_i <a|a> + u.G^-1.u, where G is the Gram matrix of the
@@ -173,7 +172,8 @@ class Irrep:
         rf = self._form
         la = self.algebra
         A = cartan(la)
-        lows = {}  # root i -> (D_i, the root-i table times D_i)
+        # (D_i, the root-i table times D_i) for the roots i = 1..rank
+        lows = [_scaled_ints(rf.lower[i]) for i in range(1, la.rank + 1)]
         blocks = {}  # weight -> (gamma, Gram rows times gamma)
         inverses = {}  # weight -> (its states, M, delta)
 
@@ -184,14 +184,11 @@ class Irrep:
                     {b: rf.gram[b] for b in self.labels_by_weight[weight]})
             return got
 
-        for a in labels if labels is not None else self.kets:
+        for a in self.kets:
             w = self.weight_of[a]
             ga, rows_w = block(w)
             row_a = dict(rows_w[a])
-            for i in roots if roots is not None else range(1, la.rank + 1):
-                if i not in lows:
-                    lows[i] = _scaled_ints(rf.lower[i])
-                d, low = lows[i]
+            for i, (d, low) in enumerate(lows, 1):
                 # lhs_int = (d*d*gd) |F_i a|^2, gd the scale of w - alpha_i
                 down = dict(low.get(a, ()))
                 lhs, gd = 0, 1
@@ -387,8 +384,9 @@ def _unit_row(rf, i, a):
 
 
 def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
-    """The rational form of unit-basis tables, (root, a) -> LabeledVector
-    and (a, b) -> nonzero FieldElem for a < b.  The classes propagate from
+    """The rational form of unit-basis tables, (root, a) -> its nonzero
+    (FieldElem, target) pairs in target order and (a, b) -> nonzero
+    FieldElem for a < b.  The classes propagate from
     state 1 through the lowering table: an entry q*sqrt(f) from a to t gives
     r_t = squarefree(f*r_a) and the rational entry q*sqrt(f*r_a/r_t)."""
     r = {1: 1}
@@ -396,11 +394,11 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
     queue = [1]
     for a in queue:  # breadth first: a has its class when it is reached
         for i in range(1, rank + 1):
-            vec = lowering.get((i, a))
-            if vec is None:
+            terms = lowering.get((i, a))
+            if terms is None:
                 continue
             row = []
-            for c, t in vec.terms:
+            for c, t in terms:
                 if len(c.terms) != 1:
                     raise InvalidImportError(
                         f"no rational form: lowering state {a} by root {i} "
@@ -657,26 +655,36 @@ class ImportedIrrepData:
             if doc.get("format") != cls.FORMAT:
                 raise InvalidImportError(f"unknown format {doc.get('format')!r}")
             alg = LieAlgebra(doc["algebra"]["family"], doc["algebra"]["rank"])
-            kets = {
-                _integer(lab, "ket label"): Ket(
+            kets = {}
+            for lab, dyn, deg in doc["kets"]:
+                lab = _integer(lab, "ket label")
+                if lab in kets:
+                    raise InvalidImportError(f"ket {lab} is listed twice")
+                kets[lab] = Ket(
                     tuple(_integer(x, "weight component") for x in dyn),
                     _integer(deg, "degeneracy index"),
                 )
-                for lab, dyn, deg in doc["kets"]
-            }
             parsed = {}  # coefficient text -> its FieldElem, shared
             lowering = {}
             for state, root, terms in doc["lowering"]:
                 key = (_integer(root, "root"), _integer(state, "state"))
+                if key in lowering:
+                    raise InvalidImportError(
+                        f"lowering of state {state} by root {root} is listed "
+                        "twice"
+                    )
                 lowering[key] = tuple(
                     (_coefficient(c, parsed), _integer(t, "target"))
                     for c, t in terms
                 )
-            scp = {
-                (_integer(a, "state"), _integer(b, "state")):
-                    _coefficient(v, parsed)
-                for a, b, v in doc["scp"]
-            }
+            scp = {}
+            for a, b, v in doc["scp"]:
+                key = (_integer(a, "state"), _integer(b, "state"))
+                if key in scp:
+                    raise InvalidImportError(
+                        f"scalar product ({a},{b}) is listed twice"
+                    )
+                scp[key] = _coefficient(v, parsed)
         except InvalidImportError:
             raise
         except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -846,14 +854,22 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
         if not 1 <= root <= la.rank or state not in data.kets:
             raise InvalidImportError(f"bad lowering key ({state}, {root})")
         target_w = _vsub(data.kets[state].dynkin, A[root - 1])
+        seen = set()
         for c, t in terms:
             if t not in data.kets or data.kets[t].dynkin != target_w:
                 raise InvalidImportError(
                     f"lowering of state {state} by root {root} hits wrong weight"
                 )
-        vec = LabeledVector(terms)
-        if not vec.is_zero():
-            lowering[(root, state)] = vec
+            if t in seen:
+                raise InvalidImportError(
+                    f"lowering of state {state} by root {root} names state "
+                    f"{t} twice"
+                )
+            seen.add(t)
+        row = sorted((x for x in terms if not x[0].is_zero()),
+                     key=lambda x: x[1])
+        if row:
+            lowering[(root, state)] = row
     scp = {}
     for (a, b), v in data.scp.items():
         if a not in data.kets or b not in data.kets:

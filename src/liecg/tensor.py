@@ -494,7 +494,6 @@ class Decomposition:
         self.left = left
         self.right = right
         self.found = []  # ProductIrreps in discovery order
-        self.multiplicities = {}  # hw -> outer multiplicity
 
     def __repr__(self):
         return (
@@ -608,17 +607,15 @@ def _hw_irreps(d: Decomposition, w, n):
 
 
 def decompose(d: Decomposition) -> None:
-    """Split the product into irreps (fills d.found, d.multiplicities).
+    """Split the product into irreps (fills d.found).
 
     _plan gives the highest weights; at each, _hw_irreps finds the
     highest-weight vector of every copy and descend_irrep builds its irrep.
     """
     l, r = d.left, d.right
     d.found = []
-    d.multiplicities = {}
     for w, copies in groupby(_plan(l, r)):
-        d.multiplicities[w] = n = len(list(copies))
-        for p in _hw_irreps(d, w, n):
+        for p in _hw_irreps(d, w, len(list(copies))):
             d.found.append(descend_irrep(p, l, r))
 
 

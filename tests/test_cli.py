@@ -809,6 +809,63 @@ def test_malformed_import_file_exits_1(capsys, tmp_path, monkeypatch, how):
         assert want.get(name.split("-")[-1], "divides by zero") in err, err
 
 
+def _repeated_entry_files(tmp_path):
+    """name -> (path, error) of a file that repeats one entry of a dumped
+    SU(3) irrep of 8 x 8, the bogus copy ahead of the true one, so a read
+    that kept the last copy would pass every check; and one whose lowering
+    row names a target twice, which a read that summed the row would pass
+    too."""
+    d = tmp_path / "out"
+    assert cli.main(["-su", "3", "--decompose", "11x11", "--dump", str(d)]) == 0
+    dumped = {k: (d / f"irrep_{k}.json").read_text() for k in (1, 2)}
+    ten, big = json.loads(dumped[2]), json.loads(dumped[1])  # 10 and 27
+    assert [len(ten["kets"]), len(big["kets"])] == [10, 27]
+    state, root, terms = ten["lowering"][0]
+    ten["lowering"].insert(0, [state, root, [["7/3", t] for _, t in terms]])
+    lowering = f"lowering of state {state} by root {root} is listed twice"
+    a, b, _ = big["scp"][0]
+    big["scp"].insert(0, [a, b, "5/7"])
+    scp = f"scalar product ({a},{b}) is listed twice"
+    kets = json.loads(dumped[2])
+    assert kets["kets"][1][0] == 2
+    kets["kets"].insert(1, [2, [5, 5], 1])
+    target = json.loads(dumped[2])
+    state, root, terms = target["lowering"][0]
+    ((_, t),) = terms
+    target["lowering"][0][2] = terms + [["0", t]]
+    docs = {
+        "lowering": (ten, lowering),
+        "scp": (big, scp),
+        "ket": (kets, "ket 2 is listed twice"),
+        "target": (target, f"lowering of state {state} by root {root} "
+                           f"names state {t} twice"),
+    }
+    paths = {}
+    for name, (doc, err) in docs.items():
+        path = tmp_path / f"repeated-{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = (path, err)
+    return paths
+
+
+@pytest.mark.parametrize("how", ["import", "factor", "script"])
+def test_repeated_entries_are_refused(capsys, tmp_path, how):
+    files = _repeated_entry_files(tmp_path)
+    capsys.readouterr()
+    for name, (path, want) in files.items():
+        if how == "import":
+            argv = ["-su", "3", "--import", str(path)]
+        elif how == "factor":
+            argv = ["-su", "3", "--decompose", f"@{path} x 10"]
+        else:
+            script = tmp_path / "imp.lie"
+            script.write_text(f"algebra su 3\nimport r {path}\n")
+            argv = ["--script", str(script)]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == "", (name, err)
+        assert f"{path}: {want}" in err and "Traceback" not in err, name
+
+
 def test_states_json_roundtrip():
     from liecg.irrep import new_generic_irrep
     from liecg.tensor import Decomposition, decompose

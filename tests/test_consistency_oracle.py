@@ -36,7 +36,7 @@ from liecg.tensor import Decomposition, decompose, prepare
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from fraction_oracle import fraction_check_consistency  # noqa: E402
+from fraction_oracle import _gram_block, fraction_check_consistency  # noqa: E402
 
 
 def _vadd(a, b):
@@ -262,17 +262,17 @@ def rational_verdict(data):
     return True
 
 
-def sweep_message(check, irrep, **kw):
+def sweep_message(check, irrep):
     """The ConsistencyError text of one sweep, None when it passes."""
     try:
-        check(irrep, **kw)
+        check(irrep)
     except ConsistencyError as exc:
         return str(exc)
     return None
 
 
-def integer_sweep(irrep, **kw):
-    irrep.check_consistency(**kw)
+def integer_sweep(irrep):
+    irrep.check_consistency()
 
 
 A2 = LieAlgebra("A", 2)
@@ -392,13 +392,16 @@ def test_zero_block_overlap_of_one():
     assert not field_verdict(bad) and not rational_verdict(bad)
     with pytest.raises(SingularMatrixError):
         FieldSweep(bad).check_consistency(labels=[6])
-    with pytest.raises(ConsistencyError, match=r"weight \(0, 0\) is singular"):
-        new_imported_irrep(A2, bad).check_consistency(labels=[6])
     imp = new_imported_irrep(A2, bad)
-    for labels in (None, [6]):
-        msg = sweep_message(integer_sweep, imp, labels=labels)
-        assert msg == sweep_message(fraction_check_consistency, imp,
-                                    labels=labels)
+    assert sweep_message(integer_sweep, imp) == sweep_message(
+        fraction_check_consistency, imp)
+    # the block inverse both sweeps would read for states 6 and 7
+    with pytest.raises(ConsistencyError) as exc:
+        imp._gram_inverse(imp.rational_form(), (0, 0))
+    with pytest.raises(ConsistencyError) as want:
+        _gram_block(imp, (0, 0))
+    assert "weight (0, 0) is singular" in str(exc.value)
+    assert str(exc.value) == str(want.value)
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")

@@ -125,14 +125,14 @@ def test_scp_zero_weights_values():
     for la, a, b, want in cases:
         r = new_generic_irrep(la, adjoint_hw(la))
         zero = (0,) * la.rank
-        za, zb = r.label_of[(zero, a)], r.label_of[(zero, b)]
+        block = r.labels_by_weight[zero]
+        za, zb = block[a - 1], block[b - 1]
         assert r.scalar_product(za, zb) == want, (la.name, a, b)
 
 
 def test_g2_adjoint_scp_stored():
     r = new_generic_irrep(G2, (0, 1))
-    z1 = r.label_of[((0, 0), 1)]
-    z2 = r.label_of[((0, 0), 2)]
+    z1, z2 = r.labels_by_weight[(0, 0)]
     assert r.scalar_product(z1, z2) == number(1, 2, 3)
 
 
@@ -236,9 +236,10 @@ def test_sum_rule_error_names_where():
         "SU(3) irrep (1, 1): string sum rule fails at state 4 of weight "
         "(0, 0), root 2: 1/2 != 2"
     )
-    # below the zero-weight block, whose Gram matrix is now singular
+    # the zero-weight block's Gram matrix is now singular; the sweep reads
+    # its inverse only for the states below it, after state 4 has failed
     with pytest.raises(ConsistencyError) as exc:
-        r.check_consistency(labels=[6])
+        r._gram_inverse(r.rational_form(), (0, 0))
     assert str(exc.value) == (
         "SU(3) irrep (1, 1): the Gram matrix of weight (0, 0) is singular"
     )

@@ -47,6 +47,30 @@ def test_traced_job_records_spans_and_restores(tmp_path):
     assert coeffs and passrun.check_roundtrip(parse_field, coeffs) == []
 
 
+def test_traced_import_sweeps_every_state(tmp_path):
+    # an import job of the export workload: perfbench/run.py reads
+    # irrep.consistency_s off this span and irrep.consistency_states off
+    # its count, which is every state of the 27
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["-su", "3", "--decompose", "11x11",
+                         "--dump", str(out)]) == 0
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        tracer.job = 0
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            rc = cli.main(["-su", "3", "--import", str(out / "irrep_1.json")])
+    finally:
+        tracing.uninstall(undo)
+    assert rc == 0 and "Consistency   :   OK" in text.getvalue()
+    path = tmp_path / "trace.jsonl"
+    tracer.write_jsonl(path)
+    prof = tracing.Profile(str(path))
+    assert prof.calls.get("irrep.Irrep.check_consistency") == 1
+    assert prof.counts["irrep.consistency_states"] == 27
+
+
 PRINT_SCRIPT = """\
 algebra a 2
 irrep r8 11

@@ -1,6 +1,7 @@
 """Tensor products and Clebsch-Gordan decomposition, checked against
 hand-worked SU(2)/SU(3) products and structural invariants."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -192,7 +193,6 @@ def test_su3_3_x_3bar(su3_pair):
     decompose(d)
     assert [p.hw for p in d.found] == [(1, 1), (0, 0)]
     assert [p.dim for p in d.found] == [8, 1]
-    assert d.multiplicities == {(1, 1): 1, (0, 0): 1}
     assert check_dims(d)
     inv_s3 = field_sqrt(field(Fraction(1, 3)))
     singlet = d.found[1].hw_state
@@ -227,7 +227,6 @@ def test_su3_8_x_8_outer_multiplicity():
         (2, 2), (3, 0), (0, 3), (1, 1), (1, 1), (0, 0),
     ]
     assert [p.dim for p in d.found] == [27, 10, 10, 8, 8, 1]
-    assert d.multiplicities[(1, 1)] == 2
     assert check_dims(d)
     # the two octet highest-weight states are orthogonal by construction
     h1 = d.found[3].hw_state
@@ -262,7 +261,7 @@ def test_decompose_commutes(su3_pair):
     d2 = Decomposition(r, l)
     decompose(d1)
     decompose(d2)
-    assert d1.multiplicities == d2.multiplicities
+    assert Counter(p.hw for p in d1.found) == Counter(p.hw for p in d2.found)
 
 
 def test_weight_multiset_is_partitioned(su3_pair):
@@ -682,7 +681,7 @@ def test_plan_of_degenerate_su3_27_squared(su3_27):
     decompose(d)
     plan = tensor._plan(su3_27, su3_27)
     assert plan == [p.hw for p in d.found]
-    assert len(plan) == 19 and max(d.multiplicities.values()) >= 3
+    assert len(plan) == 19 and max(Counter(plan).values()) >= 3
 
 
 def test_plan_of_e8_adjoint_square():
@@ -734,7 +733,7 @@ def test_otimes_builds_the_irrep_decompose_finds(case, su3_27, monkeypatch):
     decompose(d)
     built = _otimes_irreps(l, r, monkeypatch)
     assert len(built) == len(d.found)
-    assert max(d.multiplicities.values()) >= 2
+    assert max(Counter(p.hw for p in d.found).values()) >= 2
     for p, q in zip(built, d.found):
         assert p._hw_vec == q._hw_vec
         assert p._scale == q._scale
