@@ -58,10 +58,6 @@ def check(la, a, b):
     assert got == brauer_klimyk(la, a, b), (la.name, a, b)
 
 
-def _labels(text):
-    return tuple(map(int, text))
-
-
 # Every product the other tests decompose, by algebra (family, rank): their
 # own, those of the CLI and acceptance runs, and those of every otimes.
 TESTED = """
@@ -97,8 +93,8 @@ def _tested():
             la = LieAlgebra(words[0], int(words[1]))
             words = words[2:]
         for spec in words:
-            a, b = spec.split("x")
-            cases.append((la, _labels(a), _labels(b)))
+            a, b = (tuple(map(int, side)) for side in spec.split("x"))
+            cases.append((la, a, b))
     return cases
 
 
