@@ -10,17 +10,24 @@ product that otimes selects and builds alone) with the expansion of each
 of its states over such trees.
 Expansions are computed on demand and memoized per node, since a fully
 eager 4-fold expansion can be very large.
+Inside a node every term is keyed by its flat leaf tuple, factor k at
+index k-1: wrap keys ket s as (s,) and otimes joins its children's keys,
+ka + kb.  Every tree of a node has the same nesting, so the node holds it
+once, as its shape; filter, chbasis, is_sym and tensor_coeff index the
+leaf tuple directly.  Only print and expand rebuild the nesting: untree
+writes each tuple through one template made from the shape, and expand
+grafts each tuple onto the shape.
 
 Expansions are kept over Q.  Every irrep holds its rational form
 (Irrep.rational_form): in the basis u_l = sqrt(r_l) e_l, r_l the
-square-free class of leaf l, its tables are rational; a tree L stands for
-u_L, the product of its leaves' u_l.  A node keeps each state s as the
-expansion of u_s = sqrt(r_s) e_s, r_s the class of s in the node's own
-irrep,
+square-free class of leaf l, its tables are rational; a leaf tuple L
+stands for u_L, the product of its leaves' u_l.  A node keeps each state
+s as the expansion of u_s = sqrt(r_s) e_s, r_s the class of s in the
+node's own irrep,
 
     u_s = sum over h of sqrt(h)/D * sum over L of W_h[L] u_L
 
-for h square-free, W_h a dict {tree: int} and D > 0 an int: the pair
+for h square-free, W_h a dict {leaf tuple: int} and D > 0 an int: the pair
 (D, {h: W_h}).  A wrapped factor's u_s is one leaf.  otimes takes the
 irrep it selects, form and all, from prepare_with_states, which also gives
 each state as e_s = sign*v/sqrt(N), v a rational vector over the
@@ -33,7 +40,7 @@ whose terms (radicand -> rational coefficient) are folded in per class.
 The coefficient of e_L in e_s = sqrt(r_s)/r_s * u_s is W_h[L]/(D r_s) *
 sqrt(h * r_s * prod r_l), which TensorNode._int_parts gives as a sum of
 n/kd * sqrt(f) over square-free f, still in integers; the class of
-prod r_l is built bottom-up from the two children of L.
+prod r_l is folded over the leaves of L left to right, each prefix once.
 Radicals leave through two doors: untree renders every coefficient
 straight from those integers, and expand (with tensor_coeff) turns them
 into FieldElems.  is_sym compares the integers.
@@ -95,30 +102,6 @@ def _graft(shape, it):
     return next(it)
 
 
-def _leaf_paths(shape, path=()) -> list:
-    """The index path from the root to each leaf of the shape, left to
-    right."""
-    if isinstance(shape, tuple):
-        return (_leaf_paths(shape[0], path + (0,))
-                + _leaf_paths(shape[1], path + (1,)))
-    return [path]
-
-
-def _leaf_at(tr, path):
-    for i in path:
-        tr = tr[i]
-    return tr
-
-
-def _with_leaf(tr, path, leaf):
-    """tr with the leaf at the path replaced."""
-    if not path:
-        return leaf
-    if path[0]:
-        return (tr[0], _with_leaf(tr[1], path[1:], leaf))
-    return (_with_leaf(tr[0], path[1:], leaf), tr[1])
-
-
 def _reduced(den, parts):
     """(den, parts) with zero entries and empty classes dropped and the
     common divisor of den and every entry divided out."""
@@ -138,8 +121,11 @@ class TensorNode:
     """An irrep together with the expansion of its states over label trees.
 
     fn(state) gives the rational expansion (D, {h: W_h}) of u_state =
-    sqrt(r_state) e_state (module docstring); it is memoized, expand
-    converts it to FieldElem coefficients on every call."""
+    sqrt(r_state) e_state (module docstring), each W_h keyed by flat leaf
+    tuples, one label per factor in leaf order: a hand-built single-factor
+    node returns keys (label,).  It is memoized; expand converts it to
+    FieldElem coefficients on every call.  The nesting of every tree is
+    the node's shape, held here once."""
 
     def __init__(self, irrep: Irrep, fn, factors, shape):
         self.irrep = irrep
@@ -159,31 +145,23 @@ class TensorNode:
         return got
 
     def _tree_class(self):
-        """A function taking a tree to (f, m), prod of sqrt(r_l) over its
-        leaves l == m*sqrt(f).  It works bottom-up from the two children and
-        memoizes the inner subtrees, which many trees share; keep it only
-        as long as the trees it is given."""
-        classes = iter([fac.rational_form().r for fac in self.factors])
+        """A function taking a leaf tuple to (f, m), prod of sqrt(r_l) over
+        its leaves l == m*sqrt(f).  It folds the leaves left to right and
+        memoizes the proper prefixes, which many keys share; keep it only
+        as long as the keys it is given."""
+        classes = [fac.rational_form().r for fac in self.factors]
 
-        def build(shape, top):
-            if not isinstance(shape, tuple):
-                r = next(classes)
-                return lambda leaf: (r.get(leaf, 1), 1)
-            left, right = build(shape[0], False), build(shape[1], False)
+        def cls(key):
+            f, m = prefix(key[:-1]) if len(key) > 1 else (1, 1)
+            f, g = _mul_class(f, classes[len(key) - 1].get(key[-1], 1))
+            return f, m * g
 
-            def cls(tr):
-                f1, m1 = left(tr[0])
-                f2, m2 = right(tr[1])
-                f, g = _mul_class(f1, f2)
-                return f, m1 * m2 * g
-
-            return cls if top else cache(cls)
-
-        return build(self.shape, True)
+        prefix = cache(cls)
+        return cls
 
     def _int_parts(self, state: int, tree_class=None):
-        """(kd, {tree: {f: n}}) with e_state == the sum over trees L of
-        sum n/kd*sqrt(f) e_L, every f square-free and kd > 0.  tree_class
+        """(kd, {key: {f: n}}) with e_state == the sum over leaf tuples L
+        of sum n/kd*sqrt(f) e_L, every f square-free and kd > 0.  tree_class
         is a _tree_class() of this node, to share between states."""
         if state not in self.irrep.kets:
             raise ValueError(f"no state labeled {state}")
@@ -195,29 +173,30 @@ class TensorNode:
         out = {}
         for h, w in parts.items():
             h, m0 = _mul_class(h, r)
-            for tr, x in w.items():
-                fl, ml = tree_class(tr)
+            for key, x in w.items():
+                fl, ml = tree_class(key)
                 f, g = _mul_class(h, fl)
-                out.setdefault(tr, {})[f] = x * m0 * ml * g
+                out.setdefault(key, {})[f] = x * m0 * ml * g
         return den * r, out
 
     def expand(self, state: int) -> LabeledVector:
         kd, parts = self._int_parts(state)
-        return LabeledVector._raw(
-            {tr: _field_elem(kd, t) for tr, t in parts.items()})
+        return LabeledVector._raw({
+            _graft(self.shape, iter(key)): _field_elem(kd, t)
+            for key, t in parts.items()})
 
     def __repr__(self):
         return f"TensorNode({self.irrep!r}, {self.nfactors} factors)"
 
 
 def _field_elem(kd, t) -> FieldElem:
-    """The sum of n/kd*sqrt(f) over the {f: n} of one tree."""
+    """The sum of n/kd*sqrt(f) over the {f: n} of one leaf tuple."""
     return FieldElem({f: Fraction(n, kd) for f, n in t.items()})
 
 
 def wrap(r: Irrep) -> TensorNode:
     """A single-factor node: each ket expands to its own leaf."""
-    return TensorNode(r, lambda s: (1, {1: {s: 1}}), [r], None)
+    return TensorNode(r, lambda s: (1, {1: {(s,): 1}}), [r], None)
 
 
 def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
@@ -267,7 +246,7 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
                     for ta, xa in wa.items():
                         x = nm * xa
                         for tb, xb in wb.items():
-                            key = (ta, tb)
+                            key = ta + tb
                             acc[key] = acc.get(key, 0) + x * xb
         return _reduced(den, out)
 
@@ -282,21 +261,23 @@ def untree(t: TensorNode, fmt: str = "plain") -> list:
     """All states with their expansions rendered as (coeff, tree) listings.
 
     Each coefficient is rendered from the integers of _int_parts, with
-    every fraction put in lowest terms.  All trees of a node have its
-    shape and int leaves, so plain tuple order is the label order of
-    LabeledVector listings."""
+    every fraction put in lowest terms, and each leaf tuple through one
+    template of the node's shape.  All trees of a node have its shape and
+    int leaves, so leaf tuple order is the label order of LabeledVector
+    listings."""
     tree_class = t._tree_class()
+    tmpl = tree_str(t.shape).replace("None", "%d")
     out = []
     for lab in sorted(t.irrep.kets):
         kd, parts = t._int_parts(lab, tree_class)
         items = []
-        for tr in sorted(parts):
+        for key in sorted(parts):
             terms = []
-            for f, n in sorted(parts[tr].items()):
+            for f, n in sorted(parts[key].items()):
                 g = gcd(n, kd)
                 terms.append((f, n // g, kd // g))
             items.append('("%s", "%s")' % (_render_terms(terms, fmt),
-                                           tree_str(tr)))
+                                           tmpl % key))
         out.append((lab, "[" + "; ".join(items) + "]"))
     return out
 
@@ -317,11 +298,11 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
         d, parts = t._rational(s)
         out = {}
         for h, w in parts.items():
-            for tr, x in w.items():
-                for tr2, f, n in image(tr):
+            for key, x in w.items():
+                for key2, f, n in image(key):
                     h2, m = _mul_class(h, f)
                     acc = out.setdefault(h2, {})
-                    acc[tr2] = acc.get(tr2, 0) + x * n * m
+                    acc[key2] = acc.get(key2, 0) + x * n * m
         return _reduced(d * den, out)
 
     return TensorNode(t.irrep, fn, t.factors, t.shape)
@@ -330,10 +311,10 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     """Keep only terms whose leaf at the factor position is in keep.
     No renormalization is applied."""
-    path = _leaf_paths(t.shape)[_check_factor(t, factor)]
+    idx = _check_factor(t, factor)
     keep_set = set(keep)
-    return _termwise(t, 1, lambda tr: [(tr, 1, 1)]
-                     if _leaf_at(tr, path) in keep_set else ())
+    return _termwise(t, 1, lambda key: [(key, 1, 1)]
+                     if key[idx] in keep_set else ())
 
 
 def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
@@ -341,7 +322,6 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
     of (old label, LabeledVector over new labels).  Encountering a leaf
     missing from trafo is an error."""
     idx = _check_factor(t, factor)
-    path = _leaf_paths(t.shape)[idx]
     # e_old = sum c e_new, so u_old = sum c*sqrt(r_old/r_new) u_new: per
     # old label the (new label, class, coefficient) terms of that sum, all
     # coefficients over the common denominator den
@@ -360,8 +340,8 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
     tmap = {old: [(new, f, int(q * den)) for new, f, q in row]
             for old, row in rows.items()}
 
-    def image(tr):
-        old = _leaf_at(tr, path)
+    def image(key):
+        old = key[idx]
         sub = tmap.get(old)
         if sub is None:
             raise ValueError(
@@ -369,7 +349,7 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
                 "in the basis transformation"
             )
         for new, f, n in sub:
-            yield _with_leaf(tr, path, new), f, n
+            yield key[:idx] + (new,) + key[idx + 1:], f, n
 
     return _termwise(t, den, image)
 
@@ -408,7 +388,9 @@ def chbasis_list(basis, offset: int):
 
 def is_sym(t: TensorNode, f1: int, f2: int) -> int:
     """+1 / -1 if swapping the two factors fixes / negates every state's
-    expansion, 0 for mixed or undecided symmetry."""
+    expansion, 0 for mixed or undecided symmetry.  Both factors must carry
+    the same irrep in the same basis: swapping leaves of two bases
+    compares unrelated coefficients."""
     i1 = _check_factor(t, f1)
     i2 = _check_factor(t, f2)
     fa, fb = t.factors[i1], t.factors[i2]
@@ -417,12 +399,17 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
             f"factors {f1} and {f2} carry different irreps "
             f"({fa.hw} vs {fb.hw})"
         )
-    paths = _leaf_paths(t.shape)
-    p1, p2 = paths[i1], paths[i2]
+    if fa is not fb and (fa.kets != fb.kets
+                         or fa.rational_form() != fb.rational_form()):
+        raise ValueError(
+            f"factors {f1} and {f2} carry the irrep {fa.hw} "
+            "in different bases"
+        )
 
-    def swap(tr):
-        a, b = _leaf_at(tr, p1), _leaf_at(tr, p2)
-        return _with_leaf(_with_leaf(tr, p1, b), p2, a)
+    def swap(key):
+        key = list(key)
+        key[i1], key[i2] = key[i2], key[i1]
+        return tuple(key)
 
     tree_class = t._tree_class()
     verdict = 0
@@ -431,11 +418,11 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
         _, e = t._int_parts(lab, tree_class)
         if not e:
             continue
-        swapped = {swap(tr): c for tr, c in e.items()}
+        swapped = {swap(key): c for key, c in e.items()}
         if swapped == e:
             v = 1
-        elif swapped == {tr: {f: -n for f, n in c.items()}
-                         for tr, c in e.items()}:
+        elif swapped == {key: {f: -n for f, n in c.items()}
+                         for key, c in e.items()}:
             v = -1
         else:
             return 0
@@ -460,7 +447,7 @@ def tensor_coeff(t: TensorNode, state: int, leaves) -> FieldElem:
             f"expected {t.nfactors} leaf labels, got {len(leaves)}"
         )
     kd, parts = t._int_parts(state)
-    c = parts.get(_graft(t.shape, iter(leaves)))
+    c = parts.get(tuple(leaves))
     return ZERO if c is None else _field_elem(kd, c)
 
 

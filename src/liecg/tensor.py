@@ -533,10 +533,10 @@ def _plan(l: Irrep, r: Irrep) -> list:
     """The highest weights of the irreps of l x r in discovery order, one
     entry per copy.
 
-    Of the product's dominant-weight multiplicities, the remaining weight
-    with the most levels is the next highest weight; its irrep's Freudenthal
-    multiplicities are subtracted, and this repeats until every dominant
-    weight is used up.  The Weyl dimensions must add up to dim l * dim r.
+    Visiting the product's dominant weights once, most levels first, what
+    remains of a weight's multiplicity is the number n of irreps highest
+    there; n times their Freudenthal multiplicities are subtracted from the
+    lower weights.  The Weyl dimensions must add up to dim l * dim r.
     """
     la = l.algebra
     rest = {}  # dominant weight -> multiplicity not yet taken by an irrep
@@ -552,17 +552,15 @@ def _plan(l: Irrep, r: Irrep) -> list:
 
     total = l.dim * r.dim
     plan, dims = [], []
-    # each irrep adds at least 1, so a wrong multiplicity cannot loop forever
-    while sum(dims) <= total:
-        cands = [w for w, m in rest.items() if m > 0]
-        if not cands:
-            break
-        w = max(cands, key=levels_key)
-        plan.append(w)
-        dims.append(weyl_dim(la, w))
+    for w in sorted(rest, key=levels_key, reverse=True):
+        n = rest[w]
+        if n <= 0:
+            continue
+        plan += [w] * n
+        dims += [weyl_dim(la, w)] * n
         for rec in freudenthal(la, w):
             if rec.dynkin in rest:
-                rest[rec.dynkin] -= rec.degeneracy
+                rest[rec.dynkin] -= n * rec.degeneracy
     if sum(dims) != total:
         raise DecompositionError(
             f"{_product_name(l, r)}: dimensions do not add up: "

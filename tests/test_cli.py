@@ -963,6 +963,29 @@ def test_su4_script_pipeline(capsys, tmp_path):
     )
 
 
+def test_is_sym_refuses_one_irrep_in_two_bases(capsys, tmp_path):
+    # the dumped octet of 8 x 8 is the 8 in a basis of its own: swapping
+    # its leaves with the generic octet's would compare unrelated
+    # coefficients.  Two copies of one basis are accepted.
+    d = tmp_path / "oct"
+    assert cli.main(["-su", "3", "--decompose", "11x11", "--dump", str(d)]) == 0
+    path = tmp_path / "bases.lie"
+    path.write_text(
+        "algebra su 3\nirrep r8 11\nirrep s8 11\n"
+        f"import m8 {d / 'irrep_4.json'}\nimport n8 {d / 'irrep_4.json'}\n"
+        "wrap a r8\nwrap a2 s8\nwrap b m8\nwrap b2 n8\n"
+        "otimes q a a2 1\notimes u b b2 1\notimes p a b 1\n"
+        "is_sym q 1 2\nis_sym u 1 2\nis_sym p 1 2\n"
+    )
+    capsys.readouterr()
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1
+    assert out == "is_sym q 1 2 = 1\nis_sym u 1 2 = 1\n"
+    assert err.strip().endswith(
+        "bases.lie:15: is_sym: factors 1 and 2 carry the irrep (1, 1) "
+        "in different bases")
+
+
 # SU(3) 8 x 8 x 8 x 8 down to the 125, the largest print of the benchmark
 OCTET4_SCRIPT = """\
 algebra a 2

@@ -376,6 +376,35 @@ def octet_block_trafos():
     return plain, two_term
 
 
+@pytest.mark.parametrize("shape", ["(8x8)x(8x3)", "3x(8x8)"])
+def test_factor_positions_off_the_left_spine(shape):
+    # leaves right of a product child, or inside a right child: every
+    # factor position filtered, rotated and swapped
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    plain, _ = octet_block_trafos()
+    unit = LabeledVector.unit
+    three = mt.chbasis_list(
+        [unit(2) + unit(3).scaled(number(1, 1, 2)), unit(3)], 1)
+    block = {(1, 1): ([4, 5], plain), (1, 0): ([2, 3], three)}
+
+    def build(m):
+        t8, t3 = m.wrap(r8), m.wrap(r3)
+        if shape == "3x(8x8)":
+            return m.otimes(t3, m.otimes(t8, t8, 4), 1)
+        return m.otimes(m.otimes(t8, t8, 2), m.otimes(t8, t3, 3), 1)
+
+    new, old = both(build)
+    assert_same(new, old)
+    assert_same_symmetry(new, old)
+    for pos, fac in enumerate(old.factors, 1):
+        keep, trafo = block[fac.hw]
+        f_new = mt.filter_factor(new, pos, keep)
+        f_old = OLD.filter_factor(old, pos, keep)
+        assert_same(f_new, f_old)
+        assert_same(mt.chbasis(f_new, pos, trafo),
+                    OLD.chbasis(f_old, pos, trafo))
+
+
 def test_chbasis_to_negative_leaves_and_back():
     r8, r3 = irreps(A2, (1, 1), (1, 0))
     plain, _ = octet_block_trafos()
@@ -479,7 +508,9 @@ def field_parts(self, state: int):
     out = {}
     for h, w in parts.items():
         h, m0 = _mul_class(h, f0)
-        for tr, x in w.items():
+        for key, x in w.items():
+            # the node keys its terms by leaf tuples; this path reads trees
+            tr = _graft(self.shape, iter(key))
             f, m = h, m0
             for r, leaf in zip(classes, tree_leaves(tr)):
                 f, g = _mul_class(f, r.get(leaf, 1))
@@ -624,7 +655,7 @@ def test_print_unreduced_expansion():
     # every node reduces its expansions to lowest terms; a hand-built one
     # keeping u_s as 2/2 u_s expands and prints as the plain wrap does
     r8, r3 = irreps(A2, (1, 1), (1, 0))
-    node = mt.TensorNode(r8, lambda s: (2, {1: {s: 2}}), [r8], None)
+    node = mt.TensorNode(r8, lambda s: (2, {1: {(s,): 2}}), [r8], None)
     for s in r8.kets:
         assert mt.expand(node, s) == LabeledVector.unit(s)
     assert_prints_alike(node)
