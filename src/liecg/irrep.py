@@ -44,6 +44,7 @@ from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, lcm
+from operator import add, sub
 from typing import NamedTuple
 
 from .exactnum import (
@@ -83,11 +84,11 @@ class Ket:
 
 
 def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _apply(table, vec):
@@ -163,17 +164,20 @@ class Irrep:
         there.  The sweep runs on the rational form in integers: the root-i
         lowering table times D_i and each weight block's Gram rows times
         their own lcm gamma are ints, G^-1 = M/delta with M an int matrix,
-        and the two sides are compared cross-multiplied.  M comes from a
-        tracking _Reducer holding the rows of G: G is symmetric, so the
-        coordinates of a unit vector in terms of its rows are a column of
-        G^-1.  Raises ConsistencyError on the first violation or on a
-        singular block.
+        and the two sides are compared cross-multiplied; M comes from
+        _gram_inverse.  Each weight's neighbours w - alpha_i and
+        w + alpha_i are formed once, before the sweep.  Raises
+        ConsistencyError on the first violation or on a singular block.
         """
         rf = self._form
         la = self.algebra
         A = cartan(la)
         # (D_i, the root-i table times D_i) for the roots i = 1..rank
         lows = [_scaled_ints(rf.lower[i]) for i in range(1, la.rank + 1)]
+        at = self.labels_by_weight
+        # weight -> [(w - alpha_i, w + alpha_i or None)] by root
+        near = {w: [(_vsub(w, row), v if (v := _vadd(w, row)) in at else None)
+                    for row in A] for w in at}
         blocks = {}  # weight -> (gamma, Gram rows times gamma)
         inverses = {}  # weight -> (its states, M, delta)
 
@@ -181,26 +185,25 @@ class Irrep:
             got = blocks.get(weight)
             if got is None:
                 got = blocks[weight] = _scaled_ints(
-                    {b: rf.gram[b] for b in self.labels_by_weight[weight]})
+                    {b: rf.gram[b] for b in at[weight]})
             return got
 
         for a in self.kets:
             w = self.weight_of[a]
             ga, rows_w = block(w)
             row_a = dict(rows_w[a])
-            for i, (d, low) in enumerate(lows, 1):
+            for i, ((d, low), (below, up)) in enumerate(zip(lows, near[w]), 1):
                 # lhs_int = (d*d*gd) |F_i a|^2, gd the scale of w - alpha_i
                 down = dict(low.get(a, ()))
                 lhs, gd = 0, 1
                 if down:
-                    gd, rows_d = block(_vsub(w, A[i - 1]))
+                    gd, rows_d = block(below)
                     lhs = sum(q * g * down.get(b, 0)
                               for t, q in down.items() for b, g in rows_d[t])
                 # rhs = w_i r_a + Q/(delta*(d*ga)^2), Q = u_int.M.u_int,
                 # u_int = d*ga*u
                 q_up, delta = 0, 1
-                up = _vadd(w, A[i - 1])
-                if up in self.labels_by_weight:
+                if up is not None:
                     if up not in inverses:
                         inverses[up] = self._gram_inverse(rf, up)
                     ups, m, delta = inverses[up]
@@ -337,8 +340,14 @@ class Irrep:
     def _gram_inverse(self, rf, weight):
         """(ups, M, delta) for the weight block: its states and the inverse
         of its Gram matrix as M/delta, M a list of int rows and delta > 0,
-        both indexed by position in the block."""
+        both indexed by position in the block.  A block of one state g has
+        the Gram matrix (r_g), so M = (1) and delta = r_g.  A larger block
+        goes through a tracking _Reducer holding the rows of G: G is
+        symmetric, so the coordinates of a unit vector in terms of its rows
+        are a column of G^-1.  A singular block raises ConsistencyError."""
         ups = self.labels_by_weight[weight]
+        if len(ups) == 1:  # the Gram matrix is (r_g)
+            return ups, [[1]], rf.r[ups[0]]
         pos = {g: k for k, g in enumerate(ups)}
         red = _Reducer(track=True)
         for g in ups:
@@ -848,12 +857,14 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
         m = len(d)
         if sorted(d) != list(range(1, m + 1)):
             raise InvalidImportError(f"degeneracy indices at {w} not 1..{m}")
-    A = cartan(la)
+    # (weight, root) -> the weight a lowering row there must hit
+    below = {(w, i): _vsub(w, row) for w in degs
+             for i, row in enumerate(cartan(la), 1)}
     lowering = {}
     for (root, state), terms in data.lowering.items():
         if not 1 <= root <= la.rank or state not in data.kets:
             raise InvalidImportError(f"bad lowering key ({state}, {root})")
-        target_w = _vsub(data.kets[state].dynkin, A[root - 1])
+        target_w = below[data.kets[state].dynkin, root]
         seen = set()
         for c, t in terms:
             if t not in data.kets or data.kets[t].dynkin != target_w:

@@ -310,9 +310,17 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
 
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     """Keep only terms whose leaf at the factor position is in keep.
-    No renormalization is applied."""
+    No renormalization is applied.  A label must be a state of the factor
+    or a reserved negative label of chbasis_list."""
     idx = _check_factor(t, factor)
     keep_set = set(keep)
+    kets = t.factors[idx].kets
+    for lab in sorted(keep_set):
+        if lab >= 0 and lab not in kets:
+            raise ValueError(
+                f"label {lab} is not a state of factor {factor} "
+                f"(dimension {len(kets)})"
+            )
     return _termwise(t, 1, lambda key: [(key, 1, 1)]
                      if key[idx] in keep_set else ())
 

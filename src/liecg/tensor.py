@@ -69,7 +69,11 @@ serves the descent (is a lowered state new at its weight?), the
 highest-weight search (its rows are the Gram images of the lowered basis
 pairs one root higher and of the earlier copies, its null vector the new
 state) and prepare (the coordinates of a lowered state on the states
-already there).  Those rows span the Gram image of everything the earlier
+already there).  prepare needs it least: the descent records where each
+kept state came from, so the lowering that made it is read, not redone,
+and a lowering into a weight of one state is a checked integer multiple
+of that state; only the other lowerings into degenerate weights are
+reduced.  Those rows span the Gram image of everything the earlier
 irreps hold at the weight, and the null vector takes min-label pivots,
 which depend only on the row space: so the vector is the one the Gram
 images of all the states the earlier irreps built there would give, and an
@@ -314,6 +318,7 @@ class ProductIrrep:
         self._scale = None  # (f, k): rho = k*sqrt(f)
         self._levels = None  # (v, sigma) pairs by level, once descended
         self._by_weight = None  # weight -> (v, sigma) pairs
+        self._origins = None  # levels below the top: (parent index, i, g)
         self._terms = None  # _coefficients of the radical sqrt(f)
         self.hw = None  # set by descend_irrep
         self.weights = None  # weights parallel to levels
@@ -397,7 +402,10 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     each simple root, in (state order, root index) order; a candidate is
     kept iff it is linearly independent of the states already kept at its
     weight.  A kept candidate D_i*E v of content g, lowered from the state
-    (v, sigma), is stored as its primitive vector with scale sigma*g/D_i.
+    (v, sigma), is stored as its primitive vector with scale sigma*g/D_i,
+    and its origin (the index of (v, sigma) in the level above, i, g) in
+    p._origins, so that prepare_with_states reads D_i*E v == g*child
+    instead of lowering v again.
 
     The descent is capped by Freudenthal's multiplicities: a state is
     lowered only into a weight of the irrep that still has room, a weight
@@ -422,21 +430,23 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     mult = {rec.dynkin: rec.degeneracy for rec in recs}
     room = dict(mult)  # weight -> states it still lacks
     room[hw] -= 1
-    # weight -> (D_i, low_l, low_r, w - alpha_i) for the children in mult
+    # weight -> (i, D_i, low_l, low_r, w - alpha_i) for the children in mult
     lows = list(zip(_int_tables(fl, fr), cartan(la)))
     children = {
-        w: [(*t, w2) for t, row in lows if (w2 := _vsub(w, row)) in mult]
+        w: [(i, *t, w2) for i, (t, row) in enumerate(lows, 1)
+            if (w2 := _vsub(w, row)) in mult]
         for w in mult}
     levels = [[top]]
     p.weights = [[hw]]
+    origins = []  # below the top, per level: (parent index, root, content)
     by_weight = {hw: [top]}
     reducers = {}  # weight of multiplicity > 1 that is not yet full
     count = 1
     cur_states, cur_weights = levels[0], p.weights[0]
     while True:
-        nxt_states, nxt_weights = [], []
-        for (s, sigma), w in zip(cur_states, cur_weights):
-            for d, low_l, low_r, w2 in children[w]:
+        nxt_states, nxt_weights, nxt_origins = [], [], []
+        for j, ((s, sigma), w) in enumerate(zip(cur_states, cur_weights)):
+            for i, d, low_l, low_r, w2 in children[w]:
                 left = room[w2]
                 if not left:
                     continue
@@ -456,17 +466,19 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
                 state = (low, sigma * g if d == 1 else sigma * Fraction(g, d))
                 nxt_states.append(state)
                 nxt_weights.append(w2)
+                nxt_origins.append((j, i, g))
                 by_weight.setdefault(w2, []).append(state)
         if not nxt_states:
             break
         levels.append(nxt_states)
         p.weights.append(nxt_weights)
+        origins.append(nxt_origins)
         count += len(nxt_states)
         cur_states, cur_weights = nxt_states, nxt_weights
     p.hw = hw
     p.dim = count
     p.descent = {rec.dynkin: rec.descent for rec in recs}
-    p._levels, p._by_weight = levels, by_weight
+    p._levels, p._by_weight, p._origins = levels, by_weight, origins
     p._terms = _coefficients(p._scale[0], fl.r, fr.r)
     for w, m in mult.items():
         if room[w]:
@@ -674,10 +686,14 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     are ordered by descent vector ascending (the generic listing order) and
     states keep their construction order, which defines their degeneracy
     indices.  Each state is oriented once, as sign_a*v_a, before it is
-    reduced, lowered or paired.  Each lowered state D_i*E v_a is reduced
-    against the oriented states of its target weight, as descend_irrep
-    did, giving the lowering coordinates c_t/D_i, and _scaled_form forms
-    the rational form from them, the norms and the Gram products.
+    lowered or paired.  The lowering coordinates c_t/D_i of D_i*E u_a on
+    the oriented states u_t come three ways.  A lowering the descent kept
+    is read from its origin: D_i*E v_a == g*v_t gives sign_a*sign_t*g.  A
+    lowering into a weight of one state t must be an integer multiple of
+    the primitive u_t, and the multiple is the coordinate.  Any other is
+    reduced against the oriented states of its weight by a tracked
+    _Reducer.  _scaled_form forms the rational form from the coordinates,
+    the norms and the Gram products.
     """
     la = l.algebra
     if not p.descended:
@@ -691,24 +707,37 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
     oriented = {}  # label -> sign_a*v_a
     norms = {}  # label -> e*N_a, an int
     labels_at = {}
-    reducers = {}
+    reducers = {}  # weight of two or more states -> their tracked _Reducer
+    level_labels = []  # per level, the label of each of its states
     lab = 1
     for weights in p.weights:
         for w in sorted(set(weights), key=p.descent.get):
-            red = reducers[w] = _Reducer(track=True)
-            for deg, (v, _) in enumerate(p._by_weight[w], 1):
+            vs = p._by_weight[w]
+            red = reducers[w] = _Reducer(track=True) if len(vs) > 1 else None
+            for deg, (v, _) in enumerate(vs, 1):
                 sign = 1 if v[min(v)] > 0 else -1
                 u = oriented[lab] = v if sign > 0 else {k: -c for k, c in v.items()}
-                red.add(u)
+                if red is not None:
+                    red.add(u)
                 kets[lab] = Ket(w, deg)
                 norms[lab] = nn = _scp(u, u, gram_l, gram_r)
                 states[lab] = (v, sign, Fraction(nn, e))
                 labels_at.setdefault(w, []).append(lab)
                 lab += 1
+        at = {w: iter(labels_at[w]) for w in set(weights)}
+        level_labels.append([next(at[w]) for w in weights])
     lower = {i: (d, {}) for i, (d, _, _) in enumerate(tables, 1)}
+    # the lowerings the descent kept: D_i*E v_a == g*v_t
+    for above, below, origins in zip(level_labels, level_labels[1:], p._origins):
+        for t, (j, i, g) in zip(below, origins):
+            a = above[j]
+            lower[i][1][a] = {t: states[a][1] * states[t][1] * g}
     for a, u in oriented.items():
         w = kets[a].dynkin
         for i, (_, low_l, low_r) in enumerate(tables, 1):
+            rows = lower[i][1]
+            if a in rows:
+                continue
             low = _lower(u, low_l, low_r)
             if not low:
                 continue
@@ -719,13 +748,18 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                     f"{la.name} irrep {p.hw}: lowering left the module at "
                     f"weight {w} root {i}"
                 )
-            coords = reducers[w2].add(low)
+            red = reducers[w2]
+            if red is None:  # one state there: low must be c times it
+                c = _multiple(low, oriented[targets[0]])
+                coords = None if c is None else {0: c}
+            else:
+                coords = red.add(low)
             if coords is None:
                 raise ConsistencyError(
                     f"{la.name} irrep {p.hw}: lowered state at {w} root {i} "
                     "is outside the module"
                 )
-            lower[i][1][a] = {targets[k]: c for k, c in coords.items()}
+            rows[a] = {targets[k]: c for k, c in coords.items()}
     gram = {}
     for labs in labels_at.values():
         for ix, a in enumerate(labs):
@@ -734,6 +768,16 @@ def prepare_with_states(p: ProductIrrep, l: Irrep, r: Irrep):
                        if (g := _scp(ua, oriented[b], gram_l, gram_r))}
     form = _scaled_form(norms, lower, gram)
     return Irrep(la, p.hw, kets, form, "imported"), states
+
+
+def _multiple(v, u):
+    """The int c with v == c*u, or None when v is no multiple of u; u is a
+    primitive integer vector, so every multiple of it is an integer one."""
+    k0 = next(iter(u))
+    c, rest = divmod(v.get(k0, 0), u[k0])
+    if rest or len(v) != len(u) or any(v.get(k) != c * x for k, x in u.items()):
+        return None
+    return c
 
 
 def _state_terms(p: ProductIrrep):

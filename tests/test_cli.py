@@ -1204,6 +1204,20 @@ def test_script_chbasis_missing_label_names_its_line(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_script_filter_refuses_a_label_its_factor_lacks(capsys, tmp_path):
+    # the triplet has states 1..3: label 99 would keep nothing and print
+    # 15 empty states as if the couplings vanished
+    path = tmp_path / "s.lie"
+    path.write_text("algebra su 3\nirrep r8 11\nirrep r3 10\nwrap t8 r8\n"
+                    "wrap t3 r3\notimes p t8 t3 1\nfilter f p 2 99\n"
+                    "print f\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert (f"{path}:7: filter: label 99 is not a state of factor 2 "
+            "(dimension 3)") in err
+    assert "Traceback" not in err
+
+
 def test_script_normalize_zero_vector(capsys, tmp_path):
     path = tmp_path / "s.lie"
     path.write_text("algebra a 2\nirrep r8 11\nvector v r8 1:0\nnormalize v\n")

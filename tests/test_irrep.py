@@ -245,6 +245,39 @@ def test_sum_rule_error_names_where():
     )
 
 
+def test_gram_inverse_of_every_block_matches_fractions():
+    # M.G == delta*I exactly, G the block's Gram rows in Fractions, on the
+    # E6 650 and the imported SU(3) 27: one-state blocks, whose inverse is
+    # read off the diagonal, and degenerate ones, inverted by elimination
+    e27, e27b = (new_generic_irrep(E6, (1, 0, 0, 0, 0, 0)),
+                 new_generic_irrep(E6, (0, 0, 0, 0, 1, 0)))
+    d = Decomposition(e27, e27b)
+    decompose(d)
+    oc = new_generic_irrep(A2, (1, 1))
+    d8 = Decomposition(oc, oc)
+    decompose(d8)
+    irreps = [
+        prepare_with_states(d.found[0], e27, e27b)[0],  # the 650
+        new_imported_irrep(A2, prepare(d8.found[0], oc, oc)),  # the 27
+    ]
+    assert [r.dim for r in irreps] == [650, 27]
+    for r in irreps:
+        rf = r.rational_form()
+        sizes = set()
+        for w, ups in r.labels_by_weight.items():
+            got, m, delta = r._gram_inverse(rf, w)
+            assert got == ups and delta > 0
+            g = [[Fraction(dict(rf.gram[a]).get(b, 0)) for b in ups]
+                 for a in ups]
+            n = len(ups)
+            assert [[sum(m[j][k] * g[k][c] for k in range(n))
+                     for c in range(n)] for j in range(n)] == [
+                [delta if j == c else 0 for c in range(n)] for j in range(n)]
+            assert all(type(x) is int for row in m for x in row)
+            sizes.add(min(n, 2))
+        assert sizes == {1, 2}, r  # both kinds of block occur
+
+
 def test_sweep_runs_without_field_arithmetic(monkeypatch):
     from liecg.exactnum import FieldElem
 

@@ -411,6 +411,55 @@ def test_prepare_error_names_algebra_and_irrep(su3_pair):
     assert "SU(3)" in msg and "(1, 1)" in msg
 
 
+def _octet_square_27():
+    oc = new_generic_irrep(A2, (1, 1))
+    d = Decomposition(oc, oc)
+    decompose(d)
+    return d.found[0], oc
+
+
+def test_prepare_checks_a_lowering_into_a_one_state_weight():
+    # a lowering the descent did not keep, into a weight holding one state,
+    # is read as a multiple of that state only once it is shown to be one:
+    # with that state corrupted, prepare must refuse it
+    p, oc = _octet_square_27()
+    tables = tensor._int_tables(oc.rational_form(), oc.rational_form())
+    A = ((2, -1), (-1, 2))
+    reached = set()  # one-state weights that a kept-free pair lowers into
+    for lev, origins in enumerate(p._origins):
+        kept = {(j, i) for j, i, _ in origins}
+        for j, ((v, _), w) in enumerate(zip(p._levels[lev], p.weights[lev])):
+            for i, (_, low_l, low_r) in enumerate(tables, 1):
+                w2 = tuple(x - y for x, y in zip(w, A[i - 1]))
+                if ((j, i) not in kept and len(p._by_weight.get(w2, ())) == 1
+                        and tensor._lower(v, low_l, low_r)):
+                    reached.add(w2)
+    w2 = min(w for w in reached if len(p._by_weight[w][0][0]) > 1)
+    prepare(p, oc, oc)  # untouched, it passes
+    (v, sigma), = p._by_weight[w2]
+    k = max(v)
+    p._by_weight[w2] = [({**v, k: 2 * v[k]}, sigma)]  # one entry doubled
+    with pytest.raises(ConsistencyError, match="is outside the module") as exc:
+        prepare(p, oc, oc)
+    assert "SU(3) irrep (2, 2)" in str(exc.value)
+
+
+def test_prepare_lowers_no_pair_the_descent_kept(monkeypatch):
+    # the 27 has 26 states below its top, each kept from one (parent, root)
+    # pair; prepare reads those and lowers only the other 27*2 - 26 pairs
+    p, oc = _octet_square_27()
+    calls = {"lower": 0}
+    real = tensor._lower
+
+    def counting(*args):
+        calls["lower"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_lower", counting)
+    prepare(p, oc, oc)
+    assert calls["lower"] == 27 * 2 - 26
+
+
 def test_prepare_undescended_names_algebra(su3_pair):
     l, r = su3_pair
     with pytest.raises(ConsistencyError, match="needs a descended irrep") as exc:
