@@ -9,7 +9,13 @@ import pytest
 
 from liecg import tensor
 from liecg.exactnum import ONE, ZERO, field, field_sqrt
-from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
+from liecg.liealg import (
+    ConsistencyError,
+    LieAlgebra,
+    cartan,
+    freudenthal,
+    weyl_dim,
+)
 from liecg.linalg import LabeledVector, label_key
 from liecg.irrep import new_generic_irrep, new_imported_irrep
 from liecg.tensor import (
@@ -424,7 +430,7 @@ def test_prepare_checks_a_lowering_into_a_one_state_weight():
     # with that state corrupted, prepare must refuse it
     p, oc = _octet_square_27()
     tables = tensor._int_tables(oc.rational_form(), oc.rational_form())
-    A = ((2, -1), (-1, 2))
+    A = cartan(A2)
     reached = set()  # one-state weights that a kept-free pair lowers into
     for lev, origins in enumerate(p._origins):
         kept = {(j, i) for j, i, _ in origins}
