@@ -26,6 +26,7 @@ from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
+    _PINNED_FIELDS,
     _json_chunks,
     new_generic_irrep,
     new_imported_irrep,
@@ -83,13 +84,23 @@ def _listing_lines(la, hw):
         _RULE,
     ]
 
+    # one %-format for every line: label, level, degeneracy, Dynkin labels,
+    # lowest-root label and descent, and an empty pad where that makes
+    # _PINNED_FIELDS fields (E8)
+    labels = ",".join(["%d"] * la.rank)
+    line = "%d, Lev:%d, Deg:%d  (" + labels + "),%d  (" + labels + ")"
+    pad = ()
+    if 4 + 2 * la.rank == _PINNED_FIELDS:
+        line, pad = line + "%s", ("",)
+
     def lines():
         yield from head
         idx = 1
         for rec in records:
-            yield (f"{idx}, Lev:{rec.level}, Deg:{rec.degeneracy}  "
-                   f"{_tup(rec.dynkin)},{rec.lowest_root_label}  {_tup(rec.descent)}")
-            idx += rec.degeneracy
+            deg = rec.degeneracy
+            yield line % (idx, rec.level, deg, *rec.dynkin,
+                          rec.lowest_root_label, *rec.descent, *pad)
+            idx += deg
 
     return lines()
 

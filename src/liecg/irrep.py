@@ -716,7 +716,12 @@ def _json_chunks(x, nl="\n"):
     document liecg writes comes from here, as "".join of the pieces or
     written piece by piece: before Python 3.13 json.dumps runs its
     pure-Python encoder whenever it indents, while this writer joins each
-    container once and writes a list of plain ints with one %-format.
+    container once, writes a list of plain ints with one %-format, and
+    writes a dict whose values are all plain ints or non-empty lists of
+    them (a weight record, an irrep entry of a summary) with one %-format
+    per shape: its keys, its list lengths and its depth.  Values are told
+    apart by type(), so a bool, a float or an empty list leaves that path
+    and is written or refused as anywhere else.
 
     A list may also be given as an iterator, outside any list: it is written
     element by element as it is consumed, one piece per element, so a long
@@ -745,6 +750,12 @@ def _json_chunks(x, nl="\n"):
 
 _INTS = {int}
 
+# CPython 3.11 puts every freed tuple of 20 items on its free list but never
+# takes one back from it, so each such tuple is a fresh allocation and 2000
+# of them stay allocated (0.4 MB).  A %-format of this many fields gets one
+# more, "%s", filled with "".
+_PINNED_FIELDS = 20
+
 
 def _json_value(x, nl):
     """x written at the depth whose line break and indent is nl, joined."""
@@ -767,6 +778,23 @@ def _json_value(x, nl):
     if t is dict:
         if not x:
             return "{}"
+        # a record of ints and int lists fills one format of its shape
+        vals = []
+        lens = []
+        for v in x.values():
+            tv = type(v)
+            if tv is int:
+                vals.append(v)
+                lens.append(0)
+            elif tv is list and v and set(map(type, v)) == _INTS:
+                vals += v
+                lens.append(len(v))
+            else:
+                break
+        else:
+            if len(vals) == _PINNED_FIELDS:
+                vals.append("")
+            return _dict_format(tuple(x), tuple(lens), nl) % tuple(vals)
         inner, sep = _indent(nl)
         body = sep.join([_key(k) + _json_value(v, inner) for k, v in x.items()])
         return "{" + inner + body + nl + "}"
@@ -774,7 +802,8 @@ def _json_value(x, nl):
 
 
 # The writer's fixed pieces, each formed once: a document nests a few levels
-# deep and has a few dozen keys and int-list lengths.
+# deep and has a few dozen keys, int-list lengths and shapes of records of
+# ints and int lists (a weight record, an irrep entry of a summary).
 
 @lru_cache(maxsize=None)
 def _indent(nl):
@@ -796,6 +825,18 @@ def _ints_format(n, nl):
     """The %-format of a list of n ints written at the depth of nl."""
     inner, sep = _indent(nl)
     return "[" + inner + sep.join(["%d"] * n) + nl + "]"
+
+
+@lru_cache(maxsize=256)
+def _dict_format(keys, lens, nl):
+    """The %-format of a dict written at the depth of nl whose values are,
+    key by key, an int (length 0) or a list of that many ints."""
+    inner, sep = _indent(nl)
+    body = sep.join([_key(k).replace("%", "%%")
+                     + (_ints_format(n, inner) if n else "%d")
+                     for k, n in zip(keys, lens)])
+    pad = "%s" if sum(n or 1 for n in lens) == _PINNED_FIELDS else ""
+    return "{" + inner + body + nl + "}" + pad
 
 
 def _integer(x, what):

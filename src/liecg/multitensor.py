@@ -39,15 +39,19 @@ FieldElems enter only with the script literals of scale and chbasis,
 whose terms (radicand -> rational coefficient) are folded in per class.
 The coefficient of e_L in e_s = sqrt(r_s)/r_s * u_s is W_h[L]/(D r_s) *
 sqrt(h * r_s * prod r_l), which TensorNode._int_parts gives as a sum of
-n/kd * sqrt(f) over square-free f, still in integers; the class of
-prod r_l is folded over the leaves of L left to right, each prefix once.
-Radicals leave through two doors: untree renders every coefficient
-straight from those integers, and expand (with tensor_coeff) turns them
-into FieldElems.  is_sym compares the integers.
+n/kd * sqrt(f) over square-free f, still in integers: a tuple of (f, n)
+pairs in increasing f per leaf tuple, one pair when the state has a single
+class h.  The class of prod r_l is folded over the leaves of L left to
+right, each prefix once.  Radicals leave through two doors: untree renders
+each distinct (kd, pairs) once per call, straight from those integers, and
+expand (with tensor_coeff) turns them into FieldElems.  is_sym compares
+the tuples.
 
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
 directions introduced by chbasis_list, e.g. a vev direction -1; they have
-class 1, as has any label that is not a state of its factor.
+class 1, as has any label that is not a state of its factor.  A node
+remembers, per factor, the reserved labels its chbasis steps introduced,
+and filter refuses any other negative label.
 """
 
 from __future__ import annotations
@@ -125,12 +129,15 @@ class TensorNode:
     tuples, one label per factor in leaf order: a hand-built single-factor
     node returns keys (label,).  It is memoized; expand converts it to
     FieldElem coefficients on every call.  The nesting of every tree is
-    the node's shape, held here once."""
+    the node's shape, held here once.  reserved holds, per factor, the
+    reserved negative labels its basis changes introduced (none by
+    default)."""
 
-    def __init__(self, irrep: Irrep, fn, factors, shape):
+    def __init__(self, irrep: Irrep, fn, factors, shape, reserved=None):
         self.irrep = irrep
         self.factors = factors  # factor Irreps in leaf order
         self.shape = shape  # nested tuple, leaves are None placeholders
+        self.reserved = reserved or (frozenset(),) * len(factors)
         self._fn = fn
         self._memo = {}
 
@@ -160,9 +167,10 @@ class TensorNode:
         return cls
 
     def _int_parts(self, state: int, tree_class=None):
-        """(kd, {key: {f: n}}) with e_state == the sum over leaf tuples L
-        of sum n/kd*sqrt(f) e_L, every f square-free and kd > 0.  tree_class
-        is a _tree_class() of this node, to share between states."""
+        """(kd, {key: ((f, n), ...)}) with e_state == the sum over leaf
+        tuples L of sum n/kd*sqrt(f) e_L, the pairs of a key in increasing
+        f, every f square-free and kd > 0.  tree_class is a _tree_class()
+        of this node, to share between states."""
         if state not in self.irrep.kets:
             raise ValueError(f"no state labeled {state}")
         if tree_class is None:
@@ -170,14 +178,25 @@ class TensorNode:
         den, parts = self._rational(state)
         # e_state = sqrt(r)/r * u_state
         r = self.irrep.rational_form().r[state]
-        out = {}
+        if len(parts) == 1:
+            # one class h: each key gets its one pair directly
+            ((h, w),) = parts.items()
+            h, m0 = _mul_class(h, r)
+            out = {}
+            for key, x in w.items():
+                fl, ml = tree_class(key)
+                f, g = _mul_class(h, fl)
+                out[key] = ((f, x * m0 * ml * g),)
+            return den * r, out
+        acc = {}
         for h, w in parts.items():
             h, m0 = _mul_class(h, r)
             for key, x in w.items():
                 fl, ml = tree_class(key)
                 f, g = _mul_class(h, fl)
-                out.setdefault(key, {})[f] = x * m0 * ml * g
-        return den * r, out
+                acc.setdefault(key, {})[f] = x * m0 * ml * g
+        return den * r, {key: tuple(sorted(t.items()))
+                         for key, t in acc.items()}
 
     def expand(self, state: int) -> LabeledVector:
         kd, parts = self._int_parts(state)
@@ -190,8 +209,8 @@ class TensorNode:
 
 
 def _field_elem(kd, t) -> FieldElem:
-    """The sum of n/kd*sqrt(f) over the {f: n} of one leaf tuple."""
-    return FieldElem({f: Fraction(n, kd) for f, n in t.items()})
+    """The sum of n/kd*sqrt(f) over the (f, n) pairs of one leaf tuple."""
+    return FieldElem({f: Fraction(n, kd) for f, n in t})
 
 
 def wrap(r: Irrep) -> TensorNode:
@@ -250,7 +269,8 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
                             acc[key] = acc.get(key, 0) + x * xb
         return _reduced(den, out)
 
-    return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape))
+    return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape),
+                      a.reserved + b.reserved)
 
 
 def expand(t: TensorNode, state: int) -> LabeledVector:
@@ -260,24 +280,27 @@ def expand(t: TensorNode, state: int) -> LabeledVector:
 def untree(t: TensorNode, fmt: str = "plain") -> list:
     """All states with their expansions rendered as (coeff, tree) listings.
 
-    Each coefficient is rendered from the integers of _int_parts, with
-    every fraction put in lowest terms, and each leaf tuple through one
-    template of the node's shape.  All trees of a node have its shape and
-    int leaves, so leaf tuple order is the label order of LabeledVector
-    listings."""
+    Each distinct coefficient is rendered once per call from the integers
+    of _int_parts, with every fraction put in lowest terms, and each term
+    through one template of the node's shape.  All trees of a node have
+    its shape and int leaves, so leaf tuple order is the label order of
+    LabeledVector listings."""
     tree_class = t._tree_class()
-    tmpl = tree_str(t.shape).replace("None", "%d")
+    tmpl = '("%s", "' + tree_str(t.shape).replace("None", "%d") + '")'
+    texts = {}  # (kd, pairs) -> rendered coefficient
     out = []
     for lab in sorted(t.irrep.kets):
         kd, parts = t._int_parts(lab, tree_class)
         items = []
-        for key in sorted(parts):
-            terms = []
-            for f, n in sorted(parts[key].items()):
-                g = gcd(n, kd)
-                terms.append((f, n // g, kd // g))
-            items.append('("%s", "%s")' % (_render_terms(terms, fmt),
-                                           tmpl % key))
+        for key, pairs in sorted(parts.items()):
+            text = texts.get((kd, pairs))
+            if text is None:
+                terms = []
+                for f, n in pairs:
+                    g = gcd(n, kd)
+                    terms.append((f, n // g, kd // g))
+                text = texts[kd, pairs] = _render_terms(terms, fmt)
+            items.append(tmpl % ((text,) + key))
         out.append((lab, "[" + "; ".join(items) + "]"))
     return out
 
@@ -290,9 +313,10 @@ def _check_factor(t: TensorNode, factor: int):
     return factor - 1
 
 
-def _termwise(t: TensorNode, den: int, image) -> TensorNode:
+def _termwise(t: TensorNode, den: int, image, reserved=None) -> TensorNode:
     """t with every term x*sqrt(h) u_L of a state replaced by the sum of
-    x*n*sqrt(h*f)/den u_L2 over the (L2, f, n) in image(L)."""
+    x*n*sqrt(h*f)/den u_L2 over the (L2, f, n) in image(L); its reserved
+    labels are t's unless given."""
 
     def fn(s):
         d, parts = t._rational(s)
@@ -305,13 +329,13 @@ def _termwise(t: TensorNode, den: int, image) -> TensorNode:
                     acc[key2] = acc.get(key2, 0) + x * n * m
         return _reduced(d * den, out)
 
-    return TensorNode(t.irrep, fn, t.factors, t.shape)
+    return TensorNode(t.irrep, fn, t.factors, t.shape, reserved or t.reserved)
 
 
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     """Keep only terms whose leaf at the factor position is in keep.
     No renormalization is applied.  A label must be a state of the factor
-    or a reserved negative label of chbasis_list."""
+    or a reserved negative label that a chbasis of the factor introduced."""
     idx = _check_factor(t, factor)
     keep_set = set(keep)
     kets = t.factors[idx].kets
@@ -320,6 +344,11 @@ def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
             raise ValueError(
                 f"label {lab} is not a state of factor {factor} "
                 f"(dimension {len(kets)})"
+            )
+        if lab < 0 and lab not in t.reserved[idx]:
+            raise ValueError(
+                f"label {lab} is not a reserved label of factor {factor}: "
+                "no basis change of that factor introduced it"
             )
     return _termwise(t, 1, lambda key: [(key, 1, 1)]
                      if key[idx] in keep_set else ())
@@ -359,7 +388,10 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
         for new, f, n in sub:
             yield key[:idx] + (new,) + key[idx + 1:], f, n
 
-    return _termwise(t, den, image)
+    introduced = {new for row in rows.values() for new, _, _ in row if new < 0}
+    res = t.reserved
+    return _termwise(t, den, image,
+                     res[:idx] + (res[idx] | introduced,) + res[idx + 1:])
 
 
 def chbasis_list(basis, offset: int):
@@ -429,7 +461,7 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
         swapped = {swap(key): c for key, c in e.items()}
         if swapped == e:
             v = 1
-        elif swapped == {key: {f: -n for f, n in c.items()}
+        elif swapped == {key: tuple([(f, -n) for f, n in c])
                          for key, c in e.items()}:
             v = -1
         else:

@@ -67,6 +67,56 @@ def test_e6_27_listing(capsys):
     assert lines[-1] == "27, Lev:16, Deg:1  (0,0,0,0,-1,0),1  (2,3,4,3,2,2)"
 
 
+def oracle_listing(la, hw):
+    """The -rep listing built straight from the freudenthal records: each
+    number through str(), each weight through ",".join, the dimension as
+    the sum of the multiplicities."""
+    records = freudenthal(la, hw)
+
+    def tup(xs):
+        return "(" + ",".join(str(x) for x in xs) + ")"
+
+    lines = []
+    label = 1
+    for rec in records:
+        lines.append(str(label) + ", Lev:" + str(rec.level) + ", Deg:"
+                     + str(rec.degeneracy) + "  " + tup(rec.dynkin) + ","
+                     + str(rec.lowest_root_label) + "  " + tup(rec.descent))
+        label += rec.degeneracy
+    rule = "=" * 34
+    head = ["Lie algebra   :   " + la.name, rule,
+            "Highest weight:   " + tup(hw),
+            "Dim. of irrep :   " + str(label - 1), rule]
+    return "\n".join(head + lines)
+
+
+LISTING_CASES = [
+    ("A", 3, (1, 0, 2)), ("B", 3, (1, 0, 1)),
+    ("C", 3, (0, 1, 1)), ("D", 4, (0, 1, 0, 0)), ("E6", 6, (0, 0, 0, 0, 0, 1)),
+    ("E7", 7, (1, 0, 0, 0, 0, 0, 0)), ("E8", 8, (0, 0, 0, 0, 0, 0, 1, 0)),
+    ("F4", 4, (0, 0, 1, 0)), ("G2", 2, (2, 1)),
+    ("E8", 8, (1, 0, 0, 0, 0, 0, 0, 0)),  # 3875
+]
+
+
+@pytest.mark.parametrize("family, rank, hw", LISTING_CASES,
+                         ids=[f"{f}{n}-{''.join(map(str, hw))}"
+                              for f, n, hw in LISTING_CASES])
+def test_listing_matches_records_oracle(family, rank, hw):
+    la = LieAlgebra(family, rank)
+    want = oracle_listing(la, hw)
+    assert cli.weight_listing(la, hw) == want
+    assert want.count("\n") > 5
+
+
+def test_su2_listing_oracle(capsys):
+    # rank 1: every weight has a single Dynkin label and descent entry
+    rc, out, _ = run(capsys, "-su", "2", "-rep", "4")
+    assert rc == 0
+    assert out == oracle_listing(LieAlgebra("A", 1), (4,)) + "\n"
+    assert out.splitlines()[-1] == "5, Lev:4, Deg:1  (-4),4  (4)"
+
+
 def test_rank_one_label_above_nine(capsys):
     rc, out, _ = run(capsys, "-su", "2", "-rep", "11")
     assert rc == 0
@@ -115,6 +165,41 @@ def test_listing_is_written_in_flat_memory(fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+LEFTOVER = """
+import contextlib, sys, tracemalloc
+from liecg import cli
+from liecg.liealg import LieAlgebra, freudenthal
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, pieces):
+        for _ in pieces:
+            pass
+
+la = LieAlgebra("E8", 8)
+freudenthal(la, (1, 0, 0, 0, 0, 0, 0, 0))
+tracemalloc.start()
+with contextlib.redirect_stdout(Discard()):
+    cli.run_weights(la, "10000000", sys.argv[1])
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_listing_leaves_nothing_allocated(fmt):
+    # E8 3875 in a fresh interpreter, whose tuple free lists are empty: a
+    # record of 20 fields filled through a 20-tuple would leave 2000 of
+    # them (0.4 MB) allocated on CPython 3.11
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LEFTOVER, fmt],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**16
 
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])
@@ -1216,6 +1301,33 @@ def test_script_filter_refuses_a_label_its_factor_lacks(capsys, tmp_path):
     assert (f"{path}:7: filter: label 99 is not a state of factor 2 "
             "(dimension 3)") in err
     assert "Traceback" not in err
+
+
+def test_script_filter_refuses_a_reserved_label_no_chbasis_made(capsys,
+                                                                 tmp_path):
+    # the basis change of the octet's zero-weight block introduces -1 and
+    # -2 at factor 2; -7 would keep nothing and print 15 empty states
+    path = tmp_path / "s.lie"
+    head = ("algebra a 2\nirrep r3 10\nirrep r8 11\nwrap t3 r3\n"
+            "wrap t8 r8\notimes g0 t3 t8 1\nvector v r8 4:1\nnormalize v\n"
+            "basis tr r8 3 v\nfilter fz g0 2 4,5\nchbasis c fz 2 tr\n")
+    path.write_text(head + "filter g c 2 -7\nprint g\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert (f"{path}:12: filter: label -7 is not a reserved label of "
+            "factor 2") in err
+    assert "Traceback" not in err
+    # before the basis change no reserved label exists; after it, the
+    # labels it introduced are kept at their factor only
+    for line, bad in [("filter g fz 2 -1", -1), ("filter g c 1 -1", -1)]:
+        path.write_text(head + line + "\nprint g\n")
+        rc, out, err = run(capsys, "--script", str(path))
+        assert rc == 1 and out == ""
+        assert f"label {bad} is not a reserved label of factor" in err
+    path.write_text(head + "filter g c 2 -1,-2\nprint g\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 0 and err == ""
+    assert out.count("\n") == 15 and "-1)" in out
 
 
 def test_script_normalize_zero_vector(capsys, tmp_path):

@@ -182,6 +182,36 @@ def test_empty_containers_and_scalars():
         assert text(doc) == reference(doc)
 
 
+def nested(doc, depth):
+    """doc as the one value of depth nested dicts."""
+    for _ in range(depth):
+        doc = {"n": doc}
+    return doc
+
+
+RECORDS = [
+    {"label": 1, "level": 0, "deg": 1, "dynkin": [1, -2, 0], "lowest_root": 3,
+     "descent": [0, 0, 0]},
+    {"a": 5},
+    {"a": [7]},
+    {"a": [], "b": 1},
+    {"a": 1, "b": []},
+    {"a": 2**200, "b": [-2**200, 2**200, -1], "c": -2**200},
+    {'"%d%s%%"': 1, "\u00e9 %": [2, 3]},
+]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_int_records_at_every_depth(depth):
+    # a dict of ints and int lists fills one cached format of its shape;
+    # beside it the same keys with other list lengths, at other depths and
+    # inside a list
+    for doc in RECORDS:
+        for x in (doc, [doc, doc], {"r": doc, "s": [doc]}):
+            assert text(nested(x, depth)) == reference(nested(x, depth))
+    assert text(nested(RECORDS[:2], depth)) == reference(nested(RECORDS[:2], depth))
+
+
 ITERATED = [
     [],
     {"a": []},
@@ -218,13 +248,28 @@ def test_iterator_is_written_as_it_is_consumed():
 
 @pytest.mark.parametrize("doc", [True, False, [1, True], {"a": [True]},
                                  1.5, [1.5], {1: 2}, {"a": {None: 1}},
-                                 (1, 2), [1, (2,)]],
+                                 (1, 2), [1, (2,)],
+                                 {"a": True}, {"a": 1, "b": 1.5},
+                                 {"a": [1, True], "b": 2}],
                          ids=repr)
 def test_refuses_what_json_dumps_writes_otherwise(doc):
     # json.dumps writes true, 1.5, "1" as a key and a tuple as a list; this
     # writer raises rather than guess
     with pytest.raises(TypeError):
         text(doc)
+
+
+@pytest.mark.parametrize("doc", [{"a": True}, {"a": 1, "b": 1.5},
+                                 {"a": [1, True], "b": 2}, {"a": 1, 2: 3},
+                                 {"a": 1, "b": (2,)}],
+                         ids=repr)
+def test_refuses_inside_records(doc):
+    # inside a list or an iterator a dict of ints is written through one
+    # %-format, where a %d would write True and 1.5 as 1
+    with pytest.raises(TypeError):
+        text([doc])
+    with pytest.raises(TypeError):
+        text({"r": iter([doc])})
 
 
 def test_refuses_an_iterator_inside_a_list():

@@ -663,6 +663,36 @@ def test_print_unreduced_expansion():
     assert_prints_alike(mt.otimes(mt.wrap(r8), node, 4))
 
 
+def test_print_key_of_two_classes():
+    # a chain scaled by 1+sqrt(2): a key of a state carries two radical
+    # classes, so each of its coefficients is a sum of two radicals
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    t8 = mt.wrap(r8)
+    node = mt.scale(mt.otimes(mt.otimes(t8, t8, 2), mt.wrap(r3), 1),
+                    parse_field("1+sqrt(2)"))
+    tree_class = node._tree_class()
+    pairs = [c for s in node.irrep.kets
+             for c in node._int_parts(s, tree_class)[1].values()]
+    assert any(len({f for f, _ in c}) == 2 for c in pairs)
+    assert all([f for f, _ in c] == sorted({f for f, _ in c}) for c in pairs)
+    assert_prints_alike(node)
+
+
+def test_print_formats_in_turn():
+    # each untree call renders its coefficients afresh: printing one node
+    # in each format in turn, and in the first again, matches the oracle
+    # every time, though the formats write the same coefficient apart
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    node = mt.otimes(mt.otimes(mt.wrap(r8), mt.wrap(r3), 1), mt.wrap(r3), 2)
+    printed = {}
+    for fmt in ("plain", "tex", "mathematica", "plain"):
+        got = mt.untree(node, fmt)
+        assert got == field_untree(node, fmt), fmt
+        printed.setdefault(fmt, got)
+        assert got == printed[fmt]
+    assert len({str(p) for p in printed.values()}) == 3
+
+
 def random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice((-1, -2, -3, -10, -123)) if rng.random() < 0.3 \
