@@ -663,7 +663,8 @@ class ImportedIrrepData:
         try:
             if doc.get("format") != cls.FORMAT:
                 raise InvalidImportError(f"unknown format {doc.get('format')!r}")
-            alg = LieAlgebra(doc["algebra"]["family"], doc["algebra"]["rank"])
+            alg = LieAlgebra(doc["algebra"]["family"],
+                             _integer(doc["algebra"]["rank"], "algebra rank"))
             kets = {}
             for lab, dyn, deg in doc["kets"]:
                 lab = _integer(lab, "ket label")

@@ -42,10 +42,11 @@ sqrt(h * r_s * prod r_l), which TensorNode._int_parts gives as a sum of
 n/kd * sqrt(f) over square-free f, still in integers: a tuple of (f, n)
 pairs in increasing f per leaf tuple, one pair when the state has a single
 class h.  The class of prod r_l is folded over the leaves of L left to
-right, each prefix once.  Radicals leave through two doors: untree renders
-each distinct (kd, pairs) once per call, straight from those integers, and
-expand (with tensor_coeff) turns them into FieldElems.  is_sym compares
-the tuples.
+right, by one fold per node that keeps each proper prefix it folded.
+Radicals leave through two doors: untree renders each distinct (kd,
+pairs) once per call, straight from those integers, and expand (with
+tensor_coeff) turns them into FieldElems.  is_sym needs neither: it
+compares the W_h, since its two factors share one class table.
 
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
 directions introduced by chbasis_list, e.g. a vev direction -1; they have
@@ -57,7 +58,6 @@ and filter refuses any other negative label.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 
 from .exactnum import FieldElem, ZERO, _mul_class, _render_terms, _sqrt
@@ -140,6 +140,8 @@ class TensorNode:
         self.reserved = reserved or (frozenset(),) * len(factors)
         self._fn = fn
         self._memo = {}
+        self._classes = [fac.rational_form().r for fac in factors]
+        self._prefixes = {(): (1, 1)}  # proper prefix of a key -> its class
 
     @property
     def nfactors(self) -> int:
@@ -151,30 +153,24 @@ class TensorNode:
             got = self._memo[state] = self._fn(state)
         return got
 
-    def _tree_class(self):
-        """A function taking a leaf tuple to (f, m), prod of sqrt(r_l) over
-        its leaves l == m*sqrt(f).  It folds the leaves left to right and
-        memoizes the proper prefixes, which many keys share; keep it only
-        as long as the keys it is given."""
-        classes = [fac.rational_form().r for fac in self.factors]
+    def _key_class(self, key):
+        """(f, m) with prod of sqrt(r_l) over the leaves l of key ==
+        m*sqrt(f), folded left to right; the node keeps the class of each
+        proper prefix, which many keys share."""
+        head = key[:-1]
+        fm = self._prefixes.get(head)
+        if fm is None:
+            fm = self._prefixes[head] = self._key_class(head)
+        f, g = _mul_class(fm[0], self._classes[len(head)].get(key[-1], 1))
+        return f, fm[1] * g
 
-        def cls(key):
-            f, m = prefix(key[:-1]) if len(key) > 1 else (1, 1)
-            f, g = _mul_class(f, classes[len(key) - 1].get(key[-1], 1))
-            return f, m * g
-
-        prefix = cache(cls)
-        return cls
-
-    def _int_parts(self, state: int, tree_class=None):
+    def _int_parts(self, state: int):
         """(kd, {key: ((f, n), ...)}) with e_state == the sum over leaf
         tuples L of sum n/kd*sqrt(f) e_L, the pairs of a key in increasing
-        f, every f square-free and kd > 0.  tree_class is a _tree_class()
-        of this node, to share between states."""
+        f, every f square-free and kd > 0."""
         if state not in self.irrep.kets:
             raise ValueError(f"no state labeled {state}")
-        if tree_class is None:
-            tree_class = self._tree_class()
+        key_class = self._key_class
         den, parts = self._rational(state)
         # e_state = sqrt(r)/r * u_state
         r = self.irrep.rational_form().r[state]
@@ -184,7 +180,7 @@ class TensorNode:
             h, m0 = _mul_class(h, r)
             out = {}
             for key, x in w.items():
-                fl, ml = tree_class(key)
+                fl, ml = key_class(key)
                 f, g = _mul_class(h, fl)
                 out[key] = ((f, x * m0 * ml * g),)
             return den * r, out
@@ -192,7 +188,7 @@ class TensorNode:
         for h, w in parts.items():
             h, m0 = _mul_class(h, r)
             for key, x in w.items():
-                fl, ml = tree_class(key)
+                fl, ml = key_class(key)
                 f, g = _mul_class(h, fl)
                 acc.setdefault(key, {})[f] = x * m0 * ml * g
         return den * r, {key: tuple(sorted(t.items()))
@@ -285,12 +281,11 @@ def untree(t: TensorNode, fmt: str = "plain") -> list:
     through one template of the node's shape.  All trees of a node have
     its shape and int leaves, so leaf tuple order is the label order of
     LabeledVector listings."""
-    tree_class = t._tree_class()
     tmpl = '("%s", "' + tree_str(t.shape).replace("None", "%d") + '")'
     texts = {}  # (kd, pairs) -> rendered coefficient
     out = []
     for lab in sorted(t.irrep.kets):
-        kd, parts = t._int_parts(lab, tree_class)
+        kd, parts = t._int_parts(lab)
         items = []
         for key, pairs in sorted(parts.items()):
             text = texts.get((kd, pairs))
@@ -430,9 +425,12 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
     """+1 / -1 if swapping the two factors fixes / negates every state's
     expansion, 0 for mixed or undecided symmetry.  Both factors must carry
     the same irrep in the same basis: swapping leaves of two bases
-    compares unrelated coefficients."""
+    compares unrelated coefficients.  So a swap keeps the classes of
+    every leaf tuple, and the rational form decides."""
     i1 = _check_factor(t, f1)
     i2 = _check_factor(t, f2)
+    if i1 == i2:
+        raise ValueError(f"factor {f1} is named twice: nothing to swap")
     fa, fb = t.factors[i1], t.factors[i2]
     if fa.algebra != fb.algebra or fa.hw != fb.hw:
         raise ValueError(
@@ -451,18 +449,17 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
         key[i1], key[i2] = key[i2], key[i1]
         return tuple(key)
 
-    tree_class = t._tree_class()
     verdict = 0
     for lab in t.irrep.kets:
-        # the coefficients of e_L up to one positive factor
-        _, e = t._int_parts(lab, tree_class)
-        if not e:
+        _, parts = t._rational(lab)
+        if not parts:
             continue
-        swapped = {swap(key): c for key, c in e.items()}
-        if swapped == e:
+        swapped = {h: {swap(key): x for key, x in w.items()}
+                   for h, w in parts.items()}
+        if swapped == parts:
             v = 1
-        elif swapped == {key: tuple([(f, -n) for f, n in c])
-                         for key, c in e.items()}:
+        elif swapped == {h: {key: -x for key, x in w.items()}
+                         for h, w in parts.items()}:
             v = -1
         else:
             return 0

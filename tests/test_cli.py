@@ -516,6 +516,8 @@ def _octet_doc(capsys, tmp_path):
     (("lowering", 0, 1), 1.5),  # a root
     (("lowering", 0, 2, 0, 1), "2"),  # a target
     (("scp", 0, 0), 4.0),  # a state of a scalar product
+    (("algebra", "rank"), True),  # would read as SU(2)
+    (("algebra", "rank"), 2.0),
 ])
 def test_import_refuses_non_integer_fields(capsys, tmp_path, where, value):
     # floats, bools and strings are refused, not truncated to an integer
@@ -1069,6 +1071,22 @@ def test_is_sym_refuses_one_irrep_in_two_bases(capsys, tmp_path):
     assert err.strip().endswith(
         "bases.lie:15: is_sym: factors 1 and 2 carry the irrep (1, 1) "
         "in different bases")
+
+
+def test_is_sym_refuses_one_factor_named_twice(capsys, tmp_path):
+    # swapping a position with itself would print 1, or 0 on a node whose
+    # states all vanish
+    path = tmp_path / "twice.lie"
+    path.write_text(
+        "algebra su 3\nirrep r8 11\nwrap a r8\notimes q a a 1\n"
+        "scale z q 0\nis_sym q 1 2\nis_sym z 2 2\n"
+    )
+    capsys.readouterr()
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1
+    assert out == "is_sym q 1 2 = 1\n"
+    assert err.strip().endswith(
+        "twice.lie:7: is_sym: factor 2 is named twice: nothing to swap")
 
 
 # SU(3) 8 x 8 x 8 x 8 down to the 125, the largest print of the benchmark

@@ -1,6 +1,7 @@
 """Irrep construction: su(2) ladder oracle, adjoint tables, degenerate
 irreps, the lowering/raising sum rule, and import round-trips."""
 
+import json
 import os
 from dataclasses import replace
 from fractions import Fraction
@@ -442,6 +443,18 @@ def test_import_rejects_malformed_json():
         ImportedIrrepData.from_json(
             '{"format": "liecg-irrep-v1", "algebra": {"family": "A"}}'
         )
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, "2"])
+def test_import_refuses_a_rank_that_is_no_integer(rank):
+    # refused, where true and 2.0 would otherwise read as rank 1 and 2
+    doc = json.loads(ImportedIrrepData.from_irrep(
+        new_generic_irrep(G2, (1, 0))).to_json())
+    doc["algebra"]["rank"] = rank
+    with pytest.raises(InvalidImportError) as err:
+        ImportedIrrepData.from_json(json.dumps(doc))
+    assert str(err.value) == (
+        f"malformed irrep data: algebra rank {rank!r} is not an integer")
 
 
 def test_import_accepts_manual_su2_triplet():

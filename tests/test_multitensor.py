@@ -136,6 +136,17 @@ def test_symmetry_of_two_factor_products():
     assert is_sym(otimes(f, f, 1), 2, 1) == 1
 
 
+def test_is_sym_refuses_one_factor_named_twice():
+    # a position swapped with itself is no exchange: refused, also on a
+    # node whose states all vanish
+    f = wrap(new_generic_irrep(A3, (1, 0, 0)))
+    t = otimes(f, f, 1)
+    for node in (t, scale(t, ZERO)):
+        for i in (1, 2):
+            with pytest.raises(ValueError, match=f"factor {i} is named twice"):
+                is_sym(node, i, i)
+
+
 def test_is_sym_rejects_distinct_irreps():
     l = wrap(new_generic_irrep(A2, (1, 0)))
     r = wrap(new_generic_irrep(A2, (0, 1)))

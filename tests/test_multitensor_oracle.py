@@ -670,12 +670,69 @@ def test_print_key_of_two_classes():
     t8 = mt.wrap(r8)
     node = mt.scale(mt.otimes(mt.otimes(t8, t8, 2), mt.wrap(r3), 1),
                     parse_field("1+sqrt(2)"))
-    tree_class = node._tree_class()
     pairs = [c for s in node.irrep.kets
-             for c in node._int_parts(s, tree_class)[1].values()]
+             for c in node._int_parts(s)[1].values()]
     assert any(len({f for f, _ in c}) == 2 for c in pairs)
     assert all([f for f, _ in c] == sorted({f for f, _ in c}) for c in pairs)
     assert_prints_alike(node)
+
+
+def test_is_sym_reads_only_the_rational_form(monkeypatch):
+    # is_sym decides on each state's W_h and forms no e-basis coefficient:
+    # with _int_parts refused it still agrees with the oracle, on keys of
+    # two classes, on both factors rotated alike, and on two wraps of one
+    # irrep
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    t8 = mt.wrap(r8)
+    lit = parse_field("1+sqrt(2)")
+    nodes = [mt.scale(mt.otimes(mt.otimes(t8, t8, 2), mt.wrap(r3), 1), lit)]
+    for trafo in octet_block_trafos():
+        for k in range(1, 7):
+            node = mt.otimes(t8, t8, k)
+            for i in (1, 2):
+                node = mt.chbasis(mt.filter_factor(node, i, [4, 5]), i, trafo)
+            nodes.append(node)
+    nodes += [mt.otimes(mt.wrap(r8), mt.wrap(r8), k) for k in range(1, 7)]
+
+    def refused(self, state):
+        raise AssertionError("is_sym formed e-basis coefficients")
+
+    monkeypatch.setattr(mt.TensorNode, "_int_parts", refused)
+    got = [mt.is_sym(node, 1, 2) for node in nodes]
+    assert got == [field_is_sym(node, 1, 2) for node in nodes]
+    # the two octets of 8 x 8 are built as mixtures of its symmetric and
+    # antisymmetric octets
+    assert got == [-1] + [1, -1, -1, 1, 1, 1] * 2 + [1, -1, -1, 0, 0, 1]
+
+
+def test_second_untree_folds_no_prefix(monkeypatch):
+    # the node keeps the classes of every leaf-tuple prefix it folded: with
+    # the expansions memoized, a second untree makes one _mul_class call
+    # fewer per distinct proper prefix, and a third as many as the second
+    r8, r3 = irreps(A2, (1, 1), (1, 0))
+    t8 = mt.wrap(r8)
+    node = mt.otimes(mt.otimes(mt.otimes(t8, t8, 2), mt.wrap(r3), 1), t8, 2)
+    prefixes = set()
+    for s in node.irrep.kets:
+        for w in node._rational(s)[1].values():
+            prefixes.update(key[:i] for key in w for i in range(1, len(key)))
+    calls = []
+    mul_class = mt._mul_class
+
+    def counted(f1, f2):
+        calls.append(None)
+        return mul_class(f1, f2)
+
+    monkeypatch.setattr(mt, "_mul_class", counted)
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        printed = mt.untree(node)
+        counts.append(len(calls))
+    assert counts[0] - counts[1] == len(prefixes) > 0
+    assert counts[1] == counts[2]
+    monkeypatch.undo()
+    assert printed == field_untree(node)
 
 
 def test_print_formats_in_turn():
