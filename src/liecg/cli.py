@@ -27,6 +27,7 @@ from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
     _PINNED_FIELDS,
+    _integer,
     _json_chunks,
     new_generic_irrep,
     new_imported_irrep,
@@ -143,9 +144,11 @@ def weights_to_json(la, hw):
 
 
 def weights_from_json(s):
-    """Inverse of weights_to_json; returns (algebra, hw, weight dicts)."""
+    """Inverse of weights_to_json; returns (algebra, hw, weight dicts).  A
+    rank that is no JSON integer raises InvalidImportError."""
     doc = json.loads(s)
-    la = LieAlgebra(doc["algebra"]["family"], doc["algebra"]["rank"])
+    la = LieAlgebra(doc["algebra"]["family"],
+                    _integer(doc["algebra"]["rank"], "algebra rank"))
     return la, tuple(doc["highest_weight"]), doc["weights"]
 
 
@@ -443,10 +446,12 @@ def _states_chunks(p, l, r, fmt):
 
 
 def _dump_all(d, l, r, fmt, dump_dir):
+    """Write irrep_k.json and states_k of every irrep found; each irrep's
+    prepared data is written from its rational form and dropped before the
+    next irrep is prepared."""
     for k, p in enumerate(d.found, 1):
-        data = prepare(p, l, r)
         _write(os.path.join(dump_dir, f"irrep_{k}.json"),
-               _json_chunks(data.json_doc()))
+               _json_chunks(prepare(p, l, r).json_doc()))
         _write(os.path.join(dump_dir, f"states_{k}.{_EXT[fmt]}"),
                _states_chunks(p, l, r, fmt))
 

@@ -23,8 +23,10 @@ norm of state 1 is k_a u_a, so every lowering entry and every Gram entry
 is one ratio of integers, formed once.
 
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
-files: `from_irrep` renders them from the form, and `from_json` reads them
-back, refusing any entry given twice.  `new_imported_irrep` checks each
+files: `from_irrep` keeps the form, and its document is written straight
+from it, each distinct coefficient rendered once, with the FieldElem
+tables formed only if they are read; `from_json` reads them back, refusing
+any entry given twice.  `new_imported_irrep` checks each
 lowering row and hands it, in target order, to the derivation of the form,
 which pushes the classes down the lowering table from the highest weight
 and refuses a file that has none.  Two sweeps test a file's tables, each
@@ -52,6 +54,8 @@ from .exactnum import (
     ZERO,
     FieldElem,
     parse_field,
+    _mul_class,
+    _render_terms,
     _sqrt,
     _square_free,
     _times_sqrt,
@@ -392,6 +396,56 @@ def _unit_row(rf, i, a):
     )
 
 
+def _form_rows(rf):
+    """The lowering and scp rows of an irrep's document, formed from its
+    rational form as they are read, in the order of the tables' keys.  An
+    entry q from a to t reads q*sqrt(r_t/r_a) in the unit basis, and a Gram
+    entry g of a < b reads (g/r_a)*sqrt(r_a/r_b); each distinct (q, r_t,
+    r_a) and (g, r_a, r_b) is rendered once per document."""
+    r = rf.r
+
+    def lowering():
+        texts = {}  # (q, r_t, r_a) -> its text
+        roots = sorted(rf.lower.items())
+        for a in sorted(r):
+            ra = r[a]
+            for i, rows in roots:
+                row = rows.get(a)
+                if row is None:
+                    continue
+                terms = []
+                for t, q in row:
+                    key = q, r[t], ra
+                    got = texts.get(key)
+                    if got is None:
+                        got = texts[key] = _unit_text(q, r[t], ra)
+                    terms.append([got, t])
+                yield [a, i, terms]
+
+    def scp():
+        texts = {}  # (g, r_a, r_b) -> its text
+        for a in sorted(rf.gram):
+            ra = r[a]
+            for b, g in sorted(rf.gram[a]):
+                if b > a:
+                    key = g, ra, r[b]
+                    got = texts.get(key)
+                    if got is None:
+                        got = texts[key] = _unit_text(Fraction(g, ra), ra, r[b])
+                    yield [a, b, got]
+
+    return lowering(), scp()
+
+
+def _unit_text(q, n, d):
+    """The plain text of q*sqrt(n/d), for a rational q and square-free n,
+    d > 0: that of _times_sqrt(q, n, d), q/(d/m)*sqrt(f) with (f, m) =
+    _mul_class(n, d)."""
+    f, m = _mul_class(n, d)
+    x = Fraction(q, d // m)
+    return _render_terms(((f, x.numerator, x.denominator),))
+
+
 def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
     """The rational form of unit-basis tables, (root, a) -> its nonzero
     (FieldElem, target) pairs in target order and (a, b) -> nonzero
@@ -604,7 +658,10 @@ class ImportedIrrepData:
     unit basis.
 
     Serializes to a stable JSON document; coefficients are rendered with
-    FieldElem.plain() and parsed back exactly.
+    FieldElem.plain() and parsed back exactly.  The data of from_irrep
+    keeps the irrep's rational form instead of the two tables: its document
+    is written from the form, and the tables are formed from it when one
+    of them is first read, after which they are the data.
     """
 
     algebra: LieAlgebra
@@ -616,41 +673,47 @@ class ImportedIrrepData:
 
     @classmethod
     def from_irrep(cls, r: Irrep) -> "ImportedIrrepData":
-        """An irrep's unit-basis tables, rendered from its rational form."""
-        rf = r.rational_form()
-        return cls(
-            algebra=r.algebra,
-            kets=dict(r.kets),
-            lowering={
-                (i, a): _unit_row(rf, i, a)
-                for i, rows in rf.lower.items() for a in rows
-            },
-            scp={
-                (a, b): r.scalar_product(a, b)
-                for a, row in rf.gram.items()
-                for b, _ in row
-                if a < b
-            },
-        )
+        """An irrep's unit-basis tables, to be read off its rational form."""
+        data = cls.__new__(cls)
+        data.algebra, data.kets = r.algebra, dict(r.kets)
+        data._form = r.rational_form()
+        return data
+
+    def __getattr__(self, name):
+        # reached only for a table that from_irrep's data has not formed yet
+        if name not in ("lowering", "scp") or "_form" not in self.__dict__:
+            raise AttributeError(name)
+        rf = self.__dict__.pop("_form")
+        r = rf.r
+        self.lowering = {(i, a): _unit_row(rf, i, a)
+                         for i, rows in rf.lower.items() for a in rows}
+        # g/sqrt(r_a*r_b) == (g/r_a)*sqrt(r_a/r_b)
+        self.scp = {(a, b): _times_sqrt(Fraction(g, r[a]), r[a], r[b])
+                    for a, row in rf.gram.items() for b, g in row if a < b}
+        return getattr(self, name)
 
     def json_doc(self):
         """The liecg-irrep-v1 document, its three tables as iterators that
         form each row as the writer (_json_chunks) reaches it."""
+        rf = self.__dict__.get("_form")
+        if rf is not None:
+            lowering, scp = _form_rows(rf)
+        else:
+            lowering = (
+                [state, root, [[c.plain(), t] for c, t in terms]]
+                for (root, state), terms in sorted(
+                    self.lowering.items(), key=lambda kv: (kv[0][1], kv[0][0])
+                )
+            )
+            scp = ([a, b, v.plain()] for (a, b), v in sorted(self.scp.items()))
         return {
             "format": self.FORMAT,
             "algebra": {"family": self.algebra.family, "rank": self.algebra.rank},
             "kets": (
                 [lab, list(k.dynkin), k.deg_index] for lab, k in sorted(self.kets.items())
             ),
-            "lowering": (
-                [state, root, [[c.plain(), t] for c, t in terms]]
-                for (root, state), terms in sorted(
-                    self.lowering.items(), key=lambda kv: (kv[0][1], kv[0][0])
-                )
-            ),
-            "scp": (
-                [a, b, v.plain()] for (a, b), v in sorted(self.scp.items())
-            ),
+            "lowering": lowering,
+            "scp": scp,
         }
 
     def to_json(self):
@@ -717,12 +780,12 @@ def _json_chunks(x, nl="\n"):
     document liecg writes comes from here, as "".join of the pieces or
     written piece by piece: before Python 3.13 json.dumps runs its
     pure-Python encoder whenever it indents, while this writer joins each
-    container once, writes a list of plain ints with one %-format, and
-    writes a dict whose values are all plain ints or non-empty lists of
-    them (a weight record, an irrep entry of a summary) with one %-format
-    per shape: its keys, its list lengths and its depth.  Values are told
-    apart by type(), so a bool, a float or an empty list leaves that path
-    and is written or refused as anywhere else.
+    container once, and writes a list or dict whose leaves are all plain
+    ints and strs (a weight record, a ket, a lowering row, a state) with one
+    %-format per shape: its keys, its nesting, its list lengths and its
+    depth.  Values are told apart by type(), so a bool, a float, None or an
+    empty container leaves that path and is written or refused as anywhere
+    else.
 
     A list may also be given as an iterator, outside any list: it is written
     element by element as it is consumed, one piece per element, so a long
@@ -750,6 +813,7 @@ def _json_chunks(x, nl="\n"):
 
 
 _INTS = {int}
+_LEAVES = {int, str}
 
 # CPython 3.11 puts every freed tuple of 20 items on its free list but never
 # takes one back from it, so each such tuple is a fresh allocation and 2000
@@ -767,44 +831,69 @@ def _json_value(x, nl):
         return int.__repr__(x)
     if x is None:
         return "null"
+    if t is not list and t is not dict:
+        raise TypeError(f"cannot write {type(x).__name__} {x!r} as JSON")
+    if not x:
+        return "[]" if t is list else "{}"
+    # a container whose leaves are all ints and strs fills one format of
+    # its shape
+    if t is list and set(map(type, x)) == _INTS:
+        return _format(len(x), nl, "") % tuple(x)
+    vals = []
+    shape = _shape(x, vals)
+    if shape is not None:
+        if len(vals) == _PINNED_FIELDS:
+            vals.append("")
+            return _format(shape, nl, "%s") % tuple(vals)
+        return _format(shape, nl, "") % tuple(vals)
+    inner, sep = _indent(nl)
     if t is list:
-        if not x:
-            return "[]"
-        # type(), not isinstance(): a bool is an int that json.dumps writes
-        # as true, which %d would write as 1
-        if set(map(type, x)) == _INTS:
-            return _ints_format(len(x), nl) % tuple(x)
-        inner, sep = _indent(nl)
-        return "[" + inner + sep.join([_json_value(v, inner) for v in x]) + nl + "]"
-    if t is dict:
-        if not x:
-            return "{}"
-        # a record of ints and int lists fills one format of its shape
-        vals = []
-        lens = []
-        for v in x.values():
-            tv = type(v)
-            if tv is int:
-                vals.append(v)
-                lens.append(0)
-            elif tv is list and v and set(map(type, v)) == _INTS:
+        body = sep.join([_json_value(v, inner) for v in x])
+        return "[" + inner + body + nl + "]"
+    body = sep.join([_key(k) + _json_value(v, inner) for k, v in x.items()])
+    return "{" + inner + body + nl + "}"
+
+
+def _shape(x, vals):
+    """The shape of a non-empty list or dict x whose values are ints, strs
+    and non-empty lists and dicts of them, appending its leaves to vals in
+    the order they are written, each str escaped; None if x holds anything
+    else.  A shape is the tuple of its values' shapes: int or str for a
+    leaf, n for a list of n ints; a dict's is (dict, its keys, that tuple).
+    Values are told apart by type(): a bool is an int that json.dumps
+    writes as true, which %d would write as 1."""
+    shape = []
+    for v in x.values() if type(x) is dict else x:
+        t = type(v)
+        if t is int:
+            vals.append(v)
+        elif t is list and v:
+            kinds = set(map(type, v))
+            if kinds == _INTS:
                 vals += v
-                lens.append(len(v))
-            else:
-                break
+                t = len(v)
+            elif kinds <= _LEAVES:  # a row of ints and strs
+                vals += [encode_basestring_ascii(y) if type(y) is str else y
+                         for y in v]
+                t = tuple(map(type, v))
+            elif (t := _shape(v, vals)) is None:
+                return None
+        elif t is str:
+            vals.append(encode_basestring_ascii(v))
+        elif t is dict and v:
+            if (t := _shape(v, vals)) is None:
+                return None
         else:
-            if len(vals) == _PINNED_FIELDS:
-                vals.append("")
-            return _dict_format(tuple(x), tuple(lens), nl) % tuple(vals)
-        inner, sep = _indent(nl)
-        body = sep.join([_key(k) + _json_value(v, inner) for k, v in x.items()])
-        return "{" + inner + body + nl + "}"
-    raise TypeError(f"cannot write {type(x).__name__} {x!r} as JSON")
+            return None
+        shape.append(t)
+    if type(x) is dict:
+        return dict, tuple(x), tuple(shape)
+    return tuple(shape)
 
 
 # The writer's fixed pieces, each formed once: a document nests a few levels
-# deep and has a few dozen keys, int-list lengths and shapes of records of
-# ints and int lists (a weight record, an irrep entry of a summary).
+# deep and has a few dozen keys and shapes of rows and records (a weight
+# record, a ket, a lowering row with its number of terms, a state).
 
 @lru_cache(maxsize=None)
 def _indent(nl):
@@ -821,23 +910,27 @@ def _key(k):
     return encode_basestring_ascii(k) + ": "
 
 
-@lru_cache(maxsize=256)
-def _ints_format(n, nl):
-    """The %-format of a list of n ints written at the depth of nl."""
-    inner, sep = _indent(nl)
-    return "[" + inner + sep.join(["%d"] * n) + nl + "]"
+@lru_cache(maxsize=512)
+def _format(shape, nl, pad):
+    """The %-format of a container of that shape (_shape) written at the
+    depth of nl, followed by pad."""
+    return _template(shape, nl) + pad
 
 
-@lru_cache(maxsize=256)
-def _dict_format(keys, lens, nl):
-    """The %-format of a dict written at the depth of nl whose values are,
-    key by key, an int (length 0) or a list of that many ints."""
+def _template(shape, nl):
     inner, sep = _indent(nl)
-    body = sep.join([_key(k).replace("%", "%%")
-                     + (_ints_format(n, inner) if n else "%d")
-                     for k, n in zip(keys, lens)])
-    pad = "%s" if sum(n or 1 for n in lens) == _PINNED_FIELDS else ""
-    return "{" + inner + body + nl + "}" + pad
+    if type(shape) is int:  # a list of that many ints
+        return "[" + inner + sep.join(["%d"] * shape) + nl + "]"
+    keys = None
+    if shape[0] is dict:
+        _, keys, shape = shape
+    parts = ["%d" if s is int else "%s" if s is str else _template(s, inner)
+             for s in shape]
+    if keys is None:
+        return "[" + inner + sep.join(parts) + nl + "]"
+    body = sep.join([_key(k).replace("%", "%%") + p
+                     for k, p in zip(keys, parts)])
+    return "{" + inner + body + nl + "}"
 
 
 def _integer(x, what):

@@ -51,8 +51,9 @@ compares the W_h, since its two factors share one class table.
 Reserved negative leaf labels (-1, -2, ...) denote rotated basis
 directions introduced by chbasis_list, e.g. a vev direction -1; they have
 class 1, as has any label that is not a state of its factor.  A node
-remembers, per factor, the reserved labels its chbasis steps introduced,
-and filter refuses any other negative label.
+remembers, per factor, the basis changes chbasis made there, in order:
+filter refuses a negative label that none of them introduced, and is_sym
+refuses two factors whose changes differ.
 """
 
 from __future__ import annotations
@@ -129,15 +130,15 @@ class TensorNode:
     tuples, one label per factor in leaf order: a hand-built single-factor
     node returns keys (label,).  It is memoized; expand converts it to
     FieldElem coefficients on every call.  The nesting of every tree is
-    the node's shape, held here once.  reserved holds, per factor, the
-    reserved negative labels its basis changes introduced (none by
-    default)."""
+    the node's shape, held here once.  bases holds, per factor, the basis
+    changes chbasis made there, in order, each as its (old label, terms of
+    the new vector) pairs (none by default)."""
 
-    def __init__(self, irrep: Irrep, fn, factors, shape, reserved=None):
+    def __init__(self, irrep: Irrep, fn, factors, shape, bases=None):
         self.irrep = irrep
         self.factors = factors  # factor Irreps in leaf order
         self.shape = shape  # nested tuple, leaves are None placeholders
-        self.reserved = reserved or (frozenset(),) * len(factors)
+        self.bases = bases or ((),) * len(factors)
         self._fn = fn
         self._memo = {}
         self._classes = [fac.rational_form().r for fac in factors]
@@ -266,7 +267,7 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
         return _reduced(den, out)
 
     return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape),
-                      a.reserved + b.reserved)
+                      a.bases + b.bases)
 
 
 def expand(t: TensorNode, state: int) -> LabeledVector:
@@ -308,10 +309,10 @@ def _check_factor(t: TensorNode, factor: int):
     return factor - 1
 
 
-def _termwise(t: TensorNode, den: int, image, reserved=None) -> TensorNode:
+def _termwise(t: TensorNode, den: int, image, bases=None) -> TensorNode:
     """t with every term x*sqrt(h) u_L of a state replaced by the sum of
-    x*n*sqrt(h*f)/den u_L2 over the (L2, f, n) in image(L); its reserved
-    labels are t's unless given."""
+    x*n*sqrt(h*f)/den u_L2 over the (L2, f, n) in image(L); its basis
+    changes are t's unless given."""
 
     def fn(s):
         d, parts = t._rational(s)
@@ -324,7 +325,7 @@ def _termwise(t: TensorNode, den: int, image, reserved=None) -> TensorNode:
                     acc[key2] = acc.get(key2, 0) + x * n * m
         return _reduced(d * den, out)
 
-    return TensorNode(t.irrep, fn, t.factors, t.shape, reserved or t.reserved)
+    return TensorNode(t.irrep, fn, t.factors, t.shape, bases or t.bases)
 
 
 def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
@@ -334,13 +335,15 @@ def filter_factor(t: TensorNode, factor: int, keep) -> TensorNode:
     idx = _check_factor(t, factor)
     keep_set = set(keep)
     kets = t.factors[idx].kets
+    reserved = {new for change in t.bases[idx] for _, terms in change
+                for _, new in terms if new < 0}
     for lab in sorted(keep_set):
         if lab >= 0 and lab not in kets:
             raise ValueError(
                 f"label {lab} is not a state of factor {factor} "
                 f"(dimension {len(kets)})"
             )
-        if lab < 0 and lab not in t.reserved[idx]:
+        if lab < 0 and lab not in reserved:
             raise ValueError(
                 f"label {lab} is not a reserved label of factor {factor}: "
                 "no basis change of that factor introduced it"
@@ -383,10 +386,10 @@ def chbasis(t: TensorNode, factor: int, trafo) -> TensorNode:
         for new, f, n in sub:
             yield key[:idx] + (new,) + key[idx + 1:], f, n
 
-    introduced = {new for row in rows.values() for new, _, _ in row if new < 0}
-    res = t.reserved
+    change = tuple((old, tuple(vec.terms)) for old, vec in trafo)
+    bases = t.bases
     return _termwise(t, den, image,
-                     res[:idx] + (res[idx] | introduced,) + res[idx + 1:])
+                     bases[:idx] + (bases[idx] + (change,),) + bases[idx + 1:])
 
 
 def chbasis_list(basis, offset: int):
@@ -425,8 +428,9 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
     """+1 / -1 if swapping the two factors fixes / negates every state's
     expansion, 0 for mixed or undecided symmetry.  Both factors must carry
     the same irrep in the same basis: swapping leaves of two bases
-    compares unrelated coefficients.  So a swap keeps the classes of
-    every leaf tuple, and the rational form decides."""
+    compares unrelated coefficients, and so does swapping two positions
+    whose chbasis steps differ.  So a swap keeps the classes of every leaf
+    tuple, and the rational form decides."""
     i1 = _check_factor(t, f1)
     i2 = _check_factor(t, f2)
     if i1 == i2:
@@ -437,8 +441,8 @@ def is_sym(t: TensorNode, f1: int, f2: int) -> int:
             f"factors {f1} and {f2} carry different irreps "
             f"({fa.hw} vs {fb.hw})"
         )
-    if fa is not fb and (fa.kets != fb.kets
-                         or fa.rational_form() != fb.rational_form()):
+    if t.bases[i1] != t.bases[i2] or fa is not fb and (
+            fa.kets != fb.kets or fa.rational_form() != fb.rational_form()):
         raise ValueError(
             f"factors {f1} and {f2} carry the irrep {fa.hw} "
             "in different bases"

@@ -13,7 +13,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from liecg import cli
-from liecg.irrep import new_generic_irrep
+from liecg.irrep import InvalidImportError, new_generic_irrep
 from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal
 from liecg.tensor import Decomposition, decompose, result
 
@@ -138,6 +138,15 @@ def test_weights_json_roundtrip():
         "lowest_root": 0,
         "descent": [1, 1],
     }
+
+
+@pytest.mark.parametrize("rank", [True, 2.0, "2"], ids=repr)
+def test_weights_json_refuses_a_rank_that_is_no_integer(rank):
+    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
+    doc["algebra"]["rank"] = rank
+    with pytest.raises(InvalidImportError,
+                       match=f"algebra rank {rank!r} is not an integer"):
+        cli.weights_from_json(json.dumps(doc))
 
 
 class Discard:
@@ -954,7 +963,7 @@ def test_repeated_entries_are_refused(capsys, tmp_path, how):
 
 
 def test_states_json_roundtrip():
-    from liecg.irrep import new_generic_irrep
+    from liecg.irrep import InvalidImportError, new_generic_irrep
     from liecg.tensor import Decomposition, decompose
 
     la = LieAlgebra("A", 2)
@@ -1070,6 +1079,26 @@ def test_is_sym_refuses_one_irrep_in_two_bases(capsys, tmp_path):
     assert out == "is_sym q 1 2 = 1\nis_sym u 1 2 = 1\n"
     assert err.strip().endswith(
         "bases.lie:15: is_sym: factors 1 and 2 carry the irrep (1, 1) "
+        "in different bases")
+
+
+def test_is_sym_refuses_a_basis_change_on_one_position(capsys, tmp_path):
+    # the zero-weight block of both octets is rotated on position 2 alone:
+    # swapping would compare coefficients of two bases.  The same chbasis
+    # on both positions decides.
+    path = tmp_path / "rotated.lie"
+    path.write_text(
+        "algebra su 3\nirrep r8 11\nwrap a r8\notimes q a a 1\n"
+        "filter g q 1 4,5\nfilter h g 2 4,5\nvector v r8 4:1 5:1\n"
+        "normalize v\nbasis tr r8 3 v\nchbasis k h 2 tr\n"
+        "chbasis both k 1 tr\nis_sym both 1 2\nis_sym k 1 2\n"
+    )
+    capsys.readouterr()
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1
+    assert out == "is_sym both 1 2 = 1\n"
+    assert err.strip().endswith(
+        "rotated.lie:13: is_sym: factors 1 and 2 carry the irrep (1, 1) "
         "in different bases")
 
 

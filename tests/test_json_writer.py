@@ -7,11 +7,17 @@ import json
 from collections.abc import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liecg import cli
-from liecg.irrep import _json_chunks, new_generic_irrep
+from liecg.exactnum import FieldElem
+from liecg.irrep import (
+    ImportedIrrepData,
+    _json_chunks,
+    new_generic_irrep,
+    new_imported_irrep,
+)
 from liecg.liealg import LieAlgebra, weyl_dim
 from liecg.tensor import Decomposition, decompose, prepare
 
@@ -154,6 +160,52 @@ def test_dumped_documents(written, capsys, tmp_path, argv):
     assert singlet.read_text() == reference(last) + "\n"
 
 
+def imported_27():
+    """The SU(3) 27 read back from the text of its dump out of 8 x 8."""
+    la = LieAlgebra("A", 2)
+    oc = new_generic_irrep(la, (1, 1))
+    d = Decomposition(oc, oc)
+    decompose(d)
+    text = prepare(d.found[0], oc, oc).to_json()
+    return new_imported_irrep(la, ImportedIrrepData.from_json(text))
+
+
+FORM_PRODUCTS = {
+    "su3-8x8": lambda: [new_generic_irrep(LieAlgebra("A", 2), (1, 1))] * 2,
+    "g2-7x7": lambda: [new_generic_irrep(LieAlgebra("G2", 2), (1, 0))] * 2,
+    "e6-27x27bar": lambda: [
+        new_generic_irrep(LieAlgebra("E6", 6), hw)
+        for hw in [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)]],
+    "su3-27x8": lambda: [imported_27(),
+                         new_generic_irrep(LieAlgebra("A", 2), (1, 1))],
+}
+
+
+@pytest.mark.parametrize("case", list(FORM_PRODUCTS))
+def test_dumps_from_the_form_match_the_tables(monkeypatch, case):
+    # prepare's data is written from the rational form, with no FieldElem
+    # made; the same tables built by hand as FieldElems, and the stdlib
+    # encoder, write the same text.  The products but 27 x 8 hold a
+    # singlet, whose lowering and scp lists are empty.
+    l, r = FORM_PRODUCTS[case]()
+    d = Decomposition(l, r)
+    decompose(d)
+    assert case == "su3-27x8" or any(p.dim == 1 for p in d.found)
+    for p in d.found:
+        with monkeypatch.context() as m:
+            m.setattr(FieldElem, "__init__", None)
+            data = prepare(p, l, r)
+            text = data.to_json()
+        by_hand = ImportedIrrepData(data.algebra, dict(data.kets),
+                                    dict(data.lowering), dict(data.scp))
+        assert text == by_hand.to_json() == data.to_json()
+        assert text == json.dumps(json.loads(text), indent=1)
+        doc = json.loads(text)
+        assert len(doc["kets"]) == p.dim
+        if p.dim == 1:
+            assert doc["lowering"] == doc["scp"] == []
+
+
 # ------------------------------------------------------ random documents
 
 TRICKY = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 é€ \U0001f600\ud800'
@@ -175,6 +227,37 @@ documents = st.recursive(
 def test_random_documents(doc):
     assert text(doc) == reference(doc)
     assert text(iterated(doc)) == reference(doc)
+
+
+# rows as the irrep files hold them: ints, strs that need escaping, and
+# nested lists of them, some empty
+rows = st.recursive(ints | texts, lambda inner: st.lists(inner, max_size=5),
+                    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rows, max_size=4))
+def test_random_rows(doc):
+    for x in (doc, {"rows": doc}, {"r": {"rows": doc}}, [doc, {"a": doc}]):
+        assert text(x) == reference(x)
+        assert text(iterated(x)) == reference(x)
+
+
+def refused(x):
+    """Whether x holds a bool or a float, which the writer refuses."""
+    if type(x) is list:
+        return any(map(refused, x))
+    return type(x) in (bool, float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(ints | texts | st.sampled_from([True, False, 1.5, -0.0]),
+                    lambda inner: st.lists(inner, max_size=5), max_leaves=20))
+def test_rows_holding_a_bool_or_float_are_refused(row):
+    assume(refused(row))
+    for x in (row, [row], {"r": row}, {"r": iter([row])}):
+        with pytest.raises(TypeError):
+            text(x)
 
 
 def test_empty_containers_and_scalars():

@@ -6,7 +6,7 @@ from functools import cache
 
 import pytest
 
-from liecg.exactnum import ONE, ZERO, field, number
+from liecg.exactnum import ONE, ZERO, field, field_sqrt, number
 from liecg.linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
 from liecg.liealg import LieAlgebra
 from liecg.irrep import new_generic_irrep
@@ -153,6 +153,31 @@ def test_is_sym_rejects_distinct_irreps():
     s = otimes(l, r, 2)
     with pytest.raises(ValueError):
         is_sym(s, 1, 2)
+
+
+def test_is_sym_refuses_a_basis_change_on_one_factor():
+    # both octets of 8 x 8 filtered to the zero-weight block 4, 5; a chbasis
+    # of position 2 alone leaves the two positions in different bases,
+    # while the same chbasis on both keeps the verdict
+    r8 = new_generic_irrep(A2, (1, 1))
+    a = wrap(r8)
+    t = filter_factor(filter_factor(otimes(a, a, 1), 1, [4, 5]), 2, [4, 5])
+    v = unit(4) + unit(5)
+    v = v.scaled(field_sqrt(scp(r8, v, v)).invert())
+    rest = gram_orthogonalize(lambda x, y: scp(r8, x, y), [v], [unit(4)])
+    trafo = chbasis_list([v] + rest, 3)
+    one = chbasis(t, 2, trafo)
+    with pytest.raises(ValueError,
+                       match="factors 1 and 2 carry the irrep .* in different"):
+        is_sym(one, 1, 2)
+    with pytest.raises(ValueError, match="in different bases"):
+        is_sym(one, 2, 1)
+    both = chbasis(one, 1, trafo)
+    assert is_sym(t, 1, 2) == is_sym(both, 1, 2) == is_sym(both, 2, 1) == 1
+    # a different change on each position is refused too
+    swapped = chbasis_list(rest + [v], 3)
+    with pytest.raises(ValueError, match="in different bases"):
+        is_sym(chbasis(chbasis(t, 1, trafo), 2, swapped), 1, 2)
 
 
 # ----------------------------------------------------- filter / chbasis

@@ -565,7 +565,10 @@ def field_is_sym(t, f1: int, f2: int) -> int:
     return verdict
 
 
-def assert_prints_alike(node):
+def assert_prints_alike(node, rotated=()):
+    """untree, expand, tensor_coeff and is_sym against the FieldElem
+    oracles; rotated names the positions a chbasis rotated, whose is_sym
+    against an unrotated position is refused."""
     for fmt in ("plain", "tex", "mathematica"):
         assert mt.untree(node, fmt) == field_untree(node, fmt), fmt
     for s in sorted(node.irrep.kets):
@@ -577,7 +580,12 @@ def assert_prints_alike(node):
         assert mt.tensor_coeff(node, s, absent).is_zero()
     for i in range(1, node.nfactors + 1):
         for j in range(i + 1, node.nfactors + 1):
-            if node.factors[i - 1].hw == node.factors[j - 1].hw:
+            if node.factors[i - 1].hw != node.factors[j - 1].hw:
+                continue
+            if (i in rotated) != (j in rotated):
+                with pytest.raises(ValueError, match="in different bases"):
+                    mt.is_sym(node, i, j)
+            else:
                 assert mt.is_sym(node, i, j) == field_is_sym(node, i, j)
 
 
@@ -644,11 +652,15 @@ def test_print_negative_leaves_inside_products():
     rot = mt.chbasis(mt.filter_factor(t8, 1, [4, 5]), 1, plain)
     lit = parse_field("1+sqrt(2)")
     p = mt.otimes(rot, mt.wrap(r3), 1)
-    for node in (rot, p, mt.scale(p, lit),
-                 mt.chbasis(mt.filter_factor(mt.otimes(t8, t8, 4), 2, [4, 5]),
-                            2, two_term),
-                 mt.otimes(mt.scale(t8, lit), rot, 1)):
-        assert_prints_alike(node)
+    t88 = mt.otimes(t8, t8, 4)
+    both = mt.filter_factor(mt.filter_factor(t88, 1, [4, 5]), 2, [4, 5])
+    for node, rotated in [
+            (rot, (1,)), (p, (1,)), (mt.scale(p, lit), (1,)),
+            (mt.chbasis(mt.filter_factor(t88, 2, [4, 5]), 2, two_term), (2,)),
+            (mt.otimes(mt.scale(t8, lit), rot, 1), (2,)),
+            # the same basis change on both positions: is_sym decides
+            (mt.chbasis(mt.chbasis(both, 2, two_term), 1, two_term), (1, 2))]:
+        assert_prints_alike(node, rotated)
 
 
 def test_print_unreduced_expansion():
