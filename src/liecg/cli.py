@@ -20,7 +20,7 @@ import sys
 from functools import partial
 from itertools import chain
 
-from .exactnum import FieldSqrtError, _render_terms, field_sqrt, parse_field
+from .exactnum import FieldSqrtError, field_sqrt, parse_field
 from .linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
 from .liealg import ConsistencyError, LieAlgebra, freudenthal, weyl_dim
 from .irrep import (
@@ -40,7 +40,7 @@ from .tensor import (
     _render_chunks,
     _result_text,
     _select,
-    _state_terms,
+    _state_texts,
     _tup,
     decompose,
     prepare,
@@ -148,14 +148,15 @@ def weights_from_json(s):
     rank that is no JSON integer raises InvalidImportError."""
     doc = json.loads(s)
     la = LieAlgebra(doc["algebra"]["family"],
-                    _integer(doc["algebra"]["rank"], "algebra rank"))
+                    _integer(doc["algebra"]["rank"], "algebra rank",
+                             "weight listing"))
     return la, tuple(doc["highest_weight"]), doc["weights"]
 
 
 def _states_doc(p, l, r):
     """The document of states_to_json, its "states" an iterator that renders
-    one state at a time; _state_terms checks p before the first."""
-    levels = _state_terms(p)
+    one state at a time; _state_texts checks p before the first."""
+    levels = _state_texts(p, "plain")
 
     def states():
         lab = 0
@@ -165,11 +166,8 @@ def _states_doc(p, l, r):
                 yield {
                     "state": lab,
                     "level": lev,
-                    "terms": [
-                        {"coeff": _render_terms(((g, n, m),)), "left": a,
-                         "right": b}
-                        for g, n, m, a, b in terms
-                    ],
+                    "terms": [{"coeff": c, "left": a, "right": b}
+                              for c, a, b in terms],
                 }
 
     return {

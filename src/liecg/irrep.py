@@ -24,9 +24,10 @@ is one ratio of integers, formed once.
 
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
 files: `from_irrep` keeps the form, and its document is written straight
-from it, each distinct coefficient rendered once, with the FieldElem
-tables formed only if they are read; `from_json` reads them back, refusing
-any entry given twice.  `new_imported_irrep` checks each
+from it, each distinct coefficient rendered once; `from_json` reads each
+distinct coefficient text once, straight into its class and fraction,
+refusing any entry given twice.  Either way the FieldElem tables are
+formed only if they are read.  `new_imported_irrep` checks each
 lowering row and hands it, in target order, to the derivation of the form,
 which pushes the classes down the lowering table from the highest weight
 and refuses a file that has none.  Two sweeps test a file's tables, each
@@ -39,17 +40,19 @@ irrep passes before its first product.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, sub
 from typing import NamedTuple
 
 from .exactnum import (
+    MAX_RADICAND,
     ONE,
     ZERO,
     FieldElem,
@@ -202,8 +205,11 @@ class Irrep:
                 lhs, gd = 0, 1
                 if down:
                     gd, rows_d = block(below)
-                    lhs = sum(q * g * down.get(b, 0)
-                              for t, q in down.items() for b, g in rows_d[t])
+                    for t, q in down.items():
+                        for b, g in rows_d[t]:
+                            x = down.get(b)
+                            if x is not None:
+                                lhs += q * g * x
                 # rhs = w_i r_a + Q/(delta*(d*ga)^2), Q = u_int.M.u_int,
                 # u_int = d*ga*u
                 q_up, delta = 0, 1
@@ -211,10 +217,21 @@ class Irrep:
                     if up not in inverses:
                         inverses[up] = self._gram_inverse(rf, up)
                     ups, m, delta = inverses[up]
-                    u = [sum(q * row_a.get(t, 0) for t, q in low.get(g, ()))
-                         for g in ups]
-                    q_up = sum(x * sum(mx * y for mx, y in zip(mrow, u) if y)
-                               for x, mrow in zip(u, m) if x)
+                    u = []
+                    for g in ups:
+                        s = 0
+                        for t, q in low.get(g, ()):
+                            x = row_a.get(t)
+                            if x is not None:
+                                s += q * x
+                        u.append(s)
+                    for x, mrow in zip(u, m):
+                        if x:
+                            s = 0
+                            for mx, y in zip(mrow, u):
+                                if y:
+                                    s += mx * y
+                            q_up += x * s
                 # both sides times delta*(d*ga)^2*gd
                 dg = delta * ga * ga
                 ra = rf.r[a]
@@ -447,29 +464,30 @@ def _unit_text(q, n, d):
 
 
 def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
-    """The rational form of unit-basis tables, (root, a) -> its nonzero
-    (FieldElem, target) pairs in target order and (a, b) -> nonzero
-    FieldElem for a < b.  The classes propagate from
-    state 1 through the lowering table: an entry q*sqrt(f) from a to t gives
-    r_t = squarefree(f*r_a) and the rational entry q*sqrt(f*r_a/r_t)."""
+    """The rational form of unit-basis tables given as _coefficient values,
+    (root, a) -> its (target, nonzero value) pairs in target order and
+    (a, b) -> nonzero value for a < b.  The classes propagate from state 1
+    through the lowering table: an entry n/d*sqrt(f) from a to t gives
+    r_t = squarefree(f*r_a) and the rational entry n/d*sqrt(f*r_a/r_t)."""
     r = {1: 1}
     lower = {i: {} for i in range(1, rank + 1)}
     queue = [1]
     for a in queue:  # breadth first: a has its class when it is reached
+        ra = r[a]
         for i in range(1, rank + 1):
             terms = lowering.get((i, a))
             if terms is None:
                 continue
             row = []
-            for c, t in terms:
-                if len(c.terms) != 1:
+            for t, c in terms:
+                if type(c) is not tuple:
                     raise InvalidImportError(
                         f"no rational form: lowering state {a} by root {i} "
                         f"gives state {t} the coefficient {c.plain()}, "
                         "which is not a single radical"
                     )
-                ((f, q),) = c.terms.items()
-                s, cls = _square_free(f * r[a])
+                f, n, d = c
+                s, cls = _square_free(f * ra)
                 got = r.get(t)
                 if got is None:
                     r[t] = cls
@@ -480,7 +498,8 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
                         f"gives state {t} the radical class {cls}, "
                         f"another path gave it {got}"
                     )
-                row.append((t, _ratio(q.numerator * s, q.denominator)))
+                n *= s
+                row.append((t, n if d == 1 else _ratio(n, d)))
             lower[i][a] = tuple(row)
     missing = [lab for lab in kets if lab not in r]
     if missing:
@@ -491,14 +510,14 @@ def _derive_rational_form(rank, kets, lowering, scp) -> RationalForm:
     gram = {a: [(a, r[a])] for a in kets}
     for (a, b), v in scp.items():
         # a value that is not one radical gets f = 0, so class 0
-        ((f, q),) = v.terms.items() if len(v.terms) == 1 else ((0, 0),)
+        f, n, d = v if type(v) is tuple else (0, 0, 1)
         s, cls = _square_free(f * r[a] * r[b])
         if cls != 1:
             raise InvalidImportError(
-                f"no rational form: the scalar product {v.plain()} of states "
-                f"{a} and {b} is not rational in the rescaled basis"
+                f"no rational form: the scalar product {_value_text(v)} of "
+                f"states {a} and {b} is not rational in the rescaled basis"
             )
-        g = _ratio(q.numerator * s, q.denominator)
+        g = _ratio(n * s, d)
         gram[a].append((b, g))
         gram[b].append((a, g))
     return RationalForm(r, lower, {a: tuple(g) for a, g in gram.items()})
@@ -660,8 +679,9 @@ class ImportedIrrepData:
     Serializes to a stable JSON document; coefficients are rendered with
     FieldElem.plain() and parsed back exactly.  The data of from_irrep
     keeps the irrep's rational form instead of the two tables: its document
-    is written from the form, and the tables are formed from it when one
-    of them is first read, after which they are the data.
+    is written from the form.  The data of from_json keeps the values its
+    texts were read into (_coefficient).  Either way the tables are formed
+    when one of them is first read, after which they are the data.
     """
 
     algebra: LieAlgebra
@@ -680,10 +700,21 @@ class ImportedIrrepData:
         return data
 
     def __getattr__(self, name):
-        # reached only for a table that from_irrep's data has not formed yet
-        if name not in ("lowering", "scp") or "_form" not in self.__dict__:
+        # reached only for a table that from_irrep's or from_json's data has
+        # not formed yet
+        held = self.__dict__
+        if name not in ("lowering", "scp") or not ("_form" in held
+                                                   or "_read" in held):
             raise AttributeError(name)
-        rf = self.__dict__.pop("_form")
+        if "_read" in held:
+            lowering, scp = held.pop("_read")
+            elems = {}  # value -> its FieldElem, shared like the texts
+            self.lowering = {key: tuple((_elem_of(c, elems), t)
+                                        for c, t in terms)
+                             for key, terms in lowering.items()}
+            self.scp = {key: _elem_of(v, elems) for key, v in scp.items()}
+            return getattr(self, name)
+        rf = held.pop("_form")
         r = rf.r
         self.lowering = {(i, a): _unit_row(rf, i, a)
                          for i, rows in rf.lower.items() for a in rows}
@@ -691,6 +722,17 @@ class ImportedIrrepData:
         self.scp = {(a, b): _times_sqrt(Fraction(g, r[a]), r[a], r[b])
                     for a, row in rf.gram.items() for b, g in row if a < b}
         return getattr(self, name)
+
+    def _values(self):
+        """(lowering, scp) with every coefficient as _coefficient reads it:
+        the values from_json read, while its tables are unread, else each
+        FieldElem of the tables turned into that value."""
+        read = self.__dict__.get("_read")
+        if read is not None:
+            return read
+        return ({key: tuple((_value(c), t) for c, t in terms)
+                 for key, terms in self.lowering.items()},
+                {key: _value(v) for key, v in self.scp.items()})
 
     def json_doc(self):
         """The liecg-irrep-v1 document, its three tables as iterators that
@@ -733,26 +775,41 @@ class ImportedIrrepData:
                 lab = _integer(lab, "ket label")
                 if lab in kets:
                     raise InvalidImportError(f"ket {lab} is listed twice")
-                kets[lab] = Ket(
-                    tuple(_integer(x, "weight component") for x in dyn),
-                    _integer(deg, "degeneracy index"),
-                )
-            parsed = {}  # coefficient text -> its FieldElem, shared
+                dyn = tuple(dyn)
+                if not _INTS.issuperset(map(type, dyn)):
+                    for x in dyn:
+                        _integer(x, "weight component")
+                kets[lab] = Ket(dyn, _integer(deg, "degeneracy index"))
+            # coefficient text -> its value, shared.  The lookup of a text
+            # read before and the int checks are inlined: _coefficient reads
+            # a new text, and _integer is called only to refuse
+            parsed = {}
             lowering = {}
             for state, root, terms in doc["lowering"]:
-                key = (_integer(root, "root"), _integer(state, "state"))
+                if type(root) is not int or type(state) is not int:
+                    _integer(root, "root")
+                    _integer(state, "state")
+                key = root, state
                 if key in lowering:
                     raise InvalidImportError(
                         f"lowering of state {state} by root {root} is listed "
                         "twice"
                     )
-                lowering[key] = tuple(
-                    (_coefficient(c, parsed), _integer(t, "target"))
-                    for c, t in terms
-                )
+                row = []
+                for c, t in terms:
+                    got = parsed.get(c) if type(c) is str else None
+                    if got is None:
+                        got = _coefficient(c, parsed)
+                    if type(t) is not int:
+                        _integer(t, "target")
+                    row.append((got, t))
+                lowering[key] = tuple(row)
             scp = {}
             for a, b, v in doc["scp"]:
-                key = (_integer(a, "state"), _integer(b, "state"))
+                if type(a) is not int or type(b) is not int:
+                    _integer(a, "state")
+                    _integer(b, "state")
+                key = a, b
                 if key in scp:
                     raise InvalidImportError(
                         f"scalar product ({a},{b}) is listed twice"
@@ -762,7 +819,10 @@ class ImportedIrrepData:
             raise
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InvalidImportError(f"malformed irrep data: {exc}") from exc
-        return cls(algebra=alg, kets=kets, lowering=lowering, scp=scp)
+        data = cls.__new__(cls)
+        data.algebra, data.kets = alg, kets
+        data._read = lowering, scp
+        return data
 
     @classmethod
     def from_json(cls, text):
@@ -933,30 +993,77 @@ def _template(shape, nl):
     return "{" + inner + body + nl + "}"
 
 
-def _integer(x, what):
+def _integer(x, what, doc="irrep data"):
     """x when it is a JSON integer; a float, bool or string is refused, not
-    truncated."""
+    truncated, with a message naming what and the kind of document."""
     if type(x) is not int:
         raise InvalidImportError(
-            f"malformed irrep data: {what} {x!r} is not an integer"
+            f"malformed {doc}: {what} {x!r} is not an integer"
         )
     return x
 
 
 def _coefficient(text, parsed):
-    """The FieldElem of a coefficient text, parsed once per distinct text:
-    parsed maps each text already read to its FieldElem, which is never
-    changed in place and so can be shared."""
+    """The value of a coefficient text, read once per distinct text: parsed
+    maps each text already read to its value, which is never changed and so
+    can be shared.  A value is the triple (f, n, d) for n/d*sqrt(f), f
+    square-free and n/d nonzero in lowest terms with d > 0, when the text is
+    one nonzero radical, else its FieldElem: zero, or a sum of radicals.  A
+    text of one term as _render_terms writes it is read straight into its
+    triple; any other goes through parse_field."""
     if not isinstance(text, str):
         raise InvalidImportError(f"coefficient {text!r} is not a string")
-    c = parsed.get(text)
-    if c is None:
-        try:
-            c = parsed[text] = parse_field(text)
-        except ZeroDivisionError:
-            raise InvalidImportError(
-                f"coefficient {text!r} divides by zero") from None
-    return c
+    got = parsed.get(text)
+    if got is None:
+        got = parsed[text] = _read_coefficient(text)
+    return got
+
+
+# one term as _render_terms writes it: -n/d*sqrt(f), the sign, /d and
+# *sqrt(f) each optional
+_TERM = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?(?:\*sqrt\(([0-9]+)\))?")
+
+
+def _read_coefficient(text):
+    m = _TERM.fullmatch(text)
+    if m:
+        sign, n, d, f = m.groups()
+        n, d, f = int(n), int(d or 1), int(f or 1)
+        if n and d and 0 < f <= MAX_RADICAND:  # else parse_field reads it
+            s, f = _square_free(f)
+            n *= s
+            g = gcd(n, d)
+            return f, (-n if sign else n) // g, d // g
+    try:
+        c = parse_field(text)
+    except ZeroDivisionError:
+        raise InvalidImportError(
+            f"coefficient {text!r} divides by zero") from None
+    return _value(c)
+
+
+def _value(c):
+    """The value of a FieldElem c as _coefficient gives it."""
+    if len(c.terms) != 1:
+        return c
+    ((f, q),) = c.terms.items()
+    return f, q.numerator, q.denominator
+
+
+def _elem_of(v, elems):
+    """The FieldElem of a value, formed once per distinct value in elems."""
+    if type(v) is not tuple:
+        return v
+    got = elems.get(v)
+    if got is None:
+        f, n, d = v
+        got = elems[v] = FieldElem({f: Fraction(n, d)})
+    return got
+
+
+def _value_text(v):
+    """The plain text of a value."""
+    return _render_terms((v,)) if type(v) is tuple else v.plain()
 
 
 def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
@@ -992,17 +1099,18 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
         m = len(d)
         if sorted(d) != list(range(1, m + 1)):
             raise InvalidImportError(f"degeneracy indices at {w} not 1..{m}")
-    # (weight, root) -> the weight a lowering row there must hit
-    below = {(w, i): _vsub(w, row) for w in degs
-             for i, row in enumerate(cartan(la), 1)}
+    A = cartan(la)
+    weight_of = {lab: k.dynkin for lab, k in data.kets.items()}
+    read_lowering, read_scp = data._values()
     lowering = {}
-    for (root, state), terms in data.lowering.items():
-        if not 1 <= root <= la.rank or state not in data.kets:
+    for (root, state), terms in read_lowering.items():
+        if not 1 <= root <= la.rank or state not in weight_of:
             raise InvalidImportError(f"bad lowering key ({state}, {root})")
-        target_w = below[data.kets[state].dynkin, root]
+        target_w = _vsub(weight_of[state], A[root - 1])
         seen = set()
+        row = []
         for c, t in terms:
-            if t not in data.kets or data.kets[t].dynkin != target_w:
+            if weight_of.get(t) != target_w:
                 raise InvalidImportError(
                     f"lowering of state {state} by root {root} hits wrong weight"
                 )
@@ -1012,25 +1120,27 @@ def new_imported_irrep(la: LieAlgebra, data: ImportedIrrepData) -> Irrep:
                     f"{t} twice"
                 )
             seen.add(t)
-        row = sorted((x for x in terms if not x[0].is_zero()),
-                     key=lambda x: x[1])
+            if c:
+                row.append((t, c))
         if row:
+            # the targets are distinct, so no two values are compared
+            row.sort()
             lowering[(root, state)] = row
     scp = {}
-    for (a, b), v in data.scp.items():
-        if a not in data.kets or b not in data.kets:
+    for (a, b), v in read_scp.items():
+        if a not in weight_of or b not in weight_of:
             raise InvalidImportError(f"scalar product of unknown labels ({a},{b})")
         if a == b:
-            if v != ONE:
+            if v != (1, 1, 1):
                 raise InvalidImportError(f"diagonal scalar product at {a} is not 1")
             continue
-        if data.kets[a].dynkin != data.kets[b].dynkin:
+        if weight_of[a] != weight_of[b]:
             raise InvalidImportError(f"scalar product across weights ({a},{b})")
         key = (a, b) if a < b else (b, a)
         old = scp.get(key)
         if old is not None and old != v:
             raise InvalidImportError(f"asymmetric scalar product at {key}")
-        if not v.is_zero():
+        if v:
             scp[key] = v
     form = _derive_rational_form(la.rank, data.kets, lowering, scp)
     return Irrep(la, hw, dict(data.kets), form, "imported")

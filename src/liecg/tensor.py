@@ -51,9 +51,10 @@ new_generic_irrep too, and so gets an Irrep with no radical (prepare
 renders its file tables).  _coefficients turns an integer state
 c*sqrt(f)*v into its terms, the coefficient of (a, b) being the single
 radical c*v_ab*sqrt(f*r_a*r_b): render_states and cli.states_to_json
-render them through _state_terms, the read-only FieldElem views hw_state,
-levels and by_weight build their states from them on access, and the
-public product_lower builds its result from them.  Those views and the
+render them through _state_texts, each distinct coefficient once per
+file, the read-only FieldElem views hw_state, levels and by_weight build
+their states from them on access, and the public product_lower builds its
+result from them.  Those views and the
 public product_lower and product_scp are a FieldElem façade over the
 integer core: _split reads a FieldElem state as one primitive integer
 vector and one rational scale per radical class, and the integer lowering
@@ -791,17 +792,35 @@ def _state_terms(p: ProductIrrep):
     return ((terms(v, k * sigma) for v, sigma in level) for level in p._levels)
 
 
+def _state_texts(p: ProductIrrep, fmt: str):
+    """The states of _state_terms, each term as (coefficient text in fmt,
+    a, b), each distinct coefficient of p rendered once; _state_terms checks
+    p at once."""
+    texts = {}  # (radicand, n, m) -> its text
+
+    def rendered(terms):
+        out = []
+        for g, n, m, a, b in terms:
+            c = texts.get((g, n, m))
+            if c is None:
+                c = texts[g, n, m] = _render_terms(((g, n, m),), fmt)
+            out.append((c, a, b))
+        return out
+
+    return (map(rendered, level) for level in _state_terms(p))
+
+
 def render_states(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str = "plain") -> str:
     """Nested listing of all states as (coeff, (left ket, right ket)) terms,
     grouped state-by-state and level-by-level; the coefficients come from
-    _state_terms."""
+    _state_texts."""
     return "".join(_render_chunks(p, l, r, fmt))
 
 
 def _render_chunks(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str):
     """The text of render_states in pieces, one per state, each rendered as
-    it is read; _state_terms checks p before the first."""
-    levels = _state_terms(p)
+    it is read; _state_texts checks p before the first."""
+    levels = _state_texts(p, fmt)
     kets_l = {a: _ket_str(k) for a, k in l.kets.items()}
     kets_r = {b: _ket_str(k) for b, k in r.kets.items()}
 
@@ -812,9 +831,8 @@ def _render_chunks(p: ProductIrrep, l: Irrep, r: Irrep, fmt: str):
             head = "["
             for terms in states:
                 yield head + ";\n  ".join([
-                    f'("{_render_terms(((g, n, m),), fmt)}", '
-                    f'("{kets_l[a]}", "{kets_r[b]}"))'
-                    for g, n, m, a, b in terms
+                    f'("{c}", ("{kets_l[a]}", "{kets_r[b]}"))'
+                    for c, a, b in terms
                 ]) + "]"
                 head = ";\n ["
             yield "]"

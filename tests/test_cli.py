@@ -144,9 +144,10 @@ def test_weights_json_roundtrip():
 def test_weights_json_refuses_a_rank_that_is_no_integer(rank):
     doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
     doc["algebra"]["rank"] = rank
-    with pytest.raises(InvalidImportError,
-                       match=f"algebra rank {rank!r} is not an integer"):
+    with pytest.raises(InvalidImportError) as err:
         cli.weights_from_json(json.dumps(doc))
+    assert str(err.value) == (
+        f"malformed weight listing: algebra rank {rank!r} is not an integer")
 
 
 class Discard:
@@ -730,6 +731,67 @@ def test_dump_goldens_are_representations(capsys, tmp_path, monkeypatch):
         for k in range(1, len(want) + 1):
             r = cli._import_irrep(la, f"{name}/irrep_{k}.json")
             r.check_representation()
+
+
+# the products of the benchmark's export workload, one format each, and the
+# octet square in all four formats; the first dump gives the imported 27.
+# Each product but 27 x 8 holds a singlet, dumped with --dump-singlet too.
+RENDERED_DUMPS = [
+    (["-su", "3"], "11x11", fmt) for fmt in ("plain", "tex", "mathematica",
+                                             "json")] + [
+    (["-e6"], "100000x000010", "json"),
+    (["-so", "10"], "00010x00001", "plain"),
+    (["-su", "4"], "101x101", "tex"),
+    (["-su", "3"], "@d0/irrep_1.json x 11", "mathematica"),
+]
+# the coefficient of each term of a states file
+STATE_COEFF = {"json": re.compile(r'"coeff": "([^"]*)"')}
+STATE_COEFF.update(dict.fromkeys(("plain", "tex", "mathematica"),
+                                 re.compile(r'\("([^"]*)", \("')))
+
+
+def test_states_files_render_each_coefficient_once(capsys, tmp_path,
+                                                   monkeypatch):
+    # every states file, of --dump and of --dump-singlet, renders each
+    # distinct coefficient once: the rendering calls made while one file
+    # is written are as many as the distinct coefficients in it
+    from liecg import tensor
+
+    calls = []
+    render = tensor._render_terms
+
+    def spy(*args):
+        calls.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(tensor, "_render_terms", spy)
+    rendered = {}  # path -> rendering calls while it was written
+    write = cli._write
+
+    def counted(path, chunks):
+        before = len(calls)
+        write(path, chunks)
+        rendered[path] = len(calls) - before
+
+    monkeypatch.setattr(cli, "_write", counted)
+    monkeypatch.chdir(tmp_path)
+    repeats = 0
+    for k, (algebra, spec, fmt) in enumerate(RENDERED_DUMPS):
+        argv = [*algebra, "--decompose", spec, "--dump", f"d{k}",
+                "--format", fmt]
+        if not spec.startswith("@"):
+            argv += ["--dump-singlet", f"singlet{k}.{fmt}"]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        states = [p for p in rendered if "states_" in p or "singlet" in p]
+        assert states
+        for path in states:
+            coeffs = STATE_COEFF[fmt].findall(open(path).read())
+            assert coeffs, path
+            assert rendered.pop(path) == len(set(coeffs)), path
+            repeats += len(coeffs) - len(set(coeffs))
+        rendered.clear()
+    assert repeats > 1000
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from liecg.tensor import Decomposition, decompose, prepare
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from export_dumps import dump_export_products  # noqa: E402
 from fraction_oracle import _gram_block, fraction_check_consistency  # noqa: E402
 
 
@@ -362,6 +363,51 @@ def test_sweeps_agree_on_mutations(case, hw, seed):
     # the mutations are seen: most are refused (a sign flip can pass, as
     # the sum rule does not see every phase)
     assert verdicts.count(False) >= 20
+
+
+@pytest.fixture(scope="module")
+def export_files(tmp_path_factory):
+    return dump_export_products(tmp_path_factory.mktemp("dumps"))
+
+
+def test_sweeps_pass_every_export_irrep(export_files):
+    # every irrep the four export products dump, read back as --import
+    # reads it, the E6 650 and the SO(10) 210 included
+    dims = []
+    for name, la, path in export_files:
+        imp = new_imported_irrep(la, ImportedIrrepData.from_json(
+            path.read_text()))
+        assert sweep_message(integer_sweep, imp) is None, (name, path.name)
+        assert sweep_message(fraction_check_consistency, imp) is None
+        dims.append(imp.dim)
+    assert len(dims) == 6 + 3 + 3 + 7 + 8
+    assert 650 in dims and 210 in dims
+
+
+EXPORT_MUTATED = [
+    # (product, dimension of its first dumped irrep, seed)
+    ("e6-27x27bar", 650, 5),
+    ("so10-16x16bar", 210, 6),
+    ("su3-27x8", 64, 7),
+]
+
+
+@pytest.mark.parametrize("case, dim, seed", EXPORT_MUTATED,
+                         ids=["e6-650", "so10-210", "su3-64"])
+def test_sweeps_agree_on_export_mutations(export_files, case, dim, seed):
+    # the tables of a file, once read, are the data the mutations change
+    la, path = next((la, path) for name, la, path in export_files
+                    if name == case)
+    data = ImportedIrrepData.from_json(path.read_text())
+    assert len(data.kets) == dim
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(20):
+        imp = new_imported_irrep(la, _mutated(data, rng))
+        msg = sweep_message(integer_sweep, imp)
+        assert msg == sweep_message(fraction_check_consistency, imp)
+        refused += msg is not None
+    assert refused >= 10
 
 
 def test_representation_check_refuses_every_mutation():
