@@ -105,7 +105,11 @@ def _apply(table, vec):
     for a, c in vec.items():
         for t, q in table.get(a, ()):
             out[t] = out.get(t, 0) + c * q
-    return {t: c for t, c in out.items() if c}
+    kept = {}
+    for t, c in out.items():
+        if c:
+            kept[t] = c
+    return kept
 
 
 class Irrep:
@@ -330,33 +334,50 @@ class Irrep:
             for a in at[w]:
                 row_a = rows_w[a]
                 # u_int = d*gw*u, so E_i a = M.u_int/(delta*d*gw)
-                u = [sum(q * row_a.get(t, 0) for t, q in low.get(g, ()))
-                     for g in ups]
-                vecs[a] = {
-                    g: e for g, mrow in zip(ups, m)
-                    if (e := sum(mx * y for mx, y in zip(mrow, u) if y))}
+                u = []
+                for g in ups:
+                    s = 0
+                    for t, q in low.get(g, ()):
+                        x = row_a.get(t)
+                        if x is not None:
+                            s += q * x
+                    u.append(s)
+                vec = vecs[a] = {}
+                for g, mrow in zip(ups, m):
+                    e = 0
+                    for mx, y in zip(mrow, u):
+                        if y:
+                            e += mx * y
+                    if e:
+                        vec[g] = e
             got = raising[i, w] = (delta * d * gw, vecs)
             return got
 
         # E_i F_j a - F_j E_i a - delta_ij w_i a, times D_j*c(w-alpha_j)*c(w)
         for w, labs in at.items():
-            for i, j in product(roots, roots):
-                if i != j and down[w][j] is None and up[w][i] is None:
-                    continue  # F_j a == 0 and E_i a == 0
-                dj, lowj = lows[j]
+            below, above = down[w], up[w]
+            for i in roots:
                 cw, ew = raise_block(i, w)
-                cd, ed = raise_block(i, down[w][j])
-                diag = w[i] * dj * cd * cw if i == j else 0
-                for a in labs:
-                    acc = {a: -diag} if diag else {}
-                    for t, q in lowj.get(a, ()):
-                        for g, e in ed.get(t, {}).items():
-                            acc[g] = acc.get(g, 0) + cw * q * e
-                    for g, e in ew.get(a, {}).items():
-                        for t, q in lowj.get(g, ()):
-                            acc[t] = acc.get(t, 0) - cd * e * q
-                    if any(acc.values()):
-                        fail("E_i F_j - F_j E_i == delta_ij w_i", a, i, j)
+                for j in roots:
+                    if i != j and below[j] is None and above[i] is None:
+                        continue  # F_j a == 0 and E_i a == 0
+                    dj, lowj = lows[j]
+                    cd, ed = raise_block(i, below[j])
+                    diag = w[i] * dj * cd * cw if i == j else 0
+                    for a in labs:
+                        acc = {a: -diag} if diag else {}
+                        for t, q in lowj.get(a, ()):
+                            vec = ed.get(t)
+                            if vec is not None:
+                                for g, e in vec.items():
+                                    acc[g] = acc.get(g, 0) + cw * q * e
+                        vec = ew.get(a)
+                        if vec is not None:
+                            for g, e in vec.items():
+                                for t, q in lowj.get(g, ()):
+                                    acc[t] = acc.get(t, 0) - cd * e * q
+                        if any(acc.values()):
+                            fail("E_i F_j - F_j E_i == delta_ij w_i", a, i, j)
 
     def _gram_inverse(self, rf, weight):
         """(ups, M, delta) for the weight block: its states and the inverse

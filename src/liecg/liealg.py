@@ -8,16 +8,28 @@ and its level is sum(q).  Roots are coefficient vectors over the simple
 roots, derived from the Cartan matrix.  Everything here is integer
 arithmetic; the module depends on no other part of the package.
 
-The weight system is walked on packed keys.  The descent vector q of a
-weight is packed into one non-negative int, sum_i q_i Q_i with
-Q_i = 2^(B (n-1-i)), so q_0 sits in the top field and integer order is the
-lexicographic order of descent vectors.  A step down by a_i adds Q_i, the
-weight lam + r of a positive root r has the key k - r.Q, and the simple
-reflection s_i lam has the key k + lam_i Q_i.  Every descent coordinate is
-at most top = level_vector.L, the level of the lowest weight, and B is
-chosen with 2^(B-1) > top + max(theta), theta the highest root: a key k
-minus the key of a positive root r is then the key of lam + r when no
-field borrows, and no weight's key when one does.
+The weight system is generated, not searched.  Multiplicities are
+constant on Weyl orbits, and every dominant weight mu <= L is a weight of
+the irrep L (Humphreys, section 21.3) reached from L by subtracting
+positive roots through dominant weights only (Stembridge, "The partial
+order of dominant weights", 1998).  So Freudenthal's formula runs only at
+those few dominant weights, highest first, and each one's Weyl orbit is
+then generated as a tree of simple reflections, with no membership test
+and no duplicate (see _freudenthal_cached).
+
+Weights are keyed by packed ints.  The level and the descent vector q of a
+weight are packed into one non-negative int, level 2^(B n) +
+sum_i q_i 2^(B (n-1-i)), so q_0 sits in the highest descent field and
+integer order is the listing order: by level, then lexicographically by
+descent vector.  A step down by a_i adds Q_i = 2^(B n) + 2^(B (n-1-i)),
+the weight lam - r of a positive root r has the key k + r.Q, and the
+simple reflection s_i lam has the key k + lam_i Q_i.  Every descent
+coordinate is at most top = level_vector.L, the level of the lowest
+weight, and B is chosen with 2^(B-1) > top + max(theta), theta the
+highest root: a key k minus the key of a positive root r is then the key
+of lam + r when no descent field borrows.  When one does, the highest
+borrowing field ends above top, or the difference is negative, so it is
+no weight's key.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from operator import mul, sub
+from operator import add, mul, sub
 
 __all__ = [
     "ConsistencyError",
@@ -122,7 +134,9 @@ def _check_hw(la, hw):
     hw = tuple(hw)
     if len(hw) != la.rank:
         raise ValueError(f"{la.name} needs {la.rank} Dynkin labels, got {len(hw)}")
-    if any(not isinstance(c, int) or c < 0 for c in hw):
+    # bool is an int subclass: (True, False) would share the lru_cache
+    # entries of (1, 0) and leave bools in their records
+    if any(type(c) is not int or c < 0 for c in hw):
         raise ValueError(f"highest weight must be non-negative integers: {hw}")
     return hw
 
@@ -296,90 +310,99 @@ def complete_descent(la: LieAlgebra, hw):
 def freudenthal(la: LieAlgebra, hw):
     """Weights with multiplicities, in the complete_descent order.
 
-    Freudenthal's recursion runs only at dominant weights.  Multiplicities
-    are constant on Weyl orbits, so a weight lam with a label lam_i < 0
-    takes the multiplicity of its simple reflection s_i lam = lam - lam_i a_i,
-    which lies -lam_i levels higher and is therefore already known.
+    Freudenthal's recursion runs only at the dominant weights, in order of
+    level.  Every weight above a dominant weight mu has a dominant
+    conjugate strictly above mu, so when mu is reached the orbits walked
+    so far hold every multiplicity its sum reads.  Each orbit then takes
+    its dominant weight's multiplicity.
     """
     return list(_freudenthal_cached(la, _check_hw(la, hw)))
 
 
-def _descend(A, hw, Q):
-    """Keys of all weights, level by level and sorted within each level,
-    and the Dynkin labels of each key.
-
-    The key of lam - a_i is the key of lam plus Q_i.  The raising-string
-    length is memoized as p_i(lam) = p_i(lam + a_i) + 1, or 0 when
-    lam + a_i is no weight; lam - a_i is a weight iff p_i + lam_i >= 1.
-    """
-    n = len(hw)
-    dynkin = {0: hw}
-    levels = []
-    current = [0]
-    above = {}  # key -> raising-string lengths, on the level above
-    while current:
-        current.sort()
-        levels.append(current)
-        strings = {}
-        nxt = []
-        for k in current:
-            lam = dynkin[k]
-            ps = []
-            for i in range(n):
-                up = above.get(k - Q[i])
-                p = up[i] + 1 if up is not None else 0
-                ps.append(p)
-                if p + lam[i] >= 1:
-                    child = k + Q[i]
-                    if child not in dynkin:
-                        dynkin[child] = tuple(map(sub, lam, A[i]))
-                        nxt.append(child)
-            strings[k] = ps
-        above = strings
-        current = nxt
-    return levels, dynkin
-
-
 @lru_cache(maxsize=None)
 def _freudenthal_cached(la, hw):
+    """The records of freudenthal, in four steps: find the dominant weights,
+    give each its multiplicity in key order, generate its Weyl orbit, and
+    sort all weights once by key."""
     A = cartan(la)
     n = la.rank
     w = root_weights(la)
-    # B-bit fields, q_0 on top (see the module docstring for the width)
+    # the level above n B-bit descent fields, q_0 the highest of them (see
+    # the module docstring for the width)
     top = sum(map(mul, level_vector(la), hw))
     B = (top + max(highest_root(la))).bit_length() + 1
     shifts = [B * (n - 1 - i) for i in range(n)]
-    Q = [1 << s for s in shifts]
+    lev_shift = B * n
+    Q = [(1 << lev_shift) | (1 << s) for s in shifts]
     mask = (1 << B) - 1
-    levels, dynkin = _descend(A, hw, Q)
 
     # per positive root r: its key, r_j w_j, and 2(r, r) that steps 2(mu, r)
     rkeys = []
+    rsteps = []
     for r in positive_roots(la):
         rw = tuple(map(mul, r, w))
-        rdyn = [sum(r[i] * A[i][j] for i in range(n)) for j in range(n)]
-        rkeys.append((sum(map(mul, r, Q)), rw, 2 * sum(map(mul, rw, rdyn))))
+        rdyn = tuple(sum(r[i] * A[i][j] for i in range(n)) for j in range(n))
+        off = sum(map(mul, r, Q))
+        rkeys.append((off, rw, 2 * sum(map(mul, rw, rdyn))))
+        rsteps.append((off, rdyn))
+
+    # the dominant weights: hw less positive roots while no label turns
+    # negative
+    dominant = {0: hw}  # key -> labels
+    todo = [0]
+    for k in todo:
+        lam = dominant[k]
+        for off, rdyn in rsteps:
+            mu = tuple(map(sub, lam, rdyn))
+            if min(mu) >= 0 and k + off not in dominant:
+                dominant[k + off] = mu
+                todo.append(k + off)
+
     coeffs = _lowest_root_coeffs(la)
-    mult = {}
-    records = []
-    for lev, keys in enumerate(levels):
-        for k in keys:
-            lam = dynkin[k]
-            q = tuple([(k >> s) & mask for s in shifts])
-            for i, x in enumerate(lam):
-                if x < 0:
-                    m = mult[k + x * Q[i]]  # the key of s_i lam
-                    break
-            else:
-                m = 1 if lev == 0 else _dominant_mult(la, hw, lam, q, k, rkeys, mult)
-            mult[k] = m
-            records.append(WeightRecord(lev, q, lam, m, sum(map(mul, coeffs, lam))))
-    return tuple(records)
+    drop = [sum(map(mul, coeffs, row)) for row in A]  # lowest-root label of a_i
+    # the reflections that may give a child of a weight whose first
+    # negative label is f (f = n: dominant): every i < f, and an i > f only
+    # when linked to f, since s_i leaves label f negative unless A_if < 0
+    tries = [list(range(f)) + [i for i in range(f + 1, n) if A[i][f]]
+             for f in range(n + 1)]
+    scaled = [[(0,) * n] for _ in range(n)]  # scaled[i][c] = c a_i, as needed
+    found = {}  # key -> record
+    for k in sorted(dominant):  # by level, then descent vector
+        lam = dominant[k]
+        q = tuple([(k >> s) & mask for s in shifts])
+        if k:
+            m = _dominant_mult(la, hw, lam, q, k, rkeys, found)
+            if m <= 0:
+                raise ConsistencyError(
+                    f"{la.name} irrep {hw}: dominant weight {lam} has "
+                    f"multiplicity {m}"
+                )
+        else:
+            m = 1
+        # the orbit as a tree: the parent of a weight is its reflection at
+        # its first negative label, so s_i mu is a child of mu iff mu_i > 0
+        # and no label before i is negative in s_i mu
+        stack = [(lam, k, q, sum(map(mul, coeffs, lam)), n)]
+        while stack:
+            lam, k, q, label, first = stack.pop()
+            found[k] = WeightRecord(k >> lev_shift, q, lam, m, label)
+            for i in tries[first]:
+                c = lam[i]
+                if c > 0:
+                    rows = scaled[i]
+                    while len(rows) <= c:
+                        rows.append(tuple(map(add, rows[-1], A[i])))
+                    mu = tuple(map(sub, lam, rows[c]))
+                    if i < first or min(mu[:i]) >= 0:
+                        stack.append((mu, k + c * Q[i],
+                                      q[:i] + (q[i] + c,) + q[i + 1:],
+                                      label - c * drop[i], i))
+    return tuple([found[k] for k in sorted(found)])
 
 
-def _dominant_mult(la, hw, lam, q, k, rkeys, mult):
+def _dominant_mult(la, hw, lam, q, k, rkeys, found):
     """Freudenthal's sum at the dominant weight lam (descent q, key k) over
-    the weights mu = lam + t r above it, whose multiplicities mult holds."""
+    the weights mu = lam + t r above it, whose records found holds by key."""
     w = root_weights(la)
     lhs = 0
     for j, qj in enumerate(q):
@@ -388,10 +411,10 @@ def _dominant_mult(la, hw, lam, q, k, rkeys, mult):
     rhs = 0
     for off, rw, step in rkeys:
         mu = k - off
-        if mu in mult:
+        if mu in found:
             c = 2 * sum(map(mul, rw, lam)) + step  # 2(mu, r) at mu = lam + r
-            while mu in mult:
-                rhs += mult[mu] * c
+            while mu in found:
+                rhs += found[mu].degeneracy * c
                 mu -= off
                 c += step
     if lhs <= 0:

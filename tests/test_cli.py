@@ -224,6 +224,37 @@ def test_inconsistency_writes_nothing(capsys, monkeypatch, fmt):
     assert "internal inconsistency: SU(3) irrep (1, 1)" in err
 
 
+BOOL_LABELS = """
+import sys
+from liecg import cli
+from liecg.liealg import LieAlgebra, freudenthal
+
+try:
+    freudenthal(LieAlgebra("A", 2), (True, False))
+except ValueError:
+    pass
+else:
+    print("bool labels accepted", file=sys.stderr)
+sys.exit(cli.main(["-su", "3", "-rep", "10", "--format", "json"]))
+"""
+
+
+def test_bool_labels_leave_the_cache_clean():
+    # bool is an int subclass and hashes as one: accepted, (True, False)
+    # would fill the lru_cache entry of (1, 0) with bool labels, and the
+    # JSON listing of the 3 after it would stop half-written
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    after = subprocess.run([sys.executable, "-c", BOOL_LABELS],
+                           capture_output=True, text=True, env=env)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "liecg", "-su", "3", "-rep", "10", "--format", "json"],
+        capture_output=True, text=True, env=env)
+    assert (after.returncode, after.stderr) == (0, "")
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert after.stdout == fresh.stdout
+
+
 def test_usage_errors(capsys):
     for argv in (
         [],

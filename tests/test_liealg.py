@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecg import liealg
 from liecg.liealg import (
     ConsistencyError,
     LieAlgebra,
@@ -453,6 +454,16 @@ def test_e8_dominant_multiplicities_frozen(hw):
     assert sum(r.degeneracy for r in recs) == weyl_dim(e8, recs[0].dynkin)
 
 
+def test_non_positive_dominant_multiplicity_is_refused(monkeypatch):
+    # every dominant weight below the highest one is a weight, so a
+    # Freudenthal sum of 0 there is an inconsistency, not an empty orbit
+    monkeypatch.setattr(liealg, "_dominant_mult", lambda *args: 0)
+    with pytest.raises(ConsistencyError) as exc:
+        liealg._freudenthal_cached.__wrapped__(LieAlgebra("A", 2), (1, 1))
+    assert str(exc.value) == (
+        "SU(3) irrep (1, 1): dominant weight (0, 0) has multiplicity 0")
+
+
 @pytest.mark.parametrize(
     "la",
     [
@@ -588,6 +599,9 @@ def test_hw_validation():
         freudenthal(la, (1, -1))
     with pytest.raises(ValueError):
         weyl_dim(la, (1, 1, 1))
+    for labels in ((True, False), (1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError):
+            freudenthal(la, labels)
 
 
 _POOL = [

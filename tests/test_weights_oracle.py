@@ -5,13 +5,17 @@ every weight and simple root) and `_freudenthal_cached` (the same records
 copied with their multiplicity by `dataclasses.replace`) are kept here as
 they were, sharing no code with the packed-key kernel of `liecg.liealg`.
 Both must give records identical to `complete_descent` and `freudenthal`,
-on large irreps and on the smallest and largest descent fields.
+on large irreps, on the smallest and largest descent fields, and on drawn
+highest weights, whose weight systems have several dominant weights with
+different stabilisers.
 """
 
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecg.liealg import (
     ConsistencyError,
@@ -176,3 +180,24 @@ def test_kernel_matches_tuple_walk(la, hw):
     assert freudenthal(la, hw) == list(old)
     assert complete_descent(la, hw) == list(_descent_cached(la, hw))
     assert sum(r.degeneracy for r in old) == weyl_dim(la, hw)
+
+
+# drawn irreps stay small enough for the tuple walk
+MAX_DRAWN_DIM = 20_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_tuple_walk_on_drawn_irreps(data):
+    la = data.draw(st.sampled_from(ALGEBRAS), label="algebra")
+    # raise one label at a time, skipping a raise past the dimension bound
+    nodes = data.draw(st.lists(st.integers(0, la.rank - 1), max_size=8),
+                      label="raised labels")
+    hw = [0] * la.rank
+    for i in nodes:
+        hw[i] += 1
+        if weyl_dim(la, hw) > MAX_DRAWN_DIM:
+            hw[i] -= 1
+    hw = tuple(hw)
+    assert freudenthal(la, hw) == list(_freudenthal_cached(la, hw))
+    assert complete_descent(la, hw) == list(_descent_cached(la, hw))
