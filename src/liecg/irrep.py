@@ -23,18 +23,18 @@ norm of state 1 is k_a u_a, so every lowering entry and every Gram entry
 is one ratio of integers, formed once.
 
 `ImportedIrrepData` holds the unit-basis tables of the liecg-irrep-v1
-files: `from_irrep` keeps the form, and its document is written straight
-from it, each distinct coefficient rendered once; `from_json` reads each
-distinct coefficient text once, straight into its class and fraction,
-refusing any entry given twice.  Either way the FieldElem tables are
-formed only if they are read.  `new_imported_irrep` checks each
-lowering row and hands it, in target order, to the derivation of the form,
-which pushes the classes down the lowering table from the highest weight
-and refuses a file that has none.  Two sweeps test a file's tables, each
-over the whole irrep: `Irrep.check_consistency`, the string sum rule that
-`--import` runs, and `Irrep.check_representation`, the defining relations
-of the algebra, which the tensor descent relies on and which a file's
-irrep passes before its first product.
+files, from one source fixed when it is made: the form (`from_irrep`),
+whose document is written straight from it, or the values `from_json`
+reads, each distinct text once, straight into its class and fraction,
+refusing any entry given twice.  Its FieldElem tables are read-only views,
+formed on each read.  `new_imported_irrep` checks each lowering row and
+hands it, in target order, to the derivation of the form, which pushes
+the classes down the lowering table from the highest weight and refuses a
+file that has none.  Two sweeps test a file's tables, each over the whole
+irrep: `Irrep.check_consistency`, the string sum rule that `--import`
+runs, and `Irrep.check_representation`, the defining relations of the
+algebra, which the tensor descent relies on and which a file's irrep
+passes before its first product; its Serre walk only names a failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
 from operator import add, sub
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .exactnum import (
@@ -265,9 +266,9 @@ class Irrep:
         E_i a is an int vector over a denominator shared by its weight block;
         each relation is compared cross-multiplied.  On a finite-dimensional
         module with integral weights the Serre relations follow from the
-        others by sl2 theory; they are checked first, on the lowering
-        tables alone.  Raises ConsistencyError naming the state, its weight
-        and the roots.
+        others by sl2 theory, so they are walked only once the others fail,
+        and name the failure if one of them fails.  Raises ConsistencyError
+        naming the state, its weight and the roots.
         """
         rf = self._form
         la = self.algebra
@@ -286,30 +287,6 @@ class Irrep:
                 f"{la.name} irrep {self.hw}: {what} fails at state {a} of "
                 f"weight {self.weight_of[a]}, roots i={i + 1}, j={j + 1}"
             )
-
-        # Serre: the terms are homogeneous in F_i and F_j, so the int
-        # tables give the relation times D_i^n D_j
-        for i, j in product(roots, roots):
-            n = 1 - A[j][i]
-            if i == j or (n == 1 and j < i):  # F_i, F_j commute: once
-                continue
-            di, dj = lows[i][1], lows[j][1]
-            signed = [(-1) ** k * comb(n, k) for k in range(n + 1)]
-            drop = tuple(n * x + y for x, y in zip(A[i], A[j]))
-            for w, labs in at.items():
-                if _vsub(w, drop) not in at:  # every term would be zero
-                    continue
-                for a in labs:
-                    acc, x = {}, {a: 1}
-                    for k in range(n + 1):  # x = F_i^k a
-                        y = _apply(dj, x)
-                        for _ in range(n - k):
-                            y = _apply(di, y)
-                        for t, c in y.items():
-                            acc[t] = acc.get(t, 0) + signed[k] * c
-                        x = _apply(di, x)
-                    if any(acc.values()):
-                        fail("the Serre relation", a, i, j)
 
         blocks = {}  # weight -> (gamma, {state: {b: Gram entry times gamma}})
         inverses = {}  # weight -> (its states, M, delta)
@@ -354,30 +331,57 @@ class Irrep:
             return got
 
         # E_i F_j a - F_j E_i a - delta_ij w_i a, times D_j*c(w-alpha_j)*c(w)
-        for w, labs in at.items():
-            below, above = down[w], up[w]
-            for i in roots:
-                cw, ew = raise_block(i, w)
-                for j in roots:
-                    if i != j and below[j] is None and above[i] is None:
-                        continue  # F_j a == 0 and E_i a == 0
-                    dj, lowj = lows[j]
-                    cd, ed = raise_block(i, below[j])
-                    diag = w[i] * dj * cd * cw if i == j else 0
-                    for a in labs:
-                        acc = {a: -diag} if diag else {}
-                        for t, q in lowj.get(a, ()):
-                            vec = ed.get(t)
+        try:
+            for w, labs in at.items():
+                below, above = down[w], up[w]
+                for i in roots:
+                    cw, ew = raise_block(i, w)
+                    for j in roots:
+                        if i != j and below[j] is None and above[i] is None:
+                            continue  # F_j a == 0 and E_i a == 0
+                        dj, lowj = lows[j]
+                        cd, ed = raise_block(i, below[j])
+                        diag = w[i] * dj * cd * cw if i == j else 0
+                        for a in labs:
+                            acc = {a: -diag} if diag else {}
+                            for t, q in lowj.get(a, ()):
+                                vec = ed.get(t)
+                                if vec is not None:
+                                    for g, e in vec.items():
+                                        acc[g] = acc.get(g, 0) + cw * q * e
+                            vec = ew.get(a)
                             if vec is not None:
                                 for g, e in vec.items():
-                                    acc[g] = acc.get(g, 0) + cw * q * e
-                        vec = ew.get(a)
-                        if vec is not None:
-                            for g, e in vec.items():
-                                for t, q in lowj.get(g, ()):
-                                    acc[t] = acc.get(t, 0) - cd * e * q
+                                    for t, q in lowj.get(g, ()):
+                                        acc[t] = acc.get(t, 0) - cd * e * q
+                            if any(acc.values()):
+                                fail("E_i F_j - F_j E_i == delta_ij w_i",
+                                     a, i, j)
+        except ConsistencyError:
+            # a failing Serre relation names the failure.  Homogeneous in
+            # F_i and F_j, it reads off the int tables times D_i^n D_j
+            for i, j in product(roots, roots):
+                n = 1 - A[j][i]
+                if i == j or (n == 1 and j < i):  # F_i, F_j commute: once
+                    continue
+                di, dj = lows[i][1], lows[j][1]
+                signed = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+                drop = tuple(n * x + y for x, y in zip(A[i], A[j]))
+                for w, labs in at.items():
+                    if _vsub(w, drop) not in at:  # every term would be zero
+                        continue
+                    for a in labs:
+                        acc, x = {}, {a: 1}
+                        for k in range(n + 1):  # x = F_i^k a
+                            y = _apply(dj, x)
+                            for _ in range(n - k):
+                                y = _apply(di, y)
+                            for t, c in y.items():
+                                acc[t] = acc.get(t, 0) + signed[k] * c
+                            x = _apply(di, x)
                         if any(acc.values()):
-                            fail("E_i F_j - F_j E_i == delta_ij w_i", a, i, j)
+                            fail("the Serre relation", a, i, j)
+            raise
 
     def _gram_inverse(self, rf, weight):
         """(ups, M, delta) for the weight block: its states and the inverse
@@ -691,84 +695,85 @@ def scalar_product(r: Irrep, a: int, b: int) -> FieldElem:
     return r.scalar_product(a, b)
 
 
-@dataclass
 class ImportedIrrepData:
     """Everything needed to rebuild an irrep found inside a tensor product:
-    the labeled kets, the lowering table, and the scalar products, in the
-    unit basis.
+    the labeled kets, the lowering table and the scalar products in the
+    unit basis, written to a stable JSON document and read back exactly.
 
-    Serializes to a stable JSON document; coefficients are rendered with
-    FieldElem.plain() and parsed back exactly.  The data of from_irrep
-    keeps the irrep's rational form instead of the two tables: its document
-    is written from the form.  The data of from_json keeps the values its
-    texts were read into (_coefficient).  Either way the tables are formed
-    when one of them is first read, after which they are the data.
+    The coefficients have one source, fixed when the data is made: the
+    irrep's rational form (from_irrep), or tables of the values _coefficient
+    gives (from_json, and the constructor, which turns FieldElem tables into
+    values once).  `lowering` and `scp` are read-only views of it, formed on
+    each read.
     """
-
-    algebra: LieAlgebra
-    kets: dict  # label -> Ket
-    lowering: dict  # (root, state) -> tuple of (FieldElem, target label)
-    scp: dict  # (a, b) with a <= b -> FieldElem
 
     FORMAT = "liecg-irrep-v1"
 
+    def __init__(self, algebra, kets, lowering, scp):
+        """Data of unit-basis tables: lowering, (root, state) -> ((FieldElem,
+        target), ...), and scp, (a, b) with a <= b -> FieldElem."""
+        self.algebra, self.kets = algebra, kets  # label -> Ket
+        self._source = ({key: tuple((_value(c), t) for c, t in terms)
+                         for key, terms in lowering.items()},
+                        {key: _value(v) for key, v in scp.items()})
+
     @classmethod
-    def from_irrep(cls, r: Irrep) -> "ImportedIrrepData":
-        """An irrep's unit-basis tables, to be read off its rational form."""
+    def _of(cls, algebra, kets, source):
         data = cls.__new__(cls)
-        data.algebra, data.kets = r.algebra, dict(r.kets)
-        data._form = r.rational_form()
+        data.algebra, data.kets, data._source = algebra, kets, source
         return data
 
-    def __getattr__(self, name):
-        # reached only for a table that from_irrep's or from_json's data has
-        # not formed yet
-        held = self.__dict__
-        if name not in ("lowering", "scp") or not ("_form" in held
-                                                   or "_read" in held):
-            raise AttributeError(name)
-        if "_read" in held:
-            lowering, scp = held.pop("_read")
-            elems = {}  # value -> its FieldElem, shared like the texts
-            self.lowering = {key: tuple((_elem_of(c, elems), t)
-                                        for c, t in terms)
-                             for key, terms in lowering.items()}
-            self.scp = {key: _elem_of(v, elems) for key, v in scp.items()}
-            return getattr(self, name)
-        rf = held.pop("_form")
-        r = rf.r
-        self.lowering = {(i, a): _unit_row(rf, i, a)
-                         for i, rows in rf.lower.items() for a in rows}
-        # g/sqrt(r_a*r_b) == (g/r_a)*sqrt(r_a/r_b)
-        self.scp = {(a, b): _times_sqrt(Fraction(g, r[a]), r[a], r[b])
-                    for a, row in rf.gram.items() for b, g in row if a < b}
-        return getattr(self, name)
+    @classmethod
+    def from_irrep(cls, r: Irrep) -> "ImportedIrrepData":
+        """An irrep's unit-basis tables, read off its rational form."""
+        return cls._of(r.algebra, dict(r.kets), r.rational_form())
+
+    @property
+    def lowering(self):
+        """(root, state) -> ((FieldElem, target), ...)."""
+        src = self._source
+        if type(src) is RationalForm:
+            return MappingProxyType({(i, a): _unit_row(src, i, a)
+                                     for i, rows in src.lower.items()
+                                     for a in rows})
+        return MappingProxyType({key: tuple((_elem_of(c), t)
+                                            for c, t in terms)
+                                 for key, terms in src[0].items()})
+
+    @property
+    def scp(self):
+        """(a, b) with a <= b -> FieldElem."""
+        src = self._source
+        if type(src) is RationalForm:
+            r = src.r
+            # g/sqrt(r_a*r_b) == (g/r_a)*sqrt(r_a/r_b)
+            return MappingProxyType({
+                (a, b): _times_sqrt(Fraction(g, r[a]), r[a], r[b])
+                for a, row in src.gram.items() for b, g in row if a < b})
+        return MappingProxyType({key: _elem_of(v)
+                                 for key, v in src[1].items()})
 
     def _values(self):
-        """(lowering, scp) with every coefficient as _coefficient reads it:
-        the values from_json read, while its tables are unread, else each
-        FieldElem of the tables turned into that value."""
-        read = self.__dict__.get("_read")
-        if read is not None:
-            return read
-        return ({key: tuple((_value(c), t) for c, t in terms)
-                 for key, terms in self.lowering.items()},
-                {key: _value(v) for key, v in self.scp.items()})
+        """(lowering, scp) with each coefficient as _coefficient reads it."""
+        if type(self._source) is not RationalForm:
+            return self._source
+        return type(self)(self.algebra, self.kets, self.lowering,
+                          self.scp)._source
 
     def json_doc(self):
         """The liecg-irrep-v1 document, its three tables as iterators that
         form each row as the writer (_json_chunks) reaches it."""
-        rf = self.__dict__.get("_form")
-        if rf is not None:
-            lowering, scp = _form_rows(rf)
+        src = self._source
+        if type(src) is RationalForm:
+            lowering, scp = _form_rows(src)
         else:
+            text = lru_cache(maxsize=None)(_value_text)  # each value once
             lowering = (
-                [state, root, [[c.plain(), t] for c, t in terms]]
+                [state, root, [[text(c), t] for c, t in terms]]
                 for (root, state), terms in sorted(
-                    self.lowering.items(), key=lambda kv: (kv[0][1], kv[0][0])
-                )
+                    src[0].items(), key=lambda kv: (kv[0][1], kv[0][0]))
             )
-            scp = ([a, b, v.plain()] for (a, b), v in sorted(self.scp.items()))
+            scp = ([a, b, text(v)] for (a, b), v in sorted(src[1].items()))
         return {
             "format": self.FORMAT,
             "algebra": {"family": self.algebra.family, "rank": self.algebra.rank},
@@ -840,10 +845,7 @@ class ImportedIrrepData:
             raise
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InvalidImportError(f"malformed irrep data: {exc}") from exc
-        data = cls.__new__(cls)
-        data.algebra, data.kets = alg, kets
-        data._read = lowering, scp
-        return data
+        return cls._of(alg, kets, (lowering, scp))
 
     @classmethod
     def from_json(cls, text):
@@ -918,8 +920,6 @@ def _json_value(x, nl):
         return "[]" if t is list else "{}"
     # a container whose leaves are all ints and strs fills one format of
     # its shape
-    if t is list and set(map(type, x)) == _INTS:
-        return _format(len(x), nl, "") % tuple(x)
     vals = []
     shape = _shape(x, vals)
     if shape is not None:
@@ -1071,15 +1071,12 @@ def _value(c):
     return f, q.numerator, q.denominator
 
 
-def _elem_of(v, elems):
-    """The FieldElem of a value, formed once per distinct value in elems."""
+def _elem_of(v):
+    """The FieldElem of a value."""
     if type(v) is not tuple:
         return v
-    got = elems.get(v)
-    if got is None:
-        f, n, d = v
-        got = elems[v] = FieldElem({f: Fraction(n, d)})
-    return got
+    f, n, d = v
+    return FieldElem({f: Fraction(n, d)})
 
 
 def _value_text(v):

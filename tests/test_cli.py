@@ -588,6 +588,53 @@ def test_import_refuses_repeated_degeneracy_index(capsys, tmp_path):
     assert f"{bad}: degeneracy indices at (0, 0) not 1..2" in err
 
 
+def _octet_of_8x8(capsys, tmp_path):
+    """The octet of SU(3) 8 x 8, irrep 4 of its dump, as a document."""
+    rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
+                   "--dump", str(tmp_path / "octets"))
+    assert rc == 0
+    return json.loads((tmp_path / "octets" / "irrep_4.json").read_text())
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("kets",), [], "no kets"),
+    (("kets", 0, 1), [1, 1, 0], "weights must have 2 components"),
+    (("kets", 0, 1), [-1, 2], "state 1 is not a highest weight: highest "
+                              "weight must be non-negative integers: (-1, 2)"),
+    (("lowering", 0, 1), 0, "bad lowering key (1, 0)"),
+    (("scp",), [[4, 5, "1/2"], [4, 99, "1"]],
+     "scalar product of unknown labels (4,99)"),
+    (("scp",), [[4, 5, "1/2"], [5, 4, "1/3"]],
+     "asymmetric scalar product at (4, 5)"),
+    (("lowering", 0, 2, 0, 0), "1*sqrt(2)",
+     "no rational form: lowering state 5 by root 1 gives state 7 the "
+     "radical class 1, another path gave it 2"),
+    (("scp", 0, 2), "1*sqrt(5)",
+     "no rational form: the scalar product 1*sqrt(5) of states 4 and 5 is "
+     "not rational in the rescaled basis"),
+    (("lowering", 0, 0), "1",
+     "malformed irrep data: state '1' is not an integer"),
+    (("scp", 0, 0), "4", "malformed irrep data: state '4' is not an integer"),
+], ids=["no-kets", "third-label", "not-highest", "root-0", "scp-label-99",
+        "scp-asymmetric", "radical-class", "scp-irrational",
+        "lowering-string-state", "scp-string-label"])
+def test_import_refuses_an_edited_octet(capsys, tmp_path, where, value,
+                                        message):
+    doc = _octet_of_8x8(capsys, tmp_path)
+    assert doc["lowering"][0] == [1, 1, [["1", 3]]]
+    assert doc["scp"] == [[4, 5, "1/2"]]
+    *path, last = where
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
+    assert rc == 1 and out == ""
+    assert err.splitlines()[0] == f"lie: error: {bad}: {message}"
+
+
 def test_huge_radicand_fails_fast(capsys, tmp_path):
     # factoring a 50-digit radicand would not finish; it is refused
     huge = "sqrt(" + "9" * 50 + ")"
@@ -831,10 +878,7 @@ def flipped_octet(capsys, tmp_path):
     root-1 lowering of state 6 flipped.  The file keeps a rational form and
     passes the sum rule of --import, but is not a representation; before
     the descent was capped, its products overflowed a weight."""
-    rc, _, _ = run(capsys, "-su", "3", "--decompose", "11x11",
-                   "--dump", str(tmp_path / "octets"))
-    assert rc == 0
-    doc = json.loads((tmp_path / "octets" / "irrep_4.json").read_text())
+    doc = _octet_of_8x8(capsys, tmp_path)
     for entry in doc["lowering"]:
         if entry[:2] == [6, 1]:
             entry[2] = [[c[1:] if c.startswith("-") else "-" + c, t]
@@ -1413,6 +1457,33 @@ def test_script_vector_label_outside_irrep(capsys, tmp_path, use):
     assert rc == 1 and out == ""
     assert f"{path}:3: vector: no state labeled 99 in r" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["print nope"], "2: print: unknown node 'nope'"),
+    (["irrep r 11", "vector v r 4"],
+     "3: vector: vector term '4' is not LABEL:COEFF"),
+    (["irrep r 11", "irrep s 10", "vector v s 1:1", "basis b r 3 v"],
+     "5: basis: vector 'v' belongs to another irrep"),
+    (["irrep r 11", "basis b r 4"],
+     "3: basis: offset 4 is not the start of a degenerate block"),
+    (["irrep r 11", "basis b r 8"], "3: basis: no state 9 in r"),
+], ids=["print-unknown-node", "vector-term-without-colon",
+        "basis-seed-of-another-irrep", "basis-offset-inside-a-block",
+        "basis-offset-past-the-irrep"])
+def test_script_refusals(capsys, tmp_path, lines, message):
+    path = tmp_path / "s.lie"
+    path.write_text("\n".join(["algebra su 3", *lines]) + "\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [f"lie: error: {path}:{message}"]
+
+
+def test_rep_with_too_many_labels(capsys):
+    rc, out, err = run(capsys, "-su", "3", "-rep", "1,2,3")
+    assert rc == 1 and out == ""
+    assert err.splitlines()[0] == (
+        "lie: error: expected 2 non-negative Dynkin labels, got '1,2,3'")
 
 
 def test_script_chbasis_missing_label_names_its_line(capsys, tmp_path):

@@ -417,21 +417,46 @@ def test_import_rejects_wrong_weight():
 
 def test_import_rejects_bad_lowering_target():
     data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 0)))
-    data.lowering[(2, 1)] = ((ONE, 3),)  # weight drop does not match root 2
     with pytest.raises(InvalidImportError):
-        new_imported_irrep(A2, data)
+        # weight drop does not match root 2
+        _corrupted(data, lowering={(2, 1): ((ONE, 3),)})
 
 
 def test_import_rejects_bad_scp():
-    base = new_generic_irrep(A2, (1, 1))
-    data = ImportedIrrepData.from_irrep(base)
-    data.scp[(4, 4)] = field(2)
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
     with pytest.raises(InvalidImportError):
-        new_imported_irrep(A2, data)
-    data = ImportedIrrepData.from_irrep(base)
-    data.scp[(3, 4)] = ONE  # labels 3 and 4 sit at different weights
+        _corrupted(data, scp={(4, 4): field(2)})
     with pytest.raises(InvalidImportError):
-        new_imported_irrep(A2, data)
+        # labels 3 and 4 sit at different weights
+        _corrupted(data, scp={(3, 4): ONE})
+
+
+@pytest.mark.parametrize("source", ["form", "json", "tables"])
+def test_imported_data_views_are_read_only(source):
+    # the coefficients have one source, fixed when the data is made: no
+    # read sets an attribute, the views refuse writes, and the document is
+    # the same before and after both views are read
+    data = ImportedIrrepData.from_irrep(new_generic_irrep(A2, (1, 1)))
+    if source == "json":
+        data = ImportedIrrepData.from_json(data.to_json())
+    elif source == "tables":
+        data = ImportedIrrepData(data.algebra, dict(data.kets),
+                                 data.lowering, data.scp)
+    assert "__getattr__" not in vars(ImportedIrrepData)
+    held = dict(vars(data))
+    text = data.to_json()
+    for table in (data.lowering, data.scp):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = table[key]
+        with pytest.raises(TypeError):
+            del table[key]
+    assert data.lowering == data.lowering
+    assert data.scp == {(4, 5): field(Fraction(1, 2))}
+    data._values()
+    assert vars(data).keys() == held.keys()
+    assert all(v is held[k] for k, v in vars(data).items())
+    assert data.to_json() == text
 
 
 def test_import_rejects_malformed_json():
