@@ -292,11 +292,11 @@ def _import_irrep(la, path):
 
 def _check_imported(r, path):
     """Refuse a file's irrep before its first product unless its tables are
-    a representation: the descent caps each weight at its Freudenthal
-    multiplicity and so trusts its factors (Irrep.check_representation).
-    A failure is an inconsistency, exit 2, and names the file."""
+    a representation (Irrep.check_consistency): the descent caps each
+    weight at its Freudenthal multiplicity and so trusts its factors.  A
+    failure is an inconsistency, exit 2, and names the file."""
     try:
-        r.check_representation()
+        r.check_consistency()
     except ConsistencyError as e:
         raise ConsistencyError(f"{path}: {e}") from e
 
@@ -339,12 +339,14 @@ def run_weights(la, rep, fmt):
 
 
 def run_import(la, path):
+    """Read a file and check that its tables are a representation, the
+    check a factor gets (Irrep.check_consistency).  A file whose tables
+    fail it is refused like any other bad content, exit 1."""
     r = _import_irrep(la, path)
     try:
         r.check_consistency()
     except ConsistencyError as e:
-        # the file is well-formed but its tables violate the sum rule
-        raise UsageError(f"{path}: {e}")
+        raise InvalidImportError(f"{path}: {e}") from e
     print(_hdr("Import file", path))
     print(weight_listing(la, r.hw))
     print(_hdr("Consistency", "OK"))

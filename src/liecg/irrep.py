@@ -30,11 +30,11 @@ refusing any entry given twice.  Its FieldElem tables are read-only views,
 formed on each read.  `new_imported_irrep` checks each lowering row and
 hands it, in target order, to the derivation of the form, which pushes
 the classes down the lowering table from the highest weight and refuses a
-file that has none.  Two sweeps test a file's tables, each over the whole
-irrep: `Irrep.check_consistency`, the string sum rule that `--import`
-runs, and `Irrep.check_representation`, the defining relations of the
-algebra, which the tensor descent relies on and which a file's irrep
-passes before its first product; its Serre walk only names a failure.
+file that has none.  One sweep tests a file's tables over the whole
+irrep, `Irrep.check_consistency`: the defining relations of the algebra,
+which the tensor descent relies on.  `--import` runs it, and a file's
+irrep passes it before its first product; its Serre walk only names a
+failure.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -168,118 +168,51 @@ class Irrep:
         return self._form
 
     def check_consistency(self):
-        """Verify the string sum rule on every state and every simple root.
-
-        For a state a of weight w and a simple root i,
-        |F_i a|^2 = w_i <a|a> + u.G^-1.u, where G is the Gram matrix of the
-        weight block at w + alpha_i and u_g = <F_i g|a> for each state g
-        there.  The sweep runs on the rational form in integers: the root-i
-        lowering table times D_i and each weight block's Gram rows times
-        their own lcm gamma are ints, G^-1 = M/delta with M an int matrix,
-        and the two sides are compared cross-multiplied; M comes from
-        _gram_inverse.  Each weight's neighbours w - alpha_i and
-        w + alpha_i are formed once, before the sweep.  Raises
-        ConsistencyError on the first violation or on a singular block.
-        """
-        rf = self._form
-        la = self.algebra
-        A = cartan(la)
-        # (D_i, the root-i table times D_i) for the roots i = 1..rank
-        lows = [_scaled_ints(rf.lower[i]) for i in range(1, la.rank + 1)]
-        at = self.labels_by_weight
-        # weight -> [(w - alpha_i, w + alpha_i or None)] by root
-        near = {w: [(_vsub(w, row), v if (v := _vadd(w, row)) in at else None)
-                    for row in A] for w in at}
-        blocks = {}  # weight -> (gamma, Gram rows times gamma)
-        inverses = {}  # weight -> (its states, M, delta)
-
-        def block(weight):
-            got = blocks.get(weight)
-            if got is None:
-                got = blocks[weight] = _scaled_ints(
-                    {b: rf.gram[b] for b in at[weight]})
-            return got
-
-        for a in self.kets:
-            w = self.weight_of[a]
-            ga, rows_w = block(w)
-            row_a = dict(rows_w[a])
-            for i, ((d, low), (below, up)) in enumerate(zip(lows, near[w]), 1):
-                # lhs_int = (d*d*gd) |F_i a|^2, gd the scale of w - alpha_i
-                down = dict(low.get(a, ()))
-                lhs, gd = 0, 1
-                if down:
-                    gd, rows_d = block(below)
-                    for t, q in down.items():
-                        for b, g in rows_d[t]:
-                            x = down.get(b)
-                            if x is not None:
-                                lhs += q * g * x
-                # rhs = w_i r_a + Q/(delta*(d*ga)^2), Q = u_int.M.u_int,
-                # u_int = d*ga*u
-                q_up, delta = 0, 1
-                if up is not None:
-                    if up not in inverses:
-                        inverses[up] = self._gram_inverse(rf, up)
-                    ups, m, delta = inverses[up]
-                    u = []
-                    for g in ups:
-                        s = 0
-                        for t, q in low.get(g, ()):
-                            x = row_a.get(t)
-                            if x is not None:
-                                s += q * x
-                        u.append(s)
-                    for x, mrow in zip(u, m):
-                        if x:
-                            s = 0
-                            for mx, y in zip(mrow, u):
-                                if y:
-                                    s += mx * y
-                            q_up += x * s
-                # both sides times delta*(d*ga)^2*gd
-                dg = delta * ga * ga
-                ra = rf.r[a]
-                if lhs * dg != (w[i - 1] * ra * dg * d * d + q_up) * gd:
-                    # both sides read in the unit basis
-                    lhs = Fraction(lhs, d * d * gd)
-                    rhs = w[i - 1] * ra + Fraction(q_up, dg * d * d)
-                    raise ConsistencyError(
-                        f"{la.name} irrep {self.hw}: string sum rule fails at "
-                        f"state {a} of weight {w}, root {i}: "
-                        f"{lhs / ra} != {rhs / ra}"
-                    )
-
-    def check_representation(self):
         """Verify that the tables are a representation of the algebra: the
         defining relations (Humphreys, section 18) on every state, with H_i
         acting as the weight's label w_i.
 
-        E_i is the Gram-adjoint of F_i = E_-i, as the sum rule forms it: E_i a
-        = G^-1.u over the weight block one root up, u_g = <F_i g|a>.  For
-        every state a and roots i, j the check is E_i F_j a - F_j E_i a ==
-        delta_ij w_i a, and on the lowering tables alone the Serre relation
-        sum over k of (-1)^k C(n, k) F_i^(n-k) F_j F_i^k a == 0 for i != j,
-        n = 1 - <alpha_j, alpha_i^v>.  It runs on the rational form in
-        integers: the root-i table times D_i, each weight block's Gram rows
-        times their lcm gamma, G^-1 = M/delta as in check_consistency, so
-        E_i a is an int vector over a denominator shared by its weight block;
-        each relation is compared cross-multiplied.  On a finite-dimensional
-        module with integral weights the Serre relations follow from the
-        others by sl2 theory, so they are walked only once the others fail,
-        and name the failure if one of them fails.  Raises ConsistencyError
-        naming the state, its weight and the roots.
+        E_i is the Gram-adjoint of F_i = E_-i: E_i a = G^-1.u over the
+        weight block one root up, u_g = <F_i g|a>.  For every state a and
+        roots i <= j the check is E_i F_j a - F_j E_i a == delta_ij w_i a.
+        The pairs i > j follow: the adjoint of [E_i, F_j] is [E_j, F_i], and
+        delta_ij w_i is its own.  That needs the scalar product nondegenerate
+        on every block, and it is: the walk inverts every block one root
+        above a weight, which is every block but the lowest weight's, and
+        that one holds one state, of norm r_a > 0.  For i != j, [E_i, F_j]
+        maps weight w to w + alpha_i - alpha_j, so a weight where that is no
+        weight is skipped.
+
+        It runs on the rational form in integers: the root-i table times
+        D_i, each weight block's Gram rows times their lcm gamma, G^-1 =
+        M/delta with M an int matrix from _gram_inverse, so E_i a is an int
+        vector over a denominator shared by its weight block; each relation
+        is compared cross-multiplied.  Each weight's neighbours are formed
+        once, and the u vectors of a block all at once from its Gram rows.
+        A relation whose target block holds one state is compared as one
+        int.  On a finite-dimensional module with integral weights the
+        Serre relation sum over k of (-1)^k C(n, k) F_i^(n-k) F_j F_i^k a ==
+        0, n = 1 - <alpha_j, alpha_i^v>, follows from the others by sl2
+        theory, so the Serre relations are walked only once the others
+        fail, and name the failure if one of them fails.  Raises
+        ConsistencyError naming the state, its weight and the roots, or the
+        singular block.
         """
         rf = self._form
         la = self.algebra
         A = cartan(la)
-        roots = range(la.rank)  # root i + 1 at index i
+        rank = la.rank
+        roots = range(rank)  # root i + 1 at index i
         at = self.labels_by_weight
-        # weight -> [w - alpha_i or None], [w + alpha_i or None] by root
-        down = {w: [v if (v := _vsub(w, row)) in at else None for row in A]
-                for w in at}
-        up = {w: [v if (v := _vadd(w, row)) in at else None for row in A]
-              for w in at}
+        # weight -> ([w - alpha_i or None], [w + alpha_i or None]) by root,
+        # each w + alpha_i read off the w - alpha_i formed
+        near = {w: ([None] * rank, [None] * rank) for w in at}
+        for w, (below, _) in near.items():
+            for i, row in enumerate(A):
+                got = near.get(v := tuple(map(sub, w, row)))
+                if got is not None:
+                    below[i] = v
+                    got[1][i] = w
         lows = [_scaled_ints(rf.lower[i + 1]) for i in roots]
 
         def fail(what, a, i, j):
@@ -288,70 +221,109 @@ class Irrep:
                 f"weight {self.weight_of[a]}, roots i={i + 1}, j={j + 1}"
             )
 
-        blocks = {}  # weight -> (gamma, {state: {b: Gram entry times gamma}})
         inverses = {}  # weight -> (its states, M, delta)
-        raising = {}  # (i, weight) -> (c, {state a: E_i a times c, ints})
-
-        def raise_block(i, w):
-            got = raising.get((i, w))
-            if got is not None:
-                return got
-            if w is None or up[w][i] is None:
-                got = raising[i, w] = (1, {})
-                return got
-            if w not in blocks:
-                g, rows = _scaled_ints({b: rf.gram[b] for b in at[w]})
-                blocks[w] = (g, {b: dict(row) for b, row in rows.items()})
-            gw, rows_w = blocks[w]
-            if up[w][i] not in inverses:
-                inverses[up[w][i]] = self._gram_inverse(rf, up[w][i])
-            ups, m, delta = inverses[up[w][i]]
-            d, low = lows[i]
-            vecs = {}
-            for a in at[w]:
-                row_a = rows_w[a]
-                # u_int = d*gw*u, so E_i a = M.u_int/(delta*d*gw)
-                u = []
-                for g in ups:
-                    s = 0
-                    for t, q in low.get(g, ()):
-                        x = row_a.get(t)
-                        if x is not None:
-                            s += q * x
-                    u.append(s)
-                vec = vecs[a] = {}
-                for g, mrow in zip(ups, m):
-                    e = 0
-                    for mx, y in zip(mrow, u):
-                        if y:
-                            e += mx * y
-                    if e:
-                        vec[g] = e
-            got = raising[i, w] = (delta * d * gw, vecs)
-            return got
-
-        # E_i F_j a - F_j E_i a - delta_ij w_i a, times D_j*c(w-alpha_j)*c(w)
+        # root i -> weight w -> (c, {state a: E_i a times c as (g, int)
+        # pairs}), for the w with w + alpha_i a weight
+        raising = [{} for _ in roots]
+        none = (1, {})
         try:
             for w, labs in at.items():
-                below, above = down[w], up[w]
+                # a one-state block's Gram row is ((a, r_a),), r_a an int
+                gw, rows_w = ((1, rf.gram) if len(labs) == 1 else
+                              _scaled_ints({b: rf.gram[b] for b in labs}))
+                for i, up in enumerate(near[w][1]):
+                    if up is None:
+                        continue
+                    if up not in inverses:
+                        inverses[up] = self._gram_inverse(rf, up)
+                    ups, m, delta = inverses[up]
+                    d, low = lows[i]
+                    # u_int = D_i*gw*u, so E_i a = M.u_int/(delta*D_i*gw);
+                    # the u of every state a of the block at once, from the
+                    # Gram rows of the states F_i g meets
+                    if len(ups) == 1:  # M == (1)
+                        (g,) = ups
+                        us = {}
+                        for t, q in low.get(g, ()):
+                            for b, x in rows_w[t]:
+                                us[b] = us.get(b, 0) + q * x
+                        raising[i][w] = (delta * d * gw, {
+                            a: ((g, e),) for a, e in us.items() if e})
+                        continue
+                    us = {}
+                    for k, g in enumerate(ups):
+                        for t, q in low.get(g, ()):
+                            for b, x in rows_w[t]:
+                                u = us.get(b)
+                                if u is None:
+                                    u = us[b] = [0] * len(ups)
+                                u[k] += q * x
+                    vecs = {}
+                    for a, u in us.items():
+                        vec = []
+                        for g, mrow in zip(ups, m):
+                            e = sum(map(mul, mrow, u))
+                            if e:
+                                vec.append((g, e))
+                        if vec:
+                            vecs[a] = vec
+                    raising[i][w] = (delta * d * gw, vecs)
+            # E_i F_j a - F_j E_i a - delta_ij w_i a, times D_j*cd*cw with
+            # cd, cw the scales of E_i at w - alpha_j and at w
+            for w, labs in at.items():
+                below, above = near[w]
                 for i in roots:
-                    cw, ew = raise_block(i, w)
-                    for j in roots:
-                        if i != j and below[j] is None and above[i] is None:
-                            continue  # F_j a == 0 and E_i a == 0
+                    rais = raising[i]
+                    cw, ew = rais.get(w, none)
+                    # w + alpha_i - alpha_j by j; None if w + alpha_i is none
+                    tops = None if above[i] is None else near[above[i]][0]
+                    for j in range(i, rank):
+                        if j == i:
+                            into = labs
+                        else:
+                            if tops is not None:
+                                into = tops[j]
+                            elif below[j] is not None:
+                                into = near[below[j]][1][i]
+                            else:
+                                continue  # F_j a == 0 and E_i a == 0
+                            if into is None:
+                                continue  # w + alpha_i - alpha_j is no weight
+                            into = at[into]
                         dj, lowj = lows[j]
-                        cd, ed = raise_block(i, below[j])
+                        cd, ed = rais.get(below[j], none)
                         diag = w[i] * dj * cd * cw if i == j else 0
+                        if len(into) == 1:
+                            # one target state b: E_i t and F_j g hold b alone
+                            (b,) = into
+                            for a in labs:
+                                down = 0  # E_i F_j a at b, times cd
+                                for t, q in lowj.get(a, ()):
+                                    vec = ed.get(t)
+                                    if vec is not None:
+                                        for _, x in vec:
+                                            down += q * x
+                                up = 0  # F_j E_i a at b, times cw
+                                vec = ew.get(a)
+                                if vec is not None:
+                                    for g, e in vec:
+                                        for _, q in lowj.get(g, ()):
+                                            up += e * q
+                                if cw * down - cd * up != (
+                                        diag if a == b else 0):
+                                    fail("E_i F_j - F_j E_i == delta_ij w_i",
+                                         a, i, j)
+                            continue
                         for a in labs:
                             acc = {a: -diag} if diag else {}
                             for t, q in lowj.get(a, ()):
                                 vec = ed.get(t)
                                 if vec is not None:
-                                    for g, e in vec.items():
+                                    for g, e in vec:
                                         acc[g] = acc.get(g, 0) + cw * q * e
                             vec = ew.get(a)
                             if vec is not None:
-                                for g, e in vec.items():
+                                for g, e in vec:
                                     for t, q in lowj.get(g, ()):
                                         acc[t] = acc.get(t, 0) - cd * e * q
                             if any(acc.values()):

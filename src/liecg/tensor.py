@@ -28,7 +28,7 @@ which sum to the Weyl dimension, equal the kept ones.  This rests on its
 inputs: the start must be a highest-weight vector (a given state is
 checked to lie in the raising kernel) and the factors a representation
 (generic and prepared irreps are by construction, and a file's irrep
-passes Irrep.check_representation before its first product).
+passes Irrep.check_consistency before its first product).
 
 All of this runs over the integers, with rationals only as one scale per
 state and in the final coordinates.  Each factor holds its rational form

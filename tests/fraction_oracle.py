@@ -1,6 +1,6 @@
-"""The Fraction-valued descent, highest-weight search, prepare, tracked
-elimination and consistency sweep that the integer versions in
-liecg.tensor, liecg.linalg and liecg.irrep replaced, kept as oracles.
+"""The Fraction-valued descent, highest-weight search, prepare and tracked
+elimination that the integer versions in liecg.tensor and liecg.linalg
+replaced, kept as oracles, and two Fraction checks of imported tables.
 
 Here lowering reads the factors' rational tables as they are, so a single
 fractional entry turns every later lowered vector into Fractions; states
@@ -16,11 +16,14 @@ and oracle_product_scp are the public façade written on them.
 
 fraction_prepare is the prepare that ran on the integer states but formed
 its entries in Fractions, c*f*sign_k and then _scaled_form's q*k_t/k_a;
-fraction_check_consistency is the string sum rule summed in Fractions
-over the rational form, with G^-1.u from a tracking _Reducer per (state,
-root).  uncapped_descent is the integer descent as it ran before it was
-capped by Freudenthal's multiplicities: every state lowered by every root,
-every candidate tried against its weight's elimination.
+fraction_sum_rule is the string sum rule summed in Fractions over the
+rational form, with G^-1.u from a tracking _Reducer per (state, root): the
+diagonal of [E_i, F_i] = H_i, so a necessary condition of
+Irrep.check_consistency.  dense_relations is that check itself, over every
+ordered pair of roots, on dense Fraction matrices and with no code from
+liecg.irrep.  uncapped_descent is the integer descent as it ran before it
+was capped by Freudenthal's multiplicities: every state lowered by every
+root, every candidate tried against its weight's elimination.
 """
 
 from fractions import Fraction
@@ -447,17 +450,19 @@ def fraction_prepare(p, l, r):
     return Irrep(la, p.hw, kets, _scaled_form(n, lowering, gram), "imported"), states
 
 
-def fraction_check_consistency(irrep, labels=None, roots=None):
-    """Irrep.check_consistency summed in Fractions: the same order of
-    states and roots, the same errors and messages."""
+def fraction_sum_rule(irrep):
+    """The string sum rule on every state a of weight w and every root i,
+    |F_i a|^2 = w_i <a|a> + u.G^-1.u with G the Gram matrix one root up and
+    u_g = <F_i g|a>, summed in Fractions; raises ConsistencyError naming
+    the state and the root."""
     rf = irrep.rational_form()
     la = irrep.algebra
     A = cartan(la)
     blocks = {}  # weight -> (its states, _Reducer over their Gram rows)
-    for a in labels if labels is not None else irrep.kets:
+    for a in irrep.kets:
         w = irrep.weight_of[a]
         ga = dict(rf.gram[a])
-        for i in roots if roots is not None else range(1, la.rank + 1):
+        for i in range(1, la.rank + 1):
             low = rf.lower[i]
             down = dict(low.get(a, ()))
             lhs = sum(q * g * down.get(b, 0)
@@ -495,3 +500,110 @@ def _gram_block(irrep, weight):
                 f"of weight {weight} is singular"
             )
     return ups, red
+
+
+def dense_relations(irrep):
+    """None when [E_i, F_j] == delta_ij H_i holds on every weight block for
+    every ordered pair of roots (i, j), else where it fails first.
+
+    Every map is a dense matrix of Fractions between weight blocks, over the
+    rational form: F_i from the lowering table, and E_i = G_up^-1 F_i^T G_w
+    from the Gram blocks, the adjoint of F_i, with each G_up inverted by
+    Gauss-Jordan here.  The blocks are read off the kets; nothing is taken
+    from liecg.irrep but the tables."""
+    rf = irrep.rational_form()
+    A = cartan(irrep.algebra)
+    roots = range(len(A))
+    at = {}
+    for lab, ket in sorted(irrep.kets.items()):
+        at.setdefault(ket.dynkin, []).append((ket.deg_index, lab))
+    at = {w: [lab for _, lab in sorted(labs)] for w, labs in at.items()}
+    pos = {lab: k for labs in at.values() for k, lab in enumerate(labs)}
+
+    def shift(w, i, s):
+        return tuple(x + s * y for x, y in zip(w, A[i]))
+
+    gram = {}
+    for w, labs in at.items():
+        g = gram[w] = _zeros(len(labs), len(labs))
+        for a in labs:
+            for b, x in rf.gram[a]:
+                g[pos[a]][pos[b]] = Fraction(x)
+    lower = {}  # (i, w) -> F_i from block w to block w - alpha_i
+    for i in roots:
+        for w, labs in at.items():
+            below = shift(w, i, -1)
+            if below in at:
+                f = lower[i, w] = _zeros(len(at[below]), len(labs))
+                for a in labs:
+                    for t, q in rf.lower[i + 1].get(a, ()):
+                        f[pos[t]][pos[a]] = Fraction(q)
+    raising = {}  # (i, w) -> E_i from block w to block w + alpha_i
+    for (i, up), f in lower.items():
+        w = shift(up, i, -1)
+        inv = _dense_inverse(gram[up])
+        if inv is None:
+            return f"the Gram matrix of weight {up} is singular"
+        raising[i, w] = _matmul(inv, _matmul(_transpose(f), gram[w]))
+    for w, labs in at.items():
+        for i in roots:
+            for j in roots:
+                into = shift(shift(w, i, 1), j, -1)
+                if into not in at:
+                    continue
+                c = _zeros(len(at[into]), len(labs))
+                if i == j:
+                    for k in range(len(labs)):
+                        c[k][k] = Fraction(-w[i])
+                e, f = raising.get((i, shift(w, j, -1))), lower.get((j, w))
+                if e is not None and f is not None:
+                    c = _plus(c, _matmul(e, f))
+                e, f = raising.get((i, w)), lower.get((j, shift(w, i, 1)))
+                if e is not None and f is not None:
+                    c = _plus(c, _matmul(f, e), -1)
+                if any(x for row in c for x in row):
+                    return f"[E_{i + 1}, F_{j + 1}] at weight {w}"
+    return None
+
+
+def _zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
+def _matmul(x, y):
+    out = _zeros(len(x), len(y[0]) if y else 0)
+    for row, xrow in zip(out, x):
+        for c, yrow in zip(xrow, y):
+            if c:
+                for k, v in enumerate(yrow):
+                    if v:
+                        row[k] += c * v
+    return out
+
+
+def _plus(x, y, s=1):
+    return [[a + s * b for a, b in zip(xr, yr)] for xr, yr in zip(x, y)]
+
+
+def _dense_inverse(m):
+    """The inverse of a square Fraction matrix by Gauss-Jordan elimination,
+    None if it is singular."""
+    n = len(m)
+    rows = [list(r) + [Fraction(int(k == j)) for j in range(n)]
+            for k, r in enumerate(m)]
+    for col in range(n):
+        piv = next((k for k in range(col, n) if rows[k][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for k in range(n):
+            if k != col and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[col])]
+    return [r[n:] for r in rows]

@@ -505,22 +505,24 @@ def test_import_rejects_corrupt_tables(capsys, tmp_path):
     assert rc == 1 and "bad.json" in err
 
 
-def test_import_sum_rule_error_names_irrep_state_and_root(capsys, tmp_path):
-    # the octet's zero-weight states 4 and 5 overlap by 1/2; claiming 1
-    # breaks the sum rule at state 4 first
+def test_import_relation_error_names_irrep_state_and_roots(capsys, tmp_path):
+    # the octet's zero-weight states 4 and 5 overlap by 1/2; claiming 1/3
+    # keeps the lowering table, so the Serre relations hold and the
+    # commutator names the failure.  A well-formed file that fails the
+    # check is refused like any bad content: one error line, no usage
     d = tmp_path / "out"
     run(capsys, "-su", "3", "--decompose", "10x01", "--dump", str(d))
     doc = json.loads((d / "irrep_1.json").read_text())
     assert doc["scp"] == [[4, 5, "1/2"]]
-    doc["scp"] = [[4, 5, "1"]]
+    doc["scp"] = [[4, 5, "1/3"]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "-su", "3", "--import", str(bad))
     assert rc == 1 and out == ""
-    assert (
-        f"lie: error: {bad}: SU(3) irrep (1, 1): string sum rule fails at "
-        "state 4 of weight (0, 0), root 1: 1/2 != 2\n"
-    ) in err
+    assert err == (
+        f"lie: error: {bad}: SU(3) irrep (1, 1): E_i F_j - F_j E_i == "
+        "delta_ij w_i fails at state 3 of weight (-1, 2), roots i=1, j=2\n"
+    )
 
 
 def test_import_huge_claimed_irrep_fails_fast(capsys, tmp_path):
@@ -808,7 +810,7 @@ def test_dump_goldens_are_representations(capsys, tmp_path, monkeypatch):
         assert rc == 0
         for k in range(1, len(want) + 1):
             r = cli._import_irrep(la, f"{name}/irrep_{k}.json")
-            r.check_representation()
+            r.check_consistency()
 
 
 # the products of the benchmark's export workload, one format each, and the
@@ -876,8 +878,9 @@ def test_states_files_render_each_coefficient_once(capsys, tmp_path,
 def flipped_octet(capsys, tmp_path):
     """The octet of SU(3) 8 x 8 (irrep 4 of its dump) with the sign of the
     root-1 lowering of state 6 flipped.  The file keeps a rational form and
-    passes the sum rule of --import, but is not a representation; before
-    the descent was capped, its products overflowed a weight."""
+    every norm, so it passes the string sum rule, but it is not a
+    representation; before the descent was capped, its products overflowed
+    a weight."""
     doc = _octet_of_8x8(capsys, tmp_path)
     for entry in doc["lowering"]:
         if entry[:2] == [6, 1]:
@@ -892,9 +895,11 @@ FLIP_ERROR = ("SU(3) irrep (1, 1): the Serre relation fails at state 2 of "
               "weight (2, -1), roots i=1, j=2")
 
 
-def test_flipped_octet_passes_import(capsys, flipped_octet):
-    rc, out, _ = run(capsys, "-su", "3", "--import", str(flipped_octet))
-    assert rc == 0 and "Consistency   :   OK" in out
+def test_flipped_octet_import_is_refused(capsys, flipped_octet):
+    # --import runs the check a factor gets, and names the same failure
+    rc, out, err = run(capsys, "-su", "3", "--import", str(flipped_octet))
+    assert rc == 1 and out == ""
+    assert err == f"lie: error: {flipped_octet}: {FLIP_ERROR}\n"
 
 
 @pytest.mark.parametrize("spec", ["@F x 10", "@F x 11", "11 x @F", "@F x @F"])
@@ -927,8 +932,8 @@ def test_imported_factor_is_checked_once(capsys, tmp_path, monkeypatch):
                    "--dump", str(tmp_path))
     assert rc == 0
     checked = []
-    real = Irrep.check_representation
-    monkeypatch.setattr(Irrep, "check_representation",
+    real = Irrep.check_consistency
+    monkeypatch.setattr(Irrep, "check_consistency",
                         lambda self: checked.append(self) or real(self))
     path = tmp_path / "irrep_4.json"
     for spec, n in ((f"@{path} x @{path}", 1), (f"@{path} x 11", 1),

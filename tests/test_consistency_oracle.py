@@ -1,17 +1,19 @@
-"""Oracle for the consistency sweep: the dense sweep over the field it
-replaced.
+"""Oracles for the consistency check: the dense relations walk and the
+field sweep it replaced.
 
-`Irrep.check_consistency` runs the string sum rule on the rational form,
-eliminating with the shared `_Reducer`.  The sweep it replaced worked in the
-unit basis with `FieldElem` Gram matrices inverted by dense Gaussian
-elimination.  That sweep and its elimination are kept here as they were,
-reading the FieldElem tables of the dumped data the way the old
-`new_imported_irrep` read them, and sharing no code with the rational path.
-Both must give the same verdict on every prepared irrep and on seeded
-mutations of dumped tables.  On the mutations the integer sweep must also
-raise the message of the Fraction sweep it replaced
-(tests/fraction_oracle.py), at the same first violation, and
-`Irrep.check_representation` must refuse every one of them.
+`Irrep.check_consistency` walks the defining relations [E_i, F_j] =
+delta_ij H_i on the rational form in integers, over the pairs i <= j only,
+with E_i the Gram-adjoint of F_i.  `dense_relations` (tests/fraction_oracle.py)
+walks every ordered pair on dense Fraction matrices, sharing no code with
+liecg.irrep; both must give the same verdict on every prepared irrep and on
+seeded mutations of dumped tables, which pins the i <= j shortcut.
+
+The field sweep is the string sum rule, the diagonal of [E_i, F_i] = H_i,
+as it ran before the rational form: in the unit basis with `FieldElem` Gram
+matrices inverted by dense Gaussian elimination, reading the FieldElem
+tables of the dumped data the way the old `new_imported_irrep` read them.
+It is a necessary condition: every table it refuses the check must refuse
+too, and some it passes (a flipped sign) the check refuses.
 """
 
 import os
@@ -22,6 +24,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecg.exactnum import ONE, ZERO, field
 from liecg.linalg import LabeledVector
@@ -31,13 +35,13 @@ from liecg.irrep import (
     new_generic_irrep,
     new_imported_irrep,
 )
-from liecg.liealg import ConsistencyError, LieAlgebra, cartan
+from liecg.liealg import ConsistencyError, LieAlgebra, cartan, weyl_dim
 from liecg.tensor import Decomposition, decompose, prepare
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from export_dumps import dump_export_products  # noqa: E402
-from fraction_oracle import _gram_block, fraction_check_consistency  # noqa: E402
+from fraction_oracle import dense_relations, fraction_sum_rule  # noqa: E402
 
 
 def _vadd(a, b):
@@ -263,17 +267,14 @@ def rational_verdict(data):
     return True
 
 
-def sweep_message(check, irrep):
-    """The ConsistencyError text of one sweep, None when it passes."""
+def check_message(irrep):
+    """The ConsistencyError text of Irrep.check_consistency, None when it
+    passes."""
     try:
-        check(irrep)
+        irrep.check_consistency()
     except ConsistencyError as exc:
         return str(exc)
     return None
-
-
-def integer_sweep(irrep):
-    irrep.check_consistency()
 
 
 A2 = LieAlgebra("A", 2)
@@ -311,6 +312,7 @@ def test_sweeps_accept_every_prepared_irrep(case):
     for hw, data in dumps(case):
         assert data.algebra == la
         assert field_verdict(data) and rational_verdict(data), hw
+        assert dense_relations(new_imported_irrep(la, data)) is None, hw
 
 
 def _mutated(data, rng):
@@ -346,23 +348,23 @@ MUTATED = [
     "case,hw,seed", MUTATED, ids=["su3-27", "su3-8", "e6-78", "su4-84"]
 )
 def test_sweeps_agree_on_mutations(case, hw, seed):
+    # the relations walk over i <= j and the dense walk over every ordered
+    # pair give one verdict; the sum rule refuses no table they pass
     la = PRODUCTS[case][0]
     data = next(data for h, data in dumps(case) if h == hw)
     rng = random.Random(seed)
-    verdicts = []
+    refused = 0
     for _ in range(40):
         mutant = _mutated(data, rng)
         assert mutant.algebra == la
-        got = field_verdict(mutant)
-        assert rational_verdict(mutant) == got
-        verdicts.append(got)
         imp = new_imported_irrep(la, mutant)
-        msg = sweep_message(integer_sweep, imp)
-        assert msg == sweep_message(fraction_check_consistency, imp)
-        assert (msg is None) == got
-    # the mutations are seen: most are refused (a sign flip can pass, as
-    # the sum rule does not see every phase)
-    assert verdicts.count(False) >= 20
+        msg = check_message(imp)
+        assert (msg is None) == (dense_relations(imp) is None)
+        if msg is None:
+            assert field_verdict(mutant)
+        refused += msg is not None
+    # a rational factor on one entry is never a representation
+    assert refused == 40
 
 
 @pytest.fixture(scope="module")
@@ -377,8 +379,8 @@ def test_sweeps_pass_every_export_irrep(export_files):
     for name, la, path in export_files:
         imp = new_imported_irrep(la, ImportedIrrepData.from_json(
             path.read_text()))
-        assert sweep_message(integer_sweep, imp) is None, (name, path.name)
-        assert sweep_message(fraction_check_consistency, imp) is None
+        assert check_message(imp) is None, (name, path.name)
+        fraction_sum_rule(imp)
         dims.append(imp.dim)
     assert len(dims) == 6 + 3 + 3 + 7 + 8
     assert 650 in dims and 210 in dims
@@ -395,42 +397,48 @@ EXPORT_MUTATED = [
 @pytest.mark.parametrize("case, dim, seed", EXPORT_MUTATED,
                          ids=["e6-650", "so10-210", "su3-64"])
 def test_sweeps_agree_on_export_mutations(export_files, case, dim, seed):
-    # the tables of a file, once read, are the data the mutations change
+    # the tables of a file, once read, are the data the mutations change;
+    # every mutation the sum rule refuses, the check refuses too
     la, path = next((la, path) for name, la, path in export_files
                     if name == case)
     data = ImportedIrrepData.from_json(path.read_text())
     assert len(data.kets) == dim
     rng = random.Random(seed)
-    refused = 0
+    refused = by_sum_rule = 0
     for _ in range(20):
         imp = new_imported_irrep(la, _mutated(data, rng))
-        msg = sweep_message(integer_sweep, imp)
-        assert msg == sweep_message(fraction_check_consistency, imp)
+        msg = check_message(imp)
+        try:
+            fraction_sum_rule(imp)
+        except ConsistencyError:
+            by_sum_rule += 1
+            assert msg is not None
         refused += msg is not None
-    assert refused >= 10
+    assert refused == 20 and by_sum_rule >= 10
 
 
 def test_representation_check_refuses_every_mutation():
     # the defining relations see what the sum rule, their diagonal, misses:
     # of the 160 mutations the sum rule passes 6 (sign flips), the
-    # representation check none; the unmutated tables pass both
+    # check none; the unmutated tables pass both
     passed_sum_rule = 0
     for case, hw, seed in MUTATED:
         la = PRODUCTS[case][0]
         data = next(data for h, data in dumps(case) if h == hw)
-        new_imported_irrep(la, data).check_representation()
+        assert field_verdict(data) and rational_verdict(data)
         rng = random.Random(seed)
         for _ in range(40):
-            imp = new_imported_irrep(la, _mutated(data, rng))
-            passed_sum_rule += sweep_message(integer_sweep, imp) is None
+            mutant = _mutated(data, rng)
+            passed_sum_rule += field_verdict(mutant)
             with pytest.raises(ConsistencyError):
-                imp.check_representation()
+                new_imported_irrep(la, mutant).check_consistency()
     assert passed_sum_rule == 6
 
 
 def test_zero_block_overlap_of_one():
-    # the octet's zero-weight states claimed parallel: both sweeps refuse,
-    # at state 4 first; the block is singular for states 6 and 7 below it
+    # the octet's zero-weight states claimed parallel: every sweep refuses,
+    # the check and the dense walk naming the singular block; the field
+    # sweep finds it singular for states 6 and 7 below it
     data = next(data for h, data in dumps("su3-8x8") if h == (1, 1))
     (key,) = data.scp
     scp = {key: ONE}
@@ -439,15 +447,49 @@ def test_zero_block_overlap_of_one():
     with pytest.raises(SingularMatrixError):
         FieldSweep(bad).check_consistency(labels=[6])
     imp = new_imported_irrep(A2, bad)
-    assert sweep_message(integer_sweep, imp) == sweep_message(
-        fraction_check_consistency, imp)
-    # the block inverse both sweeps would read for states 6 and 7
-    with pytest.raises(ConsistencyError) as exc:
-        imp._gram_inverse(imp.rational_form(), (0, 0))
-    with pytest.raises(ConsistencyError) as want:
-        _gram_block(imp, (0, 0))
-    assert "weight (0, 0) is singular" in str(exc.value)
-    assert str(exc.value) == str(want.value)
+    want = dense_relations(imp)
+    assert want == "the Gram matrix of weight (0, 0) is singular"
+    assert check_message(imp) == f"SU(3) irrep (1, 1): {want}"
+
+
+# one algebra of each of the nine families; E7 and E8 fit the bound only
+# with the trivial irrep as a factor
+FAMILIES = [LieAlgebra(f, r) for f, r in (
+    ("A", 2), ("B", 2), ("C", 3), ("D", 4), ("E6", 6), ("E7", 7), ("E8", 8),
+    ("F4", 4), ("G2", 2))]
+MAX_PRODUCT_DIM = 400
+
+
+def _drawn_irrep(data, la, bound, label):
+    """A highest weight drawn by raising one label at a time, skipping a
+    raise past the dimension bound."""
+    nodes = data.draw(st.lists(st.integers(0, la.rank - 1), max_size=4),
+                      label=label)
+    hw = [0] * la.rank
+    for i in nodes:
+        hw[i] += 1
+        if weyl_dim(la, hw) > bound:
+            hw[i] -= 1
+    return tuple(hw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drawn_products_pass_the_check_after_a_round_trip(data):
+    # every irrep found in a drawn product, written and read back as a
+    # file, passes the check a file gets
+    la = data.draw(st.sampled_from(FAMILIES), label="algebra")
+    left = _drawn_irrep(data, la, MAX_PRODUCT_DIM, "left raises")
+    right = _drawn_irrep(data, la, MAX_PRODUCT_DIM // weyl_dim(la, left),
+                         "right raises")
+    l, r = new_generic_irrep(la, left), new_generic_irrep(la, right)
+    d = Decomposition(l, r)
+    decompose(d)
+    assert sum(p.dim for p in d.found) == l.dim * r.dim
+    for p in d.found:
+        text = prepare(p, l, r).to_json()
+        imp = new_imported_irrep(la, ImportedIrrepData.from_json(text))
+        assert check_message(imp) is None, (la.name, left, right, p.hw)
 
 
 ROTATED = os.path.join(os.path.dirname(__file__), "data", "su3_octet_rotated.json")
