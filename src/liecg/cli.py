@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 from .exactnum import FieldSqrtError, field_sqrt, parse_field
@@ -27,6 +27,8 @@ from .irrep import (
     ImportedIrrepData,
     InvalidImportError,
     _PINNED_FIELDS,
+    _format,
+    _indent,
     _integer,
     _json_chunks,
     new_generic_irrep,
@@ -73,10 +75,51 @@ def _hdr(key, val):
 _RULE = "=" * 34
 
 
+def _weight_fields(la, hw):
+    """The fields of each weight record of the irrep, one tuple per record
+    in the order both listings write them: running label, level,
+    degeneracy, Dynkin labels, lowest-root label and descent, and an empty
+    pad where that makes _PINNED_FIELDS fields (E8).  freudenthal runs
+    before the first."""
+    records = freudenthal(la, hw)
+    pad = ("",) if 4 + 2 * la.rank == _PINNED_FIELDS else ()
+
+    def fields():
+        idx = 1
+        for rec in records:
+            deg = rec.degeneracy
+            yield (idx, rec.level, deg, *rec.dynkin, rec.lowest_root_label,
+                   *rec.descent, *pad)
+            idx += deg
+
+    return fields()
+
+
+# the keys of a weight record in the JSON listing, one per field or list of
+# fields of _weight_fields
+_RECORD_KEYS = ("label", "level", "deg", "dynkin", "lowest_root", "descent")
+
+
+@lru_cache(maxsize=None)
+def _listing_formats(rank):
+    """The %-formats that a tuple of _weight_fields fills, for a weight of
+    that rank: its line in the text listing; its record in the top-level
+    "weights" of the JSON listing when it is the first, after the "[" that
+    opens them, and when it is not, after the separator.  The record is the
+    format the writer (_json_chunks) gives a dict of its shape there."""
+    labels = ",".join(["%d"] * rank)
+    pad = "%s" if 4 + 2 * rank == _PINNED_FIELDS else ""
+    line = "%d, Lev:%d, Deg:%d  (" + labels + "),%d  (" + labels + ")" + pad
+    rows, sep = _indent(_indent("\n")[0])
+    record = _format((dict, _RECORD_KEYS, (int, int, int, rank, int, rank)),
+                     rows, pad)
+    return line, "[" + rows + record, sep + record
+
+
 def _listing_lines(la, hw):
     """The lines of weight_listing, formed as they are read; freudenthal
     and weyl_dim run before the first."""
-    records = freudenthal(la, hw)
+    fields = _weight_fields(la, hw)
     head = [
         _hdr("Lie algebra", la.name),
         _RULE,
@@ -84,26 +127,7 @@ def _listing_lines(la, hw):
         _hdr("Dim. of irrep", weyl_dim(la, hw)),
         _RULE,
     ]
-
-    # one %-format for every line: label, level, degeneracy, Dynkin labels,
-    # lowest-root label and descent, and an empty pad where that makes
-    # _PINNED_FIELDS fields (E8)
-    labels = ",".join(["%d"] * la.rank)
-    line = "%d, Lev:%d, Deg:%d  (" + labels + "),%d  (" + labels + ")"
-    pad = ()
-    if 4 + 2 * la.rank == _PINNED_FIELDS:
-        line, pad = line + "%s", ("",)
-
-    def lines():
-        yield from head
-        idx = 1
-        for rec in records:
-            deg = rec.degeneracy
-            yield line % (idx, rec.level, deg, *rec.dynkin,
-                          rec.lowest_root_label, *rec.descent, *pad)
-            idx += deg
-
-    return lines()
+    return chain(head, map(_listing_formats(la.rank)[0].__mod__, fields))
 
 
 def weight_listing(la, hw):
@@ -111,46 +135,63 @@ def weight_listing(la, hw):
     return "\n".join(_listing_lines(la, hw))
 
 
-def _weights_doc(la, hw):
-    """The document of weights_to_json, its "weights" an iterator that forms
-    one record at a time with its running label; freudenthal and weyl_dim
-    run before the first."""
-    records = freudenthal(la, hw)
-
-    def weights():
-        idx = 1
-        for r in records:
-            yield {
-                "label": idx,
-                "level": r.level,
-                "deg": r.degeneracy,
-                "dynkin": list(r.dynkin),
-                "lowest_root": r.lowest_root_label,
-                "descent": list(r.descent),
-            }
-            idx += r.degeneracy
-
-    return {
+def _json_listing(la, hw):
+    """The text of weights_to_json in pieces, one per weight record;
+    freudenthal and weyl_dim run before the first.  The writer writes the
+    document around an empty "weights", and the records take the place of
+    its "[]"."""
+    fields = _weight_fields(la, hw)
+    *head, _, end = _json_chunks({
         "algebra": {"family": la.family, "rank": la.rank},
         "name": la.name,
         "highest_weight": list(hw),
         "dim": weyl_dim(la, hw),
-        "weights": weights(),
-    }
+        "weights": [],
+    })
+    _, first, rest = _listing_formats(la.rank)
+    return chain(head, (first % next(fields),), map(rest.__mod__, fields),
+                 (_indent("\n")[0] + "]" + end,))
 
 
 def weights_to_json(la, hw):
-    return "".join(_json_chunks(_weights_doc(la, hw)))
+    return "".join(_json_listing(la, hw))
+
+
+def _listing_field(obj, key, where):
+    """obj[key] of a document read by weights_from_json; where names obj."""
+    if type(obj) is not dict:
+        raise InvalidImportError(
+            f"malformed weight listing: {where} is not a JSON object")
+    if key not in obj:
+        raise InvalidImportError(f"malformed weight listing: no {key!r}")
+    return obj[key]
 
 
 def weights_from_json(s):
     """Inverse of weights_to_json; returns (algebra, hw, weight dicts).  A
-    rank that is no JSON integer raises InvalidImportError."""
+    document with a field missing, no such algebra, or a highest weight
+    that is not rank JSON integers raises InvalidImportError naming the
+    field."""
     doc = json.loads(s)
-    la = LieAlgebra(doc["algebra"]["family"],
-                    _integer(doc["algebra"]["rank"], "algebra rank",
-                             "weight listing"))
-    return la, tuple(doc["highest_weight"]), doc["weights"]
+    alg = _listing_field(doc, "algebra", "the document")
+    family = _listing_field(alg, "family", "algebra")
+    if type(family) is not str:
+        raise InvalidImportError(
+            f"malformed weight listing: family {family!r} is not a string")
+    rank = _integer(_listing_field(alg, "rank", "algebra"), "algebra rank",
+                    "weight listing")
+    try:
+        la = LieAlgebra(family, rank)
+    except ValueError as e:  # no such family, or not its rank
+        raise InvalidImportError(f"malformed weight listing: {e}") from e
+    labels = _listing_field(doc, "highest_weight", "the document")
+    if type(labels) is not list or len(labels) != rank:
+        raise InvalidImportError(
+            f"malformed weight listing: highest_weight {labels!r} is not a "
+            f"list of {rank} labels")
+    hw = tuple(_integer(x, "highest weight label", "weight listing")
+               for x in labels)
+    return la, hw, _listing_field(doc, "weights", "the document")
 
 
 def _states_doc(p, l, r):
@@ -332,7 +373,8 @@ def _print_json(doc):
 def run_weights(la, rep, fmt):
     hw = _checked_rep(la, rep)
     if fmt == "json":
-        _print_json(_weights_doc(la, hw))
+        sys.stdout.writelines(_json_listing(la, hw))
+        sys.stdout.write("\n")
     else:
         sys.stdout.writelines(line + "\n" for line in _listing_lines(la, hw))
     return 0

@@ -764,8 +764,11 @@ class ImportedIrrepData:
         if not isinstance(doc, dict):
             raise InvalidImportError("malformed irrep data: not a JSON object")
         try:
-            if doc.get("format") != cls.FORMAT:
-                raise InvalidImportError(f"unknown format {doc.get('format')!r}")
+            if "format" not in doc:
+                raise InvalidImportError(
+                    f"not a {cls.FORMAT} file: it has no \"format\"")
+            if doc["format"] != cls.FORMAT:
+                raise InvalidImportError(f"unknown format {doc['format']!r}")
             alg = LieAlgebra(doc["algebra"]["family"],
                              _integer(doc["algebra"]["rank"], "algebra rank"))
             kets = {}
@@ -833,14 +836,16 @@ def _json_chunks(x, nl="\n"):
     document of dicts with str keys, lists, str, int and None; anything else
     (bool, float, tuple, a non-str key) raises TypeError.  Every JSON
     document liecg writes comes from here, as "".join of the pieces or
-    written piece by piece: before Python 3.13 json.dumps runs its
-    pure-Python encoder whenever it indents, while this writer joins each
-    container once, and writes a list or dict whose leaves are all plain
-    ints and strs (a weight record, a ket, a lowering row, a state) with one
-    %-format per shape: its keys, its nesting, its list lengths and its
-    depth.  Values are told apart by type(), so a bool, a float, None or an
-    empty container leaves that path and is written or refused as anywhere
-    else.
+    written piece by piece, but the weight records of a -rep listing: cli
+    fills those, one tuple of fields each, into the format that _format
+    gives their shape, and this writes the document around them.  Before
+    Python 3.13 json.dumps runs its pure-Python encoder whenever it indents,
+    while this writer joins each container once, and writes a list or dict
+    whose leaves are all plain ints and strs (a ket, a lowering row, a
+    state) with one %-format per shape: its keys, its nesting, its list
+    lengths and its depth.  Values are told apart by type(), so a bool, a
+    float, None or an empty container leaves that path and is written or
+    refused as anywhere else.
 
     A list may also be given as an iterator, outside any list: it is written
     element by element as it is consumed, one piece per element, so a long

@@ -90,6 +90,22 @@ def oracle_listing(la, hw):
     return "\n".join(head + lines)
 
 
+def oracle_document(la, hw):
+    """The document of the -rep JSON listing built straight from the
+    freudenthal records, each record a dict with its running label."""
+    weights = []
+    label = 1
+    for rec in freudenthal(la, hw):
+        weights.append({"label": label, "level": rec.level,
+                        "deg": rec.degeneracy, "dynkin": list(rec.dynkin),
+                        "lowest_root": rec.lowest_root_label,
+                        "descent": list(rec.descent)})
+        label += rec.degeneracy
+    return {"algebra": {"family": la.family, "rank": la.rank},
+            "name": la.name, "highest_weight": list(hw), "dim": label - 1,
+            "weights": weights}
+
+
 LISTING_CASES = [
     ("A", 3, (1, 0, 2)), ("B", 3, (1, 0, 1)),
     ("C", 3, (0, 1, 1)), ("D", 4, (0, 1, 0, 0)), ("E6", 6, (0, 0, 0, 0, 0, 1)),
@@ -98,15 +114,32 @@ LISTING_CASES = [
     ("E8", 8, (1, 0, 0, 0, 0, 0, 0, 0)),  # 3875
 ]
 
+# the E8 30380, whose records have _PINNED_FIELDS fields; rank 1; and the
+# trivial irrep, one record; each in both formats
+ORACLE_CASES = [(*case, fmt) for fmt in ("plain", "json") for case in
+                LISTING_CASES + [("E8", 8, (0, 0, 0, 0, 0, 1, 0, 0)),
+                                 ("A", 1, (4,)), ("A", 1, (0,))]]
 
-@pytest.mark.parametrize("family, rank, hw", LISTING_CASES,
+
+@pytest.mark.parametrize("family, rank, hw, fmt", ORACLE_CASES,
                          ids=[f"{f}{n}-{''.join(map(str, hw))}"
-                              for f, n, hw in LISTING_CASES])
-def test_listing_matches_records_oracle(family, rank, hw):
+                              + ("-json" if fmt == "json" else "")
+                              for f, n, hw, fmt in ORACLE_CASES])
+def test_listing_matches_records_oracle(capsys, family, rank, hw, fmt):
     la = LieAlgebra(family, rank)
-    want = oracle_listing(la, hw)
-    assert cli.weight_listing(la, hw) == want
-    assert want.count("\n") > 5
+    assert cli.run_weights(la, ",".join(map(str, hw)), fmt) == 0
+    out = capsys.readouterr().out
+    records = len(freudenthal(la, hw))
+    if fmt == "plain":
+        want = oracle_listing(la, hw)
+        assert cli.weight_listing(la, hw) == want
+        assert out == want + "\n"
+        assert want.count("\n") == 4 + records
+    else:
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=1) + "\n"
+        assert doc == oracle_document(la, hw)
+        assert len(doc["weights"]) == records
 
 
 def test_su2_listing_oracle(capsys):
@@ -148,6 +181,51 @@ def test_weights_json_refuses_a_rank_that_is_no_integer(rank):
         cli.weights_from_json(json.dumps(doc))
     assert str(err.value) == (
         f"malformed weight listing: algebra rank {rank!r} is not an integer")
+
+
+def _without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _with(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without("highest_weight"), "no 'highest_weight'"),
+    (_without("algebra"), "no 'algebra'"),
+    (_without("weights"), "no 'weights'"),
+    (lambda doc: [doc], "the document is not a JSON object"),
+    (_with("algebra", [2]), "algebra is not a JSON object"),
+    (_with("highest_weight", [1, True]),
+     "highest weight label True is not an integer"),
+    (_with("highest_weight", [1, 1.0]),
+     "highest weight label 1.0 is not an integer"),
+    (_with("highest_weight", 11),
+     "highest_weight 11 is not a list of 2 labels"),
+    (_with("highest_weight", [1, 1, 1]),
+     "highest_weight [1, 1, 1] is not a list of 2 labels"),
+    (_with("algebra", {"family": "X", "rank": 2}), "unknown family 'X'"),
+    (_with("algebra", {"family": ["A"], "rank": 2}),
+     "family ['A'] is not a string"),
+    (_with("algebra", {"rank": 2}), "no 'family'"),
+    (_with("algebra", {"family": "G2", "rank": 3}), "G2 has rank 2, not 3"),
+], ids=["no-hw", "no-algebra", "no-weights", "array", "algebra-array",
+        "bool-label", "float-label", "hw-int", "hw-length", "family",
+        "family-list", "no-family", "fixed-rank"])
+def test_weights_json_refuses_a_malformed_document(edit, message):
+    # each field weights_from_json reads is checked before it is used:
+    # a bool label would come back as the highest weight (1, True)
+    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
+    with pytest.raises(InvalidImportError) as err:
+        cli.weights_from_json(json.dumps(edit(doc)))
+    assert str(err.value) == f"malformed weight listing: {message}"
 
 
 class Discard:
@@ -660,6 +738,25 @@ def test_huge_radicand_fails_fast(capsys, tmp_path):
 def test_import_missing_file(capsys, tmp_path):
     rc, _, err = run(capsys, "-su", "3", "--import", str(tmp_path / "no.json"))
     assert rc == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("fmt, message", [
+    (None, 'not a liecg-irrep-v1 file: it has no "format"'),
+    ("x", "unknown format 'x'"),
+], ids=["none", "wrong"])
+def test_import_names_a_file_of_another_format(capsys, tmp_path, fmt,
+                                               message):
+    # a -rep JSON listing has no "format"; a wrong one is named
+    rc, listing, _ = run(capsys, "-su", "3", "-rep", "11", "--format", "json")
+    assert rc == 0
+    doc = json.loads(listing)
+    if fmt is not None:
+        doc["format"] = fmt
+    path = tmp_path / "listing.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "-su", "3", "--import", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"lie: error: {path}: {message}\n"
 
 
 def test_degenerate_factor_decomposes(capsys):
