@@ -167,11 +167,24 @@ def _listing_field(obj, key, where):
     return obj[key]
 
 
+def _same_json(a, b):
+    """a == b as JSON values: true is not 1, nor is 1.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def weights_from_json(s):
     """Inverse of weights_to_json; returns (algebra, hw, weight dicts).  A
-    document with a field missing, no such algebra, or a highest weight
-    that is not rank JSON integers raises InvalidImportError naming the
-    field."""
+    document with a field missing, no such algebra, a highest weight that
+    is not rank JSON integers, a dim that is not its Weyl dimension, or
+    weights other than the records weights_to_json writes for it raises
+    InvalidImportError naming the field, or the first record that differs
+    by its label."""
     doc = json.loads(s)
     alg = _listing_field(doc, "algebra", "the document")
     family = _listing_field(alg, "family", "algebra")
@@ -191,7 +204,32 @@ def weights_from_json(s):
             f"list of {rank} labels")
     hw = tuple(_integer(x, "highest weight label", "weight listing")
                for x in labels)
-    return la, hw, _listing_field(doc, "weights", "the document")
+    dim = _listing_field(doc, "dim", "the document")
+    got = _listing_field(doc, "weights", "the document")
+    try:
+        want = json.loads(weights_to_json(la, hw))
+    except ValueError as e:  # a negative label
+        raise InvalidImportError(f"malformed weight listing: {e}") from e
+    irrep = f"{la.name} irrep {_tup(hw)}"
+    if not _same_json(dim, want["dim"]):
+        raise InvalidImportError(
+            f"malformed weight listing: dim {dim!r} is not the dimension "
+            f"{want['dim']} of {irrep}")
+    want = want["weights"]
+    if type(got) is not list:
+        raise InvalidImportError(
+            f"malformed weight listing: weights is not a list of "
+            f"{len(want)} records")
+    for k, rec in enumerate(want):
+        if k == len(got) or not _same_json(got[k], rec):
+            raise InvalidImportError(
+                f"malformed weight listing: weight record {rec['label']} of "
+                f"{irrep} {'is missing' if k == len(got) else 'differs'}")
+    if len(got) != len(want):
+        raise InvalidImportError(
+            f"malformed weight listing: weights holds {len(got)} records, "
+            f"{irrep} has {len(want)}")
+    return la, hw, got
 
 
 def _states_doc(p, l, r):

@@ -197,7 +197,11 @@ class _Reducer:
         """None, and remember the vector as kept vector number len(rows), if
         it is independent of those kept; else its coordinates {k: c} with
         vec == sum of c times kept vector k (left empty unless tracking)."""
-        row, alpha, s = _integral(vec)
+        return self.add_row(*_integral(vec))
+
+    def add_row(self, row, alpha, s):
+        """add of the vector vec with s*row == alpha*vec, row its primitive
+        integer vector as _integral gives it; row is reduced in place."""
         combs = self.combs
         beta = {}  # s*row == alpha*vec + sum of beta[k] times kept vector k
         for k, (pl, prow) in enumerate(self.rows):

@@ -30,6 +30,16 @@ checked to lie in the raising kernel) and the factors a representation
 (generic and prepared irreps are by construction, and a file's irrep
 passes Irrep.check_consistency before its first product).
 
+On the same ground the descent skips the lowerings that commuting roots
+make dependent.  Let the state s be kept from F_k s' and let i < k with
+a_ik = 0.  Then F_i and F_k commute, so F_i s is a multiple of F_k F_i s'.
+F_i s' was the candidate (s', i), before (s', k), and whatever became of
+it (kept, dependent, zero or into a full weight), it lies in the span of
+the states kept before s in their level.  F_k of those states are
+candidates at the weight of F_i s that come before (s, i), so F_i s is
+dependent on, or zero beside, what its weight holds by then: the skip
+keeps the same states, scales and origins.
+
 All of this runs over the integers, with rationals only as one scale per
 state and in the final coordinates.  Each factor holds its rational form
 (Irrep.rational_form): in the basis u_a = sqrt(r_a) e_a, with r_a the
@@ -87,6 +97,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 
 from .exactnum import FieldElem, _render_terms, _sqrt, _square_free
@@ -420,6 +431,12 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     min(true, Freudenthal) states kept per weight, the two checks verify
     Freudenthal in full (module docstring).  A given start state is
     checked to lie in the raising kernel (ProductIrrep._start).
+
+    A state kept from a lowering by root k is not lowered by a root i < k
+    with a_ik == 0: F_i commutes with F_k, so the candidate lies in the
+    span of F_k of states kept earlier, candidates that came before it at
+    its weight, and the greedy descent would find it dependent or zero
+    (module docstring).  This keeps the same states and origins too.
     """
     la = l.algebra
     fl, fr = l.rational_form(), r.rational_form()
@@ -428,45 +445,64 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
     top = (p._hw_vec, 1)
     hw = _pairs_weight(p._hw_vec, l, r)
     recs = freudenthal(la, hw)
-    mult = {rec.dynkin: rec.degeneracy for rec in recs}
+    # each weight keyed by its descent vector packed into one int, field i
+    # B bits wide, so that w - alpha_i has the key k + step_i: a child's
+    # field holds at most the lowest weight's level plus one, with no carry
+    B = (recs[-1].level + 1).bit_length()
+    steps = [1 << (B * i) for i in range(la.rank)]
+    keyed = {sum(map(mul, rec.descent, steps)): rec for rec in recs}
+    mult = {k: rec.degeneracy for k, rec in keyed.items()}
     room = dict(mult)  # weight -> states it still lacks
-    room[hw] -= 1
-    # weight -> (i, D_i, low_l, low_r, w - alpha_i) for the children in mult
-    lows = list(zip(_int_tables(fl, fr), cartan(la)))
+    room[0] -= 1
+    # weight -> (i, D_i, low_l, low_r, key and labels of w - alpha_i) for
+    # the children in mult
+    lows = list(enumerate(zip(steps, _int_tables(fl, fr)), 1))
     children = {
-        w: [(i, *t, w2) for i, (t, row) in enumerate(lows, 1)
-            if (w2 := _vsub(w, row)) in mult]
-        for w in mult}
+        k: [(i, *t, k2, keyed[k2].dynkin) for i, (step, t) in lows
+            if (k2 := k + step) in mult]
+        for k in mult}
+    # follows[k][i]: whether a state lowered by root k is lowered by root i;
+    # not when i < k and a_ik == 0 (the docstring says why)
+    A = cartan(la)
+    follows = [[True] * (la.rank + 1)] + [
+        [i >= k or A[i - 1][k - 1] != 0 for i in range(la.rank + 1)]
+        for k in range(1, la.rank + 1)]
     levels = [[top]]
     p.weights = [[hw]]
     origins = []  # below the top, per level: (parent index, root, content)
     by_weight = {hw: [top]}
     reducers = {}  # weight of multiplicity > 1 that is not yet full
     count = 1
-    cur_states, cur_weights = levels[0], p.weights[0]
+    # the top follows no root: every root lowers it
+    cur_states, cur_keys, cur_origins = levels[0], [0], [(None, 0, None)]
     while True:
-        nxt_states, nxt_weights, nxt_origins = [], [], []
-        for j, ((s, sigma), w) in enumerate(zip(cur_states, cur_weights)):
-            for i, d, low_l, low_r, w2 in children[w]:
-                left = room[w2]
+        nxt_states, nxt_weights, nxt_keys, nxt_origins = [], [], [], []
+        for j, ((s, sigma), k, (_, root, _)) in enumerate(
+                zip(cur_states, cur_keys, cur_origins)):
+            follow = follows[root]
+            for i, d, low_l, low_r, k2, w2 in children[k]:
+                if not follow[i]:
+                    continue
+                left = room[k2]
                 if not left:
                     continue
                 low = _lower(s, low_l, low_r)
                 if not low:
                     continue
-                if mult[w2] > 1:
-                    red = reducers.get(w2)
+                low, alpha, g = _integral(low)
+                if mult[k2] > 1:
+                    red = reducers.get(k2)
                     if red is None:
-                        red = reducers[w2] = _Reducer()
-                    if red.add(low) is not None:
+                        red = reducers[k2] = _Reducer()
+                    if red.add_row(dict(low), alpha, g) is not None:
                         continue
                     if left == 1:
-                        del reducers[w2]
-                room[w2] = left - 1
-                low, _, g = _integral(low)
+                        del reducers[k2]
+                room[k2] = left - 1
                 state = (low, sigma * g if d == 1 else sigma * Fraction(g, d))
                 nxt_states.append(state)
                 nxt_weights.append(w2)
+                nxt_keys.append(k2)
                 nxt_origins.append((j, i, g))
                 by_weight.setdefault(w2, []).append(state)
         if not nxt_states:
@@ -475,17 +511,18 @@ def descend_irrep(p: ProductIrrep, l: Irrep, r: Irrep) -> ProductIrrep:
         p.weights.append(nxt_weights)
         origins.append(nxt_origins)
         count += len(nxt_states)
-        cur_states, cur_weights = nxt_states, nxt_weights
+        cur_states, cur_keys, cur_origins = nxt_states, nxt_keys, nxt_origins
     p.hw = hw
     p.dim = count
     p.descent = {rec.dynkin: rec.descent for rec in recs}
     p._levels, p._by_weight, p._origins = levels, by_weight, origins
     p._terms = _coefficients(p._scale[0], fl.r, fr.r)
-    for w, m in mult.items():
-        if room[w]:
+    for k, m in mult.items():
+        if room[k]:
             raise ConsistencyError(
-                f"{_product_name(l, r)}: irrep {hw}: weight {w} holds "
-                f"{m - room[w]} states, multiplicity is {m}"
+                f"{_product_name(l, r)}: irrep {hw}: weight "
+                f"{keyed[k].dynkin} holds {m - room[k]} states, multiplicity "
+                f"is {m}"
             )
     target = weyl_dim(la, hw)
     if count != target:

@@ -238,18 +238,19 @@ def uncapped_descent(hw_vec, l, r):
     from the primitive integer highest-weight vector hw_vec: every state is
     lowered by every root, and a candidate is kept iff a _Reducer at its
     weight finds it independent of the states kept there.  Returns the
-    (v, sigma) states level by level and their weights."""
+    (v, sigma) states level by level, their weights, and below the top the
+    origin (parent index, root, content) of each."""
     A = cartan(l.algebra)
     fl, fr = l.rational_form(), r.rational_form()
     hw = _pairs_weight(hw_vec, l, r)
     lows = [(*t, row) for t, row in zip(_int_tables(fl, fr), A)]
-    levels, weights = [[(hw_vec, 1)]], [[hw]]
+    levels, weights, origins = [[(hw_vec, 1)]], [[hw]], []
     reducers = {hw: _Reducer()}
     reducers[hw].add(hw_vec)
     while True:
-        nxt_states, nxt_weights = [], []
-        for (s, sigma), w in zip(levels[-1], weights[-1]):
-            for d, low_l, low_r, row in lows:
+        nxt_states, nxt_weights, nxt_origins = [], [], []
+        for j, ((s, sigma), w) in enumerate(zip(levels[-1], weights[-1])):
+            for i, (d, low_l, low_r, row) in enumerate(lows, 1):
                 low = _lower(s, low_l, low_r)
                 if not low:
                     continue
@@ -259,10 +260,12 @@ def uncapped_descent(hw_vec, l, r):
                     low, _, g = _integral(low)
                     nxt_states.append((low, sigma * Fraction(g, d)))
                     nxt_weights.append(w2)
+                    nxt_origins.append((j, i, g))
         if not nxt_states:
-            return levels, weights
+            return levels, weights, origins
         levels.append(nxt_states)
         weights.append(nxt_weights)
+        origins.append(nxt_origins)
 
 
 class OracleIrrep:

@@ -228,6 +228,52 @@ def test_weights_json_refuses_a_malformed_document(edit, message):
     assert str(err.value) == f"malformed weight listing: {message}"
 
 
+def _records(edit_list):
+    def edit(doc):
+        edit_list(doc["weights"])
+        return doc
+    return edit
+
+
+# SU(3) (1,1): records labelled 1, 2, 3, 4 (the two states at weight 0), 6,
+# 7 and 8
+@pytest.mark.parametrize("edit, message", [
+    (_with("weights", 5), "weights is not a list of 7 records"),
+    (_with("weights", {}), "weights is not a list of 7 records"),
+    (_records(lambda ws: ws[3].pop("deg")),
+     "weight record 4 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws[3].update(deg=1)),
+     "weight record 4 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws[0].update(deg=True)),
+     "weight record 1 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws[4].update(level=3.0)),
+     "weight record 6 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws[6].update(descent=[2, 1])),
+     "weight record 8 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws.insert(1, ws.pop(2))),
+     "weight record 2 of SU(3) irrep (1,1) differs"),
+    (_records(lambda ws: ws.pop()),
+     "weight record 8 of SU(3) irrep (1,1) is missing"),
+    (_records(lambda ws: ws.append(dict(ws[-1]))),
+     "weights holds 8 records, SU(3) irrep (1,1) has 7"),
+    (_without("dim"), "no 'dim'"),
+    (_with("dim", 9), "dim 9 is not the dimension 8 of SU(3) irrep (1,1)"),
+    (_with("dim", 8.0),
+     "dim 8.0 is not the dimension 8 of SU(3) irrep (1,1)"),
+    (_with("highest_weight", [1, -1]),
+     "highest weight must be non-negative integers: (1, -1)"),
+], ids=["int", "object", "no-deg", "deg-sum", "bool-deg", "float-level",
+        "descent", "order", "short", "long", "no-dim", "dim", "float-dim",
+        "negative-label"])
+def test_weights_json_refuses_a_listing_of_other_records(edit, message):
+    # the weights and dim must be those weights_to_json writes for the
+    # algebra and highest weight, record for record
+    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
+    with pytest.raises(InvalidImportError) as err:
+        cli.weights_from_json(json.dumps(edit(doc)))
+    assert str(err.value) == f"malformed weight listing: {message}"
+
+
 class Discard:
     """A stdout that drops what it is given."""
 
@@ -848,10 +894,12 @@ def test_script_import_without_rational_form_is_refused(capsys, tmp_path):
     assert rc == 1 and "rot.lie:2" in err and "no rational form" in err
 
 
-# sha256 of every irrep_K.json of three dumps, K = 1, 2, ...; the G2 one has
-# sqrt(3) classes, the last one an imported factor (the first dump's 27)
+# sha256 of every irrep_K.json of five dumps, K = 1, 2, ..., with the
+# algebra flags and the product; the G2 one has sqrt(3) classes, the third
+# an imported factor (the first dump's 27), and SO(7) and SU(4) orthogonal
+# simple roots, whose commuting lowerings the descent skips
 DUMP_GOLDENS = {
-    "su3-8-8": ("11x11", [
+    "su3-8-8": (["-su", "3"], "11x11", [
         "ac086551d6ddf274c06741124317461fbebab7c83367ea39c8565edaeaa48826",
         "3694750427c34042fba69661a229104c0a8ea07a8b124f2ff00e59baac364cce",
         "2f309eef9df423de32415e93d3a279b717a65769da9852b110c337c1ab6c8b30",
@@ -859,14 +907,14 @@ DUMP_GOLDENS = {
         "7d61817022982524cff97f7fb9d30a8b2d68a65b9334f65ac9781d3f22fe0d5e",
         "50d38b16a427c08796745c13ead2deab3b01699559ad5f33c9930b6ae31e6936",
     ]),
-    "g2-14-14": ("01x01", [
+    "g2-14-14": (["-g2"], "01x01", [
         "23beb477a8fa95d2cecb37bbdb982527faf1710d977985291239d799e464ccf8",
         "375aa9e1d659e318b7abca0289d9eafbc7a2a77f4fcba2e39f00c603722730e7",
         "5fc14d1b09d5f5eae07ca6b267e2e3813646f6eeaa2f8b73033ded63c41724ee",
         "d464846739ce7c61b97377b476a00dc40b57a4e857c1c6f65ca9130d492afd52",
         "d33b7d00e93934c37d89cc1a415481704c74d92ded1327b8dee8c3ad1a7396a0",
     ]),
-    "su3-27-8": ("@su3-8-8/irrep_1.json x 11", [
+    "su3-27-8": (["-su", "3"], "@su3-8-8/irrep_1.json x 11", [
         "b395a2ff5170e04334a635af105ba7d7000e841035758d288caef0dfc1d79950",
         "e9c14436f07dd1badbe34eaa5d8656066e10382f08eecb72fbf036406967a936",
         "730bbf596784737a913ee515d462a6412d3f18eeda98b067a57e4246183e2507",
@@ -876,15 +924,31 @@ DUMP_GOLDENS = {
         "4130a6dd1da1111a1a373efbe255310ead7fc2004427c9847a71a772dc2b66ae",
         "c5f814b21aa71d1e6c2f1e27c0b2f706508eb13b2d423f480fc311247d04282b",
     ]),
+    "so7-21-21": (["-so", "7"], "010x010", [
+        "0be4f965c433e72ec6e96dcbf84db3d2163a5d1c08d4f713345da113ac38054c",
+        "6f7a7e9e0c4e9dd9807f8c55cbb68f47490aca216b1e4e87637b8b4de60b55c6",
+        "5e3991c8ff4e76645df83cf10d4c19307a3d4e5a7f189ce0f4c7d65d83feb9e6",
+        "bc096041f4b33f7f847249fbe48f9795d12edcae6aca2d8fd81b5ea15d4075c7",
+        "c250924934a2f529732d6607e3053088fe6cc4325ba2c91cf65c1e09534700fb",
+        "6f7d4087a82d1727ece53a31e8880a05bfab8da40c8ef14ad56aa44c1ab280e2",
+    ]),
+    "su4-15-15": (["-su", "4"], "101x101", [
+        "fa42d20538f83a608c23e5687f2cc6369700751991d9847a50fbd508ac853361",
+        "1b16cf2e673739cc15108ed3a267b69a2191b0ccc3f01c8fe4a02dbda167b9e7",
+        "daab2a02086d5934c9854defdf325608be09726b27c306e3f230bcb964f340f8",
+        "0f772a98d1f396453b09ccdc27961c336fbb5536718ab773f18d4def928d88f6",
+        "0cd7c5333b0918781ef9b0fd18be984fa66b5e95c521b9403cc3b3e94c93fe0d",
+        "caad9be363e5d464dcbfa925d1bd48a32f0dd8a01e804f6374e578b79f029392",
+        "1a0f424c9cdd00d1c55fe471601a8d53d1b9833b48e0e70b6823202259c54fe7",
+    ]),
 }
 
 
 def test_dump_goldens(capsys, tmp_path, monkeypatch):
     # relative names
     monkeypatch.chdir(tmp_path)
-    for name, (spec, want) in DUMP_GOLDENS.items():
-        algebra = ["-g2"] if name.startswith("g2") else ["-su", "3"]
-        rc, _, err = run(capsys, *algebra, "--decompose", spec, "--dump", name)
+    for name, (flags, spec, want) in DUMP_GOLDENS.items():
+        rc, _, err = run(capsys, *flags, "--decompose", spec, "--dump", name)
         assert rc == 0 and err == ""
         got = [
             hashlib.sha256((tmp_path / name / f"irrep_{k}.json").read_bytes())
@@ -899,11 +963,10 @@ def test_dump_goldens_are_representations(capsys, tmp_path, monkeypatch):
     # the check an imported factor gets before its first product passes on
     # every irrep of the golden dumps
     monkeypatch.chdir(tmp_path)
-    for name, (spec, want) in DUMP_GOLDENS.items():
-        g2 = name.startswith("g2")
-        la = LieAlgebra("G2", 2) if g2 else LieAlgebra("A", 2)
-        algebra = ["-g2"] if g2 else ["-su", "3"]
-        rc, _, _ = run(capsys, *algebra, "--decompose", spec, "--dump", name)
+    for name, (flags, spec, want) in DUMP_GOLDENS.items():
+        la = cli._algebra_from_args(
+            cli.build_parser().parse_args([*flags, "-rep", "0"]))
+        rc, _, _ = run(capsys, *flags, "--decompose", spec, "--dump", name)
         assert rc == 0
         for k in range(1, len(want) + 1):
             r = cli._import_irrep(la, f"{name}/irrep_{k}.json")

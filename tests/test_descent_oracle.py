@@ -251,14 +251,18 @@ def test_hot_path_holds_only_ints(monkeypatch):
         assert all(type(x) is int for row in m for x in row)
 
 
-# (family, rank, left, right): all nine families; A2 8x8, A3 15x15, B2
-# 16x16, D4 56x56 and G2 27x27 have outer multiplicity 2
+# (family, rank, left, right): all nine families; A2 8x8, A3 15x15, A4
+# 24x24, B2 16x16, D4 56x56 and G2 27x27 have outer multiplicity 2.  From
+# rank 3 on, each algebra has orthogonal simple roots, whose commuting
+# lowerings the descent skips
 CAP_CASES = [
     ("A", 1, (3,), (2,)),
     ("A", 2, (1, 1), (1, 1)),
     ("A", 3, (1, 0, 1), (1, 0, 1)),
+    ("A", 4, (1, 0, 0, 1), (1, 0, 0, 1)),
     ("B", 2, (1, 1), (1, 1)),
     ("B", 3, (0, 0, 1), (1, 0, 1)),
+    ("B", 3, (0, 1, 0), (0, 1, 0)),
     ("C", 2, (1, 1), (0, 1)),
     ("C", 3, (0, 1, 0), (0, 1, 0)),
     ("D", 4, (1, 0, 1, 0), (1, 0, 0, 1)),
@@ -274,9 +278,10 @@ def assert_capped_equals_uncapped(l, r):
     d = Decomposition(l, r)
     decompose(d)
     for p in d.found:
-        levels, weights = uncapped_descent(p._hw_vec, l, r)
+        levels, weights, origins = uncapped_descent(p._hw_vec, l, r)
         assert p._levels == levels, p.hw
         assert p.weights == weights, p.hw
+        assert p._origins == origins, p.hw
 
 
 @pytest.mark.parametrize(
