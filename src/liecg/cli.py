@@ -562,6 +562,24 @@ def _parse_coeff(tok):
         raise ValueError(f"coefficient {tok!r} divides by zero")
 
 
+# each verb and its arguments as README lists them; a last argument ending
+# in "..." is a list that may be empty.  algebra checks its own.
+_SIGNATURES = dict(line.split(" ", 1) for line in """\
+irrep NAME LABELS
+import NAME PATH
+wrap NAME IRREP
+otimes NAME LEFT RIGHT K
+filter NAME NODE FACTOR L,L
+chbasis NAME NODE FACTOR TR
+scale NAME NODE COEFF
+vector NAME IRREP L:C...
+normalize NAME
+basis NAME IRREP OFFSET V...
+is_sym NODE F1 F2
+print NODE
+states IRREP""".splitlines())
+
+
 class _Script:
     """State and verbs of the batch script language."""
 
@@ -631,7 +649,13 @@ class _Script:
 
     def v_filter(self, toks):
         name, nn, factor, labels = toks
-        keep = [int(t) for t in labels.split(",")]
+        keep = []
+        for t in labels.split(","):
+            try:
+                keep.append(int(t))
+            except ValueError:
+                raise ValueError(
+                    f"label {t!r} in {labels!r} is not an integer") from None
         self.nodes[name] = mt.filter_factor(
             self._get(self.nodes, nn, "node"), int(factor), keep
         )
@@ -729,6 +753,12 @@ class _Script:
         handler = getattr(self, "v_" + verb, None)
         if handler is None:
             raise ScriptError(path, lineno, f"unknown verb {verb!r}")
+        want = _SIGNATURES.get(verb)
+        if want is not None:
+            n = want.count(" ") + 1
+            if (len(args) < n - 1 if want.endswith("...")
+                    else len(args) != n):
+                raise ScriptError(path, lineno, f"{verb}: {verb} wants {want}")
         try:
             handler(args)
         except ScriptError:
@@ -829,6 +859,9 @@ def _dispatch(args):
         raise UsageError(f"choose one of {', '.join(modes)}")
     mode = modes[0]
     if mode == "script":
+        if args.format == "json":
+            raise UsageError("--script prints plain, tex or mathematica, "
+                             "not json")
         return run_script(args.script, args.format)
     la = _algebra_from_args(args)
     if (args.dump or args.dump_singlet) and mode != "decompose":

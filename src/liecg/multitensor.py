@@ -32,11 +32,17 @@ for h square-free, W_h a dict {leaf tuple: int} and D > 0 an int: the pair
 irrep it selects, form and all, from prepare_with_states, which also gives
 each state as e_s = sign*v/sqrt(N), v a rational vector over the
 children's u_a x u_b; so u_s = sign*sqrt(r_s/N)*v, and the children's
-u_a, u_b enter as they are memoized.  It multiplies only integers, one
-radical per state, and classes multiply through gcd, as in FieldElem.
-filter, chbasis and scale are linear, so they act on u_s term by term.
-FieldElems enter only with the script literals of scale and chbasis,
-whose terms (radicand -> rational coefficient) are folded in per class.
+u_a, u_b enter as they are memoized.  It works in plain ints throughout:
+with sqrt(r_s/N) = c0*sqrt(f0), a pair (a, b) scales by the int
+sign*c0.numerator*v_ab over the int c0.denominator*D_a*D_b, all put over
+one lcm, and the sum is reduced once.  A rational vector has exactly one
+form (D, {h: W_h}) with D > 0, no zero entry and gcd(D, every entry) ==
+1, so the memo does not depend on those scales.  Classes multiply
+through gcd, as in FieldElem, each product formed once per class pair
+and call (in otimes, in filter, chbasis and scale, which act on u_s term
+by term, and in _int_parts).  FieldElems enter only with the script
+literals of scale and chbasis, whose terms (radicand -> rational
+coefficient) are folded in per class.
 The coefficient of e_L in e_s = sqrt(r_s)/r_s * u_s is W_h[L]/(D r_s) *
 sqrt(h * r_s * prod r_l), which TensorNode._int_parts gives as a sum of
 n/kd * sqrt(f) over square-free f, still in integers: a tuple of (f, n)
@@ -111,11 +117,12 @@ def _reduced(den, parts):
     """(den, parts) with zero entries and empty classes dropped and the
     common divisor of den and every entry divided out."""
     out = {}
+    g = den
     for h, w in parts.items():
         w = {tr: x for tr, x in w.items() if x}
         if w:
             out[h] = w
-    g = gcd(den, *(x for w in out.values() for x in w.values()))
+            g = gcd(g, *w.values())
     if g != 1:
         den //= g
         out = {h: {tr: x // g for tr, x in w.items()} for h, w in out.items()}
@@ -171,29 +178,33 @@ class TensorNode:
         f, every f square-free and kd > 0."""
         if state not in self.irrep.kets:
             raise ValueError(f"no state labeled {state}")
-        key_class = self._key_class
+        prefixes, last = self._prefixes, self._classes[-1]
         den, parts = self._rational(state)
         # e_state = sqrt(r)/r * u_state
         r = self.irrep.rational_form().r[state]
-        if len(parts) == 1:
-            # one class h: each key gets its one pair directly
-            ((h, w),) = parts.items()
-            h, m0 = _mul_class(h, r)
-            out = {}
-            for key, x in w.items():
-                fl, ml = key_class(key)
-                f, g = _mul_class(h, fl)
-                out[key] = ((f, x * m0 * ml * g),)
-            return den * r, out
-        acc = {}
+        out = {}
         for h, w in parts.items():
             h, m0 = _mul_class(h, r)
+            # (class of a key's head, class of its last leaf) -> (f, g*m0)
+            # with sqrt(h)*sqrt(head class)*sqrt(leaf class) = g*sqrt(f)
+            cls = {}
             for key, x in w.items():
-                fl, ml = key_class(key)
-                f, g = _mul_class(h, fl)
-                acc.setdefault(key, {})[f] = x * m0 * ml * g
-        return den * r, {key: tuple(sorted(t.items()))
-                         for key, t in acc.items()}
+                head = key[:-1]
+                fm = prefixes.get(head)
+                if fm is None:
+                    fm = prefixes[head] = self._key_class(head)
+                c = fm[0], last.get(key[-1], 1)
+                fg = cls.get(c)
+                if fg is None:
+                    f, g1 = _mul_class(*c)
+                    f, g = _mul_class(h, f)
+                    fg = cls[c] = f, g1 * g * m0
+                pair = (fg[0], x * fm[1] * fg[1]),
+                t = out.get(key)
+                out[key] = pair if t is None else t + pair
+        if len(parts) > 1:
+            out = {key: tuple(sorted(t)) for key, t in out.items()}
+        return den * r, out
 
     def expand(self, state: int) -> LabeledVector:
         kd, parts = self._int_parts(state)
@@ -236,17 +247,17 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
         # sqrt(r_s/N_s) = c0*sqrt(f0)
         v, sign, norm = states[s]
         f0, c0 = _sqrt(r[s] / norm)
-        c0 *= sign
+        p0, d0 = sign * c0.numerator, c0.denominator
         pairs = []
         for (al, bl), q in v.items():
             da, pa = a._rational(al)
             db, pb = b._rational(bl)
-            pairs.append((c0 * q / (da * db), pa, pb))
-        den = lcm(*(c.denominator for c, _, _ in pairs))
+            pairs.append((p0 * q, d0 * da * db, pa, pb))
+        den = lcm(*(d for _, d, _, _ in pairs))
         out = {}
         classes = {}
-        for c, pa, pb in pairs:
-            n = c.numerator * (den // c.denominator)
+        for p, d, pa, pb in pairs:
+            n = p * (den // d)
             for h1, wa in pa.items():
                 for h2, wb in pb.items():
                     hm = classes.get((h1, h2))
@@ -264,6 +275,7 @@ def otimes(a: TensorNode, b: TensorNode, k: int) -> TensorNode:
                         for tb, xb in wb.items():
                             key = ta + tb
                             acc[key] = acc.get(key, 0) + x * xb
+        del states[s]  # the memo keeps what it gave
         return _reduced(den, out)
 
     return TensorNode(irrep, fn, a.factors + b.factors, (a.shape, b.shape),
@@ -283,19 +295,20 @@ def untree(t: TensorNode, fmt: str = "plain") -> list:
     its shape and int leaves, so leaf tuple order is the label order of
     LabeledVector listings."""
     tmpl = '("%s", "' + tree_str(t.shape).replace("None", "%d") + '")'
-    texts = {}  # (kd, pairs) -> rendered coefficient
+    texts = {}  # kd -> {pairs: rendered coefficient}
     out = []
     for lab in sorted(t.irrep.kets):
         kd, parts = t._int_parts(lab)
+        known = texts.setdefault(kd, {})
         items = []
         for key, pairs in sorted(parts.items()):
-            text = texts.get((kd, pairs))
+            text = known.get(pairs)
             if text is None:
                 terms = []
                 for f, n in pairs:
                     g = gcd(n, kd)
                     terms.append((f, n // g, kd // g))
-                text = texts[kd, pairs] = _render_terms(terms, fmt)
+                text = known[pairs] = _render_terms(terms, fmt)
             items.append(tmpl % ((text,) + key))
         out.append((lab, "[" + "; ".join(items) + "]"))
     return out
@@ -318,11 +331,15 @@ def _termwise(t: TensorNode, den: int, image, bases=None) -> TensorNode:
         d, parts = t._rational(s)
         out = {}
         for h, w in parts.items():
+            cls = {}  # f -> (the terms of class h*f, their multiple)
             for key, x in w.items():
                 for key2, f, n in image(key):
-                    h2, m = _mul_class(h, f)
-                    acc = out.setdefault(h2, {})
-                    acc[key2] = acc.get(key2, 0) + x * n * m
+                    am = cls.get(f)
+                    if am is None:
+                        h2, m = _mul_class(h, f)
+                        am = cls[f] = out.setdefault(h2, {}), m
+                    acc = am[0]
+                    acc[key2] = acc.get(key2, 0) + x * n * am[1]
         return _reduced(d * den, out)
 
     return TensorNode(t.irrep, fn, t.factors, t.shape, bases or t.bases)

@@ -1614,6 +1614,63 @@ def test_script_verb_without_arguments(capsys, tmp_path, verb):
     assert "Traceback" not in err
 
 
+def test_script_signatures_are_the_readme_verbs():
+    # every verb but algebra, which checks its own arguments, has its
+    # README line as its signature
+    verbs = {v[2:] for v in dir(cli._Script) if v.startswith("v_")}
+    assert set(cli._SIGNATURES) == verbs - {"algebra"}
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        readme = fh.read()
+    for verb, sig in cli._SIGNATURES.items():
+        assert re.search(rf"^{verb} {re.escape(sig)}  ", readme, re.M), verb
+
+
+def _wrong_arities():
+    # one argument too few and, unless the last is a list, one too many
+    for verb, sig in cli._SIGNATURES.items():
+        n = len(sig.split())
+        if sig.endswith("..."):
+            yield verb, n - 2
+        else:
+            yield verb, n - 1
+            yield verb, n + 1
+
+
+@pytest.mark.parametrize("verb, n", list(_wrong_arities()))
+def test_script_verb_with_wrong_arity(capsys, tmp_path, verb, n):
+    path = tmp_path / "s.lie"
+    args = "".join(f" x{i}" for i in range(n))
+    path.write_text(f"algebra a 2\n{verb}{args}\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert err == (f"lie: error: {path}:2: {verb}: {verb} wants "
+                   f"{cli._SIGNATURES[verb]}\n")
+
+
+@pytest.mark.parametrize("labels, token", [
+    ("1,,2", ""), ("1,x", "x"), ("2,", ""), ("1.5", "1.5")])
+def test_script_filter_names_the_bad_label(capsys, tmp_path, labels, token):
+    path = tmp_path / "s.lie"
+    path.write_text(f"algebra a 2\nirrep r 11\nwrap n r\nfilter f n 1 {labels}\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 1 and out == ""
+    assert err == (f"lie: error: {path}:4: filter: label {token!r} in "
+                   f"{labels!r} is not an integer\n")
+
+
+def test_script_refuses_json_before_it_runs(capsys, tmp_path):
+    # the first statement would fail if the script ran: the refusal of
+    # the format comes first, with the usage text
+    path = tmp_path / "s.lie"
+    path.write_text("nonsense\nalgebra a 2\nirrep r 11\nwrap n r\nprint n\n")
+    rc, out, err = run(capsys, "--script", str(path), "--format", "json")
+    assert rc == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0] == ("lie: error: --script prints plain, tex or "
+                        "mathematica, not json")
+    assert lines[1].startswith("usage: lie")
+
+
 @pytest.mark.parametrize("use", ["normalize v", "basis b r 3 v"])
 def test_script_vector_label_outside_irrep(capsys, tmp_path, use):
     path = tmp_path / "s.lie"

@@ -1,12 +1,16 @@
 """Label-tree tensor products: wrap/otimes composition, filtering, basis
 changes, symmetry tests, and the SU(4) four-fold pipeline."""
 
+import random
+import sys
 from fractions import Fraction
 from functools import cache
+from math import gcd
+from pathlib import Path
 
 import pytest
 
-from liecg.exactnum import ONE, ZERO, field, field_sqrt, number
+from liecg.exactnum import ONE, ZERO, field, field_sqrt, number, parse_field
 from liecg.linalg import LabeledVector, SingularMatrixError, gram_orthogonalize
 from liecg.liealg import LieAlgebra
 from liecg.irrep import new_generic_irrep
@@ -428,3 +432,69 @@ def test_scale(octet_node):
     t = scale(octet_node, field(5))
     for lab in t.irrep.kets:
         assert expand(t, lab) == expand(octet_node, lab).scaled(field(5))
+
+
+# ------------------------------------------------------- normal form
+# A rational vector has exactly one form (D, {h: W_h}) with D > 0, no zero
+# entry and gcd(D, every entry) == 1, so every node must hold that form:
+# then an expansion does not depend on the integer scales it was built
+# with.  The chains are the benchmark's pool of multi-product scripts
+# (perfbench/workloads.py, imported read-only), with filter, chbasis and
+# scale children drawn as its scripts draw them.
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+POOL_ALGEBRAS = {"su3": A2, "su4": A3, "g2": G2}
+
+
+def _pool_nodes(n, alg, factors, ks):
+    rng = random.Random(n)
+    la = POOL_ALGEBRAS[alg]
+    info = workloads.ALGEBRAS[alg][1]
+    factors = factors.split()
+    leaves = {lab: wrap(new_generic_irrep(la, tuple(map(int, lab))))
+              for lab in set(factors)}
+    nodes = [leaves[factors[0]]]
+    for lab, k in zip(factors[1:], ks.split()):
+        nodes.append(otimes(nodes[-1], leaves[lab], int(k)))
+    top = nodes[-1]
+    pos = rng.randrange(len(factors))
+    dim = info[factors[pos]][0]
+    keep = rng.sample(range(1, dim + 1), max(1, dim // 2))
+    nodes.append(filter_factor(top, pos + 1, keep))
+    nodes.append(scale(nodes[-1], parse_field("1/2+1/3*sqrt(3)")))
+    nodes.append(scale(top, parse_field("-2/3*sqrt(2)+sqrt(6)")))
+    for pos, lab in enumerate(factors):
+        if info[lab][1]:
+            offset, size = info[lab][1]
+            block = range(offset + 1, offset + size + 1)
+            # an invertible integer basis of the degenerate block
+            basis = [LabeledVector((field(1 + (i == j) * (j + 1)), b)
+                                   for j, b in enumerate(block))
+                     for i in range(size)]
+            fb = filter_factor(top, pos + 1, list(block))
+            cb = chbasis(fb, pos + 1, chbasis_list(basis, offset))
+            nodes += [fb, cb, filter_factor(cb, pos + 1, [-1])]
+            break
+    return nodes
+
+
+@pytest.mark.parametrize("n, entry", list(enumerate(workloads.CHAIN_POOL)),
+                         ids=lambda x: x if isinstance(x, int) else x[1])
+def test_expansions_are_in_normal_form(n, entry):
+    multi = 0
+    for node in _pool_nodes(n, *entry):
+        for s in node.irrep.kets:
+            den, parts = node._rational(s)
+            entries = [x for w in parts.values() for x in w.values()]
+            assert den > 0 and all(parts.values()) and all(entries)
+            assert gcd(den, *entries) == 1
+            kd, pairs = node._int_parts(s)
+            assert kd > 0
+            for t in pairs.values():
+                fs = [f for f, _ in t]
+                assert fs == sorted(set(fs)) and all(x for _, x in t)
+                multi += len(t) > 1
+    # the scaled children hold keys of two classes
+    assert multi
