@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 user error, 2 internal inconsistency.
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache, partial
@@ -29,7 +28,6 @@ from .irrep import (
     _PINNED_FIELDS,
     _format,
     _indent,
-    _integer,
     _json_chunks,
     new_generic_irrep,
     new_imported_irrep,
@@ -157,81 +155,6 @@ def weights_to_json(la, hw):
     return "".join(_json_listing(la, hw))
 
 
-def _listing_field(obj, key, where):
-    """obj[key] of a document read by weights_from_json; where names obj."""
-    if type(obj) is not dict:
-        raise InvalidImportError(
-            f"malformed weight listing: {where} is not a JSON object")
-    if key not in obj:
-        raise InvalidImportError(f"malformed weight listing: no {key!r}")
-    return obj[key]
-
-
-def _same_json(a, b):
-    """a == b as JSON values: true is not 1, nor is 1.0."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    return a == b
-
-
-def weights_from_json(s):
-    """Inverse of weights_to_json; returns (algebra, hw, weight dicts).  A
-    document with a field missing, no such algebra, a highest weight that
-    is not rank JSON integers, a dim that is not its Weyl dimension, or
-    weights other than the records weights_to_json writes for it raises
-    InvalidImportError naming the field, or the first record that differs
-    by its label."""
-    doc = json.loads(s)
-    alg = _listing_field(doc, "algebra", "the document")
-    family = _listing_field(alg, "family", "algebra")
-    if type(family) is not str:
-        raise InvalidImportError(
-            f"malformed weight listing: family {family!r} is not a string")
-    rank = _integer(_listing_field(alg, "rank", "algebra"), "algebra rank",
-                    "weight listing")
-    try:
-        la = LieAlgebra(family, rank)
-    except ValueError as e:  # no such family, or not its rank
-        raise InvalidImportError(f"malformed weight listing: {e}") from e
-    labels = _listing_field(doc, "highest_weight", "the document")
-    if type(labels) is not list or len(labels) != rank:
-        raise InvalidImportError(
-            f"malformed weight listing: highest_weight {labels!r} is not a "
-            f"list of {rank} labels")
-    hw = tuple(_integer(x, "highest weight label", "weight listing")
-               for x in labels)
-    dim = _listing_field(doc, "dim", "the document")
-    got = _listing_field(doc, "weights", "the document")
-    try:
-        want = json.loads(weights_to_json(la, hw))
-    except ValueError as e:  # a negative label
-        raise InvalidImportError(f"malformed weight listing: {e}") from e
-    irrep = f"{la.name} irrep {_tup(hw)}"
-    if not _same_json(dim, want["dim"]):
-        raise InvalidImportError(
-            f"malformed weight listing: dim {dim!r} is not the dimension "
-            f"{want['dim']} of {irrep}")
-    want = want["weights"]
-    if type(got) is not list:
-        raise InvalidImportError(
-            f"malformed weight listing: weights is not a list of "
-            f"{len(want)} records")
-    for k, rec in enumerate(want):
-        if k == len(got) or not _same_json(got[k], rec):
-            raise InvalidImportError(
-                f"malformed weight listing: weight record {rec['label']} of "
-                f"{irrep} {'is missing' if k == len(got) else 'differs'}")
-    if len(got) != len(want):
-        raise InvalidImportError(
-            f"malformed weight listing: weights holds {len(got)} records, "
-            f"{irrep} has {len(want)}")
-    return la, hw, got
-
-
 def _states_doc(p, l, r):
     """The document of states_to_json, its "states" an iterator that renders
     one state at a time; _state_texts checks p before the first."""
@@ -261,20 +184,6 @@ def _states_doc(p, l, r):
 def states_to_json(p, l, r):
     """CG coefficient table of one product irrep as JSON text."""
     return "".join(_json_chunks(_states_doc(p, l, r)))
-
-
-def states_from_json(s):
-    """Decode states_to_json output into exact product states."""
-    doc = json.loads(s)
-    out = []
-    for st in doc["states"]:
-        out.append(
-            LabeledVector(
-                (parse_field(t["coeff"]), (t["left"], t["right"]))
-                for t in st["terms"]
-            )
-        )
-    return doc, out
 
 
 def print_list(r):
@@ -553,6 +462,16 @@ def _check_singlet_target(la, l, r, path):
 
 # ---------------------------------------------------------------- script
 
+def _int(tok, name, within=None):
+    """tok as an integer; a token that is none is refused by its name in
+    the README verb list and, if given, the argument it stands within."""
+    try:
+        return int(tok)
+    except ValueError:
+        where = "" if within is None else f" in {within!r}"
+        raise ValueError(f"{name} {tok!r}{where} is not an integer") from None
+
+
 def _parse_coeff(tok):
     try:
         return parse_field(tok)
@@ -607,11 +526,11 @@ class _Script:
             if size:
                 raise ValueError(f"algebra {kind} takes no rank")
             self.la = make()
-        elif len(size) != 1:
-            raise ValueError("algebra a|b|c|d needs a rank" if kind in "abcd"
-                             else f"algebra {kind} needs a size")
-        else:
-            self.la = make(int(size[0]))
+            return
+        want = "a|b|c|d RANK" if kind in "abcd" else "su|so|sp SIZE"
+        if len(size) != 1:
+            raise ValueError(f"algebra wants {want}")
+        self.la = make(_int(size[0], want.split()[1]))
 
     def _need_algebra(self):
         if self.la is None:
@@ -645,26 +564,20 @@ class _Script:
         for r in (a.irrep, b.irrep):
             if r in self.unchecked:
                 _check_imported(r, self.unchecked.pop(r))
-        self.nodes[name] = mt.otimes(a, b, int(k))
+        self.nodes[name] = mt.otimes(a, b, _int(k, "K"))
 
     def v_filter(self, toks):
         name, nn, factor, labels = toks
-        keep = []
-        for t in labels.split(","):
-            try:
-                keep.append(int(t))
-            except ValueError:
-                raise ValueError(
-                    f"label {t!r} in {labels!r} is not an integer") from None
+        keep = [_int(t, "label", labels) for t in labels.split(",")]
         self.nodes[name] = mt.filter_factor(
-            self._get(self.nodes, nn, "node"), int(factor), keep
+            self._get(self.nodes, nn, "node"), _int(factor, "FACTOR"), keep
         )
 
     def v_chbasis(self, toks):
         name, nn, factor, tn = toks
         node = mt.chbasis(
             self._get(self.nodes, nn, "node"),
-            int(factor),
+            _int(factor, "FACTOR"),
             self._get(self.trafos, tn, "trafo"),
         )
         # a label the transformation misses is reported on this line; the
@@ -687,7 +600,7 @@ class _Script:
             lab, _, coeff = t.partition(":")
             if not coeff:
                 raise ValueError(f"vector term {t!r} is not LABEL:COEFF")
-            lab = int(lab)
+            lab = _int(lab, "label", t)
             if lab not in r.kets:
                 raise ValueError(f"no state labeled {lab} in {rname}")
             terms.append((_parse_coeff(coeff), lab))
@@ -703,7 +616,7 @@ class _Script:
 
     def v_basis(self, toks):
         name, rname, offset, *vnames = toks
-        offset = int(offset)
+        offset = _int(offset, "OFFSET")
         r = self._get(self.irreps, rname, "irrep")
         seeds = []
         for vn in vnames:
@@ -718,20 +631,33 @@ class _Script:
             raise ValueError(
                 f"offset {offset} is not the start of a degenerate block"
             )
-        basis = list(seeds)
+        if len(seeds) > len(block):
+            raise ValueError(f"{len(seeds)} seeds for the {len(block)} states "
+                             f"of the block at state {offset + 1}")
+        # the seeds, then the block's unit vectors that are independent of
+        # them; ortho is the basis so far made pairwise orthogonal, which
+        # gram_orthogonalize needs
+        scp = partial(mt.scp, r)
+        basis, ortho = list(seeds), []
+        for vn, v in zip(vnames, seeds):
+            u = gram_orthogonalize(scp, ortho, [v])[0]
+            if u.is_zero():
+                raise ValueError(f"seed {vn!r} is zero or a combination of "
+                                 "the seeds before it")
+            ortho.append(u)
         for lab in block:
             if len(basis) == len(block):
                 break
-            cand = gram_orthogonalize(
-                lambda u, v: mt.scp(r, u, v), basis, [LabeledVector.unit(lab)]
-            )[0]
+            cand = gram_orthogonalize(scp, ortho, [LabeledVector.unit(lab)])[0]
             if not cand.is_zero():
                 basis.append(cand)
+                ortho.append(cand)
         self.trafos[name] = mt.chbasis_list(basis, offset)
 
     def v_is_sym(self, toks):
         nn, f1, f2 = toks
-        verdict = mt.is_sym(self._get(self.nodes, nn, "node"), int(f1), int(f2))
+        verdict = mt.is_sym(self._get(self.nodes, nn, "node"),
+                            _int(f1, "F1"), _int(f2, "F2"))
         self.emit(f"is_sym {nn} {f1} {f2} = {verdict}")
 
     def v_print(self, toks):

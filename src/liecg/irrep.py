@@ -991,12 +991,12 @@ def _template(shape, nl):
     return "{" + inner + body + nl + "}"
 
 
-def _integer(x, what, doc="irrep data"):
+def _integer(x, what):
     """x when it is a JSON integer; a float, bool or string is refused, not
-    truncated, with a message naming what and the kind of document."""
+    truncated, with a message naming what."""
     if type(x) is not int:
         raise InvalidImportError(
-            f"malformed {doc}: {what} {x!r} is not an integer"
+            f"malformed irrep data: {what} {x!r} is not an integer"
         )
     return x
 

@@ -13,10 +13,13 @@ subtracted, until nothing is left and the Weyl dimensions add up.  Each
 planned irrep is then found and built on its own: its highest-weight
 vector is a vector at its weight that every raising operator kills, i.e.
 one Gram-orthogonal to E_-i of every basis pair one root higher, and for
-the c-th copy also to copies 1..c-1 (_hw_irreps); descend_irrep builds
-the irrep under it level by level, dropping states that are linearly
-dependent, in a fixed deterministic order.  decompose builds every planned
-irrep; multitensor.otimes builds only the one it selects (_select).
+the c-th copy also to copies 1..c-1 (_hw_irreps).  One routine,
+_raising_rows, gives those Gram images, the rows of the raising kernel,
+both to the search and to the check that a given start state lies in the
+kernel (ProductIrrep._start).  descend_irrep builds the irrep under it
+level by level, dropping states that are linearly dependent, in a fixed
+deterministic order.  decompose builds every planned irrep;
+multitensor.otimes builds only the one it selects (_select).
 
 The descent lowers a state only into a weight whose Freudenthal
 multiplicity is not yet reached.  It so keeps at most min(true, Freudenthal)
@@ -350,8 +353,8 @@ class ProductIrrep:
     def _start(self, l: Irrep, r: Irrep):
         """Read the given FieldElem highest-weight state as a primitive
         integer vector times the radical of the irrep, and check that every
-        raising operator kills it: that it is Gram-orthogonal to E_-i of
-        every basis pair at w + alpha_i, for every root i."""
+        raising operator kills it: that its dot product with every row of
+        _raising_rows is zero."""
         # refuses zero and mixed states
         w = product_weight(self._hw_state, l, r)
         fl, fr = l.rational_form(), r.rational_form()
@@ -363,16 +366,13 @@ class ProductIrrep:
             )
         ((f, (v, c)),) = parts.items()
         _, gram_l, gram_r = _int_gram(fl, fr)
-        for i, ((_, low_l, low_r), row) in enumerate(
-                zip(_int_tables(fl, fr), cartan(l.algebra)), 1):
-            for ab in _basis_pairs(l, r, _vadd(w, row)):
-                low = _lower({ab: 1}, low_l, low_r)
-                if low and _scp(low, v, gram_l, gram_r):
-                    raise ConsistencyError(
-                        f"{_product_name(l, r)}: the given state at weight "
-                        f"{w} is not a highest-weight vector: raising it by "
-                        f"root {i} does not give zero"
-                    )
+        for i, row in _raising_rows(l, r, w, gram_l, gram_r):
+            if sum(c * row.get(ab, 0) for ab, c in v.items()):
+                raise ConsistencyError(
+                    f"{_product_name(l, r)}: the given state at weight "
+                    f"{w} is not a highest-weight vector: raising it by "
+                    f"root {i} does not give zero"
+                )
         self._hw_vec, self._scale = v, (f, c)
 
     def _state(self, state) -> ProductState:
@@ -619,25 +619,34 @@ def _plan(l: Irrep, r: Irrep) -> list:
     return plan
 
 
+def _raising_rows(l: Irrep, r: Irrep, w, gram_l, gram_r):
+    """(i, G E_-i (a, b)) for every root i and every basis pair (a, b) at
+    w + alpha_i that E_-i does not kill, one at a time; gram_l and gram_r
+    are the integer Gram tables of _int_gram.  A vector at w is a
+    highest-weight vector iff its dot product with each row is zero."""
+    fl, fr = l.rational_form(), r.rational_form()
+    for i, ((_, low_l, low_r), shift) in enumerate(
+            zip(_int_tables(fl, fr), cartan(l.algebra)), 1):
+        for ab in _basis_pairs(l, r, _vadd(w, shift)):
+            low = _lower({ab: 1}, low_l, low_r)
+            if low:
+                yield i, _gram_apply(low, gram_l, gram_r)
+
+
 def _hw_irreps(d: Decomposition, w, n):
     """Copies 1..n of the irrep at highest weight w, as undescended
     ProductIrreps in copy order, one at a time.
 
-    A vector at w is a highest-weight vector iff it is Gram-orthogonal to
-    E_-i of every basis pair at w + alpha_i, for every root i; copy c is
-    also orthogonal to copies 1..c-1.  Those Gram images are the rows, and
-    the null vector over the basis pairs at w is copy c, oriented so that
-    its leading coefficient is positive.
+    The rows are those of _raising_rows, streamed into the reducer, and
+    for copy c the Gram images of copies 1..c-1; the null vector over the
+    basis pairs at w is copy c, oriented so that its leading coefficient is
+    positive.
     """
     l, r = d.left, d.right
-    fl, fr = l.rational_form(), r.rational_form()
-    e, gram_l, gram_r = _int_gram(fl, fr)
+    e, gram_l, gram_r = _int_gram(l.rational_form(), r.rational_form())
     red = _Reducer()
-    for (_, low_l, low_r), row in zip(_int_tables(fl, fr), cartan(l.algebra)):
-        for ab in _basis_pairs(l, r, _vadd(w, row)):
-            low = _lower({ab: 1}, low_l, low_r)
-            if low:
-                red.add(_gram_apply(low, gram_l, gram_r))
+    for _, row in _raising_rows(l, r, w, gram_l, gram_r):
+        red.add(row)
     labels = _basis_pairs(l, r, w)
     for _ in range(n):
         x = red.null_vector(labels)

@@ -13,7 +13,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from liecg import cli
-from liecg.irrep import InvalidImportError, new_generic_irrep
+from liecg.exactnum import parse_field
+from liecg.irrep import new_generic_irrep
+from liecg.linalg import LabeledVector
 from liecg.liealg import ConsistencyError, LieAlgebra, freudenthal
 from liecg.tensor import Decomposition, decompose, result
 
@@ -158,12 +160,11 @@ def test_rank_one_label_above_nine(capsys):
 
 
 def test_weights_json_roundtrip():
-    la = LieAlgebra("A", 2)
-    emitted = cli.weights_to_json(la, (1, 1))
-    la2, hw2, recs = cli.weights_from_json(emitted)
-    assert la2 == la and hw2 == (1, 1)
-    assert recs == json.loads(emitted)["weights"]
-    assert recs[3] == {
+    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
+    assert doc["algebra"] == {"family": "A", "rank": 2}
+    assert doc["highest_weight"] == [1, 1] and doc["dim"] == 8
+    assert len(doc["weights"]) == 7
+    assert doc["weights"][3] == {
         "label": 4,
         "level": 2,
         "deg": 2,
@@ -171,107 +172,6 @@ def test_weights_json_roundtrip():
         "lowest_root": 0,
         "descent": [1, 1],
     }
-
-
-@pytest.mark.parametrize("rank", [True, 2.0, "2"], ids=repr)
-def test_weights_json_refuses_a_rank_that_is_no_integer(rank):
-    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
-    doc["algebra"]["rank"] = rank
-    with pytest.raises(InvalidImportError) as err:
-        cli.weights_from_json(json.dumps(doc))
-    assert str(err.value) == (
-        f"malformed weight listing: algebra rank {rank!r} is not an integer")
-
-
-def _without(key):
-    def edit(doc):
-        del doc[key]
-        return doc
-    return edit
-
-
-def _with(key, value):
-    def edit(doc):
-        doc[key] = value
-        return doc
-    return edit
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_without("highest_weight"), "no 'highest_weight'"),
-    (_without("algebra"), "no 'algebra'"),
-    (_without("weights"), "no 'weights'"),
-    (lambda doc: [doc], "the document is not a JSON object"),
-    (_with("algebra", [2]), "algebra is not a JSON object"),
-    (_with("highest_weight", [1, True]),
-     "highest weight label True is not an integer"),
-    (_with("highest_weight", [1, 1.0]),
-     "highest weight label 1.0 is not an integer"),
-    (_with("highest_weight", 11),
-     "highest_weight 11 is not a list of 2 labels"),
-    (_with("highest_weight", [1, 1, 1]),
-     "highest_weight [1, 1, 1] is not a list of 2 labels"),
-    (_with("algebra", {"family": "X", "rank": 2}), "unknown family 'X'"),
-    (_with("algebra", {"family": ["A"], "rank": 2}),
-     "family ['A'] is not a string"),
-    (_with("algebra", {"rank": 2}), "no 'family'"),
-    (_with("algebra", {"family": "G2", "rank": 3}), "G2 has rank 2, not 3"),
-], ids=["no-hw", "no-algebra", "no-weights", "array", "algebra-array",
-        "bool-label", "float-label", "hw-int", "hw-length", "family",
-        "family-list", "no-family", "fixed-rank"])
-def test_weights_json_refuses_a_malformed_document(edit, message):
-    # each field weights_from_json reads is checked before it is used:
-    # a bool label would come back as the highest weight (1, True)
-    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
-    with pytest.raises(InvalidImportError) as err:
-        cli.weights_from_json(json.dumps(edit(doc)))
-    assert str(err.value) == f"malformed weight listing: {message}"
-
-
-def _records(edit_list):
-    def edit(doc):
-        edit_list(doc["weights"])
-        return doc
-    return edit
-
-
-# SU(3) (1,1): records labelled 1, 2, 3, 4 (the two states at weight 0), 6,
-# 7 and 8
-@pytest.mark.parametrize("edit, message", [
-    (_with("weights", 5), "weights is not a list of 7 records"),
-    (_with("weights", {}), "weights is not a list of 7 records"),
-    (_records(lambda ws: ws[3].pop("deg")),
-     "weight record 4 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws[3].update(deg=1)),
-     "weight record 4 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws[0].update(deg=True)),
-     "weight record 1 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws[4].update(level=3.0)),
-     "weight record 6 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws[6].update(descent=[2, 1])),
-     "weight record 8 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws.insert(1, ws.pop(2))),
-     "weight record 2 of SU(3) irrep (1,1) differs"),
-    (_records(lambda ws: ws.pop()),
-     "weight record 8 of SU(3) irrep (1,1) is missing"),
-    (_records(lambda ws: ws.append(dict(ws[-1]))),
-     "weights holds 8 records, SU(3) irrep (1,1) has 7"),
-    (_without("dim"), "no 'dim'"),
-    (_with("dim", 9), "dim 9 is not the dimension 8 of SU(3) irrep (1,1)"),
-    (_with("dim", 8.0),
-     "dim 8.0 is not the dimension 8 of SU(3) irrep (1,1)"),
-    (_with("highest_weight", [1, -1]),
-     "highest weight must be non-negative integers: (1, -1)"),
-], ids=["int", "object", "no-deg", "deg-sum", "bool-deg", "float-level",
-        "descent", "order", "short", "long", "no-dim", "dim", "float-dim",
-        "negative-label"])
-def test_weights_json_refuses_a_listing_of_other_records(edit, message):
-    # the weights and dim must be those weights_to_json writes for the
-    # algebra and highest weight, record for record
-    doc = json.loads(cli.weights_to_json(LieAlgebra("A", 2), (1, 1)))
-    with pytest.raises(InvalidImportError) as err:
-        cli.weights_from_json(json.dumps(edit(doc)))
-    assert str(err.value) == f"malformed weight listing: {message}"
 
 
 class Discard:
@@ -1265,17 +1165,21 @@ def test_repeated_entries_are_refused(capsys, tmp_path, how):
 
 
 def test_states_json_roundtrip():
-    from liecg.irrep import InvalidImportError, new_generic_irrep
-    from liecg.tensor import Decomposition, decompose
-
     la = LieAlgebra("A", 2)
     l = new_generic_irrep(la, (1, 0))
     r = new_generic_irrep(la, (0, 1))
     d = Decomposition(l, r)
     decompose(d)
     p = d.found[0]
-    doc, vecs = cli.states_from_json(cli.states_to_json(p, l, r))
+    doc = json.loads(cli.states_to_json(p, l, r))
     assert doc["irrep"] == {"dynkin": [1, 1], "dim": 8}
+    vecs = [
+        LabeledVector(
+            (parse_field(t["coeff"]), (t["left"], t["right"]))
+            for t in st["terms"]
+        )
+        for st in doc["states"]
+    ]
     flat = [s for level in p.levels for s in level]
     assert vecs == flat
 
@@ -1563,20 +1467,20 @@ def test_algebra_flags(argv, la):
     ("", "unknown algebra ''"),
     ("x 3", "unknown algebra 'x 3'"),
     ("e9", "unknown algebra 'e9'"),
-    ("a", "algebra a|b|c|d needs a rank"),
-    ("B 2 3", "algebra a|b|c|d needs a rank"),
+    ("a", "algebra wants a|b|c|d RANK"),
+    ("B 2 3", "algebra wants a|b|c|d RANK"),
     ("e6 6", "algebra e6 takes no rank"),
     ("G2 1", "algebra g2 takes no rank"),
-    ("su", "algebra su needs a size"),
-    ("sp 4 4", "algebra sp needs a size"),
+    ("su", "algebra wants su|so|sp SIZE"),
+    ("sp 4 4", "algebra wants su|so|sp SIZE"),
     ("so 4", "SO(n) needs odd n >= 5 or even n >= 6"),
     ("su 1", "SU(n) needs n >= 2"),
     ("sp 5", "SP(n) needs even n >= 4"),
     ("c 1", "family C needs integer rank >= 2"),
     ("d 2", "family D needs integer rank >= 3"),
-    ("a x", "invalid literal for int() with base 10: 'x'"),
-    ("su x", "invalid literal for int() with base 10: 'x'"),
-    ("A X", "invalid literal for int() with base 10: 'X'"),
+    ("a x", "RANK 'x' is not an integer"),
+    ("su x", "SIZE 'x' is not an integer"),
+    ("A X", "RANK 'X' is not an integer"),
 ])
 def test_script_algebra_errors(capsys, tmp_path, toks, msg):
     path = tmp_path / "s.lie"
@@ -1690,15 +1594,52 @@ def test_script_vector_label_outside_irrep(capsys, tmp_path, use):
     (["irrep r 11", "basis b r 4"],
      "3: basis: offset 4 is not the start of a degenerate block"),
     (["irrep r 11", "basis b r 8"], "3: basis: no state 9 in r"),
+    (["irrep r 11", "vector u r 4:1", "vector v r 4:2", "basis b r 3 u v"],
+     "5: basis: seed 'v' is zero or a combination of the seeds before it"),
+    (["irrep r 11", "vector u r 4:0", "basis b r 3 u"],
+     "4: basis: seed 'u' is zero or a combination of the seeds before it"),
+    (["irrep r 11", "vector u r 4:1", "basis b r 3 u u u"],
+     "4: basis: 3 seeds for the 2 states of the block at state 4"),
+    (["irrep r 11", "wrap t r", "otimes p t t x"],
+     "4: otimes: K 'x' is not an integer"),
+    (["irrep r 11", "wrap t r", "filter f t one 1"],
+     "4: filter: FACTOR 'one' is not an integer"),
+    (["irrep r 11", "wrap t r", "chbasis c t one tr"],
+     "4: chbasis: FACTOR 'one' is not an integer"),
+    (["irrep r 11", "wrap t r", "otimes p t t 1", "is_sym p one 2"],
+     "5: is_sym: F1 'one' is not an integer"),
+    (["irrep r 11", "wrap t r", "otimes p t t 1", "is_sym p 1 2.0"],
+     "5: is_sym: F2 '2.0' is not an integer"),
+    (["irrep r 11", "basis b r x"], "3: basis: OFFSET 'x' is not an integer"),
+    (["irrep r 11", "vector v r x:1"],
+     "3: vector: label 'x' in 'x:1' is not an integer"),
 ], ids=["print-unknown-node", "vector-term-without-colon",
         "basis-seed-of-another-irrep", "basis-offset-inside-a-block",
-        "basis-offset-past-the-irrep"])
+        "basis-offset-past-the-irrep", "basis-dependent-seeds",
+        "basis-zero-seed", "basis-more-seeds-than-states", "otimes-k",
+        "filter-factor", "chbasis-factor", "is_sym-f1", "is_sym-f2",
+        "basis-offset", "vector-label"])
 def test_script_refusals(capsys, tmp_path, lines, message):
     path = tmp_path / "s.lie"
     path.write_text("\n".join(["algebra su 3", *lines]) + "\n")
     rc, out, err = run(capsys, "--script", str(path))
     assert rc == 1 and out == ""
     assert err.splitlines() == [f"lie: error: {path}:{message}"]
+
+
+def test_script_basis_completes_independent_seeds(capsys, tmp_path):
+    # s1 and s2 are independent but not orthogonal in the three-state
+    # zero-weight block of the SU(4) 15; the seeds keep the labels -1, -2
+    path = tmp_path / "s.lie"
+    path.write_text("algebra a 3\nirrep r15 101\nvector s1 r15 7:1\n"
+                    "vector s2 r15 7:1 8:1\nbasis tr r15 6 s1 s2\n"
+                    "wrap t r15\nfilter f t 1 7,8,9\nchbasis c f 1 tr\n"
+                    "print c\n")
+    rc, out, err = run(capsys, "--script", str(path))
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[6] == '7: [("1", "-1")]'
+    assert lines[7] == '8: [("1", "-2"); ("-1", "-1")]'
 
 
 def test_rep_with_too_many_labels(capsys):

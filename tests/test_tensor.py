@@ -561,6 +561,54 @@ def test_start_outside_the_raising_kernel_names_the_product(su3_pair):
     assert (p.hw, p.dim) == ((0, 0), 1)
 
 
+def _raised_by(s, w, l, r, d):
+    """The first root i whose raising does not kill the state s at weight
+    w, found from the definition: E_i is the adjoint of E_-i, so E_i s == 0
+    iff <E_-i t|s> == 0 for every basis pair t at w + alpha_i."""
+    for i, shift in enumerate(cartan(l.algebra), 1):
+        up = tuple(a + b for a, b in zip(w, shift))
+        for t in basis_product(d, up):
+            if not product_scp(product_lower(t, i, l, r), s, l, r).is_zero():
+                return i
+    return None
+
+
+@pytest.mark.parametrize("la, left, right", [
+    (A2, (1, 1), (1, 1)),
+    (G2, (1, 0), (1, 0)),
+    (D5, (0, 0, 0, 0, 1), (0, 0, 0, 1, 0)),
+], ids=["su3-8x8", "g2-7x7", "so10-16x16bar"])
+def test_start_checks_found_states_against_the_search_rows(la, left, right):
+    # the search and the start check read one set of raising-kernel rows:
+    # every highest-weight vector the search finds passes the check, and
+    # adding a basis pair at its weight that some raising operator does not
+    # kill is refused, naming the first such root
+    l, r = new_generic_irrep(la, left), new_generic_irrep(la, right)
+    d = Decomposition(l, r)
+    decompose(d)
+    fl, fr = l.rational_form(), r.rational_form()
+    refused = 0
+    for p in d.found:
+        q = ProductIrrep(p.hw_state)
+        q._start(l, r)
+        assert q._hw_vec == p._hw_vec
+        terms = tensor._coefficients(p._scale[0], fl.r, fr.r)
+        for pair in tensor._basis_pairs(l, r, p.hw):
+            s = p.hw_state + tensor._field_state(terms({pair: 1}, Fraction(1)))
+            root = _raised_by(s, p.hw, l, r, d)
+            if root is not None:
+                break
+        else:
+            continue
+        with pytest.raises(ConsistencyError) as exc:
+            ProductIrrep(s)._start(l, r)
+        assert str(exc.value).endswith(
+            f"is not a highest-weight vector: raising it by root {root} "
+            "does not give zero")
+        refused += 1
+    assert refused == len(d.found) - 1
+
+
 def test_descent_skips_full_and_outside_weights(monkeypatch):
     # the 27 of SU(3) 8 x 8: the uncapped descent lowered each of its 27
     # states by both roots, 54 candidates; the capped one lowers a state
